@@ -1,0 +1,73 @@
+"""Golden CLI outputs: each case runs `cli.main` in-process and compares its
+stdout byte for byte with a file recorded under tests/golden/.
+
+A refactor must leave every file unchanged.  After an intended change of
+output, re-record with `PYTHONPATH=src python tests/test_golden.py`.
+"""
+
+import io
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from bruhatcap import build, checks, cli
+from bruhatcap.rootsystem import vector_strs
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+DEFAULT_LAMBDA = "@default_table_lambda"
+
+
+def _cases() -> dict[str, tuple[str, ...]]:
+    cases = {}
+    for fam, rank in checks.TABLE_TYPES:
+        t = ("-t", fam, "-r", str(rank))
+        cases[f"roots_{fam}{rank}.json"] = ("roots", *t, "--format", "json")
+        cases[f"capacity_{fam}{rank}.json"] = (
+            "capacity", *t, "--lambda", DEFAULT_LAMBDA, "--format", "json")
+    cases["table.csv"] = ("table",)
+    for kind in ("bruhat", "quantum"):
+        for fam, rank in (("A", 2), ("B", 2), ("G", 2)):
+            for fmt in ("dot", "json"):
+                cases[f"graph_{kind}_{fam}{rank}.{fmt}"] = (
+                    "graph", kind, "-t", fam, "-r", str(rank), "--format", fmt)
+    for fmt in ("dot", "json"):
+        cases[f"graph_bruhat_A3_lambda_2200.{fmt}"] = (
+            "graph", "bruhat", "-t", "A", "-r", "3", "--lambda", "2,2,0,0", "--format", fmt)
+    return cases
+
+
+CASES = _cases()
+
+
+def _argv(name: str) -> list[str]:
+    argv = list(CASES[name])
+    if DEFAULT_LAMBDA in argv:
+        rs = build(argv[argv.index("-t") + 1], int(argv[argv.index("-r") + 1]))
+        argv[argv.index(DEFAULT_LAMBDA)] = ",".join(vector_strs(cli.default_table_lambda(rs)))
+    return argv
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name, capsys):
+    code = cli.main(_argv(name))
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
+def _record() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    for name in sorted(CASES):
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            code = cli.main(_argv(name))
+        if code != 0:
+            sys.exit(f"{name}: exit code {code}")
+        (GOLDEN / name).write_bytes(buf.getvalue().encode("utf-8"))
+
+
+if __name__ == "__main__":
+    _record()
