@@ -16,10 +16,10 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import ConsistencyError, ValidationError
-from .graphs import Degree, bruhat_graph, d_min, min_path_area, quantum_bruhat_graph
+from .graphs import Degree, bruhat_graph, d_min, degree_pairing, min_path_area, quantum_bruhat_graph
 from .linalg import Vector, vec
 from .rootsystem import RootSystem, build, rational_str, vector_strs
-from .weyl import DEFAULT_GROUP_CAP, generate
+from .weyl import DEFAULT_GROUP_CAP, WeylGroup, generate, perm_absolute_length
 
 DEFAULT_CONFIRM_CAP = 2000
 
@@ -172,12 +172,13 @@ class W0Decomposition:
 def w0_decomposition(rs: RootSystem) -> W0Decomposition:
     """The per-type decomposition of w0 into orthogonal reflections.
 
-    Four independent checks guard the transcribed data: the entries are
+    Five independent checks guard the transcribed data: the entries are
     positive roots, pairwise orthogonal, their reflections compose to w0
     (every positive root is sent to a negative one), the count equals the
     absolute length of w0 (fixed-space codimension), and the coroot heights
-    satisfy sum(2*ht - 1) = |R+|.  Runs at the matrix level, so no Weyl
-    group enumeration is needed (E8 included).
+    satisfy sum(2*ht - 1) = |R+|.  The product is composed from the integer
+    reflection permutations of the root indices, so no Weyl group
+    enumeration is needed (E8 included).
     """
     vectors = _decomposition_vectors(rs.family, rs.rank)
     indices = []
@@ -197,19 +198,16 @@ def w0_decomposition(rs: RootSystem) -> W0Decomposition:
                     f"roots {vectors[i]} and {vectors[j]} are not orthogonal"
                 )
 
-    product = linalg.identity(rs.ambient_dim)
-    for v in vectors:
-        product = linalg.matmul(product, linalg.reflection_matrix(v))
-    for p in rs.positive:
-        image = linalg.mat_vec(product, rs.roots[p])
-        idx = rs.index.get(image)
-        if idx is None or rs.is_positive[idx]:
-            raise ConsistencyError(
-                f"decomposition data for {rs.family}{rs.rank}: product is not w0 "
-                f"(does not map all positive roots to negative roots)"
-            )
+    product = tuple(range(len(rs.roots)))
+    for i in indices:
+        product = tuple(product[k] for k in rs.reflection_perm(i))
+    if any(rs.is_positive[product[p]] for p in rs.positive):
+        raise ConsistencyError(
+            f"decomposition data for {rs.family}{rs.rank}: product is not w0 "
+            f"(does not map all positive roots to negative roots)"
+        )
 
-    fixed_codim = linalg.rank(linalg.mat_sub(product, linalg.identity(rs.ambient_dim)))
+    fixed_codim = perm_absolute_length(rs, product)
     if fixed_codim != len(vectors):
         raise ConsistencyError(
             f"decomposition data for {rs.family}{rs.rank}: {len(vectors)} reflections "
@@ -359,8 +357,46 @@ def closed_form_table(rs: RootSystem, lam: Vector) -> tuple[Fraction, Fraction]:
     raise ValidationError(f"no closed-form table row for {fam}{n}")
 
 
+def table_row(rs: RootSystem, lam: Vector,
+              dec: W0Decomposition) -> tuple[Vector, Fraction, Fraction, Fraction, Fraction]:
+    """(lam, closed-form lower, first-principles lower, closed-form upper,
+    first-principles upper); a G2 weight is projected onto the root plane first."""
+    if rs.family == "G":
+        lam = rs.project_to_root_span(lam)
+    closed_lower, closed_upper = closed_form_table(rs, lam)
+    lower, _witness = lower_bound(rs, lam, dec)
+    return lam, closed_lower, lower, closed_upper, upper_bound(rs, lam, dec)
+
+
 # ---------------------------------------------------------------------------
 # Orchestration
+
+
+def confirm_upper(weyl: WeylGroup):
+    """The graph confirmation of the upper bound for regular weights of one type.
+
+    Builds the quantum Bruhat graph, d_min(w0, e) and the Bruhat graph on W
+    once, and returns check(lam, upper) -> (d_min degree, Dijkstra area),
+    which raises ConsistencyError unless the decomposition sum `upper`, the
+    pairing of lam with d_min(w0, e) and the minimal path area agree exactly.
+    """
+    rs = weyl.rs
+    degree, _length = d_min(quantum_bruhat_graph(weyl), weyl.longest_index, weyl.identity_index)
+    pd = weyl.parabolic(())
+    graph = bruhat_graph(weyl, pd)
+    src, dst = pd.coset_of[weyl.identity_index], pd.coset_of[weyl.longest_index]
+
+    def check(lam: Vector, upper: Fraction) -> tuple[Degree, Fraction]:
+        pairing = degree_pairing(rs, lam, degree)
+        area = min_path_area(graph, lam, src, dst)
+        if not pairing == upper == area:
+            raise ConsistencyError(
+                f"upper-bound triangle failed for regular lambda: "
+                f"decomposition {upper}, d_min pairing {pairing}, Dijkstra {area}"
+            )
+        return degree, area
+
+    return check
 
 
 @dataclass
@@ -439,25 +475,8 @@ def hz_bounds(family: str, rank: int, lam, *, confirm_cap: int = DEFAULT_CONFIRM
     if rs.weyl_order <= confirm_cap:
         weyl = generate(rs, cap=group_cap)
         if regular:
-            q = quantum_bruhat_graph(weyl)
-            d_deg, _length = d_min(q, weyl.longest_index, weyl.identity_index)
-            pairing_of_degree = sum(
-                (d_deg[k] * rs.pairing(lam_used, rs.simple[k]) for k in range(rs.rank)),
-                Fraction(0),
-            )
-            pd = weyl.parabolic(())
-            graph = bruhat_graph(weyl, pd)
-            area = min_path_area(
-                graph, lam_used,
-                pd.coset_of[weyl.identity_index], pd.coset_of[weyl.longest_index],
-            )
-            ok = pairing_of_degree == upper == area
-            checks["dmin_consistent"] = ok
-            if not ok:
-                raise ConsistencyError(
-                    f"upper-bound triangle failed for regular lambda: "
-                    f"decomposition {upper}, d_min pairing {pairing_of_degree}, Dijkstra {area}"
-                )
+            d_deg, area = confirm_upper(weyl)(lam_used, upper)
+            checks["dmin_consistent"] = True
         else:
             pd = weyl.parabolic(parabolic_positions(rs, lam_used))
             graph = bruhat_graph(weyl, pd)

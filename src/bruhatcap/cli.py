@@ -221,12 +221,8 @@ def cmd_table(args) -> int:
     for fam, rank in wanted:
         rs = build(fam, rank)
         lam = lam_fixed if lam_fixed is not None else default_table_lambda(rs)
-        if fam == "G":
-            lam = rs.project_to_root_span(lam)
         dec = capacity.w0_decomposition(rs)
-        closed_low, closed_up = capacity.closed_form_table(rs, lam)
-        up = capacity.upper_bound(rs, lam, dec)
-        low, _ = capacity.lower_bound(rs, lam, dec)
+        lam, closed_low, low, closed_up, up = capacity.table_row(rs, lam, dec)
         exact = capacity.unitary_capacity(lam) if fam == "A" else None
         lower_match = closed_low == low
         upper_match = closed_up == up
@@ -322,9 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # build_parser reads BC_GROUP_CAP, which can be malformed
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except BruhatCapError as exc:
         print(f"error: {exc}", file=sys.stderr)

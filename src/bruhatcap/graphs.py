@@ -15,7 +15,7 @@ from heapq import heappop, heappush
 
 from .errors import ConsistencyError, SizeLimitError, ValidationError
 from .linalg import Vector, vec
-from .rootsystem import rational_str, vector_strs
+from .rootsystem import RootSystem, rational_str, vector_strs
 from .weyl import ParabolicData, WeylGroup
 
 DEFAULT_CAYLEY_CAP = 7
@@ -30,6 +30,14 @@ def degree_leq(c: Degree, d: Degree) -> bool:
 
 def degree_add(c: Degree, d: Degree) -> Degree:
     return tuple(a + b for a, b in zip(c, d))
+
+
+def degree_pairing(rs: RootSystem, lam: Vector, degree: Degree) -> Fraction:
+    """sum_k degree[k] * <lam, coroot(alpha_k)>: the area of a path of that degree."""
+    return sum(
+        (degree[k] * rs.pairing(lam, rs.simple[k]) for k in range(rs.rank)),
+        Fraction(0),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -358,11 +366,7 @@ def _quantum_payload(graph: QuantumBruhatGraph, lam: Vector | None) -> dict:
                 "degree": list(deg),
             }
             if lam is not None:
-                area = sum(
-                    (deg[k] * rs.pairing(lam, rs.simple[k]) for k in range(rs.rank)),
-                    Fraction(0),
-                )
-                e["area"] = rational_str(area)
+                e["area"] = rational_str(degree_pairing(rs, lam, deg))
             edges.append(e)
     edges.sort(key=lambda e: (e["u"], e["v"], e["root"], e["degree"]))
     return {

@@ -1,7 +1,11 @@
-"""Small exact linear-algebra kernel over fractions.Fraction.
+"""Small exact linear algebra over fractions.Fraction, for ambient vectors.
 
-Everything here is dense, rational and tiny (dimensions <= 9); no floating
-point is used anywhere in the package.
+The root kernel works in integer simple-root coordinates (see rootsystem);
+what is left here serves the ambient side: vectors and dot products, the
+one exact solve behind the fundamental weights, the dual basis and the
+projection onto the root span, and the rank behind absolute lengths.
+Everything is dense, rational and tiny (dimensions <= 9); no floating point
+is used anywhere in the package.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from typing import Iterable, Sequence
 from .errors import ConsistencyError
 
 Vector = tuple[Fraction, ...]
-Matrix = list[list[Fraction]]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -29,24 +32,12 @@ def dot(x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(x, y)), ZERO)
 
 
-def add(x: Vector, y: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(x, y))
-
-
-def sub(x: Vector, y: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(x, y))
-
-
 def neg(x: Vector) -> Vector:
     return tuple(-a for a in x)
 
 
 def scale(c: Fraction, x: Vector) -> Vector:
     return tuple(c * a for a in x)
-
-
-def is_zero(x: Sequence[Fraction]) -> bool:
-    return all(a == 0 for a in x)
 
 
 def solve_columns(columns: Sequence[Vector], target: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -109,32 +100,3 @@ def rank(matrix: Sequence[Sequence[Fraction]]) -> int:
             break
     return rk
 
-
-def identity(n: int) -> Matrix:
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0])
-    assert len(a[0]) == k
-    return [[sum((a[i][t] * b[t][j] for t in range(k)), ZERO) for j in range(m)] for i in range(n)]
-
-
-def mat_vec(a: Matrix, x: Sequence[Fraction]) -> Vector:
-    return tuple(dot(row, x) for row in a)
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def reflection_matrix(alpha: Vector) -> Matrix:
-    """Matrix of the orthogonal reflection fixing the hyperplane normal to alpha."""
-    nn = dot(alpha, alpha)
-    if nn == 0:
-        raise ValueError("cannot reflect in the zero vector")
-    n = len(alpha)
-    return [
-        [(ONE if i == j else ZERO) - 2 * alpha[i] * alpha[j] / nn for j in range(n)]
-        for i in range(n)
-    ]

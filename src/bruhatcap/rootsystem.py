@@ -1,4 +1,14 @@
-"""Simple root systems realized by exact rational vectors.
+"""Simple root systems over an exact integer kernel.
+
+Each root is an integer coefficient vector over the simple roots.  The
+roots are generated by closing the simple roots under the simple
+reflections s_i(beta) = beta - <beta, coroot(alpha_i)> alpha_i, with every
+pairing read off the integer Cartan matrix (Humphreys, Reflection Groups and
+Coxeter Groups, sections 1 and 2.9).  From those integers come the coroot
+coefficients c_k^vee = c_k |alpha_k|^2 / |alpha|^2 and, on demand, each
+reflection as a permutation of root indices.  Ambient rational vectors are
+computed once per root, for input, output and the closed-form table; roots
+are indexed in their lexicographic order.
 
 Coordinate conventions per type (the ones in which all closed-form bounds
 are stated):
@@ -127,11 +137,23 @@ def weyl_group_order(family: str, rank: int) -> int:
     raise ValidationError(f"unknown family {family!r}")
 
 
+def _combination(coords, vectors: list[Vector], dim: int) -> Vector:
+    """The ambient vector sum_k coords[k] * vectors[k]."""
+    out = [Fraction(0)] * dim
+    for c, v in zip(coords, vectors):
+        if c:
+            for d, x in enumerate(v):
+                if x:
+                    out[d] += c * x
+    return tuple(out)
+
+
 class RootSystem:
-    """A simple root system with exact rational coordinates.
+    """A simple root system over integer simple-root coordinates.
 
     Immutable after construction; all queries are pure.  Roots are stored in
-    a canonical lexicographic order so root indices are reproducible.
+    the lexicographic order of their ambient vectors so root indices are
+    reproducible.
     """
 
     def __init__(self, family: str, rank: int):
@@ -142,33 +164,42 @@ class RootSystem:
         self.ambient_dim = len(simples[0])
         self.weyl_order = weyl_group_order(fam, rank)
 
-        roots = set(simples)
-        queue = list(simples)
+        # C[i][j] = <alpha_j, coroot of alpha_i> = 2 (alpha_i, alpha_j) / (alpha_i, alpha_i)
+        self._gram = [[linalg.dot(a, b) for b in simples] for a in simples]
+        cartan = [[2 * g / row[i] for g in row] for i, row in enumerate(self._gram)]
+        if any(x.denominator != 1 for row in cartan for x in row):
+            raise ConsistencyError(f"{fam}{rank}: non-integral Cartan matrix {cartan}")
+        self._cartan = cartan = tuple(tuple(int(x) for x in row) for row in cartan)
+
+        def simple_pairings(c: tuple[int, ...]) -> tuple[int, ...]:
+            """<beta, coroot of alpha_i> for each i, beta having coefficients c."""
+            return tuple(sum(cj * cij for cj, cij in zip(c, row)) for row in cartan)
+
+        # Close the simple roots under s_i(beta) = beta - <beta, coroot(alpha_i)> alpha_i,
+        # which changes only the i-th coefficient.
+        units = [tuple(int(j == k) for j in range(rank)) for k in range(rank)]
+        found = set(units)
+        queue = list(units)
         while queue:
             beta = queue.pop()
-            for i, alpha in enumerate(simples):
-                image = self._reflect_vec(alpha, beta)
-                if image not in roots:
-                    roots.add(image)
-                    queue.append(image)
-        self.roots: tuple[Vector, ...] = tuple(sorted(roots))
+            for i, p in enumerate(simple_pairings(beta)):
+                if p:
+                    image = beta[:i] + (beta[i] - p,) + beta[i + 1:]
+                    if image not in found:
+                        found.add(image)
+                        queue.append(image)
+        ordered = sorted((_combination(c, simples, self.ambient_dim), c) for c in found)
+
+        self.roots: tuple[Vector, ...] = tuple(r for r, _c in ordered)
         self.index: dict[Vector, int] = {r: i for i, r in enumerate(self.roots)}
-        self.simple: tuple[int, ...] = tuple(self.index[s] for s in simples)
-
         # Signed integer coefficients of every root over the simple roots.
-        coeffs = []
-        for r in self.roots:
-            sol = linalg.solve_columns(simples, r)
-            ints = []
-            for c in sol:
-                if c.denominator != 1:
-                    raise ConsistencyError(
-                        f"{fam}{rank}: non-integral root coefficient {c} for root {r}"
-                    )
-                ints.append(int(c))
-            coeffs.append(tuple(ints))
-        self._coeffs: tuple[tuple[int, ...], ...] = tuple(coeffs)
+        self._coeffs: tuple[tuple[int, ...], ...] = tuple(c for _r, c in ordered)
+        self._coeff_index: dict[tuple[int, ...], int] = {c: i for i, c in enumerate(self._coeffs)}
+        # <root, coroot(alpha_i)> for every root and simple root i.
+        self._pairings: tuple[tuple[int, ...], ...] = tuple(simple_pairings(c) for c in self._coeffs)
+        self.simple: tuple[int, ...] = tuple(self._coeff_index[u] for u in units)
 
+        coeffs = self._coeffs
         self.is_positive: tuple[bool, ...] = tuple(all(c >= 0 for c in cs) for cs in coeffs)
         for i, cs in enumerate(coeffs):
             if not self.is_positive[i] and not all(c <= 0 for c in cs):
@@ -180,21 +211,17 @@ class RootSystem:
                 f"{fam}{rank}: generated {len(self.positive)} positive roots, expected {expected}"
             )
 
-        self.neg_of: tuple[int, ...] = tuple(self.index[linalg.neg(r)] for r in self.roots)
+        self.neg_of: tuple[int, ...] = tuple(self._coeff_index[tuple(-c for c in cs)] for cs in coeffs)
 
-        # Signed integer coefficients of every coroot over the simple coroots.
-        simple_coroots = [self._coroot_vec(simples[k]) for k in range(rank)]
+        # Signed integer coefficients of every coroot over the simple coroots:
+        # c_k^vee = c_k |alpha_k|^2 / |alpha|^2.
         cocoeffs = []
-        for r in self.roots:
-            sol = linalg.solve_columns(simple_coroots, self._coroot_vec(r))
-            ints = []
-            for c in sol:
-                if c.denominator != 1:
-                    raise ConsistencyError(
-                        f"{fam}{rank}: non-integral coroot coefficient {c} for root {r}"
-                    )
-                ints.append(int(c))
-            cocoeffs.append(tuple(ints))
+        for r, cs in zip(self.roots, coeffs):
+            norm = linalg.dot(r, r)
+            co = [c * self._gram[k][k] / norm for k, c in enumerate(cs)]
+            if any(c.denominator != 1 for c in co):
+                raise ConsistencyError(f"{fam}{rank}: non-integral coroot coefficients {co} for root {r}")
+            cocoeffs.append(tuple(int(c) for c in co))
         self._cocoeffs: tuple[tuple[int, ...], ...] = tuple(cocoeffs)
 
         # Highest root: unique dominance-maximal positive root.
@@ -207,23 +234,15 @@ class RootSystem:
                 raise ConsistencyError(f"{fam}{rank}: highest root not dominance-maximal")
         self.highest: int = best
 
-        self._fundamental: tuple[Vector, ...] | None = None
+        self._fundamental: tuple[tuple[tuple[Fraction, ...], Vector], ...] | None = None
         self._dual_basis: tuple[Vector, ...] | None = None
 
     # -- elementary queries -------------------------------------------------
 
-    @staticmethod
-    def _coroot_vec(alpha: Vector) -> Vector:
-        return linalg.scale(Fraction(2) / linalg.dot(alpha, alpha), alpha)
-
-    @staticmethod
-    def _reflect_vec(alpha: Vector, t: Vector) -> Vector:
-        c = Fraction(2) * linalg.dot(t, alpha) / linalg.dot(alpha, alpha)
-        return tuple(ti - c * ai for ti, ai in zip(t, alpha))
-
     def coroot(self, i: int) -> Vector:
         """The coroot 2*alpha/(alpha,alpha) of root i."""
-        return self._coroot_vec(self.roots[i])
+        alpha = self.roots[i]
+        return linalg.scale(Fraction(2) / linalg.dot(alpha, alpha), alpha)
 
     def pairing(self, t: Vector, i: int) -> Fraction:
         """<t, coroot of root i> = 2(t, alpha)/(alpha, alpha)."""
@@ -234,9 +253,23 @@ class RootSystem:
 
     def reflect(self, i: int, t: Vector) -> Vector:
         """Reflection of t in the hyperplane orthogonal to root i."""
-        if len(t) != self.ambient_dim:
-            raise ValidationError(f"vector has dimension {len(t)}, ambient is {self.ambient_dim}")
-        return self._reflect_vec(self.roots[i], t)
+        c = self.pairing(t, i)
+        return tuple(ti - c * ai for ti, ai in zip(t, self.roots[i]))
+
+    def reflection_perm(self, i: int) -> tuple[int, ...]:
+        """The reflection in root i as a permutation of root indices.
+
+        Entry j is the index of s(beta_j) = beta_j - <beta_j, coroot(alpha_i)> alpha_i,
+        computed in integer simple-root coordinates.
+        """
+        alpha = self._coeffs[i]
+        co = self._cocoeffs[i]
+        index = self._coeff_index
+        perm = []
+        for j, (beta, pairings) in enumerate(zip(self._coeffs, self._pairings)):
+            p = sum(c * q for c, q in zip(co, pairings))
+            perm.append(index[tuple(b - p * a for b, a in zip(beta, alpha))] if p else j)
+        return tuple(perm)
 
     def _require_positive(self, i: int) -> None:
         if not self.is_positive[i]:
@@ -274,62 +307,46 @@ class RootSystem:
 
     # -- derived bases ------------------------------------------------------
 
-    def cartan_matrix(self) -> list[list[Fraction]]:
+    def cartan_matrix(self) -> list[list[int]]:
         """C[i][j] = <alpha_j, coroot of alpha_i>; always integral."""
-        return [
-            [self.pairing(self.roots[j], i) for j in self.simple]
-            for i in self.simple
-        ]
+        return [list(row) for row in self._cartan]
+
+    def _solve_in_root_span(self, matrix, rhs) -> tuple[tuple[Fraction, ...], Vector]:
+        """Coordinates x over the simple roots with sum_k matrix[i][k] x_k = rhs[i],
+        and the vector sum_k x_k alpha_k."""
+        coords = linalg.solve_columns([vec(col) for col in zip(*matrix)], rhs)
+        return coords, _combination(coords, self.simple_vectors(), self.ambient_dim)
+
+    def _fundamental_solved(self) -> tuple[tuple[tuple[Fraction, ...], Vector], ...]:
+        if self._fundamental is None:
+            self._fundamental = tuple(
+                self._solve_in_root_span(self._cartan, [int(i == j) for i in range(self.rank)])
+                for j in range(self.rank)
+            )
+        return self._fundamental
 
     def fundamental_weights(self) -> tuple[Vector, ...]:
         """Vectors w_j in the root span with <w_j, coroot of alpha_i> = delta_ij."""
-        if self._fundamental is None:
-            simples = self.simple_vectors()
-            cart = self.cartan_matrix()
-            cols = [vec(row) for row in zip(*cart)]
-            out = []
-            for j in range(self.rank):
-                target = [Fraction(1) if i == j else Fraction(0) for i in range(self.rank)]
-                coords = linalg.solve_columns(cols, target)
-                amb = tuple(
-                    sum((coords[k] * simples[k][i] for k in range(self.rank)), Fraction(0))
-                    for i in range(self.ambient_dim)
-                )
-                out.append(amb)
-            self._fundamental = tuple(out)
-        return self._fundamental
+        return tuple(w for _coords, w in self._fundamental_solved())
+
+    def fundamental_coordinates(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The fundamental weights in simple-root coordinates."""
+        return tuple(coords for coords, _w in self._fundamental_solved())
 
     def dual_basis(self) -> tuple[Vector, ...]:
         """Vectors tau_j in the root span with (tau_j, alpha_i) = delta_ij."""
         if self._dual_basis is None:
-            simples = self.simple_vectors()
-            gram = [[linalg.dot(a, b) for b in simples] for a in simples]
-            cols = [vec(row) for row in zip(*gram)]
-            out = []
-            for j in range(self.rank):
-                target = [Fraction(1) if i == j else Fraction(0) for i in range(self.rank)]
-                coords = linalg.solve_columns(cols, target)
-                amb = tuple(
-                    sum((coords[k] * simples[k][i] for k in range(self.rank)), Fraction(0))
-                    for i in range(self.ambient_dim)
-                )
-                out.append(amb)
-            self._dual_basis = tuple(out)
+            self._dual_basis = tuple(
+                self._solve_in_root_span(self._gram, [int(i == j) for i in range(self.rank)])[1]
+                for j in range(self.rank)
+            )
         return self._dual_basis
 
     def project_to_root_span(self, t: Vector) -> Vector:
         """Orthogonal projection of t onto the span of the roots."""
         if len(t) != self.ambient_dim:
             raise ValidationError(f"vector has dimension {len(t)}, ambient is {self.ambient_dim}")
-        simples = self.simple_vectors()
-        gram = [[linalg.dot(a, b) for b in simples] for a in simples]
-        cols = [vec(row) for row in zip(*gram)]
-        rhs = [linalg.dot(t, a) for a in simples]
-        coords = linalg.solve_columns(cols, rhs)
-        return tuple(
-            sum((coords[k] * simples[k][i] for k in range(self.rank)), Fraction(0))
-            for i in range(self.ambient_dim)
-        )
+        return self._solve_in_root_span(self._gram, [linalg.dot(t, a) for a in self.simple_vectors()])[1]
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RootSystem({self.family}{self.rank}, |R+|={len(self.positive)})"

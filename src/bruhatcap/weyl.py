@@ -2,8 +2,9 @@
 
 Elements are stored as permutations of the canonical root indices (the
 array maps root index -> image root index), so multiplication is array
-composition and inversion sets read off directly.  Matrices for the action
-on the root span are derived from the images of the simple roots.
+composition and inversion sets read off directly.  The generators are the
+integer reflection permutations of the root system; the action on the root
+span, in the simple-root basis, is read off the images of the simple roots.
 """
 
 from __future__ import annotations
@@ -39,6 +40,27 @@ def stated_longest_map(family: str, rank: int):
     return None
 
 
+def perm_absolute_length(rs: RootSystem, perm: Perm) -> int:
+    """Minimal number of reflections whose product acts as the root permutation perm.
+
+    Computed as the codimension of the fixed subspace inside the root span:
+    the rank of M - I, where the columns of M are the simple-root
+    coefficients of the images of the simple roots.
+    """
+    cols = [rs.signed_coefficients(perm[s]) for s in rs.simple]
+    return linalg.rank([
+        [Fraction(cols[j][k] - (j == k)) for j in range(rs.rank)] for k in range(rs.rank)
+    ])
+
+
+def _require_within_cap(rs: RootSystem, cap: int) -> None:
+    if rs.weyl_order > cap:
+        raise SizeLimitError(
+            f"Weyl group of {rs.family}{rs.rank} has order {rs.weyl_order:,}, "
+            f"over the cap {cap:,}; raise the cap to force enumeration"
+        )
+
+
 @dataclass
 class ParabolicData:
     """Coset structure of W/W_P for a subset S_P of the simple roots."""
@@ -60,14 +82,10 @@ class WeylGroup:
     """A fully enumerated Weyl group with a multiplication oracle."""
 
     def __init__(self, rs: RootSystem, cap: int = DEFAULT_GROUP_CAP):
-        if rs.weyl_order > cap:
-            raise SizeLimitError(
-                f"Weyl group of {rs.family}{rs.rank} has order {rs.weyl_order:,}, "
-                f"over the cap {cap:,}; raise the cap to force enumeration"
-            )
+        _require_within_cap(rs, cap)
         self.rs = rs
         n_roots = len(rs.roots)
-        gens = [self._reflection_perm(i) for i in rs.simple]
+        gens = [rs.reflection_perm(i) for i in rs.simple]
         identity: Perm = tuple(range(n_roots))
         perms: list[Perm] = [identity]
         index: dict[Perm, int] = {identity: 0}
@@ -113,10 +131,6 @@ class WeylGroup:
         self._abs_len: dict[int, int] = {}
 
     # -- construction helpers ------------------------------------------------
-
-    def _reflection_perm(self, root_idx: int) -> Perm:
-        rs = self.rs
-        return tuple(rs.index[rs.reflect(root_idx, r)] for r in rs.roots)
 
     def _verify_longest_map(self) -> None:
         stated = stated_longest_map(self.rs.family, self.rs.rank)
@@ -172,7 +186,7 @@ class WeylGroup:
         """Element index of the reflection s_alpha for a positive root index."""
         self.rs._require_positive(root_idx)
         if root_idx not in self._reflections:
-            self._reflections[root_idx] = self.index[self._reflection_perm(root_idx)]
+            self._reflections[root_idx] = self.index[self.rs.reflection_perm(root_idx)]
         return self._reflections[root_idx]
 
     def longest_element(self) -> int:
@@ -180,22 +194,10 @@ class WeylGroup:
 
     # -- geometry -------------------------------------------------------------
 
-    def matrix_on_simples(self, i: int) -> list[list[Fraction]]:
-        """Matrix of element i on the root span, in the simple-root basis."""
-        rs = self.rs
-        p = self.perms[i]
-        cols = [rs.signed_coefficients(p[s]) for s in rs.simple]
-        return [[Fraction(cols[j][k]) for j in range(rs.rank)] for k in range(rs.rank)]
-
     def absolute_length(self, i: int) -> int:
-        """Minimal number of arbitrary reflections expressing element i.
-
-        Computed as the codimension of the fixed subspace inside the root
-        span (rank of M - I in the simple-root basis).
-        """
+        """Minimal number of arbitrary reflections expressing element i."""
         if i not in self._abs_len:
-            m = self.matrix_on_simples(i)
-            self._abs_len[i] = linalg.rank(linalg.mat_sub(m, linalg.identity(self.rs.rank)))
+            self._abs_len[i] = perm_absolute_length(self.rs, self.perms[i])
         return self._abs_len[i]
 
     # -- parabolic quotients ----------------------------------------------------
@@ -208,7 +210,7 @@ class WeylGroup:
             raise ValidationError(f"S_P positions {sp} out of range for rank {rs.rank}")
         free = tuple(k for k in range(rs.rank) if k not in sp)
 
-        gens = [self.index[self._reflection_perm(rs.simple[k])] for k in sp]
+        gens = [self.simple_elements[k] for k in sp]
         wp = {0}
         queue = deque([0])
         while queue:
@@ -227,13 +229,8 @@ class WeylGroup:
         # A coset is identified by the image of a weight whose stabilizer is
         # exactly W_P (the sum, over S - S_P, of the fundamental weights,
         # expressed in simple-root coordinates).
-        cart = rs.cartan_matrix()
-        cols = [linalg.vec(row) for row in zip(*cart)]
-        mu_coords = [Fraction(0)] * rs.rank
-        for k in free:
-            target = [Fraction(1) if i == k else Fraction(0) for i in range(rs.rank)]
-            sol = linalg.solve_columns(cols, target)
-            mu_coords = [a + b for a, b in zip(mu_coords, sol)]
+        fundamental = rs.fundamental_coordinates()
+        mu_coords = [sum((fundamental[k][i] for k in free), Fraction(0)) for i in range(rs.rank)]
 
         coset_of = [0] * len(self.perms)
         key_to_coset: dict[tuple[Fraction, ...], int] = {}
@@ -279,11 +276,7 @@ def generate(rs: RootSystem, cap: int = DEFAULT_GROUP_CAP) -> WeylGroup:
     Root indexing is canonical, so the cached group is valid for any
     RootSystem instance of the same type.
     """
-    if rs.weyl_order > cap:
-        raise SizeLimitError(
-            f"Weyl group of {rs.family}{rs.rank} has order {rs.weyl_order:,}, "
-            f"over the cap {cap:,}; raise the cap to force enumeration"
-        )
+    _require_within_cap(rs, cap)
     key = (rs.family, rs.rank)
     got = _GROUP_CACHE.get(key)
     if got is None:

@@ -113,6 +113,14 @@ def test_graph_cap_override(capsys, monkeypatch):
     assert "48" in err
 
 
+def test_malformed_group_cap_env(capsys, monkeypatch):
+    monkeypatch.setenv("BC_GROUP_CAP", "abc")
+    code, out, err = run_cli(capsys, "roots", "-t", "A", "-r", "2")
+    assert code == 1
+    assert out == ""
+    assert err == "error: BC_GROUP_CAP must be an integer, got 'abc'\n"
+
+
 def test_capacity_c3(capsys):
     code, out, _ = run_cli(capsys, "capacity", "-t", "C", "-r", "3",
                            "--lambda", "3,2,1", "--format", "json")

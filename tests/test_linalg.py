@@ -43,14 +43,7 @@ def test_solve_columns_round_trip(xs, ys):
 
 def test_rank():
     assert linalg.rank([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]) == 1
-    assert linalg.rank(linalg.identity(3)) == 3
+    one, zero = Fraction(1), Fraction(0)
+    assert linalg.rank([[one, zero, zero], [zero, one, zero], [zero, zero, one]]) == 3
     assert linalg.rank([[Fraction(0)] * 3] * 3) == 0
 
-
-def test_reflection_matrix_involutive():
-    alpha = linalg.vec([1, -2, 1])
-    m = linalg.reflection_matrix(alpha)
-    assert linalg.matmul(m, m) == linalg.identity(3)
-    assert linalg.mat_vec(m, alpha) == linalg.neg(alpha)
-    fixed = linalg.vec([1, 1, 1])
-    assert linalg.mat_vec(m, fixed) == fixed

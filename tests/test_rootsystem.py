@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 from bruhatcap import ValidationError, build, positive_root_count
+from bruhatcap.checks import TABLE_TYPES
 from bruhatcap.linalg import dot, neg, vec
 from bruhatcap.rootsystem import parse_rational, rational_str
 
@@ -31,6 +32,14 @@ def test_closure_under_simple_reflections(fam, rank):
     for s in rs.simple:
         for r in rs.roots:
             assert rs.reflect(s, r) in rs.index
+
+
+@pytest.mark.parametrize("fam,rank", TABLE_TYPES)
+def test_reflection_perm_matches_ambient_reflection(fam, rank):
+    # the ambient Fraction reflection is the independent reference
+    rs = build(fam, rank)
+    for a in rs.positive:
+        assert rs.reflection_perm(a) == tuple(rs.index[rs.reflect(a, r)] for r in rs.roots)
 
 
 @pytest.mark.parametrize("fam,rank", ALL_TYPES)

@@ -29,6 +29,13 @@ def test_cap_refusal():
     assert "696,729,600" in str(err.value)
 
 
+def test_cached_group_refused_under_smaller_cap(b2):
+    assert len(generate(b2)) == 8
+    with pytest.raises(SizeLimitError) as err:
+        generate(b2, cap=4)
+    assert "B2" in str(err.value)
+
+
 @pytest.mark.parametrize("fam,rank", ENUMERABLE)
 def test_length_equals_inversion_count(fam, rank):
     w = generate(build(fam, rank))
