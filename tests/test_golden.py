@@ -36,6 +36,15 @@ def _cases() -> dict[str, tuple[str, ...]]:
     for fmt in ("dot", "json"):
         cases[f"graph_bruhat_A3_lambda_2200.{fmt}"] = (
             "graph", "bruhat", "-t", "A", "-r", "3", "--lambda", "2,2,0,0", "--format", fmt)
+    # Non-integer weights: areas whose denominators differ.
+    cases["graph_quantum_B2_lambda_3h_1h.json"] = (
+        "graph", "quantum", "-t", "B", "-r", "2", "--lambda", "3/2,1/2", "--format", "json")
+    cases["graph_bruhat_G2_lambda_3h_1t_0.dot"] = (
+        "graph", "bruhat", "-t", "G", "-r", "2", "--lambda", "3/2,1/3,0", "--format", "dot")
+    cases["graph_quantum_G2_lambda_3h_1t_0.json"] = (
+        "graph", "quantum", "-t", "G", "-r", "2", "--lambda", "3/2,1/3,0", "--format", "json")
+    cases["graph_cayley_4_lambda_7h_1_1t_m2.json"] = (
+        "graph", "cayley", "--n", "4", "--lambda", "7/2,1,1/3,-2", "--format", "json")
     return cases
 
 
