@@ -47,6 +47,19 @@ def require_dominant(rs: RootSystem, lam: Vector) -> None:
         )
 
 
+def checked_weight(rs: RootSystem, lam) -> Vector:
+    """lam as an exact dominant weight of rs; a G2 weight is projected onto the root plane."""
+    lam = vec(lam)
+    if len(lam) != rs.ambient_dim:
+        raise ValidationError(
+            f"lambda has {len(lam)} coordinates; {rs.family}{rs.rank} needs {rs.ambient_dim}"
+        )
+    if rs.family == "G":
+        lam = rs.project_to_root_span(lam)
+    require_dominant(rs, lam)
+    return lam
+
+
 def is_regular(rs: RootSystem, lam: Vector) -> bool:
     return all(rs.pairing(lam, s) > 0 for s in rs.simple)
 
@@ -445,12 +458,7 @@ def hz_bounds(family: str, rank: int, lam, *, confirm_cap: int = DEFAULT_CONFIRM
     bound (quantum d_min from w0 and the Bruhat-graph minimal path area)."""
     rs = build(family, rank)
     lam_input = vec(lam)
-    if len(lam_input) != rs.ambient_dim:
-        raise ValidationError(
-            f"lambda has {len(lam_input)} coordinates; {rs.family}{rs.rank} needs {rs.ambient_dim}"
-        )
-    lam_used = rs.project_to_root_span(lam_input) if rs.family == "G" else lam_input
-    require_dominant(rs, lam_used)
+    lam_used = checked_weight(rs, lam_input)
 
     dec = w0_decomposition(rs)
     upper = upper_bound(rs, lam_used, dec)

@@ -127,25 +127,15 @@ def cmd_graph(args) -> int:
     if not args.type or args.rank is None:
         raise ValidationError(f"graph {args.kind} requires --type and --rank")
     rs = build(args.type, args.rank)
+    if lam is not None:  # decorates edges with areas and, for bruhat, induces S_P
+        lam = capacity.checked_weight(rs, lam)
     weyl = generate(rs, cap=args.group_cap)
     if args.kind == "quantum":
         graph = graphs.quantum_bruhat_graph(weyl)
-        _emit(graphs.export(graph, args.format, lam=lam), args.output)
-        return 0
-    # bruhat: an explicit lambda induces S_P and decorates edges with areas
-    if lam is not None:
-        if len(lam) != rs.ambient_dim:
-            raise ValidationError(
-                f"lambda has {len(lam)} coordinates; {rs.family}{rs.rank} needs {rs.ambient_dim}"
-            )
-        lam_used = rs.project_to_root_span(lam) if rs.family == "G" else lam
-        capacity.require_dominant(rs, lam_used)
-        pd = weyl.parabolic(capacity.parabolic_positions(rs, lam_used))
-        graph = graphs.bruhat_graph(weyl, pd)
-        _emit(graphs.export(graph, args.format, lam=lam_used), args.output)
     else:
-        graph = graphs.bruhat_graph(weyl)
-        _emit(graphs.export(graph, args.format), args.output)
+        s_p = capacity.parabolic_positions(rs, lam) if lam is not None else ()
+        graph = graphs.bruhat_graph(weyl, weyl.parabolic(s_p))
+    _emit(graphs.export(graph, args.format, lam=lam), args.output)
     return 0
 
 

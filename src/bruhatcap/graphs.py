@@ -1,8 +1,10 @@
 """Bruhat, quantum Bruhat and weighted Cayley graphs, with exact shortest paths.
 
 Degrees are integer tuples over the simple coroots (over S - S_P for the
-parabolic Bruhat graph); path areas pair a dominant weight with a degree and
-are exact rationals throughout.
+parabolic Bruhat graph); path areas pair a dominant weight with a degree.
+Areas and Cayley weights are exact: the weight is scaled by the least common
+denominator of its Dynkin labels (of its entries, for S_n), every edge then
+carries an integer, and a result is divided back into a Fraction once.
 """
 
 from __future__ import annotations
@@ -11,7 +13,12 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heappop, heappush
+from math import lcm
+from operator import mul
+from types import MappingProxyType
+from typing import Mapping
 
 from .errors import ConsistencyError, SizeLimitError, ValidationError
 from .linalg import Vector, vec
@@ -32,12 +39,47 @@ def degree_add(c: Degree, d: Degree) -> Degree:
     return tuple(a + b for a, b in zip(c, d))
 
 
+def _scaled(values) -> tuple[tuple[int, ...], int]:
+    """Rationals as integers over their least common denominator, and that denominator."""
+    scale = lcm(*(x.denominator for x in values))
+    return tuple(x.numerator * (scale // x.denominator) for x in values), scale
+
+
+def _scaled_labels(rs: RootSystem, lam: Vector) -> tuple[tuple[int, ...], int]:
+    """The Dynkin labels <lam, coroot(alpha_k)>, scaled to integers; and the scale.
+
+    The area of a degree (of a root: of its coroot coefficients) is then
+    sum(map(mul, degree, labels)) / scale."""
+    return _scaled([rs.pairing(lam, k) for k in rs.simple])
+
+
 def degree_pairing(rs: RootSystem, lam: Vector, degree: Degree) -> Fraction:
     """sum_k degree[k] * <lam, coroot(alpha_k)>: the area of a path of that degree."""
-    return sum(
-        (degree[k] * rs.pairing(lam, rs.simple[k]) for k in range(rs.rank)),
-        Fraction(0),
-    )
+    labels, scale = _scaled_labels(rs, lam)
+    return Fraction(sum(map(mul, degree, labels)), scale)
+
+
+def _dijkstra(adj, src: int, dst: int | None = None):
+    """Shortest paths; adj[u] yields (v, w) for each edge u -- v, w a nonnegative integer.
+
+    adj[u] is iterated at most once.  Returns the distance to dst or, with dst
+    None, all distances; None marks an unreachable vertex."""
+    dist: list[int | None] = [None] * len(adj)
+    dist[src] = 0
+    heap = [(0, src)]
+    while heap:
+        d, u = heappop(heap)
+        if d > dist[u]:
+            continue  # stale entry: u was reached more cheaply
+        if u == dst:
+            return d
+        for v, w in adj[u]:
+            nd = d + w
+            old = dist[v]
+            if old is None or nd < old:
+                dist[v] = nd
+                heappush(heap, (nd, v))
+    return dist if dst is None else None
 
 
 # ---------------------------------------------------------------------------
@@ -91,30 +133,21 @@ def bruhat_graph(weyl: WeylGroup, parabolic: ParabolicData | None = None) -> Bru
 def min_path_area(graph: BruhatGraph, lam: Vector, src: int, dst: int) -> Fraction:
     """Dijkstra over edge areas <lam, coroot(alpha)>; exact minimal total area."""
     rs = graph.weyl.rs
-    adj: list[list[tuple[int, Fraction]]] = [[] for _ in range(graph.n_vertices)]
+    labels, scale = _scaled_labels(rs, lam)
+    areas: dict[int, int] = {}
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(graph.n_vertices)]
     for u, v, a, _deg in graph.edges:
-        w = rs.pairing(lam, a)
-        if w < 0:
-            raise ValidationError("negative edge area; lambda is not dominant")
+        w = areas.get(a)
+        if w is None:
+            w = areas[a] = sum(map(mul, rs.signed_cocoefficients(a), labels))
+            if w < 0:
+                raise ValidationError("negative edge area; lambda is not dominant")
         adj[u].append((v, w))
         adj[v].append((u, w))
-    dist: dict[int, Fraction] = {src: Fraction(0)}
-    done: set[int] = set()
-    counter = itertools.count()
-    heap: list[tuple[Fraction, int, int]] = [(Fraction(0), next(counter), src)]
-    while heap:
-        d, _, u = heappop(heap)
-        if u in done:
-            continue
-        done.add(u)
-        if u == dst:
-            return d
-        for v, w in adj[u]:
-            nd = d + w
-            if v not in dist or nd < dist[v]:
-                dist[v] = nd
-                heappush(heap, (nd, next(counter), v))
-    raise ConsistencyError("Bruhat graph is disconnected; this cannot happen for valid input")
+    d = _dijkstra(adj, src, dst)
+    if d is None:
+        raise ConsistencyError("Bruhat graph is disconnected; this cannot happen for valid input")
+    return Fraction(d, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -219,12 +252,48 @@ def random_walk_degree(graph: QuantumBruhatGraph, rng, u: int, steps: int) -> tu
 # Weighted Cayley graph of S_n
 
 
+@lru_cache(maxsize=None)
+def _cayley_frame(n: int) -> tuple:
+    """The sorted permutations of S_n (the identity first), their index, the swaps
+    i < j of positions, and per vertex its neighbour under each swap, in swap order.
+    Built once per n: callers check n against their cap first."""
+    perms = tuple(sorted(itertools.permutations(range(1, n + 1))))
+    index = {p: i for i, p in enumerate(perms)}
+    swaps = tuple(itertools.combinations(range(n), 2))
+    neighbours = tuple(
+        tuple(index[p[:i] + (p[j],) + p[i + 1:j] + (p[i],) + p[j + 1:]] for i, j in swaps)
+        for p in perms
+    )
+    return perms, MappingProxyType(index), swaps, neighbours
+
+
+def _checked_cayley_frame(n: int, lam: Vector, cap: int) -> tuple:
+    if n < 1:
+        raise ValidationError("n must be positive")
+    if n > cap:
+        raise SizeLimitError(f"n = {n} exceeds the Cayley cap {cap} ({n}! vertices)")
+    if len(lam) != n:
+        raise ValidationError(f"lambda has {len(lam)} entries, expected {n}")
+    return _cayley_frame(n)
+
+
+def _scaled_cayley_distances(frame: tuple, lam: Vector, src: int) -> tuple[list[int], int]:
+    """Distances from src under the weights |lam_i - lam_j|, scaled to integers; and the scale."""
+    _perms, _index, swaps, neighbours = frame
+    scaled, scale = _scaled(lam)
+    swap_weights = tuple(abs(scaled[i] - scaled[j]) for i, j in swaps)
+    dist = _dijkstra([zip(row, swap_weights) for row in neighbours], src)
+    if None in dist:
+        raise ConsistencyError("Cayley graph is disconnected; this cannot happen for valid input")
+    return dist, scale
+
+
 @dataclass
 class WeightedCayleyGraph:
     n: int
     lam: Vector
-    perms: list[tuple[int, ...]]
-    index: dict[tuple[int, ...], int]
+    perms: tuple[tuple[int, ...], ...]
+    index: Mapping[tuple[int, ...], int]  # shared by every graph on S_n, so read-only
     # (u, v, i, j, |lam_i - lam_j|) for a swap of positions i < j, u < v
     edges: list[tuple[int, int, int, int, Fraction]] = field(repr=False)
 
@@ -235,53 +304,22 @@ class WeightedCayleyGraph:
 
 def cayley_graph(n: int, lam, cap: int = DEFAULT_CAYLEY_CAP) -> WeightedCayleyGraph:
     """The Cayley graph of S_n on all transpositions, weighted by |lam_i - lam_j|."""
-    if n < 1:
-        raise ValidationError("n must be positive")
-    if n > cap:
-        raise SizeLimitError(f"n = {n} exceeds the Cayley cap {cap} ({n}! vertices)")
     lam = vec(lam)
-    if len(lam) != n:
-        raise ValidationError(f"lambda has {len(lam)} entries, expected {n}")
-    perms = sorted(itertools.permutations(range(1, n + 1)))
-    index = {p: i for i, p in enumerate(perms)}
-    edges = []
-    for u, p in enumerate(perms):
-        q = list(p)
-        for i in range(n):
-            for j in range(i + 1, n):
-                q[i], q[j] = q[j], q[i]
-                v = index[tuple(q)]
-                q[i], q[j] = q[j], q[i]
-                if v > u:
-                    edges.append((u, v, i, j, abs(lam[i] - lam[j])))
+    perms, index, swaps, neighbours = _checked_cayley_frame(n, lam, cap)
+    swap_weights = [abs(lam[i] - lam[j]) for i, j in swaps]
+    edges = [
+        (u, v, i, j, w)
+        for u, row in enumerate(neighbours)
+        for v, (i, j), w in zip(row, swaps, swap_weights)
+        if v > u
+    ]
     return WeightedCayleyGraph(n=n, lam=lam, perms=perms, index=index, edges=edges)
 
 
 def cayley_distances(graph: WeightedCayleyGraph, src: int) -> list[Fraction]:
     """Single-source Dijkstra over the weighted Cayley graph."""
-    n = len(graph.perms)
-    adj: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
-    for u, v, _i, _j, w in graph.edges:
-        adj[u].append((v, w))
-        adj[v].append((u, w))
-    inf = None
-    dist: list[Fraction | None] = [inf] * n
-    dist[src] = Fraction(0)
-    counter = itertools.count()
-    heap = [(Fraction(0), next(counter), src)]
-    done = [False] * n
-    while heap:
-        d, _, u = heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        for v, w in adj[u]:
-            nd = d + w
-            if dist[v] is None or nd < dist[v]:
-                dist[v] = nd
-                heappush(heap, (nd, next(counter), v))
-    assert all(d is not None for d in dist)
-    return dist  # type: ignore[return-value]
+    dist, scale = _scaled_cayley_distances(_cayley_frame(graph.n), graph.lam, src)
+    return [Fraction(d, scale) for d in dist]
 
 
 def transposition_distance_formula(lam, perm: tuple[int, ...]) -> Fraction:
@@ -297,86 +335,39 @@ def cayley_diameter(n: int, lam, cap: int = DEFAULT_CAYLEY_CAP) -> Fraction:
     lam = vec(lam)
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
         raise ValidationError("lambda must be sorted in nonincreasing order")
-    graph = cayley_graph(n, lam, cap=cap)
-    dist = cayley_distances(graph, graph.identity_index)
-    return max(dist)
+    frame = _checked_cayley_frame(n, lam, cap)
+    dist, scale = _scaled_cayley_distances(frame, lam, 0)  # the identity comes first
+    return Fraction(max(dist), scale)
 
 
 # ---------------------------------------------------------------------------
 # Exports
 
 
-def _weyl_vertex_order(weyl: WeylGroup, vertices: list[int], rep_of) -> list[int]:
-    return sorted(vertices, key=lambda c: (weyl.lengths[rep_of(c)], rep_of(c)))
+def _weyl_payload(weyl: WeylGroup, reps, edges, lam: Vector | None, **head) -> dict:
+    """The export of a graph whose vertex c is labelled by the element reps[c].
 
-
-def _bruhat_payload(graph: BruhatGraph, lam: Vector | None) -> dict:
-    weyl = graph.weyl
+    Vertices are ordered by (length, element).  Edges are (u, v, root index,
+    degree, coroot coefficients of the edge area), the area being exported
+    when lam is given.
+    """
     rs = weyl.rs
-    pd = graph.parabolic
-    order = _weyl_vertex_order(weyl, list(range(graph.n_vertices)), lambda c: pd.coset_reps[c])
+    order = sorted(range(len(reps)), key=lambda c: (weyl.lengths[reps[c]], reps[c]))
     pos = {c: i for i, c in enumerate(order)}
     vertices = [
-        {
-            "id": i,
-            "label": weyl.word_label(pd.coset_reps[c]),
-            "length": weyl.lengths[pd.coset_reps[c]],
-        }
+        {"id": i, "label": weyl.word_label(reps[c]), "length": weyl.lengths[reps[c]]}
         for i, c in enumerate(order)
     ]
-    edges = []
-    for u, v, a, deg in graph.edges:
-        e = {
-            "u": pos[u],
-            "v": pos[v],
-            "root": vector_strs(rs.roots[a]),
-            "degree": list(deg),
-        }
+    if lam is not None:
+        labels, scale = _scaled_labels(rs, lam)
+    rows = []
+    for u, v, a, deg, area_deg in edges:
+        e = {"u": pos[u], "v": pos[v], "root": vector_strs(rs.roots[a]), "degree": list(deg)}
         if lam is not None:
-            e["area"] = rational_str(rs.pairing(lam, a))
-        edges.append(e)
-    edges.sort(key=lambda e: (e["u"], e["v"], e["root"]))
-    return {
-        "kind": "bruhat",
-        "family": rs.family,
-        "rank": rs.rank,
-        "s_p": list(pd.s_p),
-        "directed": False,
-        "vertices": vertices,
-        "edges": edges,
-    }
-
-
-def _quantum_payload(graph: QuantumBruhatGraph, lam: Vector | None) -> dict:
-    weyl = graph.weyl
-    rs = weyl.rs
-    order = _weyl_vertex_order(weyl, list(range(len(weyl))), lambda w: w)
-    pos = {w: i for i, w in enumerate(order)}
-    vertices = [
-        {"id": i, "label": weyl.word_label(w), "length": weyl.lengths[w]}
-        for i, w in enumerate(order)
-    ]
-    edges = []
-    for u in range(len(weyl)):
-        for v, a, deg in graph.out[u]:
-            e = {
-                "u": pos[u],
-                "v": pos[v],
-                "root": vector_strs(rs.roots[a]),
-                "degree": list(deg),
-            }
-            if lam is not None:
-                e["area"] = rational_str(degree_pairing(rs, lam, deg))
-            edges.append(e)
-    edges.sort(key=lambda e: (e["u"], e["v"], e["root"], e["degree"]))
-    return {
-        "kind": "quantum",
-        "family": rs.family,
-        "rank": rs.rank,
-        "directed": True,
-        "vertices": vertices,
-        "edges": edges,
-    }
+            e["area"] = rational_str(Fraction(sum(map(mul, area_deg, labels)), scale))
+        rows.append(e)
+    rows.sort(key=lambda e: (e["u"], e["v"], e["root"], e["degree"]))
+    return {"family": rs.family, "rank": rs.rank, **head, "vertices": vertices, "edges": rows}
 
 
 def _cayley_payload(graph: WeightedCayleyGraph) -> dict:
@@ -420,9 +411,14 @@ def _payload_to_dot(payload: dict) -> str:
 def export(graph, fmt: str, lam: Vector | None = None) -> str:
     """Serialize a graph as 'json' or 'dot'; output is deterministic."""
     if isinstance(graph, BruhatGraph):
-        payload = _bruhat_payload(graph, lam)
+        co = graph.weyl.rs.signed_cocoefficients
+        edges = ((u, v, a, deg, co(a)) for u, v, a, deg in graph.edges)
+        payload = _weyl_payload(graph.weyl, graph.parabolic.coset_reps, edges, lam,
+                                kind="bruhat", s_p=list(graph.parabolic.s_p), directed=False)
     elif isinstance(graph, QuantumBruhatGraph):
-        payload = _quantum_payload(graph, lam)
+        edges = ((u, v, a, deg, deg) for u, out in enumerate(graph.out) for v, a, deg in out)
+        payload = _weyl_payload(graph.weyl, range(len(graph.weyl)), edges, lam,
+                                kind="quantum", directed=True)
     elif isinstance(graph, WeightedCayleyGraph):
         payload = _cayley_payload(graph)
     else:

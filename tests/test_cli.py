@@ -99,6 +99,19 @@ def test_graph_bruhat_with_lambda_induces_parabolic(capsys):
     assert {e["area"] for e in payload["edges"]} == {"2"}
 
 
+@pytest.mark.parametrize("kind", ["bruhat", "quantum"])
+@pytest.mark.parametrize("lam,message", [
+    ("0,1,2", "error: lambda is not dominant"),
+    ("3,1", "error: lambda has 2 coordinates; A2 needs 3"),
+])
+def test_graph_weight_checked(capsys, kind, lam, message):
+    code, out, err = run_cli(capsys, "graph", kind, "-t", "A", "-r", "2",
+                             "--lambda", lam, "--format", "json")
+    assert code == 1
+    assert out == ""
+    assert err.startswith(message)
+
+
 def test_graph_e8_refused(capsys):
     code, _, err = run_cli(capsys, "graph", "bruhat", "-t", "E", "-r", "8")
     assert code == 1

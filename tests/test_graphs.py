@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bruhatcap import (
+    BruhatGraph,
     ConsistencyError,
     SizeLimitError,
     ValidationError,
@@ -18,11 +19,15 @@ from bruhatcap import (
     cayley_graph,
     d_min,
     degree_leq,
+    dominant_from_pairings,
     export,
     generate,
+    graphs,
     min_path_area,
+    parabolic_positions,
     quantum_bruhat_graph,
     transposition_distance_formula,
+    unitary_capacity,
 )
 from bruhatcap.graphs import d_min_all, random_walk_degree
 from bruhatcap.linalg import vec
@@ -182,6 +187,42 @@ def test_min_path_area_rank3_bounded_enumeration(fam, rank, lam, cap):
     assert all(got <= a for a in areas)
 
 
+@pytest.mark.parametrize("fam,rank,labels", [
+    ("A", 3, (Fraction(1, 2), Fraction(1, 3), 2)),
+    ("A", 3, (Fraction(1, 2), 0, Fraction(4, 3))),
+    ("B", 2, (Fraction(1, 2), Fraction(1, 3))),
+    ("B", 2, (0, Fraction(5, 3))),
+    ("G", 2, (Fraction(1, 3), Fraction(1, 2))),
+    ("G", 2, (Fraction(3, 2), 0)),
+])
+def test_min_path_area_matches_networkx_for_every_coset_pair(fam, rank, labels):
+    # Dynkin labels with denominators 2 and 3; a zero label gives a parabolic graph
+    nx = pytest.importorskip("networkx")
+    rs = build(fam, rank)
+    w = generate(rs)
+    lam = dominant_from_pairings(rs, labels)
+    g = bruhat_graph(w, w.parabolic(parabolic_positions(rs, lam)))
+    oracle = nx.MultiGraph()
+    oracle.add_nodes_from(range(g.n_vertices))
+    for u, v, a, _deg in g.edges:
+        oracle.add_edge(u, v, weight=rs.pairing(lam, a))
+    for src, expected in nx.all_pairs_dijkstra_path_length(oracle):
+        for dst in range(g.n_vertices):
+            assert min_path_area(g, lam, src, dst) == expected[dst]
+
+
+def test_min_path_area_rejects_non_dominant_weight(w_a2):
+    g = bruhat_graph(w_a2)
+    with pytest.raises(ValidationError, match="not dominant"):
+        min_path_area(g, vec([0, 1, 2]), 0, g.n_vertices - 1)
+
+
+def test_min_path_area_disconnected_graph(w_a2):
+    cut = BruhatGraph(parabolic=w_a2.parabolic(()), edges=[])
+    with pytest.raises(ConsistencyError, match="disconnected"):
+        min_path_area(cut, vec([2, 1, 0]), 0, 1)
+
+
 # -- quantum Bruhat graph --------------------------------------------------------
 
 
@@ -326,9 +367,46 @@ def test_cayley_unsorted_rejected():
         cayley_diameter(3, [1, 2, 0])
 
 
-def test_cayley_cap():
+def test_cayley_cap(monkeypatch):
+    def unexpected(n):
+        raise AssertionError(f"the S_{n} structure was built")
+
+    # the cap refuses before any structure is built (or cached)
+    monkeypatch.setattr(graphs, "_cayley_frame", unexpected)
     with pytest.raises(SizeLimitError):
         cayley_diameter(8, list(range(8, 0, -1)))
+    with pytest.raises(SizeLimitError):
+        cayley_graph(8, list(range(8, 0, -1)))
+
+
+def test_cayley_diameter_interleaved_sizes():
+    # the cached S_n structure of one n never serves another
+    for n, lam in [
+        (3, [5, Fraction(1, 2), -1]),
+        (5, [Fraction(9, 2), 3, Fraction(1, 3), 0, -2]),
+        (3, [Fraction(2, 3), 0, 0]),
+    ]:
+        assert cayley_diameter(n, lam) == unitary_capacity(lam)
+
+
+def test_cayley_distances_disconnected(monkeypatch):
+    g = cayley_graph(3, [2, 1, 0])
+    perms, index, swaps, _neighbours = graphs._cayley_frame(3)
+    monkeypatch.setattr(graphs, "_cayley_frame", lambda n: (perms, index, swaps, ((),) * len(perms)))
+    with pytest.raises(ConsistencyError, match="disconnected"):
+        cayley_distances(g, 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_cayley_distances_match_networkx_from_every_source(n):
+    nx = pytest.importorskip("networkx")
+    lam = (Fraction(7, 2), Fraction(-4, 3), 1, Fraction(1, 2), Fraction(5, 3))[:n]
+    g = cayley_graph(n, lam)
+    oracle = nx.Graph()
+    oracle.add_nodes_from(range(len(g.perms)))
+    oracle.add_weighted_edges_from((u, v, w) for u, v, _i, _j, w in g.edges)
+    for src, expected in nx.all_pairs_dijkstra_path_length(oracle):
+        assert cayley_distances(g, src) == [expected[v] for v in range(len(g.perms))]
 
 
 def _floyd_warshall_oracle(n, lam):
