@@ -304,6 +304,37 @@ def test_closed_form_matches_first_principles(fam, rank):
         assert closed_low == lower_bound(rs, lam, dec)[0]
 
 
+@pytest.mark.parametrize("fam,rank", TABLE_TYPES)
+def test_bounds_with_fractional_dynkin_labels(fam, rank):
+    # Labels over 2, 3 and 6 give the bounds a common denominator above 1;
+    # each bound is checked against the table and against Fraction pairings.
+    rs = build(fam, rank)
+    dec = w0_decomposition(rs)
+    tau = rs.dual_basis()
+    n_rho = rs.root_coefficients(rs.highest)
+    rng = random.Random(RNG_SEED + 7 * rank)
+    for den in (2, 3, 6):
+        for _ in range(3):
+            labels = [Fraction(rng.randint(0, 3 * den), den) for _ in range(rank)]
+            labels[rng.randrange(rank)] = Fraction(1, den)
+            lam = dominant_from_pairings(rs, labels)
+            pairings = [rs.pairing(lam, i) for i in dec.root_indices]
+            upper = upper_bound(rs, lam, dec)
+            lower, witness = lower_bound(rs, lam, dec)
+            assert upper == sum(pairings, Fraction(0))
+            assert lower == max(
+                sum((Fraction(rs.root_coefficients(i)[j], n_rho[j]) * p
+                     for i, p in zip(dec.root_indices, pairings)), Fraction(0))
+                for j in range(rank)
+            )
+            assert closed_form_table(rs, lam) == (lower, upper)
+            xi = tau[witness]
+            vertex = coweight_oscillation_bound(rs, lam, xi, dec)
+            osc = sum((p * dot(rs.roots[i], xi) for i, p in zip(dec.root_indices, pairings)),
+                      Fraction(0))
+            assert vertex == osc / dot(xi, rs.rho) == lower
+
+
 def test_e_type_rows_are_invariant_under_complement_shift():
     # adding a vector orthogonal to the root span changes no pairing and no row
     for rank, shift in [(6, vec([0, 0, 0, 0, 0, 1, 0, 1])),

@@ -1,4 +1,6 @@
 from collections import deque
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -196,3 +198,36 @@ def test_parabolic_counts_multiply(w_b3):
     for sp in [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]:
         pd = w_b3.parabolic(sp)
         assert pd.n_cosets * len(pd.wp_elements) == len(w_b3)
+
+
+def _image(weyl, w, mu):
+    """w(mu) in ambient coordinates, reflecting along a reduced word of w."""
+    rs = weyl.rs
+    for g in reversed(weyl.word(w)):
+        mu = rs.reflect(rs.simple[g], mu)
+    return mu
+
+
+@pytest.mark.parametrize("fam,rank", [("A", 3), ("B", 3), ("C", 3), ("G", 2)])
+def test_parabolic_membership_oracle(fam, rank):
+    # Two elements share a coset of W_P iff they send a weight whose
+    # stabilizer is exactly W_P to the same vector.
+    rs = build(fam, rank)
+    w = generate(rs)
+    fundamental = rs.fundamental_weights()
+    for size in range(rank + 1):
+        for sp in combinations(range(rank), size):
+            pd = w.parabolic(sp)
+            mu = tuple(
+                sum((fundamental[k][d] for k in range(rank) if k not in sp), Fraction(0))
+                for d in range(rs.ambient_dim)
+            )
+            coset_of_image: dict = {}
+            for i in range(len(w)):
+                cid = coset_of_image.setdefault(_image(w, i, mu), pd.coset_of[i])
+                assert cid == pd.coset_of[i]
+            assert len(coset_of_image) == pd.n_cosets
+            for cid, rep in enumerate(pd.coset_reps):
+                assert pd.coset_of[rep] == cid
+                assert all(w.lengths[rep] < w.lengths[i]
+                           for i in range(len(w)) if pd.coset_of[i] == cid and i != rep)
