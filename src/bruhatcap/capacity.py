@@ -5,7 +5,12 @@ per-type closed-form table.
 All values are exact rationals.  Weights are given in the ambient
 coordinates of the type (see rootsystem module docstring); G2 weights are
 orthogonally projected onto the root plane first, which leaves every bound
-unchanged.
+unchanged.  Each bound reads its weight once, as integer Dynkin labels over
+one common denominator, and pairs it with roots by integer sums over their
+coroot coefficients; the upper and lower bounds return a single Fraction.
+The coweight xi of the oscillation bound is still paired with the roots in
+ambient coordinates, and closed_form_table works in ambient coordinates, as
+the independent oracle.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import linalg
 from .errors import ConsistencyError, ValidationError
@@ -33,18 +39,20 @@ TWO_THIRDS = Fraction(2, 3)
 
 def dominance_violations(rs: RootSystem, lam: Vector) -> list[int]:
     """Positions of simple roots alpha with <lam, coroot(alpha)> < 0."""
-    return [k for k, s in enumerate(rs.simple) if rs.pairing(lam, s) < 0]
+    return [k for k, label in enumerate(rs.scaled_labels(lam)[0]) if label < 0]
 
 
-def require_dominant(rs: RootSystem, lam: Vector) -> None:
-    bad = dominance_violations(rs, lam)
-    if bad:
-        k = bad[0]
-        alpha = rs.roots[rs.simple[k]]
-        raise ValidationError(
-            f"lambda is not dominant for {rs.family}{rs.rank}: "
-            f"<lambda, coroot(alpha_{k + 1})> < 0 for alpha_{k + 1} = ({','.join(vector_strs(alpha))})"
-        )
+def require_dominant(rs: RootSystem, lam: Vector) -> tuple[tuple[int, ...], int]:
+    """rs.scaled_labels(lam); ValidationError if a label is negative."""
+    labels, scale = rs.scaled_labels(lam)
+    for k, label in enumerate(labels):
+        if label < 0:
+            alpha = rs.roots[rs.simple[k]]
+            raise ValidationError(
+                f"lambda is not dominant for {rs.family}{rs.rank}: "
+                f"<lambda, coroot(alpha_{k + 1})> < 0 for alpha_{k + 1} = ({','.join(vector_strs(alpha))})"
+            )
+    return labels, scale
 
 
 def checked_weight(rs: RootSystem, lam) -> Vector:
@@ -61,12 +69,12 @@ def checked_weight(rs: RootSystem, lam) -> Vector:
 
 
 def is_regular(rs: RootSystem, lam: Vector) -> bool:
-    return all(rs.pairing(lam, s) > 0 for s in rs.simple)
+    return all(label > 0 for label in rs.scaled_labels(lam)[0])
 
 
 def parabolic_positions(rs: RootSystem, lam: Vector) -> tuple[int, ...]:
     """S_P for the orbit through lam: simple roots pairing to zero (the stabilizer)."""
-    return tuple(k for k, s in enumerate(rs.simple) if rs.pairing(lam, s) == 0)
+    return tuple(k for k, label in enumerate(rs.scaled_labels(lam)[0]) if label == 0)
 
 
 def dominant_from_pairings(rs: RootSystem, coeffs) -> Vector:
@@ -105,52 +113,31 @@ def random_positive_coweight(rs: RootSystem, rng: random.Random, *, max_coeff: i
 # w0 decompositions into pairwise orthogonal reflections
 
 
-def _e(dim: int, i: int, value=1) -> list:
-    row = [Fraction(0)] * dim
-    row[i - 1] = Fraction(value)
-    return row
+def _sparse(dim: int, entries: dict[int, int]) -> Vector:
+    """The vector of R^dim with the given entries at 1-based positions, zero elsewhere."""
+    return tuple(Fraction(entries.get(i, 0)) for i in range(1, dim + 1))
 
 
 def _decomposition_vectors(family: str, rank: int) -> list[Vector]:
     fam = family.upper()
     if fam == "A":
         m = rank + 1
-        out = []
-        for k in range(1, m // 2 + 1):
-            v = [Fraction(0)] * m
-            v[k - 1] = Fraction(1)
-            v[m - k] = Fraction(-1)
-            out.append(tuple(v))
-        return out
+        return [_sparse(m, {k: 1, m + 1 - k: -1}) for k in range(1, m // 2 + 1)]
     if fam in ("B", "D"):
         n = rank
         out = []
         last_pair = n - 1 if n % 2 == 0 else n - 2
         for k in range(1, last_pair + 1, 2):
-            minus = [Fraction(0)] * n
-            minus[k - 1], minus[k] = Fraction(1), Fraction(-1)
-            plus = [Fraction(0)] * n
-            plus[k - 1], plus[k] = Fraction(1), Fraction(1)
-            out.append(tuple(minus))
-            out.append(tuple(plus))
+            out += [_sparse(n, {k: 1, k + 1: -1}), _sparse(n, {k: 1, k + 1: 1})]
         if fam == "B" and n % 2 == 1:
-            out.append(tuple(_e(n, n)))
+            out.append(_sparse(n, {n: 1}))
         return out
     if fam == "C":
-        return [tuple(_e(rank, k, 2)) for k in range(1, rank + 1)]
+        return [_sparse(rank, {k: 2}) for k in range(1, rank + 1)]
+    if fam == "E" and rank in (7, 8):
+        pairs = [_sparse(8, {k: sign, k + 1: 1}) for k in (1, 3, 5, 7) for sign in (-1, 1)]
+        return pairs[:rank]
     if fam == "E":
-        pairs = []
-        for k in (1, 3, 5, 7):
-            minus = [Fraction(0)] * 8
-            minus[k - 1], minus[k] = Fraction(-1), Fraction(1)
-            plus = [Fraction(0)] * 8
-            plus[k - 1], plus[k] = Fraction(1), Fraction(1)
-            pairs.extend([tuple(minus), tuple(plus)])
-        if rank == 8:
-            return pairs
-        if rank == 7:
-            return pairs[:6] + [pairs[6]]
-        # rank 6
         return [
             vec([0, -1, 1, 0, 0, 0, 0, 0]),
             vec([-1, 0, 0, 1, 0, 0, 0, 0]),
@@ -241,11 +228,17 @@ def w0_decomposition(rs: RootSystem) -> W0Decomposition:
 # Bounds
 
 
+def _scaled_pairings(rs: RootSystem, lam: Vector, indices) -> tuple[list[int], int]:
+    """<lam, coroot(alpha_i)> for each root index i, as integers over one scale; and the scale.
+    ValidationError unless lam is dominant."""
+    labels, scale = require_dominant(rs, vec(lam))
+    return [sum(map(mul, rs.signed_cocoefficients(i), labels)) for i in indices], scale
+
+
 def upper_bound(rs: RootSystem, lam: Vector, dec: W0Decomposition) -> Fraction:
     """sum_k <lam, coroot(alpha_k)> over the decomposition roots."""
-    lam = vec(lam)
-    require_dominant(rs, lam)
-    return sum((rs.pairing(lam, i) for i in dec.root_indices), Fraction(0))
+    pairings, scale = _scaled_pairings(rs, lam, dec.root_indices)
+    return Fraction(sum(pairings), scale)
 
 
 def lower_bound(rs: RootSystem, lam: Vector, dec: W0Decomposition) -> tuple[Fraction, int]:
@@ -253,24 +246,18 @@ def lower_bound(rs: RootSystem, lam: Vector, dec: W0Decomposition) -> tuple[Frac
 
     Returns the value and the position of the maximizing simple root.
     """
-    lam = vec(lam)
-    require_dominant(rs, lam)
+    pairings, scale = _scaled_pairings(rs, lam, dec.root_indices)
     n_rho = rs.root_coefficients(rs.highest)
     if any(c < 1 for c in n_rho):
         raise ConsistencyError("highest root must have full support over the simple roots")
-    pairings = [rs.pairing(lam, i) for i in dec.root_indices]
     coeffs = [rs.root_coefficients(i) for i in dec.root_indices]
-    best: Fraction | None = None
+    # Candidate j is sums[j] / n_rho[j]; compare the fractions by cross-multiplying.
+    sums = [sum(c[j] * p for c, p in zip(coeffs, pairings)) for j in range(rs.rank)]
     witness = 0
-    for j in range(rs.rank):
-        value = sum(
-            (Fraction(c[j], n_rho[j]) * p for c, p in zip(coeffs, pairings)),
-            Fraction(0),
-        )
-        if best is None or value > best:
-            best, witness = value, j
-    assert best is not None
-    return best, witness
+    for j in range(1, rs.rank):
+        if sums[j] * n_rho[witness] > sums[witness] * n_rho[j]:
+            witness = j
+    return Fraction(sums[witness], n_rho[witness] * scale), witness
 
 
 def coweight_oscillation_bound(rs: RootSystem, lam: Vector, xi: Vector,
@@ -281,11 +268,10 @@ def coweight_oscillation_bound(rs: RootSystem, lam: Vector, xi: Vector,
     the highest root (the dual-basis vertices qualify).  The maximum of
     |(root, xi)| is then attained at the highest root, which is asserted.
     """
-    lam = vec(lam)
     xi = vec(xi)
-    require_dominant(rs, lam)
     if dec is None:
         dec = w0_decomposition(rs)
+    pairings, scale = _scaled_pairings(rs, lam, dec.root_indices)
     if any(linalg.dot(xi, rs.roots[s]) < 0 for s in rs.simple):
         raise ValidationError("xi must pair nonnegatively with every simple root")
     m = linalg.dot(xi, rs.rho)
@@ -294,11 +280,9 @@ def coweight_oscillation_bound(rs: RootSystem, lam: Vector, xi: Vector,
     worst = max(abs(linalg.dot(xi, r)) for r in rs.roots)
     if worst != m:
         raise ConsistencyError("max |(root, xi)| not attained at the highest root")
-    osc = sum(
-        (rs.pairing(lam, i) * linalg.dot(rs.roots[i], xi) for i in dec.root_indices),
-        Fraction(0),
-    )
-    return osc / m
+    osc = sum((p * linalg.dot(rs.roots[i], xi) for i, p in zip(dec.root_indices, pairings)),
+              Fraction(0))
+    return osc / (scale * m)
 
 
 def unitary_capacity(lam) -> Fraction:

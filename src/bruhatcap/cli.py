@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import capacity, checks, graphs
 from .errors import BruhatCapError, ValidationError
-from .rootsystem import build, parse_rational, rational_str, vector_strs
+from .rootsystem import MAX_DIGITS, build, parse_rational, rational_str, spelled_digits, vector_strs
 from .weyl import DEFAULT_GROUP_CAP, generate
 
 
@@ -32,10 +32,12 @@ def _env_group_cap() -> int:
 
 
 def parse_lambda(raw: str) -> tuple[Fraction, ...]:
-    """Comma-separated rationals: '3,2,1' or '3/2,-1,0'."""
-    parts = [p for p in raw.split(",") if p.strip()]
-    if not parts:
-        raise ValidationError("empty lambda")
+    """Comma-separated rationals: '3,2,1' or '3/2,-1,0', at most MAX_DIGITS digits in all."""
+    parts = raw.split(",")
+    if not all(p.strip() for p in parts):
+        raise ValidationError(f"empty entry in lambda {raw[:40]!r}")
+    if sum(map(spelled_digits, parts)) > MAX_DIGITS:
+        raise ValidationError(f"lambda spells more than {MAX_DIGITS} digits")
     return tuple(parse_rational(p) for p in parts)
 
 

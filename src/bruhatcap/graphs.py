@@ -15,14 +15,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
-from math import lcm
 from operator import mul
 from types import MappingProxyType
 from typing import Mapping
 
 from .errors import ConsistencyError, SizeLimitError, ValidationError
 from .linalg import Vector, vec
-from .rootsystem import RootSystem, rational_str, vector_strs
+from .rootsystem import RootSystem, rational_str, scaled, vector_strs
 from .weyl import ParabolicData, WeylGroup
 
 DEFAULT_CAYLEY_CAP = 7
@@ -39,23 +38,9 @@ def degree_add(c: Degree, d: Degree) -> Degree:
     return tuple(a + b for a, b in zip(c, d))
 
 
-def _scaled(values) -> tuple[tuple[int, ...], int]:
-    """Rationals as integers over their least common denominator, and that denominator."""
-    scale = lcm(*(x.denominator for x in values))
-    return tuple(x.numerator * (scale // x.denominator) for x in values), scale
-
-
-def _scaled_labels(rs: RootSystem, lam: Vector) -> tuple[tuple[int, ...], int]:
-    """The Dynkin labels <lam, coroot(alpha_k)>, scaled to integers; and the scale.
-
-    The area of a degree (of a root: of its coroot coefficients) is then
-    sum(map(mul, degree, labels)) / scale."""
-    return _scaled([rs.pairing(lam, k) for k in rs.simple])
-
-
 def degree_pairing(rs: RootSystem, lam: Vector, degree: Degree) -> Fraction:
     """sum_k degree[k] * <lam, coroot(alpha_k)>: the area of a path of that degree."""
-    labels, scale = _scaled_labels(rs, lam)
+    labels, scale = rs.scaled_labels(lam)
     return Fraction(sum(map(mul, degree, labels)), scale)
 
 
@@ -133,7 +118,7 @@ def bruhat_graph(weyl: WeylGroup, parabolic: ParabolicData | None = None) -> Bru
 def min_path_area(graph: BruhatGraph, lam: Vector, src: int, dst: int) -> Fraction:
     """Dijkstra over edge areas <lam, coroot(alpha)>; exact minimal total area."""
     rs = graph.weyl.rs
-    labels, scale = _scaled_labels(rs, lam)
+    labels, scale = rs.scaled_labels(lam)
     areas: dict[int, int] = {}
     adj: list[list[tuple[int, int]]] = [[] for _ in range(graph.n_vertices)]
     for u, v, a, _deg in graph.edges:
@@ -280,8 +265,8 @@ def _checked_cayley_frame(n: int, lam: Vector, cap: int) -> tuple:
 def _scaled_cayley_distances(frame: tuple, lam: Vector, src: int) -> tuple[list[int], int]:
     """Distances from src under the weights |lam_i - lam_j|, scaled to integers; and the scale."""
     _perms, _index, swaps, neighbours = frame
-    scaled, scale = _scaled(lam)
-    swap_weights = tuple(abs(scaled[i] - scaled[j]) for i, j in swaps)
+    scaled_lam, scale = scaled(lam)
+    swap_weights = tuple(abs(scaled_lam[i] - scaled_lam[j]) for i, j in swaps)
     dist = _dijkstra([zip(row, swap_weights) for row in neighbours], src)
     if None in dist:
         raise ConsistencyError("Cayley graph is disconnected; this cannot happen for valid input")
@@ -359,7 +344,7 @@ def _weyl_payload(weyl: WeylGroup, reps, edges, lam: Vector | None, **head) -> d
         for i, c in enumerate(order)
     ]
     if lam is not None:
-        labels, scale = _scaled_labels(rs, lam)
+        labels, scale = rs.scaled_labels(lam)
     rows = []
     for u, v, a, deg, area_deg in edges:
         e = {"u": pos[u], "v": pos[v], "root": vector_strs(rs.roots[a]), "degree": list(deg)}

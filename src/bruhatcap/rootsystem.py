@@ -6,9 +6,12 @@ reflections s_i(beta) = beta - <beta, coroot(alpha_i)> alpha_i, with every
 pairing read off the integer Cartan matrix (Humphreys, Reflection Groups and
 Coxeter Groups, sections 1 and 2.9).  From those integers come the coroot
 coefficients c_k^vee = c_k |alpha_k|^2 / |alpha|^2 and, on demand, each
-reflection as a permutation of root indices.  Ambient rational vectors are
-computed once per root, for input, output and the closed-form table; roots
-are indexed in their lexicographic order.
+reflection as a permutation of root indices.  A weight is read once, as its
+Dynkin labels <lam, coroot(alpha_k)> over one common denominator
+(RootSystem.scaled_labels); its pairing with any root is then an integer
+sum over the coroot coefficients.  Ambient rational vectors are computed
+once per root, for input, output and the closed-form table; roots are
+indexed in their lexicographic order.
 
 Coordinate conventions per type (the ones in which all closed-form bounds
 are stated):
@@ -25,7 +28,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd, lcm
+from operator import mul
 
 from . import linalg
 from .errors import ConsistencyError, ValidationError
@@ -33,22 +37,16 @@ from .linalg import Vector, vec
 
 HALF = Fraction(1, 2)
 
-_E8_SIMPLE: list[list[Fraction]] = [
-    [HALF, -HALF, -HALF, -HALF, -HALF, -HALF, -HALF, HALF],
-    [Fraction(1), Fraction(1)] + [Fraction(0)] * 6,
-    [Fraction(-1), Fraction(1)] + [Fraction(0)] * 6,
-]
-for _k in range(5):
-    _row = [Fraction(0)] * 8
-    _row[_k + 1] = Fraction(-1)
-    _row[_k + 2] = Fraction(1)
-    _E8_SIMPLE.append(_row)
+_E8_SIMPLE: list[Vector] = [
+    (HALF, -HALF, -HALF, -HALF, -HALF, -HALF, -HALF, HALF),
+    vec([1, 1, 0, 0, 0, 0, 0, 0]),
+    vec([-1, 1, 0, 0, 0, 0, 0, 0]),
+] + [vec([0] * (k + 1) + [-1, 1] + [0] * (5 - k)) for k in range(5)]
 
 
-def _unit(dim: int, i: int, value=1) -> list[Fraction]:
-    row = [Fraction(0)] * dim
-    row[i] = Fraction(value)
-    return row
+def _chain(dim: int, count: int) -> list[Vector]:
+    """e_i - e_{i+1} in R^dim for the first `count` positions i."""
+    return [vec([0] * i + [1, -1] + [0] * (dim - i - 2)) for i in range(count)]
 
 
 def simple_root_vectors(family: str, rank: int) -> list[Vector]:
@@ -57,36 +55,19 @@ def simple_root_vectors(family: str, rank: int) -> list[Vector]:
     if fam == "A":
         if rank < 1:
             raise ValidationError("type A requires rank >= 1")
-        dim = rank + 1
-        return [
-            tuple(Fraction(1) if j == i else Fraction(-1) if j == i + 1 else Fraction(0) for j in range(dim))
-            for i in range(rank)
-        ]
+        return _chain(rank + 1, rank)
     if fam in ("B", "C"):
         if rank < 2:
             raise ValidationError(f"type {fam} requires rank >= 2")
-        out = [
-            tuple(Fraction(1) if j == i else Fraction(-1) if j == i + 1 else Fraction(0) for j in range(rank))
-            for i in range(rank - 1)
-        ]
-        out.append(vec(_unit(rank, rank - 1, 1 if fam == "B" else 2)))
-        return out
+        return _chain(rank, rank - 1) + [vec([0] * (rank - 1) + [1 if fam == "B" else 2])]
     if fam == "D":
         if rank < 3:
             raise ValidationError("type D requires rank >= 3")
-        out = [
-            tuple(Fraction(1) if j == i else Fraction(-1) if j == i + 1 else Fraction(0) for j in range(rank))
-            for i in range(rank - 1)
-        ]
-        last = [Fraction(0)] * rank
-        last[rank - 2] = Fraction(1)
-        last[rank - 1] = Fraction(1)
-        out.append(tuple(last))
-        return out
+        return _chain(rank, rank - 1) + [vec([0] * (rank - 2) + [1, 1])]
     if fam == "E":
         if rank not in (6, 7, 8):
             raise ValidationError("type E exists only for ranks 6, 7, 8")
-        return [tuple(row) for row in _E8_SIMPLE[:rank]]
+        return _E8_SIMPLE[:rank]
     if fam == "F":
         if rank != 4:
             raise ValidationError("type F exists only for rank 4")
@@ -137,6 +118,12 @@ def weyl_group_order(family: str, rank: int) -> int:
     raise ValidationError(f"unknown family {family!r}")
 
 
+def scaled(values) -> tuple[tuple[int, ...], int]:
+    """Rationals as integers over their least common denominator, and that denominator."""
+    scale = lcm(*(x.denominator for x in values))
+    return tuple(x.numerator * (scale // x.denominator) for x in values), scale
+
+
 def _combination(coords, vectors: list[Vector], dim: int) -> Vector:
     """The ambient vector sum_k coords[k] * vectors[k]."""
     out = [Fraction(0)] * dim
@@ -170,6 +157,12 @@ class RootSystem:
         if any(x.denominator != 1 for row in cartan for x in row):
             raise ConsistencyError(f"{fam}{rank}: non-integral Cartan matrix {cartan}")
         self._cartan = cartan = tuple(tuple(int(x) for x in row) for row in cartan)
+        # The simple coroots 2 alpha_k / |alpha_k|^2 as integer rows over one
+        # denominator, so that scaled_labels reads a weight in integers.
+        flat, self._label_denominator = scaled(
+            [2 * x / row[k] for k, (a, row) in enumerate(zip(simples, self._gram)) for x in a])
+        dim = self.ambient_dim
+        self._label_rows = tuple(flat[k * dim:(k + 1) * dim] for k in range(rank))
 
         def simple_pairings(c: tuple[int, ...]) -> tuple[int, ...]:
             """<beta, coroot of alpha_i> for each i, beta having coefficients c."""
@@ -234,7 +227,7 @@ class RootSystem:
                 raise ConsistencyError(f"{fam}{rank}: highest root not dominance-maximal")
         self.highest: int = best
 
-        self._fundamental: tuple[tuple[tuple[Fraction, ...], Vector], ...] | None = None
+        self._fundamental: tuple[Vector, ...] | None = None
         self._dual_basis: tuple[Vector, ...] | None = None
 
     # -- elementary queries -------------------------------------------------
@@ -250,6 +243,21 @@ class RootSystem:
         if len(t) != self.ambient_dim:
             raise ValidationError(f"vector has dimension {len(t)}, ambient is {self.ambient_dim}")
         return Fraction(2) * linalg.dot(t, alpha) / linalg.dot(alpha, alpha)
+
+    def scaled_labels(self, t: Vector) -> tuple[tuple[int, ...], int]:
+        """The Dynkin labels <t, coroot(alpha_k)> as integers over their least
+        common denominator, and that denominator.
+
+        This is how a weight is read: the pairing of t with a root of coroot
+        coefficients c is sum(map(mul, c, labels)) / scale.
+        """
+        if len(t) != self.ambient_dim:
+            raise ValidationError(f"vector has dimension {len(t)}, ambient is {self.ambient_dim}")
+        ints, scale = scaled(t)
+        raw = [sum(map(mul, ints, row)) for row in self._label_rows]
+        scale *= self._label_denominator
+        common = gcd(scale, *raw)
+        return tuple(r // common for r in raw), scale // common
 
     def reflect(self, i: int, t: Vector) -> Vector:
         """Reflection of t in the hyperplane orthogonal to root i."""
@@ -311,42 +319,34 @@ class RootSystem:
         """C[i][j] = <alpha_j, coroot of alpha_i>; always integral."""
         return [list(row) for row in self._cartan]
 
-    def _solve_in_root_span(self, matrix, rhs) -> tuple[tuple[Fraction, ...], Vector]:
-        """Coordinates x over the simple roots with sum_k matrix[i][k] x_k = rhs[i],
-        and the vector sum_k x_k alpha_k."""
+    def _solve_in_root_span(self, matrix, rhs) -> Vector:
+        """The vector sum_k x_k alpha_k with sum_k matrix[i][k] x_k = rhs[i]."""
         coords = linalg.solve_columns([vec(col) for col in zip(*matrix)], rhs)
-        return coords, _combination(coords, self.simple_vectors(), self.ambient_dim)
+        return _combination(coords, self.simple_vectors(), self.ambient_dim)
 
-    def _fundamental_solved(self) -> tuple[tuple[tuple[Fraction, ...], Vector], ...]:
-        if self._fundamental is None:
-            self._fundamental = tuple(
-                self._solve_in_root_span(self._cartan, [int(i == j) for i in range(self.rank)])
-                for j in range(self.rank)
-            )
-        return self._fundamental
+    def _unit_solutions(self, matrix) -> tuple[Vector, ...]:
+        return tuple(
+            self._solve_in_root_span(matrix, [int(i == j) for i in range(self.rank)])
+            for j in range(self.rank)
+        )
 
     def fundamental_weights(self) -> tuple[Vector, ...]:
         """Vectors w_j in the root span with <w_j, coroot of alpha_i> = delta_ij."""
-        return tuple(w for _coords, w in self._fundamental_solved())
-
-    def fundamental_coordinates(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The fundamental weights in simple-root coordinates."""
-        return tuple(coords for coords, _w in self._fundamental_solved())
+        if self._fundamental is None:
+            self._fundamental = self._unit_solutions(self._cartan)
+        return self._fundamental
 
     def dual_basis(self) -> tuple[Vector, ...]:
         """Vectors tau_j in the root span with (tau_j, alpha_i) = delta_ij."""
         if self._dual_basis is None:
-            self._dual_basis = tuple(
-                self._solve_in_root_span(self._gram, [int(i == j) for i in range(self.rank)])[1]
-                for j in range(self.rank)
-            )
+            self._dual_basis = self._unit_solutions(self._gram)
         return self._dual_basis
 
     def project_to_root_span(self, t: Vector) -> Vector:
         """Orthogonal projection of t onto the span of the roots."""
         if len(t) != self.ambient_dim:
             raise ValidationError(f"vector has dimension {len(t)}, ambient is {self.ambient_dim}")
-        return self._solve_in_root_span(self._gram, [linalg.dot(t, a) for a in self.simple_vectors()])[1]
+        return self._solve_in_root_span(self._gram, [linalg.dot(t, a) for a in self.simple_vectors()])
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RootSystem({self.family}{self.rank}, |R+|={len(self.positive)})"
@@ -367,7 +367,25 @@ def vector_strs(v: Vector) -> list[str]:
     return [rational_str(x) for x in v]
 
 
+# Parsed input stays printable: str() of an int refuses more than 4300 digits.
+MAX_DIGITS = 1000
+
+
+def spelled_digits(literal: str) -> int:
+    """The digits a rational literal spells, an exponent counted by its value."""
+    mantissa, _e, exponent = literal.lower().partition("e")
+    power = exponent.lstrip("+-").replace("_", "").lstrip("0")
+    digits = sum(c.isdecimal() for c in mantissa)
+    if power.isdecimal():
+        digits += int(power) if len(power) <= len(str(MAX_DIGITS)) else MAX_DIGITS + 1
+    return digits
+
+
 def parse_rational(s: str) -> Fraction:
+    """A rational literal ('3', '-1/2', '25e-1'); one spelling more than
+    MAX_DIGITS digits is refused before the number is built."""
+    if spelled_digits(s) > MAX_DIGITS:
+        raise ValidationError(f"rational literal spells more than {MAX_DIGITS} digits: {s[:40]!r}")
     try:
         return Fraction(s.strip())
     except (ValueError, ZeroDivisionError) as exc:

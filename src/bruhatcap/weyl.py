@@ -5,6 +5,8 @@ array maps root index -> image root index), so multiplication is array
 composition and inversion sets read off directly.  The generators are the
 integer reflection permutations of the root system; the action on the root
 span, in the simple-root basis, is read off the images of the simple roots.
+The cosets of W/W_P are the orbits w W_P, taken in the breadth-first order
+of the enumeration, so each opens at its minimal-length representative.
 """
 
 from __future__ import annotations
@@ -226,31 +228,21 @@ class WeylGroup:
             if all(c == 0 for k, c in enumerate(rs.signed_coefficients(i)) if k in free)
         )
 
-        # A coset is identified by the image of a weight whose stabilizer is
-        # exactly W_P (the sum, over S - S_P, of the fundamental weights,
-        # expressed in simple-root coordinates).
-        fundamental = rs.fundamental_coordinates()
-        mu_coords = [sum((fundamental[k][i] for k in free), Fraction(0)) for i in range(rs.rank)]
-
-        coset_of = [0] * len(self.perms)
-        key_to_coset: dict[tuple[Fraction, ...], int] = {}
+        # Cosets are the orbits w W_P.  In BFS order lengths never decrease, so
+        # the element that opens a coset is its minimal-length representative.
+        coset_of = [-1] * len(self.perms)
         coset_reps: list[int] = []
-        for w, p in enumerate(self.perms):  # BFS order: lengths nondecreasing
-            img = [Fraction(0)] * rs.rank
-            for k in range(rs.rank):
-                c = mu_coords[k]
-                if c == 0:
-                    continue
-                for pos, coeff in enumerate(rs.signed_coefficients(p[rs.simple[k]])):
-                    if coeff:
-                        img[pos] += c * coeff
-            key = tuple(img)
-            cid = key_to_coset.get(key)
-            if cid is None:
-                cid = len(coset_reps)
-                key_to_coset[key] = cid
-                coset_reps.append(w)
-            coset_of[w] = cid
+        for w in range(len(self.perms)):
+            if coset_of[w] >= 0:
+                continue
+            cid = len(coset_reps)
+            coset_reps.append(w)
+            for x in wp:
+                wx = self.compose(w, x)
+                if coset_of[wx] >= 0:
+                    raise ConsistencyError(
+                        f"parabolic data broken: cosets {coset_of[wx]} and {cid} overlap")
+                coset_of[wx] = cid
 
         if len(coset_reps) * len(wp) != len(self.perms):
             raise ConsistencyError(

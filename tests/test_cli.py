@@ -20,6 +20,26 @@ def test_parse_lambda():
     assert parse_lambda("3/2,-1,0") == (Fraction(3, 2), -1, 0)
     with pytest.raises(ValidationError):
         parse_lambda(",")
+    for raw in ("3,,1,0", "3,1,", ",3,1", "3, ,1"):
+        with pytest.raises(ValidationError, match="empty entry"):
+            parse_lambda(raw)
+    digits = ",".join(["1" * 300] * 4)  # 1200 digits, each literal under the limit
+    with pytest.raises(ValidationError, match="more than 1000 digits"):
+        parse_lambda(digits)
+
+
+@pytest.mark.parametrize("argv", [
+    ("capacity", "-t", "A", "-r", "2", "--lambda", "3,,1,0"),
+    ("capacity", "-t", "A", "-r", "1", "--lambda", "1e5000,0"),
+    ("capacity", "-t", "A", "-r", "1", "--lambda", "1e100000000,0"),
+    ("graph", "cayley", "--n", "2", "--lambda", "1e5000,0"),
+    ("graph", "cayley", "--n", "2", "--lambda", "1e-100000000,0"),
+])
+def test_malformed_lambda_refused(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_roots_g2_text(capsys):

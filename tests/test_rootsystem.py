@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 
@@ -227,3 +228,29 @@ def test_rational_serialization_round_trip():
         parse_rational("0.5.1")
     with pytest.raises(ValidationError):
         parse_rational("1/0")
+
+
+@pytest.mark.parametrize("literal", [
+    "1e1001", "1e-1001", "1e100000000", "1E+9999999999999", "1/" + "7" * 1000, "2" * 1001,
+])
+def test_parse_rational_refuses_huge_literals(literal):
+    # refused from the spelling, before a number of that size is built
+    with pytest.raises(ValidationError, match="more than 1000 digits"):
+        parse_rational(literal)
+
+
+def test_parse_rational_accepts_up_to_the_limit():
+    assert parse_rational("1e999") == 10**999
+    assert parse_rational("25e-1") == Fraction(5, 2)
+    assert parse_rational("1e0000000000002") == 100
+
+
+@pytest.mark.parametrize("fam,rank", SMALL_TYPES + [("E", 8)])
+def test_scaled_labels_match_pairings(fam, rank):
+    rs = build(fam, rank)
+    t = vec([Fraction((-1) ** d * (d + 2), d % 4 + 1) for d in range(rs.ambient_dim)])
+    labels, scale = rs.scaled_labels(t)
+    assert [Fraction(x, scale) for x in labels] == [rs.pairing(t, s) for s in rs.simple]
+    assert scale == lcm(*(rs.pairing(t, s).denominator for s in rs.simple))
+    with pytest.raises(ValidationError):
+        rs.scaled_labels(t + (Fraction(0),))
