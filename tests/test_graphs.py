@@ -1,7 +1,7 @@
 import json
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -54,6 +54,67 @@ def test_bruhat_full_flag_edge_count(fam, rank):
     w = generate(rs)
     g = bruhat_graph(w)
     assert len(g.edges) == len(w) * len(rs.positive) // 2
+
+
+def _composed(weyl):
+    """u * s_alpha for every element u and positive root alpha, by composing
+    root permutations and looking the product up by its whole permutation."""
+    rs = weyl.rs
+    index = {p: i for i, p in enumerate(weyl.perms)}
+    refl = {a: rs.reflection_perm(a) for a in rs.positive}
+    return {(u, a): index[tuple(p[k] for k in refl[a])]
+            for u, p in enumerate(weyl.perms) for a in rs.positive}
+
+
+def _composed_bruhat_edges(weyl, pd, product):
+    rs = weyl.rs
+    rp = set(pd.rp_plus)
+    edges = []
+    for cu, rep in enumerate(pd.coset_reps):
+        for a in rs.positive:
+            if a in rp:
+                continue
+            cv = pd.coset_of[product[rep, a]]
+            if cv > cu:
+                cocoeff = rs.signed_cocoefficients(a)
+                edges.append((cu, cv, a, tuple(cocoeff[k] for k in pd.free_simple)))
+    edges.sort()
+    return edges
+
+
+def _composed_quantum_out(weyl, product):
+    rs = weyl.rs
+    zero = (0,) * rs.rank
+    out = []
+    for u in range(len(weyl)):
+        row = []
+        for a in rs.positive:
+            v = product[u, a]
+            lu, lv = weyl.lengths[u], weyl.lengths[v]
+            if lv == lu + 1:
+                row.append((v, a, zero))
+            elif lv == lu + 1 - 2 * rs.coroot_height(a):
+                row.append((v, a, rs.coroot_coefficients(a)))
+        out.append(row)
+    return out
+
+
+@pytest.mark.parametrize("fam,rank,full_flag_only", [
+    ("A", 3, False), ("B", 3, False), ("G", 2, False), ("F", 4, True),
+])
+def test_bruhat_edges_match_permutation_composition(fam, rank, full_flag_only):
+    w = generate(build(fam, rank))
+    product = _composed(w)
+    sizes = [0] if full_flag_only else range(rank + 1)
+    for size in sizes:
+        for sp in combinations(range(rank), size):
+            pd = w.parabolic(sp)
+            assert bruhat_graph(w, pd).edges == _composed_bruhat_edges(w, pd, product)
+
+
+def test_quantum_edges_match_permutation_composition():
+    w = generate(build("F", 4))
+    assert quantum_bruhat_graph(w).out == _composed_quantum_out(w, _composed(w))
 
 
 def test_bruhat_edges_symmetric_relation(w_b2):

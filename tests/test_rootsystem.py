@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import lcm
 
 import pytest
@@ -254,3 +254,27 @@ def test_scaled_labels_match_pairings(fam, rank):
     assert scale == lcm(*(rs.pairing(t, s).denominator for s in rs.simple))
     with pytest.raises(ValidationError):
         rs.scaled_labels(t + (Fraction(0),))
+
+
+def _same_up_to_relabelling(a, b) -> bool:
+    """True if the square matrix b is a, or its transpose, with the indices
+    permuted simultaneously in rows and columns."""
+    n = len(a)
+    bt = [list(col) for col in zip(*b)]
+    return any(
+        all(m[p[i]][p[j]] == a[i][j] for i in range(n) for j in range(n))
+        for p in permutations(range(n)) for m in (b, bt)
+    )
+
+
+@pytest.mark.parametrize("fam,rank", TABLE_TYPES)
+def test_against_sympy_liealgebras(fam, rank):
+    cartan_type = pytest.importorskip("sympy.liealgebras.cartan_type")
+    weyl_group = pytest.importorskip("sympy.liealgebras.weyl_group")
+    # sympy has no C2; it is B2 with its two simple roots swapped
+    name = "B2" if (fam, rank) == ("C", 2) else f"{fam}{rank}"
+    ct = cartan_type.CartanType(name)
+    rs = build(fam, rank)
+    assert len(ct.positive_roots()) == len(rs.positive)
+    assert int(weyl_group.WeylGroup(name).group_order()) == rs.weyl_order
+    assert _same_up_to_relabelling(rs.cartan_matrix(), ct.cartan_matrix().tolist())

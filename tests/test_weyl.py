@@ -231,3 +231,21 @@ def test_parabolic_membership_oracle(fam, rank):
                 assert pd.coset_of[rep] == cid
                 assert all(w.lengths[rep] < w.lengths[i]
                            for i in range(len(w)) if pd.coset_of[i] == cid and i != rep)
+
+
+# -- multiplication oracle -------------------------------------------------------
+
+
+@pytest.mark.parametrize("fam,rank", [
+    ("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("F", 4),
+])
+def test_right_multiplication_matches_root_permutations(fam, rank):
+    # u * s_alpha, as the group looks it up, acts on the roots as the root
+    # permutation of u composed with that of s_alpha (s_alpha applied first)
+    rs = build(fam, rank)
+    w = generate(rs)
+    for a in rs.positive:
+        s = w.reflection(a)
+        refl = rs.reflection_perm(a)
+        for u, p in enumerate(w.perms):
+            assert w.perms[w.compose(u, s)] == tuple(p[k] for k in refl)
