@@ -96,21 +96,19 @@ def bruhat_graph(weyl: WeylGroup, parabolic: ParabolicData | None = None) -> Bru
     """
     pd = parabolic if parabolic is not None else weyl.parabolic(())
     rs = weyl.rs
-    free = pd.free_simple
     rp = set(pd.rp_plus)
-    moving = [a for a in rs.positive if a not in rp]
-    refl_perms = {a: weyl.perms[weyl.reflection(a)] for a in moving}
+    coset_of = pd.coset_of
     edges = []
-    for cu, rep in enumerate(pd.coset_reps):
-        wp = weyl.perms[rep]
-        for a in moving:
-            gp = refl_perms[a]
-            target = weyl.index[tuple(wp[k] for k in gp)]
-            cv = pd.coset_of[target]
-            if cv <= cu:
-                continue
-            cocoeff = rs.signed_cocoefficients(a)
-            edges.append((cu, cv, a, tuple(cocoeff[k] for k in free)))
+    for a in rs.positive:
+        if a in rp:
+            continue
+        cocoeff = rs.signed_cocoefficients(a)
+        degree = tuple(cocoeff[k] for k in pd.free_simple)
+        table = weyl.reflection_table(a)
+        for cu, rep in enumerate(pd.coset_reps):
+            cv = coset_of[table[rep]]
+            if cv > cu:
+                edges.append((cu, cv, a, degree))
     edges.sort()
     return BruhatGraph(parabolic=pd, edges=edges)
 
@@ -155,19 +153,18 @@ class QuantumBruhatGraph:
 def quantum_bruhat_graph(weyl: WeylGroup) -> QuantumBruhatGraph:
     rs = weyl.rs
     zero = (0,) * rs.rank
-    heights = {a: rs.coroot_height(a) for a in rs.positive}
-    refl_perms = {a: weyl.perms[weyl.reflection(a)] for a in rs.positive}
+    lengths = weyl.lengths
     out: list[list[tuple[int, int, Degree]]] = [[] for _ in range(len(weyl))]
-    for u, up in enumerate(weyl.perms):
-        lu = weyl.lengths[u]
-        for a in rs.positive:
-            gp = refl_perms[a]
-            v = weyl.index[tuple(up[k] for k in gp)]
-            lv = weyl.lengths[v]
-            if lv == lu + 1:
-                out[u].append((v, a, zero))
-            elif lv == lu + 1 - 2 * heights[a]:
-                out[u].append((v, a, rs.coroot_coefficients(a)))
+    # Root by root, so each out[u] lists its edges in root order.
+    for a in rs.positive:
+        down = 1 - 2 * rs.coroot_height(a)
+        degree = rs.coroot_coefficients(a)
+        for v, lu, row in zip(weyl.reflection_table(a), lengths, out):
+            step = lengths[v] - lu
+            if step == 1:
+                row.append((v, a, zero))
+            elif step == down:
+                row.append((v, a, degree))
     return QuantumBruhatGraph(weyl=weyl, out=out, zero=zero)
 
 

@@ -1,19 +1,21 @@
-"""Weyl groups as permutation groups acting on the root set.
+"""Weyl groups, enumerated once, with right-multiplication tables.
 
-Elements are stored as permutations of the canonical root indices (the
-array maps root index -> image root index), so multiplication is array
-composition and inversion sets read off directly.  The generators are the
-integer reflection permutations of the root system; the action on the root
-span, in the simple-root basis, is read off the images of the simple roots.
-The cosets of W/W_P are the orbits w W_P, taken in the breadth-first order
-of the enumeration, so each opens at its minimal-length representative.
+Each element is stored as a permutation of the canonical root indices, from
+which inversion sets and the action on the root span read off directly, and
+is looked up by the images of the `rank` simple roots, which determine it.
+The breadth-first enumeration keeps u * s_i for every element u and simple
+reflection s_i as the table right[i] (Casselman, Computation in Coxeter
+groups I, EJC 9, 2002); the table u -> u * s_alpha of any positive root
+follows in one pass over W.  The graphs read their edges from these tables,
+and the cosets of W/W_P are the orbits w W_P under the tables of S_P, taken
+in the breadth-first order, so each opens at its minimal-length element.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from . import linalg
 from .errors import ConsistencyError, SizeLimitError, ValidationError
@@ -22,6 +24,7 @@ from .rootsystem import RootSystem
 DEFAULT_GROUP_CAP = 10_000_000
 
 Perm = tuple[int, ...]
+Table = tuple[int, ...]  # entry u is the index of u * s for one reflection s
 
 
 def stated_longest_map(family: str, rank: int):
@@ -86,27 +89,30 @@ class WeylGroup:
     def __init__(self, rs: RootSystem, cap: int = DEFAULT_GROUP_CAP):
         _require_within_cap(rs, cap)
         self.rs = rs
-        n_roots = len(rs.roots)
         gens = [rs.reflection_perm(i) for i in rs.simple]
-        identity: Perm = tuple(range(n_roots))
+        # u * s_g sends root k where u sends gens[g][k]; its key reads u at
+        # the images of the simple roots under s_g.
+        steps = [(tuple(gp[s] for s in rs.simple), itemgetter(*gp)) for gp in gens]
+        identity: Perm = tuple(range(len(rs.roots)))
         perms: list[Perm] = [identity]
-        index: dict[Perm, int] = {identity: 0}
+        index: dict[tuple[int, ...], int] = {rs.simple: 0}  # keyed by simple-root images
         lengths = [0]
         parents: list[tuple[int, int]] = [(-1, -1)]
-        queue: deque[int] = deque([0])
-        while queue:
-            wi = queue.popleft()
-            wp = perms[wi]
-            for g, gp in enumerate(gens):
-                new = tuple(wp[k] for k in gp)
-                if new not in index:
-                    index[new] = len(perms)
-                    perms.append(new)
+        right: list[list[int]] = [[] for _ in gens]
+        # Breadth-first: the loop visits elements in the order they are
+        # appended, so right[g] fills in element order.
+        for wi, wp in enumerate(perms):
+            for g, ((key_at, apply), row) in enumerate(zip(steps, right)):
+                key = tuple(map(wp.__getitem__, key_at))
+                j = index.get(key)
+                if j is None:
+                    j = index[key] = len(perms)
+                    perms.append(apply(wp))
                     lengths.append(lengths[wi] + 1)
                     parents.append((wi, g))
-                    queue.append(index[new])
                     if len(perms) > cap:
                         raise SizeLimitError(f"{rs.family}{rs.rank}: enumeration exceeded cap {cap:,}")
+                row.append(j)
         if len(perms) != rs.weyl_order:
             raise ConsistencyError(
                 f"{rs.family}{rs.rank}: enumerated {len(perms)} elements, expected {rs.weyl_order}"
@@ -116,7 +122,9 @@ class WeylGroup:
         self.lengths = lengths
         self.parents = parents
         self.identity_index = 0
-        self.simple_elements = tuple(index[g] for g in gens)
+        self.simple_elements = tuple(row[0] for row in right)
+        self.right: tuple[Table, ...] = tuple(map(tuple, right))
+        self._simple_perms = gens
 
         top = max(lengths)
         longest = [i for i, l in enumerate(lengths) if l == top]
@@ -129,7 +137,7 @@ class WeylGroup:
             )
         self._verify_longest_map()
 
-        self._reflections: dict[int, int] = {}
+        self._reflection_tables: dict[int, Table] = {}
         self._abs_len: dict[int, int] = {}
 
     # -- construction helpers ------------------------------------------------
@@ -153,14 +161,11 @@ class WeylGroup:
     def compose(self, i: int, j: int) -> int:
         """Index of w_i * w_j (apply w_j first)."""
         pi, pj = self.perms[i], self.perms[j]
-        return self.index[tuple(pi[k] for k in pj)]
+        return self.index[tuple(pi[pj[s]] for s in self.rs.simple)]
 
     def inverse(self, i: int) -> int:
         p = self.perms[i]
-        inv = [0] * len(p)
-        for a, b in enumerate(p):
-            inv[b] = a
-        return self.index[tuple(inv)]
+        return self.index[tuple(map(p.index, self.rs.simple))]
 
     def length(self, i: int) -> int:
         return self.lengths[i]
@@ -186,10 +191,33 @@ class WeylGroup:
 
     def reflection(self, root_idx: int) -> int:
         """Element index of the reflection s_alpha for a positive root index."""
-        self.rs._require_positive(root_idx)
-        if root_idx not in self._reflections:
-            self._reflections[root_idx] = self.index[self.rs.reflection_perm(root_idx)]
-        return self._reflections[root_idx]
+        return self.reflection_table(root_idx)[self.identity_index]
+
+    def reflection_table(self, root_idx: int) -> Table:
+        """The table u -> u * s_alpha over all elements u, for a positive root alpha.
+
+        A simple root's table comes from the enumeration.  Any other alpha
+        has a simple root alpha_i with beta = s_i(alpha) positive and lower,
+        and u s_alpha = ((u s_i) s_beta) s_i: one pass over W per root.
+        Cached on the group.
+        """
+        table = self._reflection_tables.get(root_idx)
+        if table is not None:
+            return table
+        rs = self.rs
+        rs._require_positive(root_idx)
+        if root_idx in rs.simple:
+            table = self.right[rs.simple.index(root_idx)]
+        else:
+            height = sum(rs.signed_coefficients(root_idx))
+            g, beta = next(
+                (g, gp[root_idx]) for g, gp in enumerate(self._simple_perms)
+                if sum(rs.signed_coefficients(gp[root_idx])) < height
+            )
+            ri, tb = self.right[g], self.reflection_table(beta)
+            table = tuple(map(ri.__getitem__, map(tb.__getitem__, ri)))
+        self._reflection_tables[root_idx] = table
+        return table
 
     def longest_element(self) -> int:
         return self.longest_index
@@ -212,24 +240,15 @@ class WeylGroup:
             raise ValidationError(f"S_P positions {sp} out of range for rank {rs.rank}")
         free = tuple(k for k in range(rs.rank) if k not in sp)
 
-        gens = [self.simple_elements[k] for k in sp]
-        wp = {0}
-        queue = deque([0])
-        while queue:
-            w = queue.popleft()
-            for g in gens:
-                x = self.compose(w, g)
-                if x not in wp:
-                    wp.add(x)
-                    queue.append(x)
-
         rp_plus = tuple(
             i for i in rs.positive
             if all(c == 0 for k, c in enumerate(rs.signed_coefficients(i)) if k in free)
         )
 
-        # Cosets are the orbits w W_P.  In BFS order lengths never decrease, so
-        # the element that opens a coset is its minimal-length representative.
+        # Cosets are the orbits w W_P under right multiplication by S_P.  In
+        # BFS order lengths never decrease, so the element that opens a coset
+        # is its minimal-length representative; the identity opens W_P itself.
+        gens = [self.right[k] for k in sp]
         coset_of = [-1] * len(self.perms)
         coset_reps: list[int] = []
         for w in range(len(self.perms)):
@@ -237,12 +256,19 @@ class WeylGroup:
                 continue
             cid = len(coset_reps)
             coset_reps.append(w)
-            for x in wp:
-                wx = self.compose(w, x)
-                if coset_of[wx] >= 0:
-                    raise ConsistencyError(
-                        f"parabolic data broken: cosets {coset_of[wx]} and {cid} overlap")
-                coset_of[wx] = cid
+            coset_of[w] = cid
+            orbit = [w]
+            for x in orbit:
+                for t in gens:
+                    y = t[x]
+                    if coset_of[y] < 0:
+                        coset_of[y] = cid
+                        orbit.append(y)
+                    elif coset_of[y] != cid:
+                        raise ConsistencyError(
+                            f"parabolic data broken: cosets {coset_of[y]} and {cid} overlap")
+            if cid == 0:
+                wp = orbit
 
         if len(coset_reps) * len(wp) != len(self.perms):
             raise ConsistencyError(

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from bruhatcap import SizeLimitError, build, generate
+from bruhatcap import SizeLimitError, ValidationError, build, generate
 from bruhatcap.linalg import vec
 
 ENUMERABLE = (
@@ -242,10 +242,23 @@ def test_parabolic_membership_oracle(fam, rank):
 def test_right_multiplication_matches_root_permutations(fam, rank):
     # u * s_alpha, as the group looks it up, acts on the roots as the root
     # permutation of u composed with that of s_alpha (s_alpha applied first)
+    # and the multiplication tables name the same products
     rs = build(fam, rank)
     w = generate(rs)
     for a in rs.positive:
         s = w.reflection(a)
         refl = rs.reflection_perm(a)
+        table = w.reflection_table(a)
+        assert len(table) == len(w)
         for u, p in enumerate(w.perms):
             assert w.perms[w.compose(u, s)] == tuple(p[k] for k in refl)
+            assert table[u] == w.compose(u, s)
+    for g, row in enumerate(w.right):
+        assert row == w.reflection_table(rs.simple[g])
+        assert list(row) == [w.compose(u, w.simple_elements[g]) for u in range(len(w))]
+
+
+def test_reflection_table_refuses_a_negative_root(w_b2):
+    rs = w_b2.rs
+    with pytest.raises(ValidationError):
+        w_b2.reflection_table(rs.neg_of[rs.highest])
