@@ -36,6 +36,7 @@ from .graphs import (
     d_min,
     degree_leq,
     export,
+    export_chunks,
     min_path_area,
     quantum_bruhat_graph,
     transposition_distance_formula,
@@ -71,6 +72,7 @@ __all__ = [
     "dominance_violations",
     "dominant_from_pairings",
     "export",
+    "export_chunks",
     "generate",
     "hz_bounds",
     "is_regular",

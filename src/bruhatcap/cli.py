@@ -2,7 +2,8 @@
 
 Subcommands: roots, graph, capacity, table, verify.  Every rational is
 emitted exactly ('p/q' or integer string); there is no floating-point
-formatting anywhere.  BC_GROUP_CAP overrides the default group cap.
+formatting anywhere.  Graph exports are written chunk by chunk as they are
+rendered.  BC_GROUP_CAP overrides the default group cap.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import Iterable
 
 from . import capacity, checks, graphs
 from .errors import BruhatCapError, ValidationError
@@ -47,12 +49,20 @@ def default_table_lambda(rs) -> tuple[Fraction, ...]:
     return capacity.dominant_from_pairings(rs, [rs.rank - i for i in range(rs.rank)])
 
 
-def _emit(text: str, path: str | None) -> None:
-    if path:
+def _emit(text: str | Iterable[str], path: str | None) -> None:
+    """Write text, or a stream of text chunks, to the file at path or to stdout.
+
+    The file is opened only here, after the command has checked its input,
+    so a refused input leaves an existing file untouched."""
+    chunks = (text,) if isinstance(text, str) else text
+    if not path:
+        sys.stdout.writelines(chunks)
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _add_type_args(p: argparse.ArgumentParser) -> None:
@@ -124,7 +134,7 @@ def cmd_graph(args) -> int:
         if lam is None:
             raise ValidationError("graph cayley requires --lambda")
         graph = graphs.cayley_graph(args.n, lam, cap=args.cayley_cap)
-        _emit(graphs.export(graph, args.format), args.output)
+        _emit(graphs.export_chunks(graph, args.format), args.output)
         return 0
     if not args.type or args.rank is None:
         raise ValidationError(f"graph {args.kind} requires --type and --rank")
@@ -137,7 +147,7 @@ def cmd_graph(args) -> int:
     else:
         s_p = capacity.parabolic_positions(rs, lam) if lam is not None else ()
         graph = graphs.bruhat_graph(weyl, weyl.parabolic(s_p))
-    _emit(graphs.export(graph, args.format, lam=lam), args.output)
+    _emit(graphs.export_chunks(graph, args.format, lam=lam), args.output)
     return 0
 
 
@@ -313,9 +323,16 @@ def main(argv=None) -> int:
     try:
         # build_parser reads BC_GROUP_CAP, which can be malformed
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
     except BruhatCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader of stdout went away.  Point stdout at devnull so that
+        # the flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

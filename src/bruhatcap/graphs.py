@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import itertools
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
-from operator import mul
+from operator import itemgetter, mul
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .errors import ConsistencyError, SizeLimitError, ValidationError
 from .linalg import Vector, vec
@@ -324,89 +325,185 @@ def cayley_diameter(n: int, lam, cap: int = DEFAULT_CAYLEY_CAP) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # Exports
+#
+# An export is a stream of text chunks, about one per vertex, so the whole
+# text is never held at once.  A graph is exported as the payload
+#   {"kind", "directed", ..., "vertices": [{"id", "label", ...}, ...],
+#    "edges": [{"u", "v", ...}, ...]}
+# with edges sorted by u, then v, then their other fields.  The JSON text is
+# byte-identical to json.dumps(payload, indent=2, sort_keys=True) + "\n";
+# the DOT text lists the vertices, then the edges in the same order.  The
+# text of each kind of edge (a root with its degree and area, or a swap with
+# its weight) is rendered once per export, as is each vertex's label.
 
 
-def _weyl_payload(weyl: WeylGroup, reps, edges, lam: Vector | None, **head) -> dict:
-    """The export of a graph whose vertex c is labelled by the element reps[c].
+def _json_value(value, depth: int) -> str:
+    """value as json.dumps(indent=2) renders it nested `depth` levels deep."""
+    # A JSON string holds no raw newline, so every newline is indentation.
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
 
-    Vertices are ordered by (length, element).  Edges are (u, v, root index,
-    degree, coroot coefficients of the edge area), the area being exported
-    when lam is given.
+
+def _json_members(fields: dict, depth: int) -> list[str]:
+    pad = "  " * depth
+    return [f"{pad}{json.dumps(k)}: {_json_value(fields[k], depth)}" for k in sorted(fields)]
+
+
+def _edge_parts(fmt: str, fields: dict) -> tuple[str, str]:
+    """The text of an edge with these fields (besides u and v) around its endpoints."""
+    if fmt == "json":
+        before = _json_members({k: x for k, x in fields.items() if k < "u"}, 3)
+        after = _json_members({k: x for k, x in fields.items() if k > "v"}, 3)
+        return ("    {\n" + "".join(m + ",\n" for m in before) + '      "u": ',
+                "".join(",\n" + m for m in after) + "\n    }")
+    if "root" in fields:
+        parts = ["(" + ",".join(fields["root"]) + ")",
+                 "(" + ",".join(map(str, fields["degree"])) + ")"]
+        if "area" in fields:
+            parts.append(fields["area"])
+    else:
+        parts = ["(" + ",".join(map(str, fields["swap"])) + ")", fields["weight"]]
+    return "", '" [label="' + " / ".join(parts) + '"];\n'
+
+
+def _json_list(items) -> Iterator[str]:
+    """A list of rendered JSON items, given in blocks joined by ",\n", as a member value."""
+    opened = False
+    for block in items:
+        if block:
+            yield (",\n" if opened else "[\n") + block
+            opened = True
+    yield "\n  ]" if opened else "[]"
+
+
+def _text_chunks(fmt: str, head: dict, labels: list[str], lengths: list[int] | None,
+                 rows, edge_fields) -> Iterator[str]:
+    """The export text of a graph whose vertex i has the label labels[i].
+
+    head holds the payload's other members; lengths, when given, is exported
+    per vertex.  rows yields (u, [(v, key), ...]) in order of u, each list in
+    edge order; edge_fields(key) gives an edge's fields besides u and v.
     """
+    parts: dict = {}
+
+    def edge_texts(row, left: str, right: list[str]) -> list[str]:
+        # The edge u -> v renders as pre + left + right[v] + post.
+        texts = []
+        for v, key in row:
+            pre_post = parts.get(key)
+            if pre_post is None:
+                pre_post = parts[key] = _edge_parts(fmt, edge_fields(key))
+            texts.append(pre_post[0] + left + right[v] + pre_post[1])
+        return texts
+
+    if fmt == "dot":
+        directed = head["directed"]
+        arrow = "->" if directed else "--"
+        yield ("digraph " if directed else "graph ") + head["kind"] + " {\n"
+        yield "".join(f'  "{label}";\n' for label in labels)
+        for u, row in rows:
+            yield "".join(edge_texts(row, f'  "{labels[u]}" {arrow} "', labels))
+        yield "}\n"
+        return
+
+    ids = [str(i) for i in range(len(labels))]
+    edges = (",\n".join(edge_texts(row, ids[u] + ',\n      "v": ', ids)) for u, row in rows)
+    vertices = (
+        f'    {{\n      "id": {i},\n      "label": {json.dumps(label)}'
+        + ("" if lengths is None else f',\n      "length": {lengths[i]}')
+        + "\n    }"
+        for i, label in enumerate(labels)
+    )
+    members = {k: [_json_value(x, 1)] for k, x in head.items()}
+    members["edges"] = _json_list(edges)
+    members["vertices"] = _json_list(vertices)
+    sep = "{\n"
+    for key in sorted(members):
+        yield f'{sep}  "{key}": '
+        yield from members[key]
+        sep = ",\n"
+    yield "\n}\n"
+
+
+def _weyl_chunks(graph, fmt: str, lam: Vector | None) -> Iterator[str]:
+    """A Bruhat or quantum Bruhat graph, vertex c labelled by the element reps[c].
+
+    Vertices are ordered by (length, element).  An edge's key is its root and
+    degree; its area pairs lam with the degree (quantum) or with the root's
+    coroot (Bruhat).
+    """
+    weyl = graph.weyl
     rs = weyl.rs
-    order = sorted(range(len(reps)), key=lambda c: (weyl.lengths[reps[c]], reps[c]))
-    pos = {c: i for i, c in enumerate(order)}
-    vertices = [
-        {"id": i, "label": weyl.word_label(reps[c]), "length": weyl.lengths[reps[c]]}
-        for i, c in enumerate(order)
-    ]
     if lam is not None:
-        labels, scale = rs.scaled_labels(lam)
-    rows = []
-    for u, v, a, deg, area_deg in edges:
-        e = {"u": pos[u], "v": pos[v], "root": vector_strs(rs.roots[a]), "degree": list(deg)}
+        dynkin, scale = rs.scaled_labels(lam)
+    if isinstance(graph, BruhatGraph):
+        reps = graph.parabolic.coset_reps
+        head = {"kind": "bruhat", "s_p": list(graph.parabolic.s_p), "directed": False}
+        edges = graph.edges
+        area_coefficients = rs.signed_cocoefficients
+
+        def leaving(c):  # edges are sorted, so those with u = c form one run
+            run = edges[bisect_left(edges, (c,)):bisect_left(edges, (c + 1,))]
+            return [(v, a, deg) for _u, v, a, deg in run]
+    else:
+        reps = range(len(weyl))
+        head = {"kind": "quantum", "directed": True}
+        leaving = graph.out.__getitem__
+        area_coefficients = None  # the degree itself
+
+    lengths = [weyl.lengths[w] for w in reps]
+    order = sorted(range(len(reps)), key=lambda c: (lengths[c], reps[c]))
+    pos = [0] * len(order)
+    for i, c in enumerate(order):
+        pos[c] = i
+    # Edges leaving one vertex sort by the position of v, then by the root's
+    # coordinate strings; (u, v, root) never repeats.
+    by_strs = sorted(rs.positive, key=lambda a: vector_strs(rs.roots[a]))
+    root_rank = {a: i for i, a in enumerate(by_strs)}
+    rows = (
+        (u, [(v, key) for v, _r, key in sorted(
+            (pos[v], root_rank[a], (a, deg)) for v, a, deg in leaving(c))])
+        for u, c in enumerate(order)
+    )
+
+    def edge_fields(key):
+        a, deg = key
+        fields = {"root": vector_strs(rs.roots[a]), "degree": list(deg)}
         if lam is not None:
-            e["area"] = rational_str(Fraction(sum(map(mul, area_deg, labels)), scale))
-        rows.append(e)
-    rows.sort(key=lambda e: (e["u"], e["v"], e["root"], e["degree"]))
-    return {"family": rs.family, "rank": rs.rank, **head, "vertices": vertices, "edges": rows}
+            coeffs = deg if area_coefficients is None else area_coefficients(a)
+            fields["area"] = rational_str(Fraction(sum(map(mul, coeffs, dynkin)), scale))
+        return fields
+
+    head.update(family=rs.family, rank=rs.rank)
+    return _text_chunks(fmt, head, [weyl.word_label(reps[c]) for c in order],
+                        [lengths[c] for c in order], rows, edge_fields)
 
 
-def _cayley_payload(graph: WeightedCayleyGraph) -> dict:
-    vertices = [{"id": i, "label": "".join(map(str, p))} for i, p in enumerate(graph.perms)]
-    edges = [
-        {"u": u, "v": v, "swap": [i + 1, j + 1], "weight": rational_str(w)}
-        for u, v, i, j, w in sorted(graph.edges)
-    ]
-    return {
-        "kind": "cayley",
-        "n": graph.n,
-        "lambda": vector_strs(graph.lam),
-        "directed": False,
-        "vertices": vertices,
-        "edges": edges,
-    }
+def _cayley_chunks(graph: WeightedCayleyGraph, fmt: str) -> Iterator[str]:
+    edges = sorted(graph.edges)
+    rows = ((u, [(v, (i, j, w)) for _u, v, i, j, w in run])
+            for u, run in itertools.groupby(edges, key=itemgetter(0)))
+    head = {"kind": "cayley", "n": graph.n, "lambda": vector_strs(graph.lam), "directed": False}
+    return _text_chunks(
+        fmt, head, ["".join(map(str, p)) for p in graph.perms], None, rows,
+        lambda key: {"swap": [key[0] + 1, key[1] + 1], "weight": rational_str(key[2])},
+    )
 
 
-def _payload_to_dot(payload: dict) -> str:
-    directed = payload["directed"]
-    name = payload["kind"]
-    arrow = "->" if directed else "--"
-    lines = [("digraph " if directed else "graph ") + name + " {"]
-    labels = {v["id"]: v["label"] for v in payload["vertices"]}
-    for v in payload["vertices"]:
-        lines.append(f'  "{v["label"]}";')
-    for e in payload["edges"]:
-        if "root" in e:
-            parts = ["(" + ",".join(e["root"]) + ")",
-                     "(" + ",".join(map(str, e["degree"])) + ")"]
-            if "area" in e:
-                parts.append(e["area"])
-        else:
-            parts = ["(" + ",".join(map(str, e["swap"])) + ")", e["weight"]]
-        label = " / ".join(parts)
-        lines.append(f'  "{labels[e["u"]]}" {arrow} "{labels[e["v"]]}" [label="{label}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+def export_chunks(graph, fmt: str, lam: Vector | None = None) -> Iterator[str]:
+    """Serialize a graph as 'json' or 'dot', as a stream of text chunks.
+
+    The arguments are checked before this returns.  The output is
+    deterministic, and its chunks joined are export(graph, fmt, lam).
+    """
+    if not isinstance(graph, (BruhatGraph, QuantumBruhatGraph, WeightedCayleyGraph)):
+        raise ValidationError(f"cannot export object of type {type(graph).__name__}")
+    if fmt not in ("json", "dot"):
+        raise ValidationError(f"unknown export format {fmt!r}; expected 'json' or 'dot'")
+    if isinstance(graph, WeightedCayleyGraph):
+        return _cayley_chunks(graph, fmt)
+    return _weyl_chunks(graph, fmt, lam)
 
 
 def export(graph, fmt: str, lam: Vector | None = None) -> str:
     """Serialize a graph as 'json' or 'dot'; output is deterministic."""
-    if isinstance(graph, BruhatGraph):
-        co = graph.weyl.rs.signed_cocoefficients
-        edges = ((u, v, a, deg, co(a)) for u, v, a, deg in graph.edges)
-        payload = _weyl_payload(graph.weyl, graph.parabolic.coset_reps, edges, lam,
-                                kind="bruhat", s_p=list(graph.parabolic.s_p), directed=False)
-    elif isinstance(graph, QuantumBruhatGraph):
-        edges = ((u, v, a, deg, deg) for u, out in enumerate(graph.out) for v, a, deg in out)
-        payload = _weyl_payload(graph.weyl, range(len(graph.weyl)), edges, lam,
-                                kind="quantum", directed=True)
-    elif isinstance(graph, WeightedCayleyGraph):
-        payload = _cayley_payload(graph)
-    else:
-        raise ValidationError(f"cannot export object of type {type(graph).__name__}")
-    if fmt == "json":
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if fmt == "dot":
-        return _payload_to_dot(payload)
-    raise ValidationError(f"unknown export format {fmt!r}; expected 'json' or 'dot'")
+    return "".join(export_chunks(graph, fmt, lam))

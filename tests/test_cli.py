@@ -1,11 +1,17 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from bruhatcap.cli import main, parse_lambda
 from bruhatcap.errors import ValidationError
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -249,3 +255,64 @@ def test_output_to_file(tmp_path, capsys):
     assert out == ""
     payload = json.loads(target.read_text())
     assert payload["n_positive"] == 3
+
+
+def test_graph_output_to_file_matches_stdout(tmp_path, capsys):
+    argv = ("graph", "bruhat", "-t", "B", "-r", "3", "--lambda", "3,1,0", "--format", "json")
+    _, out, _ = run_cli(capsys, *argv)
+    target = tmp_path / "b3.json"
+    code, streamed, _ = run_cli(capsys, *argv, "--output", str(target))
+    assert code == 0
+    assert streamed == ""
+    assert target.read_text(encoding="utf-8") == out
+
+
+UNWRITABLE_COMMANDS = [
+    ("roots", "-t", "A", "-r", "2"),
+    ("graph", "quantum", "-t", "A", "-r", "2", "--format", "json"),
+    ("graph", "cayley", "--n", "3", "--lambda", "2,1,0"),
+    ("capacity", "-t", "A", "-r", "2", "--lambda", "2,1,0"),
+    ("table", "-t", "G"),
+    ("verify", "--only", "decompositions", "-t", "G"),
+]
+
+
+@pytest.mark.parametrize("argv", UNWRITABLE_COMMANDS, ids=lambda argv: " ".join(argv[:2]))
+@pytest.mark.parametrize("where,reason", [
+    ("missing/out.txt", "No such file or directory"),
+    (".", "Is a directory"),
+])
+def test_unwritable_output_is_an_error(tmp_path, capsys, argv, where, reason):
+    path = tmp_path / where
+    code, out, err = run_cli(capsys, *argv, "--output", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: cannot write {path}: {reason}\n"
+
+
+def test_refused_input_leaves_an_existing_output_file(tmp_path, capsys):
+    target = tmp_path / "keep.json"
+    target.write_text("kept\n", encoding="utf-8")
+    for argv in (
+        ("graph", "quantum", "-t", "A", "-r", "2", "--lambda", "1,2,3"),  # not dominant
+        ("graph", "bruhat", "-t", "E", "-r", "8"),  # over the group cap
+        ("graph", "cayley", "--n", "9", "--lambda", "8,7,6,5,4,3,2,1,0"),  # over the Cayley cap
+    ):
+        code, _, err = run_cli(capsys, *argv, "--output", str(target))
+        assert code == 1
+        assert err.startswith("error: ")
+        assert target.read_text(encoding="utf-8") == "kept\n"
+
+
+def test_closed_stdout_pipe_exits_without_a_traceback():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    cmd = [sys.executable, "-m", "bruhatcap.cli", "graph", "quantum", "-t", "F", "-r", "4",
+           "--format", "json"]
+    with subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        head = proc.stdout.read(100)
+        proc.stdout.close()  # the 2 MB export is still being written
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert head.startswith(b'{\n  "directed": true,')
+    assert code == 1
+    assert err == b""

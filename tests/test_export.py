@@ -3,7 +3,8 @@
 The oracle is the earlier exporter, kept here verbatim in substance: it
 builds one dict per vertex and per edge, sorts the edge dicts, and renders
 them with `json.dumps(indent=2, sort_keys=True)` or line by line as DOT.
-`export` must match it byte for byte in both formats.
+The streamed chunks of `export_chunks`, joined, and `export` must match it
+byte for byte in both formats.
 """
 
 import json
@@ -19,9 +20,11 @@ from bruhatcap import (
     cayley_graph,
     dominant_from_pairings,
     export,
+    export_chunks,
     generate,
     quantum_bruhat_graph,
 )
+from bruhatcap.errors import ValidationError
 from bruhatcap.rootsystem import rational_str, vector_strs
 
 # -- the oracle --------------------------------------------------------------------
@@ -132,6 +135,7 @@ def _bruhat_cases():
 def _check(graph, lam):
     for fmt in ("json", "dot"):
         expected = oracle_export(graph, fmt, lam)
+        assert "".join(export_chunks(graph, fmt, lam=lam)) == expected
         assert export(graph, fmt, lam=lam) == expected
 
 
@@ -167,3 +171,13 @@ def test_empty_edge_list_renders_as_json_does():
     text = export(bruhat_graph(w, w.parabolic((0, 1))), "json")
     assert '"edges": [],' in text
     assert '"s_p": [\n    0,\n    1\n  ],' in text
+
+
+def test_export_chunks_checks_arguments_before_streaming():
+    w = generate(build("A", 2))
+    with pytest.raises(ValidationError, match="unknown export format"):
+        export_chunks(bruhat_graph(w), "xml")
+    with pytest.raises(ValidationError, match="cannot export"):
+        export_chunks(w, "json")
+    with pytest.raises(ValidationError, match="dimension"):
+        export_chunks(quantum_bruhat_graph(w), "json", lam=(Fraction(1), Fraction(0)))
