@@ -84,7 +84,7 @@ class ParabolicData:
 
 
 class WeylGroup:
-    """A fully enumerated Weyl group with a multiplication oracle."""
+    """A fully enumerated Weyl group with its right-multiplication tables."""
 
     def __init__(self, rs: RootSystem, cap: int = DEFAULT_GROUP_CAP):
         _require_within_cap(rs, cap)
@@ -158,23 +158,8 @@ class WeylGroup:
     def __len__(self) -> int:
         return len(self.perms)
 
-    def compose(self, i: int, j: int) -> int:
-        """Index of w_i * w_j (apply w_j first)."""
-        pi, pj = self.perms[i], self.perms[j]
-        return self.index[tuple(pi[pj[s]] for s in self.rs.simple)]
-
-    def inverse(self, i: int) -> int:
-        p = self.perms[i]
-        return self.index[tuple(map(p.index, self.rs.simple))]
-
     def length(self, i: int) -> int:
         return self.lengths[i]
-
-    def inversion_count(self, i: int) -> int:
-        """|{beta in R+ : w(beta) < 0}|."""
-        p = self.perms[i]
-        pos = self.rs.is_positive
-        return sum(1 for b in self.rs.positive if not pos[p[b]])
 
     def word(self, i: int) -> tuple[int, ...]:
         """A reduced word for element i (simple-root positions, from the BFS tree)."""
@@ -218,9 +203,6 @@ class WeylGroup:
             table = tuple(map(ri.__getitem__, map(tb.__getitem__, ri)))
         self._reflection_tables[root_idx] = table
         return table
-
-    def longest_element(self) -> int:
-        return self.longest_index
 
     # -- geometry -------------------------------------------------------------
 
