@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -425,11 +424,12 @@ def _text_chunks(fmt: str, head: dict, labels: list[str], lengths: list[int] | N
 
 
 def _weyl_chunks(graph, fmt: str, lam: Vector | None) -> Iterator[str]:
-    """A Bruhat or quantum Bruhat graph, vertex c labelled by the element reps[c].
+    """A Bruhat or quantum Bruhat graph, vertex c being the coset or element c.
 
-    Vertices are ordered by (length, element).  An edge's key is its root and
-    degree; its area pairs lam with the degree (quantum) or with the root's
-    coroot (Bruhat).
+    Vertices are exported in order of (length, element), which is their own
+    order: the enumeration is breadth-first and cosets are numbered by their
+    minimal representatives.  An edge's key is its root and degree; its area
+    pairs lam with the degree (quantum) or with the root's coroot (Bruhat).
     """
     weyl = graph.weyl
     rs = weyl.rs
@@ -438,32 +438,25 @@ def _weyl_chunks(graph, fmt: str, lam: Vector | None) -> Iterator[str]:
     if isinstance(graph, BruhatGraph):
         reps = graph.parabolic.coset_reps
         head = {"kind": "bruhat", "s_p": list(graph.parabolic.s_p), "directed": False}
-        edges = graph.edges
         area_coefficients = rs.signed_cocoefficients
-
-        def leaving(c):  # edges are sorted, so those with u = c form one run
-            run = edges[bisect_left(edges, (c,)):bisect_left(edges, (c + 1,))]
-            return [(v, a, deg) for _u, v, a, deg in run]
+        # The edges are sorted, so those leaving each vertex form one run.
+        leaving = ((u, [(v, a, deg) for _u, v, a, deg in run])
+                   for u, run in itertools.groupby(graph.edges, key=itemgetter(0)))
     else:
         reps = range(len(weyl))
         head = {"kind": "quantum", "directed": True}
-        leaving = graph.out.__getitem__
         area_coefficients = None  # the degree itself
-
+        leaving = enumerate(graph.out)
     lengths = [weyl.lengths[w] for w in reps]
-    order = sorted(range(len(reps)), key=lambda c: (lengths[c], reps[c]))
-    pos = [0] * len(order)
-    for i, c in enumerate(order):
-        pos[c] = i
-    # Edges leaving one vertex sort by the position of v, then by the root's
-    # coordinate strings; (u, v, root) never repeats.
+    if sorted(reps, key=lambda w: (weyl.lengths[w], w)) != list(reps):
+        raise ConsistencyError("graph vertices are not in order of (length, element)")
+    # The edges leaving a vertex sort by v, then by the root's coordinate
+    # strings; (u, v, root) never repeats.
     by_strs = sorted(rs.positive, key=lambda a: vector_strs(rs.roots[a]))
     root_rank = {a: i for i, a in enumerate(by_strs)}
-    rows = (
-        (u, [(v, key) for v, _r, key in sorted(
-            (pos[v], root_rank[a], (a, deg)) for v, a, deg in leaving(c))])
-        for u, c in enumerate(order)
-    )
+    rows = ((u, [(v, (a, deg)) for v, _r, a, deg in sorted(
+                (v, root_rank[a], a, deg) for v, a, deg in out)])
+            for u, out in leaving)
 
     def edge_fields(key):
         a, deg = key
@@ -474,8 +467,8 @@ def _weyl_chunks(graph, fmt: str, lam: Vector | None) -> Iterator[str]:
         return fields
 
     head.update(family=rs.family, rank=rs.rank)
-    return _text_chunks(fmt, head, [weyl.word_label(reps[c]) for c in order],
-                        [lengths[c] for c in order], rows, edge_fields)
+    return _text_chunks(fmt, head, [weyl.word_label(w) for w in reps], lengths, rows,
+                        edge_fields)
 
 
 def _cayley_chunks(graph: WeightedCayleyGraph, fmt: str) -> Iterator[str]:
