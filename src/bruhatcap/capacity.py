@@ -22,10 +22,10 @@ from operator import mul
 
 from . import linalg
 from .errors import ConsistencyError, ValidationError
-from .graphs import Degree, bruhat_graph, d_min, degree_pairing, min_path_area, quantum_bruhat_graph
+from .graphs import Degree, d_min, degree_pairing, min_path_area, quantum_bruhat_graph
 from .linalg import Vector, vec
 from .rootsystem import RootSystem, build, rational_str, vector_strs
-from .weyl import DEFAULT_GROUP_CAP, WeylGroup, generate, perm_absolute_length
+from .weyl import DEFAULT_GROUP_CAP, ParabolicData, WeylGroup, generate, perm_absolute_length
 
 DEFAULT_CONFIRM_CAP = 2000
 
@@ -169,8 +169,12 @@ class W0Decomposition:
         return len(self.root_indices)
 
 
+_DECOMPOSITIONS: dict[tuple[str, int], W0Decomposition] = {}
+
+
 def w0_decomposition(rs: RootSystem) -> W0Decomposition:
-    """The per-type decomposition of w0 into orthogonal reflections.
+    """The per-type decomposition of w0 into orthogonal reflections, validated
+    once per type and cached (root indexing is canonical).
 
     Five independent checks guard the transcribed data: the entries are
     positive roots, pairwise orthogonal, their reflections compose to w0
@@ -180,6 +184,14 @@ def w0_decomposition(rs: RootSystem) -> W0Decomposition:
     reflection permutations of the root indices, so no Weyl group
     enumeration is needed (E8 included).
     """
+    key = (rs.family, rs.rank)
+    got = _DECOMPOSITIONS.get(key)
+    if got is None:
+        got = _DECOMPOSITIONS[key] = _validated_decomposition(rs)
+    return got
+
+
+def _validated_decomposition(rs: RootSystem) -> W0Decomposition:
     vectors = _decomposition_vectors(rs.family, rs.rank)
     indices = []
     for v in vectors:
@@ -369,30 +381,44 @@ def table_row(rs: RootSystem, lam: Vector,
 # Orchestration
 
 
-def confirm_upper(weyl: WeylGroup):
+@dataclass(frozen=True)
+class UpperCheck:
     """The graph confirmation of the upper bound for regular weights of one type.
 
-    Builds the quantum Bruhat graph, d_min(w0, e) and the Bruhat graph on W
-    once, and returns check(lam, upper) -> (d_min degree, Dijkstra area),
-    which raises ConsistencyError unless the decomposition sum `upper`, the
-    pairing of lam with d_min(w0, e) and the minimal path area agree exactly.
+    check(lam, upper) -> (d_min degree, Dijkstra area) raises ConsistencyError
+    unless the decomposition sum `upper`, the pairing of lam with d_min(w0, e)
+    and the minimal Bruhat-graph path area from e to w0 agree exactly.
     """
-    rs = weyl.rs
-    degree, _length = d_min(quantum_bruhat_graph(weyl), weyl.longest_index, weyl.identity_index)
-    pd = weyl.parabolic(())
-    graph = bruhat_graph(weyl, pd)
-    src, dst = pd.coset_of[weyl.identity_index], pd.coset_of[weyl.longest_index]
 
-    def check(lam: Vector, upper: Fraction) -> tuple[Degree, Fraction]:
-        pairing = degree_pairing(rs, lam, degree)
-        area = min_path_area(graph, lam, src, dst)
+    degree: Degree               # d_min(w0, e)
+    parabolic: ParabolicData     # W/W_P for S_P empty: the full flag
+
+    def __call__(self, lam: Vector, upper: Fraction) -> tuple[Degree, Fraction]:
+        pd = self.parabolic
+        weyl = pd.weyl
+        pairing = degree_pairing(weyl.rs, lam, self.degree)
+        area = min_path_area(pd, lam, pd.coset_of[weyl.identity_index],
+                             pd.coset_of[weyl.longest_index])
         if not pairing == upper == area:
             raise ConsistencyError(
                 f"upper-bound triangle failed for regular lambda: "
                 f"decomposition {upper}, d_min pairing {pairing}, Dijkstra {area}"
             )
-        return degree, area
+        return self.degree, area
 
+
+def confirm_upper(weyl: WeylGroup) -> UpperCheck:
+    """The UpperCheck of a Weyl group, built on first use and kept on the group.
+
+    d_min(w0, e) comes from a quantum Bruhat graph built for it and then
+    dropped; Postnikov's uniqueness check raises ConsistencyError there, and
+    a failed build is not kept.
+    """
+    check = weyl.derived.get("confirm_upper")
+    if check is None:
+        degree, _length = d_min(quantum_bruhat_graph(weyl), weyl.longest_index,
+                                weyl.identity_index)
+        check = weyl.derived["confirm_upper"] = UpperCheck(degree, weyl.parabolic(()))
     return check
 
 
@@ -439,7 +465,10 @@ def hz_bounds(family: str, rank: int, lam, *, confirm_cap: int = DEFAULT_CONFIRM
               group_cap: int = DEFAULT_GROUP_CAP) -> CapacityBounds:
     """Full pipeline: root system, decomposition, bounds and, for groups
     small enough to enumerate, independent graph confirmations of the upper
-    bound (quantum d_min from w0 and the Bruhat-graph minimal path area)."""
+    bound (quantum d_min from w0 and the Bruhat-graph minimal path area).
+
+    Everything weight-free is built once per type and kept: the root system,
+    the decomposition, the group, its cosets and the upper-bound checker."""
     rs = build(family, rank)
     lam_input = vec(lam)
     lam_used = checked_weight(rs, lam_input)
@@ -471,9 +500,8 @@ def hz_bounds(family: str, rank: int, lam, *, confirm_cap: int = DEFAULT_CONFIRM
             checks["dmin_consistent"] = True
         else:
             pd = weyl.parabolic(parabolic_positions(rs, lam_used))
-            graph = bruhat_graph(weyl, pd)
             area = min_path_area(
-                graph, lam_used,
+                pd, lam_used,
                 pd.coset_of[weyl.identity_index], pd.coset_of[weyl.longest_index],
             )
             # For degenerate orbits the minimal parabolic path area may drop

@@ -22,7 +22,7 @@ from typing import Iterator, Mapping
 from .errors import ConsistencyError, SizeLimitError, ValidationError
 from .linalg import Vector, vec
 from .rootsystem import RootSystem, rational_str, scaled, vector_strs
-from .weyl import ParabolicData, WeylGroup
+from .weyl import ParabolicData, Table, WeylGroup
 
 DEFAULT_CAYLEY_CAP = 7
 
@@ -89,7 +89,8 @@ class BruhatGraph:
 
 
 def bruhat_graph(weyl: WeylGroup, parabolic: ParabolicData | None = None) -> BruhatGraph:
-    """All edges u -- u*s_alpha mod W_P for alpha in R+ - R+_P.
+    """All edges u -- u*s_alpha mod W_P for alpha in R+ - R+_P, materialised
+    for export; min_path_area reads the same edges from the reflection tables.
 
     Each torus-invariant curve is emitted once, from its smaller endpoint;
     distinct roots joining the same coset pair stay as distinct edges.
@@ -113,21 +114,51 @@ def bruhat_graph(weyl: WeylGroup, parabolic: ParabolicData | None = None) -> Bru
     return BruhatGraph(parabolic=pd, edges=edges)
 
 
-def min_path_area(graph: BruhatGraph, lam: Vector, src: int, dst: int) -> Fraction:
-    """Dijkstra over edge areas <lam, coroot(alpha)>; exact minimal total area."""
-    rs = graph.weyl.rs
+class _TableNeighbours:
+    """The Bruhat graph on W/W_P as _dijkstra reads it: the neighbours of coset
+    u are the cosets of rep(u) * s_alpha, read from the reflection tables, each
+    with the integer area of alpha."""
+
+    def __init__(self, parabolic: ParabolicData, steps: list[tuple[Table, int]]):
+        self.coset_of = parabolic.coset_of
+        self.reps = parabolic.coset_reps
+        self.steps = steps
+
+    def __len__(self) -> int:
+        return len(self.reps)
+
+    def __getitem__(self, u: int) -> list[tuple[int, int]]:
+        rep, coset_of = self.reps[u], self.coset_of
+        return [(coset_of[t[rep]], w) for t, w in self.steps]
+
+
+def min_path_area(parabolic: ParabolicData, lam: Vector, src: int, dst: int) -> Fraction:
+    """The exact minimal total area <lam, coroot(alpha)> of a path from coset
+    src to coset dst in the Bruhat graph on W/W_P.
+
+    The edges are not materialised: Dijkstra steps from coset u to the coset
+    of rep(u) * s_alpha for each alpha in R+ - R+_P, read from the group's
+    reflection tables.  That area is the same from every element of the coset
+    only when lam pairs to zero with S_P, so any other lam is refused.
+    """
+    weyl = parabolic.weyl
+    rs = weyl.rs
     labels, scale = rs.scaled_labels(lam)
-    areas: dict[int, int] = {}
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(graph.n_vertices)]
-    for u, v, a, _deg in graph.edges:
-        w = areas.get(a)
-        if w is None:
-            w = areas[a] = sum(map(mul, rs.signed_cocoefficients(a), labels))
-            if w < 0:
-                raise ValidationError("negative edge area; lambda is not dominant")
-        adj[u].append((v, w))
-        adj[v].append((u, w))
-    d = _dijkstra(adj, src, dst)
+    if any(labels[k] for k in parabolic.s_p):
+        raise ValidationError(
+            "lambda must pair to zero with every simple root of S_P "
+            f"{tuple(k + 1 for k in parabolic.s_p)}: edge areas on W/W_P are not well defined"
+        )
+    rp = set(parabolic.rp_plus)
+    steps = []
+    for a in rs.positive:
+        if a in rp:
+            continue
+        w = sum(map(mul, rs.signed_cocoefficients(a), labels))
+        if w < 0:
+            raise ValidationError("negative edge area; lambda is not dominant")
+        steps.append((weyl.reflection_table(a), w))
+    d = _dijkstra(_TableNeighbours(parabolic, steps), src, dst)
     if d is None:
         raise ConsistencyError("Bruhat graph is disconnected; this cannot happen for valid input")
     return Fraction(d, scale)

@@ -9,6 +9,7 @@ groups I, EJC 9, 2002); the table u -> u * s_alpha of any positive root
 follows in one pass over W.  The graphs read their edges from these tables,
 and the cosets of W/W_P are the orbits w W_P under the tables of S_P, taken
 in the breadth-first order, so each opens at its minimal-length element.
+Tables and cosets are built on first use and kept on the group.
 """
 
 from __future__ import annotations
@@ -66,9 +67,11 @@ def _require_within_cap(rs: RootSystem, cap: int) -> None:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParabolicData:
-    """Coset structure of W/W_P for a subset S_P of the simple roots."""
+    """Coset structure of W/W_P for a subset S_P of the simple roots.
+
+    Built once per S_P and shared by every caller, so it is immutable."""
 
     weyl: "WeylGroup"
     s_p: tuple[int, ...]            # positions into the simple-root list
@@ -139,6 +142,10 @@ class WeylGroup:
 
         self._reflection_tables: dict[int, Table] = {}
         self._abs_len: dict[int, int] = {}
+        self._parabolics: dict[tuple[int, ...], ParabolicData] = {}
+        # Weight-free results that other modules derive from the group once
+        # and keep with it, by name (capacity keeps its upper-bound checker).
+        self.derived: dict[str, object] = {}
 
     # -- construction helpers ------------------------------------------------
 
@@ -215,9 +222,14 @@ class WeylGroup:
     # -- parabolic quotients ----------------------------------------------------
 
     def parabolic(self, s_p: tuple[int, ...] | list[int]) -> ParabolicData:
-        """Coset data for W/W_P, where S_P is given by simple-root positions."""
+        """Coset data for W/W_P, where S_P is given by simple-root positions.
+
+        Built once per S_P and cached on the group."""
         rs = self.rs
         sp = tuple(sorted(set(s_p)))
+        got = self._parabolics.get(sp)
+        if got is not None:
+            return got
         if any(k < 0 or k >= rs.rank for k in sp):
             raise ValidationError(f"S_P positions {sp} out of range for rank {rs.rank}")
         free = tuple(k for k in range(rs.rank) if k not in sp)
@@ -256,7 +268,7 @@ class WeylGroup:
             raise ConsistencyError(
                 f"parabolic data broken: {len(coset_reps)} cosets x |W_P|={len(wp)} != |W|={len(self.perms)}"
             )
-        return ParabolicData(
+        got = self._parabolics[sp] = ParabolicData(
             weyl=self,
             s_p=sp,
             free_simple=free,
@@ -265,6 +277,7 @@ class WeylGroup:
             coset_of=tuple(coset_of),
             coset_reps=tuple(coset_reps),
         )
+        return got
 
 
 _GROUP_CACHE: dict[tuple[str, int], WeylGroup] = {}

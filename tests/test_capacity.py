@@ -1,10 +1,13 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bruhatcap import capacity, graphs
+from bruhatcap import weyl as weyl_module
 from bruhatcap import (
     ConsistencyError,
     ValidationError,
@@ -25,6 +28,7 @@ from bruhatcap import (
     upper_bound,
     w0_decomposition,
 )
+from bruhatcap.capacity import confirm_upper
 from bruhatcap.checks import TABLE_TYPES
 from bruhatcap.linalg import dot, solve_columns, vec
 
@@ -446,6 +450,73 @@ def test_hz_bounds_big_group_skips_confirmation():
     b = hz_bounds("B", 5, [5, 4, 3, 2, 1])
     assert b.checks["dmin_consistent"] is None
     assert b.d_min_degree is None
+
+
+CONFIRMED_TYPES = [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("F", 4)]
+
+
+def _counted(counts, name, fn):
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def test_hz_bounds_builds_weight_free_data_once_per_type(monkeypatch):
+    # Fresh groups, so no checker or coset data is kept from earlier tests.
+    monkeypatch.setattr(weyl_module, "_GROUP_CACHE", {})
+    counts = Counter()
+    monkeypatch.setattr(capacity, "quantum_bruhat_graph",
+                        _counted(counts, "quantum", graphs.quantum_bruhat_graph))
+    monkeypatch.setattr(capacity, "d_min", _counted(counts, "d_min", graphs.d_min))
+    monkeypatch.setattr(weyl_module, "ParabolicData",
+                        _counted(counts, "cosets", weyl_module.ParabolicData))
+    for module in (graphs, capacity):
+        monkeypatch.setattr(module, "bruhat_graph",
+                            _counted(counts, "bruhat", graphs.bruhat_graph), raising=False)
+    for fam, rank in CONFIRMED_TYPES:
+        rs = build(fam, rank)
+        regular = dominant_from_pairings(rs, range(1, rank + 1))
+        singular = dominant_from_pairings(rs, [0] + list(range(2, rank + 1)))
+        first, second = hz_bounds(fam, rank, regular), hz_bounds(fam, rank, regular)
+        assert first.as_dict() == second.as_dict()
+        assert second.checks["dmin_consistent"] is True
+        w = generate(rs)
+        full_flag = w.parabolic(())
+        assert confirm_upper(w).parabolic is full_flag
+        assert hz_bounds(fam, rank, singular).as_dict() == hz_bounds(fam, rank, singular).as_dict()
+        assert w.parabolic((0,)) is w.parabolic([0])
+    n = len(CONFIRMED_TYPES)
+    assert counts == {"quantum": n, "d_min": n, "cosets": 2 * n}
+
+
+def test_kept_checker_raises_on_wrong_upper(b3):
+    check = confirm_upper(generate(b3))
+    assert confirm_upper(generate(b3)) is check
+    lam = dominant_from_pairings(b3, [1, 2, 3])
+    upper = upper_bound(b3, lam, w0_decomposition(b3))
+    assert check(lam, upper) == (check.degree, upper)
+    with pytest.raises(ConsistencyError, match="triangle"):
+        check(lam, upper + 1)
+    assert check(lam, upper) == (check.degree, upper)
+
+
+def test_d_min_failure_is_not_kept(monkeypatch, b3):
+    w = weyl_module.WeylGroup(b3)
+    counts = Counter()
+
+    def failing(graph, u, v):
+        counts["d_min"] += 1
+        raise ConsistencyError("shortest-path degree must be unique")
+
+    monkeypatch.setattr(capacity, "d_min", failing)
+    for _ in range(2):
+        with pytest.raises(ConsistencyError, match="unique"):
+            confirm_upper(w)
+    assert counts["d_min"] == 2
+    monkeypatch.undo()
+    check = confirm_upper(w)
+    assert confirm_upper(w) is check
 
 
 def test_hz_bounds_as_dict_rationals_are_strings():

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bruhatcap import (
-    BruhatGraph,
     ConsistencyError,
     SizeLimitError,
     ValidationError,
@@ -29,6 +28,7 @@ from bruhatcap import (
     transposition_distance_formula,
     unitary_capacity,
 )
+from bruhatcap.weyl import WeylGroup
 from bruhatcap.graphs import d_min_all, random_walk_degree
 from bruhatcap.linalg import vec
 from weyl_ops import compose
@@ -142,7 +142,7 @@ def test_bruhat_grassmannian_figure(w_a3):
     assert areas == {c}
     src = pd.coset_of[w_a3.identity_index]
     dst = pd.coset_of[w_a3.longest_index]
-    assert min_path_area(g, lam, src, dst) == 2 * c
+    assert min_path_area(pd, lam, src, dst) == 2 * c
 
 
 def test_bruhat_zero_area_roots_are_not_edges(w_a3):
@@ -162,8 +162,8 @@ def test_min_path_area_a2_regular(w_a2):
     g = bruhat_graph(w_a2, pd)
     src = pd.coset_of[w_a2.identity_index]
     dst = pd.coset_of[w_a2.longest_index]
-    assert min_path_area(g, lam, src, dst) == lam[0] - lam[2]
-    assert min_path_area(g, lam, src, src) == 0
+    assert min_path_area(pd, lam, src, dst) == lam[0] - lam[2]
+    assert min_path_area(pd, lam, src, src) == 0
 
 
 def _all_simple_path_areas(g, lam, src, dst):
@@ -198,7 +198,7 @@ def test_min_path_area_matches_exhaustive_enumeration(fam, rank, lam):
     g = bruhat_graph(w, pd)
     src = pd.coset_of[w.identity_index]
     dst = pd.coset_of[w.longest_index]
-    got = min_path_area(g, vec(lam), src, dst)
+    got = min_path_area(pd, vec(lam), src, dst)
     areas = _all_simple_path_areas(g, vec(lam), src, dst)
     assert got == min(areas)
     assert all(got <= a for a in areas)
@@ -242,11 +242,17 @@ def test_min_path_area_rank3_bounded_enumeration(fam, rank, lam, cap):
     g = bruhat_graph(w, pd)
     src = pd.coset_of[w.identity_index]
     dst = pd.coset_of[w.longest_index]
-    got = min_path_area(g, vec(lam), src, dst)
+    got = min_path_area(pd, vec(lam), src, dst)
     areas = _bounded_simple_path_areas(g, vec(lam), src, dst, cap)
     assert areas
     assert got == min(areas)
     assert all(got <= a for a in areas)
+
+
+def _labels_for(rank: int, s_p: tuple[int, ...]) -> tuple:
+    """Dynkin labels zero on S_P and, elsewhere, with denominators 2 and 3."""
+    free = (Fraction(1, 2), Fraction(1, 3), Fraction(5, 2), Fraction(4, 3))
+    return tuple(0 if k in s_p else free[k % len(free)] for k in range(rank))
 
 
 @pytest.mark.parametrize("fam,rank,labels", [
@@ -256,33 +262,58 @@ def test_min_path_area_rank3_bounded_enumeration(fam, rank, lam, cap):
     ("B", 2, (0, Fraction(5, 3))),
     ("G", 2, (Fraction(1, 3), Fraction(1, 2))),
     ("G", 2, (Fraction(3, 2), 0)),
+] + [
+    # every S_P of these types
+    (fam, rank, _labels_for(rank, s_p))
+    for fam, rank in (("A", 3), ("B", 3), ("C", 3), ("G", 2))
+    for size in range(rank + 1)
+    for s_p in combinations(range(rank), size)
 ])
 def test_min_path_area_matches_networkx_for_every_coset_pair(fam, rank, labels):
-    # Dynkin labels with denominators 2 and 3; a zero label gives a parabolic graph
+    # Dynkin labels with denominators 2 and 3; zero labels give a parabolic
+    # graph.  The oracle runs on the materialised edge list, min_path_area
+    # on the reflection tables.
     nx = pytest.importorskip("networkx")
     rs = build(fam, rank)
     w = generate(rs)
     lam = dominant_from_pairings(rs, labels)
-    g = bruhat_graph(w, w.parabolic(parabolic_positions(rs, lam)))
+    pd = w.parabolic(parabolic_positions(rs, lam))
+    g = bruhat_graph(w, pd)
     oracle = nx.MultiGraph()
     oracle.add_nodes_from(range(g.n_vertices))
     for u, v, a, _deg in g.edges:
         oracle.add_edge(u, v, weight=rs.pairing(lam, a))
     for src, expected in nx.all_pairs_dijkstra_path_length(oracle):
         for dst in range(g.n_vertices):
-            assert min_path_area(g, lam, src, dst) == expected[dst]
+            assert min_path_area(pd, lam, src, dst) == expected[dst]
 
 
 def test_min_path_area_rejects_non_dominant_weight(w_a2):
-    g = bruhat_graph(w_a2)
+    pd = w_a2.parabolic(())
     with pytest.raises(ValidationError, match="not dominant"):
-        min_path_area(g, vec([0, 1, 2]), 0, g.n_vertices - 1)
+        min_path_area(pd, vec([0, 1, 2]), 0, pd.n_cosets - 1)
 
 
-def test_min_path_area_disconnected_graph(w_a2):
-    cut = BruhatGraph(parabolic=w_a2.parabolic(()), edges=[])
-    with pytest.raises(ConsistencyError, match="disconnected"):
-        min_path_area(cut, vec([2, 1, 0]), 0, 1)
+def test_min_path_area_rejects_weight_nonzero_on_s_p(w_a3):
+    # On W/W_P an edge's area is well defined only for lam fixed by W_P.
+    pd = w_a3.parabolic((0, 2))
+    with pytest.raises(ValidationError, match="S_P"):
+        min_path_area(pd, vec([3, 2, 1, 0]), 0, pd.n_cosets - 1)
+    assert min_path_area(pd, vec([2, 2, 0, 0]), 0, pd.n_cosets - 1) == 4
+
+
+def test_min_path_area_disconnected_graph(monkeypatch):
+    # Cut what the Dijkstra reads: with every reflection table the identity,
+    # no coset has a neighbour.
+    rs = build("A", 2)
+    w = WeylGroup(rs)
+    identity = tuple(range(len(w)))
+    monkeypatch.setattr(w, "reflection_table", lambda a: identity)
+    for s_p in ((), (0,)):
+        pd = w.parabolic(s_p)
+        lam = vec([2, 2, 0]) if s_p else vec([2, 1, 0])
+        with pytest.raises(ConsistencyError, match="disconnected"):
+            min_path_area(pd, lam, 0, pd.n_cosets - 1)
 
 
 # -- quantum Bruhat graph --------------------------------------------------------
