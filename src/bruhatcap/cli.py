@@ -49,14 +49,27 @@ def default_table_lambda(rs) -> tuple[Fraction, ...]:
     return capacity.dominant_from_pairings(rs, [rs.rank - i for i in range(rs.rank)])
 
 
+def _detach_stdout() -> None:
+    """Point stdout at devnull, so that the flush at exit does not fail again."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _emit(text: str | Iterable[str], path: str | None) -> None:
     """Write text, or a stream of text chunks, to the file at path or to stdout.
 
     The file is opened only here, after the command has checked its input,
-    so a refused input leaves an existing file untouched."""
+    so a refused input leaves an existing file untouched.  Stdout is flushed
+    here, so a failed write shows as an error here, not at exit."""
     chunks = (text,) if isinstance(text, str) else text
     if not path:
-        sys.stdout.writelines(chunks)
+        try:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            raise  # the reader went away: not an error of this command
+        except OSError as exc:
+            _detach_stdout()
+            raise ValidationError(f"cannot write <stdout>: {exc.strerror or exc}") from None
         return
     try:
         with open(path, "w", encoding="utf-8") as fh:
@@ -323,16 +336,12 @@ def main(argv=None) -> int:
     try:
         # build_parser reads BC_GROUP_CAP, which can be malformed
         args = build_parser().parse_args(argv)
-        code = args.func(args)
-        sys.stdout.flush()  # a closed pipe shows here, not at exit
-        return code
+        return args.func(args)
     except BruhatCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:
-        # The reader of stdout went away.  Point stdout at devnull so that
-        # the flush at exit does not fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _detach_stdout()  # the reader of stdout went away
         return 1
 
 

@@ -316,3 +316,18 @@ def test_closed_stdout_pipe_exits_without_a_traceback():
     assert head.startswith(b'{\n  "directed": true,')
     assert code == 1
     assert err == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ("capacity", "-t", "A", "-r", "2", "--lambda", "2,1,0"),
+    ("graph", "quantum", "-t", "A", "-r", "2"),
+])
+def test_full_stdout_is_a_clean_error(argv):
+    # Every write to /dev/full fails with ENOSPC.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "bruhatcap.cli", *argv], env=env,
+                              stdout=full, stderr=subprocess.PIPE, timeout=60, check=False)
+    assert proc.returncode == 1
+    assert proc.stderr == b"error: cannot write <stdout>: No space left on device\n"
