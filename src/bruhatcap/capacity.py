@@ -27,7 +27,7 @@ from .linalg import Vector, vec
 from .rootsystem import RootSystem, build, rational_str, vector_strs
 from .weyl import DEFAULT_GROUP_CAP, ParabolicData, WeylGroup, generate, perm_absolute_length
 
-DEFAULT_CONFIRM_CAP = 2000
+DEFAULT_CONFIRM_CAP = 25_000
 
 HALF = Fraction(1, 2)
 TWO_THIRDS = Fraction(2, 3)

@@ -447,7 +447,8 @@ def test_hz_bounds_wrong_length():
 
 
 def test_hz_bounds_big_group_skips_confirmation():
-    b = hz_bounds("B", 5, [5, 4, 3, 2, 1])
+    assert build("B", 6).weyl_order > capacity.DEFAULT_CONFIRM_CAP
+    b = hz_bounds("B", 6, [6, 5, 4, 3, 2, 1])
     assert b.checks["dmin_consistent"] is None
     assert b.d_min_degree is None
 
