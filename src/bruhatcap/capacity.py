@@ -414,12 +414,11 @@ def confirm_upper(weyl: WeylGroup) -> UpperCheck:
     dropped; Postnikov's uniqueness check raises ConsistencyError there, and
     a failed build is not kept.
     """
-    check = weyl.derived.get("confirm_upper")
-    if check is None:
+    if weyl.upper_check is None:
         degree, _length = d_min(quantum_bruhat_graph(weyl), weyl.longest_index,
                                 weyl.identity_index)
-        check = weyl.derived["confirm_upper"] = UpperCheck(degree, weyl.parabolic(()))
-    return check
+        weyl.upper_check = UpperCheck(degree, weyl.parabolic(()))
+    return weyl.upper_check
 
 
 @dataclass

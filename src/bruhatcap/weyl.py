@@ -143,9 +143,8 @@ class WeylGroup:
         self._reflection_tables: dict[int, Table] = {}
         self._abs_len: dict[int, int] = {}
         self._parabolics: dict[tuple[int, ...], ParabolicData] = {}
-        # Weight-free results that other modules derive from the group once
-        # and keep with it, by name (capacity keeps its upper-bound checker).
-        self.derived: dict[str, object] = {}
+        # The checker capacity.confirm_upper builds for this group, kept with it.
+        self.upper_check = None
 
     # -- construction helpers ------------------------------------------------
 
