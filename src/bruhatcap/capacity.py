@@ -11,6 +11,10 @@ coroot coefficients; the upper and lower bounds return a single Fraction.
 The coweight xi of the oscillation bound is still paired with the roots in
 ambient coordinates, and closed_form_table works in ambient coordinates, as
 the independent oracle.
+
+The graphs confirm the upper bound once per type, as d_min(w0, e) = the sum
+of the decomposition coroots (w0_degree), and per weight by one Dijkstra from
+e to w0 on W/W_P (confirm_upper).
 """
 
 from __future__ import annotations
@@ -22,10 +26,10 @@ from operator import mul
 
 from . import linalg
 from .errors import ConsistencyError, ValidationError
-from .graphs import Degree, d_min, degree_pairing, min_path_area, quantum_bruhat_graph
+from .graphs import Degree, d_min, min_path_area, quantum_bruhat_graph
 from .linalg import Vector, vec
 from .rootsystem import RootSystem, build, rational_str, vector_strs
-from .weyl import DEFAULT_GROUP_CAP, ParabolicData, WeylGroup, generate, perm_absolute_length
+from .weyl import DEFAULT_GROUP_CAP, WeylGroup, generate, perm_absolute_length
 
 DEFAULT_CONFIRM_CAP = 25_000
 
@@ -170,6 +174,7 @@ class W0Decomposition:
 
 
 _DECOMPOSITIONS: dict[tuple[str, int], W0Decomposition] = {}
+_W0_DEGREES: dict[tuple[str, int], Degree] = {}  # d_min(w0, e), filled by w0_degree
 
 
 def w0_decomposition(rs: RootSystem) -> W0Decomposition:
@@ -381,44 +386,40 @@ def table_row(rs: RootSystem, lam: Vector,
 # Orchestration
 
 
-@dataclass(frozen=True)
-class UpperCheck:
-    """The graph confirmation of the upper bound for regular weights of one type.
+def w0_degree(weyl: WeylGroup) -> Degree:
+    """d_min(w0, e), from a quantum Bruhat graph built for it and dropped;
+    checked once per type and cached, and a failed build is not kept.
 
-    check(lam, upper) -> (d_min degree, Dijkstra area) raises ConsistencyError
-    unless the decomposition sum `upper`, the pairing of lam with d_min(w0, e)
-    and the minimal Bruhat-graph path area from e to w0 agree exactly.
-    """
-
-    degree: Degree               # d_min(w0, e)
-    parabolic: ParabolicData     # W/W_P for S_P empty: the full flag
-
-    def __call__(self, lam: Vector, upper: Fraction) -> tuple[Degree, Fraction]:
-        pd = self.parabolic
-        weyl = pd.weyl
-        pairing = degree_pairing(weyl.rs, lam, self.degree)
-        area = min_path_area(pd, lam, pd.coset_of[weyl.identity_index],
-                             pd.coset_of[weyl.longest_index])
-        if not pairing == upper == area:
-            raise ConsistencyError(
-                f"upper-bound triangle failed for regular lambda: "
-                f"decomposition {upper}, d_min pairing {pairing}, Dijkstra {area}"
-            )
-        return self.degree, area
+    The pairing is linear, so <lam, d_min(w0, e)> is the decomposition sum
+    for every lam exactly when d_min(w0, e) is the sum of the decomposition
+    coroots: ConsistencyError unless it is, or if Postnikov's uniqueness check
+    fails."""
+    rs = weyl.rs
+    key = (rs.family, rs.rank)
+    got = _W0_DEGREES.get(key)
+    if got is None:
+        got, _length = d_min(quantum_bruhat_graph(weyl), weyl.longest_index,
+                             weyl.identity_index)
+        dec = w0_decomposition(rs)
+        coroots = tuple(map(sum, zip(*map(rs.coroot_coefficients, dec.root_indices))))
+        if got != coroots:
+            raise ConsistencyError(f"{rs.family}{rs.rank}: d_min(w0, e) = {got} but "
+                                   f"the decomposition coroots sum to {coroots}")
+        _W0_DEGREES[key] = got
+    return got
 
 
-def confirm_upper(weyl: WeylGroup) -> UpperCheck:
-    """The UpperCheck of a Weyl group, built on first use and kept on the group.
-
-    d_min(w0, e) comes from a quantum Bruhat graph built for it and then
-    dropped; Postnikov's uniqueness check raises ConsistencyError there, and
-    a failed build is not kept.
-    """
-    if weyl.upper_check is None:
-        degree, _length = d_min(quantum_bruhat_graph(weyl), weyl.longest_index,
-                                weyl.identity_index)
-        weyl.upper_check = UpperCheck(degree, weyl.parabolic(()))
-    return weyl.upper_check
+def confirm_upper(weyl: WeylGroup, lam: Vector, upper: Fraction) -> Fraction:
+    """The minimal Bruhat-graph path area from e to w0 on W/W_P, S_P the
+    stabilizer of lam; for a regular lam, ConsistencyError unless it is `upper`."""
+    s_p = parabolic_positions(weyl.rs, lam)
+    pd = weyl.parabolic(s_p)
+    area = min_path_area(pd, lam, pd.coset_of[weyl.identity_index],
+                         pd.coset_of[weyl.longest_index])
+    if not s_p and area != upper:
+        raise ConsistencyError(f"upper-bound triangle failed for regular lambda: "
+                               f"decomposition {upper}, Dijkstra {area}")
+    return area
 
 
 @dataclass
@@ -463,11 +464,12 @@ class CapacityBounds:
 def hz_bounds(family: str, rank: int, lam, *, confirm_cap: int = DEFAULT_CONFIRM_CAP,
               group_cap: int = DEFAULT_GROUP_CAP) -> CapacityBounds:
     """Full pipeline: root system, decomposition, bounds and, for groups
-    small enough to enumerate, independent graph confirmations of the upper
-    bound (quantum d_min from w0 and the Bruhat-graph minimal path area).
+    small enough to enumerate, graph confirmations of the upper bound: the
+    per-type identity d_min(w0, e) = sum of the decomposition coroots
+    (w0_degree), and one Dijkstra per weight on W/W_P (confirm_upper).
 
     Everything weight-free is built once per type and kept: the root system,
-    the decomposition, the group, its cosets and the upper-bound checker."""
+    the decomposition, d_min(w0, e), the group and its cosets."""
     rs = build(family, rank)
     lam_input = vec(lam)
     lam_used = checked_weight(rs, lam_input)
@@ -495,17 +497,11 @@ def hz_bounds(family: str, rank: int, lam, *, confirm_cap: int = DEFAULT_CONFIRM
     if rs.weyl_order <= confirm_cap:
         weyl = generate(rs, cap=group_cap)
         if regular:
-            d_deg, area = confirm_upper(weyl)(lam_used, upper)
-            checks["dmin_consistent"] = True
-        else:
-            pd = weyl.parabolic(parabolic_positions(rs, lam_used))
-            area = min_path_area(
-                pd, lam_used,
-                pd.coset_of[weyl.identity_index], pd.coset_of[weyl.longest_index],
-            )
-            # For degenerate orbits the minimal parabolic path area may drop
-            # below the regular-orbit upper bound; report, do not hide.
-            checks["dmin_consistent"] = area == upper
+            d_deg = w0_degree(weyl)
+        area = confirm_upper(weyl, lam_used, upper)
+        # For degenerate orbits the minimal parabolic path area may drop
+        # below the regular-orbit upper bound; report, do not hide.
+        checks["dmin_consistent"] = area == upper
 
     return CapacityBounds(
         family=rs.family,

@@ -188,18 +188,20 @@ def check_postnikov(seed: int = 0, walk_samples: int = 1000,
 
 def check_triangle(seed: int = 0, samples: int = 3,
                    types: tuple = TRIANGLE_TYPES) -> CheckResult:
-    """For regular weights: decomposition sum = <lam, d_min(w0,e)> = Dijkstra min area."""
+    """Per type, d_min(w0, e) = the sum of the decomposition coroots; for
+    regular weights, decomposition sum = Dijkstra min area."""
     t0 = time.perf_counter()
     rng = random.Random(seed)
     tested = 0
     for fam, rank in types:
         rs = build(fam, rank)
         dec = capacity.w0_decomposition(rs)
-        confirm = capacity.confirm_upper(generate(rs))
+        weyl = generate(rs)
         for _ in range(samples):
             lam = capacity.random_dominant(rs, rng, regular=True)
             try:
-                confirm(lam, capacity.upper_bound(rs, lam, dec))
+                capacity.w0_degree(weyl)  # computed and checked on the first sample
+                capacity.confirm_upper(weyl, lam, capacity.upper_bound(rs, lam, dec))
             except ConsistencyError as exc:
                 return _result("triangle", t0, False, f"{fam}{rank} lambda={lam}: {exc}")
             tested += 1

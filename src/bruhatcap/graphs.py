@@ -21,7 +21,7 @@ from typing import Iterator, Mapping
 
 from .errors import ConsistencyError, SizeLimitError, ValidationError
 from .linalg import Vector, vec
-from .rootsystem import RootSystem, rational_str, scaled, vector_strs
+from .rootsystem import rational_str, scaled, vector_strs
 from .weyl import ParabolicData, Table, WeylGroup
 
 DEFAULT_CAYLEY_CAP = 7
@@ -36,12 +36,6 @@ def degree_leq(c: Degree, d: Degree) -> bool:
 
 def degree_add(c: Degree, d: Degree) -> Degree:
     return tuple(a + b for a, b in zip(c, d))
-
-
-def degree_pairing(rs: RootSystem, lam: Vector, degree: Degree) -> Fraction:
-    """sum_k degree[k] * <lam, coroot(alpha_k)>: the area of a path of that degree."""
-    labels, scale = rs.scaled_labels(lam)
-    return Fraction(sum(map(mul, degree, labels)), scale)
 
 
 def _dijkstra(adj, src: int, dst: int | None = None):
@@ -267,10 +261,11 @@ def random_walk_degree(graph: QuantumBruhatGraph, rng, u: int, steps: int) -> tu
 
 @lru_cache(maxsize=None)
 def _cayley_frame(n: int) -> tuple:
-    """The sorted permutations of S_n (the identity first), their index, the swaps
-    i < j of positions, and per vertex its neighbour under each swap, in swap order.
+    """The permutations of S_n in lexicographic order, as itertools emits them
+    (the identity first), their index, the swaps i < j of positions, and per
+    vertex its neighbour under each swap, in swap order.
     Built once per n: callers check n against their cap first."""
-    perms = tuple(sorted(itertools.permutations(range(1, n + 1))))
+    perms = tuple(itertools.permutations(range(1, n + 1)))
     index = {p: i for i, p in enumerate(perms)}
     swaps = tuple(itertools.combinations(range(n), 2))
     neighbours = tuple(

@@ -143,8 +143,6 @@ class WeylGroup:
         self._reflection_tables: dict[int, Table] = {}
         self._abs_len: dict[int, int] = {}
         self._parabolics: dict[tuple[int, ...], ParabolicData] = {}
-        # The checker capacity.confirm_upper builds for this group, kept with it.
-        self.upper_check = None
 
     # -- construction helpers ------------------------------------------------
 

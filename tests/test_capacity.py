@@ -28,7 +28,7 @@ from bruhatcap import (
     upper_bound,
     w0_decomposition,
 )
-from bruhatcap.capacity import confirm_upper
+from bruhatcap.capacity import confirm_upper, w0_degree
 from bruhatcap.checks import TABLE_TYPES
 from bruhatcap.linalg import dot, solve_columns, vec
 
@@ -62,6 +62,37 @@ def test_dominant_from_pairings_round_trip(g2):
 def test_w0_decomposition_validates(fam, rank):
     dec = w0_decomposition(build(fam, rank))
     assert len(dec) >= 1
+
+
+def _kostant_cascade(rs) -> set[int]:
+    """Kostant's cascade of strongly orthogonal roots: the highest root of each
+    irreducible component, then the cascade of the roots orthogonal to it."""
+    out: set[int] = set()
+    pending = [set(rs.positive)]
+    while pending:
+        # Irreducible components: connected under non-orthogonality.
+        unseen = pending.pop()
+        while unseen:
+            component = [unseen.pop()]
+            for a in component:
+                linked = {b for b in unseen if dot(rs.roots[a], rs.roots[b]) != 0}
+                unseen -= linked
+                component += linked
+            top = max(sum(rs.root_coefficients(a)) for a in component)
+            (highest,) = [a for a in component if sum(rs.root_coefficients(a)) == top]
+            out.add(highest)
+            rest = {a for a in component if dot(rs.roots[a], rs.roots[highest]) == 0}
+            if rest:
+                pending.append(rest)
+    return out
+
+
+@pytest.mark.parametrize("fam,rank", list(TABLE_TYPES) + [("A", 1), ("B", 7), ("D", 7), ("D", 8)])
+def test_w0_decomposition_is_kostant_cascade(fam, rank):
+    # An independent oracle for the transcribed data, as a set: the printed
+    # order differs from the cascade's for B, D, E and G.
+    rs = build(fam, rank)
+    assert set(w0_decomposition(rs).root_indices) == _kostant_cascade(rs)
 
 
 def test_w0_decomposition_c3_example():
@@ -464,8 +495,9 @@ def _counted(counts, name, fn):
 
 
 def test_hz_bounds_builds_weight_free_data_once_per_type(monkeypatch):
-    # Fresh groups, so no checker or coset data is kept from earlier tests.
+    # Fresh groups and degrees, so no d_min(w0, e) or coset data is kept from earlier tests.
     monkeypatch.setattr(weyl_module, "_GROUP_CACHE", {})
+    monkeypatch.setattr(capacity, "_W0_DEGREES", {})
     counts = Counter()
     monkeypatch.setattr(capacity, "quantum_bruhat_graph",
                         _counted(counts, "quantum", graphs.quantum_bruhat_graph))
@@ -483,41 +515,61 @@ def test_hz_bounds_builds_weight_free_data_once_per_type(monkeypatch):
         assert first.as_dict() == second.as_dict()
         assert second.checks["dmin_consistent"] is True
         w = generate(rs)
-        full_flag = w.parabolic(())
-        assert confirm_upper(w).parabolic is full_flag
+        assert second.d_min_degree is w0_degree(w)
         assert hz_bounds(fam, rank, singular).as_dict() == hz_bounds(fam, rank, singular).as_dict()
         assert w.parabolic((0,)) is w.parabolic([0])
     n = len(CONFIRMED_TYPES)
     assert counts == {"quantum": n, "d_min": n, "cosets": 2 * n}
 
 
-def test_kept_checker_raises_on_wrong_upper(b3):
-    check = confirm_upper(generate(b3))
-    assert confirm_upper(generate(b3)) is check
+def test_confirm_upper_raises_on_wrong_upper(b3):
+    w = generate(b3)
     lam = dominant_from_pairings(b3, [1, 2, 3])
     upper = upper_bound(b3, lam, w0_decomposition(b3))
-    assert check(lam, upper) == (check.degree, upper)
+    assert confirm_upper(w, lam, upper) == upper
     with pytest.raises(ConsistencyError, match="triangle"):
-        check(lam, upper + 1)
-    assert check(lam, upper) == (check.degree, upper)
+        confirm_upper(w, lam, upper + 1)
+    assert confirm_upper(w, lam, upper) == upper
+    # A singular weight's area is returned, not checked against upper.
+    singular = dominant_from_pairings(b3, [0, 2, 3])
+    area = confirm_upper(w, singular, upper_bound(b3, singular, w0_decomposition(b3)))
+    assert confirm_upper(w, singular, area + 1) == area
+
+
+def _failed_w0_degree_is_not_kept(monkeypatch, rs, fake_d_min, match):
+    monkeypatch.setattr(capacity, "_W0_DEGREES", {})
+    w = weyl_module.WeylGroup(rs)
+    counts = Counter()
+
+    def counted(graph, u, v):
+        counts["d_min"] += 1
+        return fake_d_min(graph, u, v)
+
+    monkeypatch.setattr(capacity, "d_min", counted)
+    for _ in range(2):
+        with pytest.raises(ConsistencyError, match=match):
+            w0_degree(w)
+    assert counts["d_min"] == 2
+    assert capacity._W0_DEGREES == {}
+    monkeypatch.setattr(capacity, "d_min", graphs.d_min)
+    degree = w0_degree(w)
+    assert w0_degree(w) is degree
+    assert capacity._W0_DEGREES == {(rs.family, rs.rank): degree}
 
 
 def test_d_min_failure_is_not_kept(monkeypatch, b3):
-    w = weyl_module.WeylGroup(b3)
-    counts = Counter()
-
     def failing(graph, u, v):
-        counts["d_min"] += 1
         raise ConsistencyError("shortest-path degree must be unique")
 
-    monkeypatch.setattr(capacity, "d_min", failing)
-    for _ in range(2):
-        with pytest.raises(ConsistencyError, match="unique"):
-            confirm_upper(w)
-    assert counts["d_min"] == 2
-    monkeypatch.undo()
-    check = confirm_upper(w)
-    assert confirm_upper(w) is check
+    _failed_w0_degree_is_not_kept(monkeypatch, b3, failing, "unique")
+
+
+def test_wrong_w0_degree_is_refused_and_not_kept(monkeypatch, b3):
+    def off_by_one(graph, u, v):
+        degree, length = graphs.d_min(graph, u, v)
+        return (degree[0] + 1,) + degree[1:], length
+
+    _failed_w0_degree_is_not_kept(monkeypatch, b3, off_by_one, "coroots sum to")
 
 
 def test_hz_bounds_as_dict_rationals_are_strings():
