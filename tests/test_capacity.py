@@ -120,6 +120,22 @@ def test_w0_decomposition_a1_trivial():
     assert dec.vectors == (vec([1, -1]),)
 
 
+@pytest.mark.parametrize("fam,rank,vectors,match", [
+    pytest.param("A", 2, [vec([-1, 0, 1])], "not a positive root", id="negative-root"),
+    pytest.param("A", 2, [vec([1, -1, 0]), vec([0, 1, -1])], "not orthogonal",
+                 id="non-orthogonal"),
+    # B3's w0 is the product of three orthogonal reflections; two fix a root
+    pytest.param("B", 3, [vec([1, -1, 0]), vec([1, 1, 0])], "product is not w0",
+                 id="root-dropped"),
+])
+def test_tampered_decomposition_is_refused(monkeypatch, fam, rank, vectors, match):
+    monkeypatch.setattr(capacity, "_DECOMPOSITIONS", {})
+    monkeypatch.setattr(capacity, "_decomposition_vectors", lambda family, r: vectors)
+    with pytest.raises(ConsistencyError, match=match):
+        w0_decomposition(build(fam, rank))
+    assert capacity._DECOMPOSITIONS == {}
+
+
 @pytest.mark.parametrize("fam,rank,lt", [
     ("A", 3, 2), ("A", 4, 2), ("B", 4, 4), ("B", 5, 5), ("C", 5, 5),
     ("D", 5, 4), ("D", 6, 6), ("E", 6, 4), ("E", 7, 7), ("E", 8, 8),

@@ -4,8 +4,9 @@ from itertools import combinations
 
 import pytest
 
-from bruhatcap import SizeLimitError, ValidationError, build, generate
-from bruhatcap.linalg import vec
+from bruhatcap import ConsistencyError, SizeLimitError, ValidationError, WeylGroup, build, generate
+from bruhatcap import weyl as weyl_module
+from bruhatcap.linalg import neg, vec
 from weyl_ops import compose, inverse, inversion_count
 
 ENUMERABLE = (
@@ -76,6 +77,16 @@ def test_longest_element_stated_maps(w_b3, w_a2):
     p = w_a2.perms[w_a2.longest_index]
     for j, r in enumerate(rs.roots):
         assert rs.roots[p[j]] == tuple(reversed(r))
+
+
+@pytest.mark.parametrize("fam,rank,wrong", [
+    pytest.param("B", 3, lambda v: v, id="B3-identity"),  # w0 is -id
+    pytest.param("A", 2, neg, id="A2-negation"),  # w0 reverses the coordinates
+])
+def test_wrong_stated_longest_map_is_refused(monkeypatch, fam, rank, wrong):
+    monkeypatch.setattr(weyl_module, "stated_longest_map", lambda family, r: wrong)
+    with pytest.raises(ConsistencyError, match="stated ambient map"):
+        WeylGroup(build(fam, rank))
 
 
 def test_a1_longest_is_the_reflection():
