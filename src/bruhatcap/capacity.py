@@ -29,7 +29,7 @@ from .errors import ConsistencyError, ValidationError
 from .graphs import Degree, d_min, min_path_area, quantum_bruhat_graph
 from .linalg import Vector, vec
 from .rootsystem import RootSystem, build, rational_str, vector_strs
-from .weyl import DEFAULT_GROUP_CAP, WeylGroup, generate, perm_absolute_length
+from .weyl import DEFAULT_GROUP_CAP, WeylGroup, generate, key_absolute_length
 
 DEFAULT_CONFIRM_CAP = 25_000
 
@@ -224,7 +224,7 @@ def _validated_decomposition(rs: RootSystem) -> W0Decomposition:
             f"(does not map all positive roots to negative roots)"
         )
 
-    fixed_codim = perm_absolute_length(rs, product)
+    fixed_codim = key_absolute_length(rs, [product[s] for s in rs.simple])
     if fixed_codim != len(vectors):
         raise ConsistencyError(
             f"decomposition data for {rs.family}{rs.rank}: {len(vectors)} reflections "

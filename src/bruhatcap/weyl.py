@@ -1,22 +1,22 @@
 """Weyl groups, enumerated once, with right-multiplication tables.
 
-Each element is stored as a permutation of the canonical root indices, from
-which inversion sets and the action on the root span read off directly, and
-is looked up by the images of the `rank` simple roots, which determine it.
-The breadth-first enumeration keeps u * s_i for every element u and simple
-reflection s_i as the table right[i] (Casselman, Computation in Coxeter
-groups I, EJC 9, 2002); the table u -> u * s_alpha of any positive root
-follows in one pass over W.  The graphs read their edges from these tables,
-and the cosets of W/W_P are the orbits w W_P under the tables of S_P, taken
-in the breadth-first order, so each opens at its minimal-length element.
-Tables and cosets are built on first use and kept on the group.
+Each element is encoded only by its key, the root indices of the images of
+the `rank` simple roots, which determine it.  The breadth-first enumeration
+derives the key of u * s_i from that of u, and keeps u * s_i for every
+element u and simple reflection s_i as the table right[i] (Casselman,
+Computation in Coxeter groups I, EJC 9, 2002); the table u -> u * s_alpha of
+any positive root follows in one pass over W.  No element keeps a root
+permutation: only the 2|R+| reflections do.  The graphs read their edges
+from these tables, and the cosets of W/W_P are the orbits w W_P under the
+tables of S_P, taken in the breadth-first order, so each opens at its
+minimal-length element.  Tables and cosets are built on first use and kept
+on the group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 
 from . import linalg
 from .errors import ConsistencyError, SizeLimitError, ValidationError
@@ -24,7 +24,7 @@ from .rootsystem import RootSystem
 
 DEFAULT_GROUP_CAP = 10_000_000
 
-Perm = tuple[int, ...]
+Key = tuple[int, ...]  # root indices of the images of the simple roots
 Table = tuple[int, ...]  # entry u is the index of u * s for one reflection s
 
 
@@ -46,14 +46,14 @@ def stated_longest_map(family: str, rank: int):
     return None
 
 
-def perm_absolute_length(rs: RootSystem, perm: Perm) -> int:
-    """Minimal number of reflections whose product acts as the root permutation perm.
+def key_absolute_length(rs: RootSystem, key: Key) -> int:
+    """Minimal number of reflections whose product sends the simple roots to key.
 
     Computed as the codimension of the fixed subspace inside the root span:
     the rank of M - I, where the columns of M are the simple-root
     coefficients of the images of the simple roots.
     """
-    cols = [rs.signed_coefficients(perm[s]) for s in rs.simple]
+    cols = [rs.signed_coefficients(k) for k in key]
     return linalg.rank([
         [Fraction(cols[j][k] - (j == k)) for j in range(rs.rank)] for k in range(rs.rank)
     ])
@@ -92,42 +92,39 @@ class WeylGroup:
     def __init__(self, rs: RootSystem, cap: int = DEFAULT_GROUP_CAP):
         _require_within_cap(rs, cap)
         self.rs = rs
-        gens = [rs.reflection_perm(i) for i in rs.simple]
-        # u * s_g sends root k where u sends gens[g][k]; its key reads u at
-        # the images of the simple roots under s_g.
-        steps = [(tuple(gp[s] for s in rs.simple), itemgetter(*gp)) for gp in gens]
-        identity: Perm = tuple(range(len(rs.roots)))
-        perms: list[Perm] = [identity]
-        index: dict[tuple[int, ...], int] = {rs.simple: 0}  # keyed by simple-root images
+        refl = self._refl = [rs.reflection_perm(r) for r in range(len(rs.roots))]
+        keys: list[Key] = [rs.simple]
+        index: dict[Key, int] = {rs.simple: 0}
         lengths = [0]
         parents: list[tuple[int, int]] = [(-1, -1)]
-        right: list[list[int]] = [[] for _ in gens]
-        # Breadth-first: the loop visits elements in the order they are
-        # appended, so right[g] fills in element order.
-        for wi, wp in enumerate(perms):
-            for g, ((key_at, apply), row) in enumerate(zip(steps, right)):
-                key = tuple(map(wp.__getitem__, key_at))
-                j = index.get(key)
+        right: list[list[int]] = [[] for _ in rs.simple]
+        # u s_g u^-1 is the reflection in u(alpha_g), so u * s_g sends alpha_k
+        # to that reflection of u(alpha_k).  Breadth-first: the loop visits
+        # elements in the order they are appended, so right[g] fills in
+        # element order.
+        for wi, key in enumerate(keys):
+            for g, row in enumerate(right):
+                child = tuple(map(refl[key[g]].__getitem__, key))
+                j = index.get(child)
                 if j is None:
-                    j = index[key] = len(perms)
-                    perms.append(apply(wp))
+                    j = index[child] = len(keys)
+                    keys.append(child)
                     lengths.append(lengths[wi] + 1)
                     parents.append((wi, g))
-                    if len(perms) > cap:
+                    if len(keys) > cap:
                         raise SizeLimitError(f"{rs.family}{rs.rank}: enumeration exceeded cap {cap:,}")
                 row.append(j)
-        if len(perms) != rs.weyl_order:
+        if len(keys) != rs.weyl_order:
             raise ConsistencyError(
-                f"{rs.family}{rs.rank}: enumerated {len(perms)} elements, expected {rs.weyl_order}"
+                f"{rs.family}{rs.rank}: enumerated {len(keys)} elements, expected {rs.weyl_order}"
             )
-        self.perms = perms
+        self.keys = keys  # element index -> key
         self.index = index
         self.lengths = lengths
         self.parents = parents
         self.identity_index = 0
         self.simple_elements = tuple(row[0] for row in right)
         self.right: tuple[Table, ...] = tuple(map(tuple, right))
-        self._simple_perms = gens
 
         top = max(lengths)
         longest = [i for i, l in enumerate(lengths) if l == top]
@@ -141,29 +138,27 @@ class WeylGroup:
         self._verify_longest_map()
 
         self._reflection_tables: dict[int, Table] = {}
-        self._abs_len: dict[int, int] = {}
         self._parabolics: dict[tuple[int, ...], ParabolicData] = {}
 
     # -- construction helpers ------------------------------------------------
 
     def _verify_longest_map(self) -> None:
-        stated = stated_longest_map(self.rs.family, self.rs.rank)
+        """w0 and its stated map are linear, so agreeing on the simple roots
+        they agree on every root."""
+        rs = self.rs
+        stated = stated_longest_map(rs.family, rs.rank)
         if stated is None:
             return
-        perm = self.perms[self.longest_index]
-        for j, root in enumerate(self.rs.roots):
-            if self.rs.index[stated(root)] != perm[j]:
+        for s, image in zip(rs.simple, self.keys[self.longest_index]):
+            if rs.index.get(stated(rs.roots[s])) != image:
                 raise ConsistencyError(
-                    f"{self.rs.family}{self.rs.rank}: w0 does not act as its stated ambient map"
+                    f"{rs.family}{rs.rank}: w0 does not act as its stated ambient map"
                 )
 
     # -- group structure ------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.perms)
-
-    def length(self, i: int) -> int:
-        return self.lengths[i]
+        return len(self.keys)
 
     def word(self, i: int) -> tuple[int, ...]:
         """A reduced word for element i (simple-root positions, from the BFS tree)."""
@@ -200,8 +195,8 @@ class WeylGroup:
         else:
             height = sum(rs.signed_coefficients(root_idx))
             g, beta = next(
-                (g, gp[root_idx]) for g, gp in enumerate(self._simple_perms)
-                if sum(rs.signed_coefficients(gp[root_idx])) < height
+                (g, beta) for g, beta in enumerate(self._refl[s][root_idx] for s in rs.simple)
+                if sum(rs.signed_coefficients(beta)) < height
             )
             ri, tb = self.right[g], self.reflection_table(beta)
             table = tuple(map(ri.__getitem__, map(tb.__getitem__, ri)))
@@ -212,9 +207,7 @@ class WeylGroup:
 
     def absolute_length(self, i: int) -> int:
         """Minimal number of arbitrary reflections expressing element i."""
-        if i not in self._abs_len:
-            self._abs_len[i] = perm_absolute_length(self.rs, self.perms[i])
-        return self._abs_len[i]
+        return key_absolute_length(self.rs, self.keys[i])
 
     # -- parabolic quotients ----------------------------------------------------
 
@@ -240,9 +233,9 @@ class WeylGroup:
         # BFS order lengths never decrease, so the element that opens a coset
         # is its minimal-length representative; the identity opens W_P itself.
         gens = [self.right[k] for k in sp]
-        coset_of = [-1] * len(self.perms)
+        coset_of = [-1] * len(self)
         coset_reps: list[int] = []
-        for w in range(len(self.perms)):
+        for w in range(len(self)):
             if coset_of[w] >= 0:
                 continue
             cid = len(coset_reps)
@@ -261,9 +254,9 @@ class WeylGroup:
             if cid == 0:
                 wp = orbit
 
-        if len(coset_reps) * len(wp) != len(self.perms):
+        if len(coset_reps) * len(wp) != len(self):
             raise ConsistencyError(
-                f"parabolic data broken: {len(coset_reps)} cosets x |W_P|={len(wp)} != |W|={len(self.perms)}"
+                f"parabolic data broken: {len(coset_reps)} cosets x |W_P|={len(wp)} != |W|={len(self)}"
             )
         got = self._parabolics[sp] = ParabolicData(
             weyl=self,

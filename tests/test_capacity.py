@@ -31,6 +31,7 @@ from bruhatcap import (
 from bruhatcap.capacity import confirm_upper, w0_degree
 from bruhatcap.checks import TABLE_TYPES
 from bruhatcap.linalg import dot, solve_columns, vec
+from weyl_ops import root_perms
 
 RNG_SEED = 20260809
 
@@ -308,7 +309,7 @@ def test_oscillation_identity_small_types():
             # in the root span, where the action is determined by the roots
             simples = rs.simple_vectors()
             coords = solve_columns(simples, lam)
-            p = weyl.perms[weyl.longest_index]
+            p = root_perms(weyl)[weyl.longest_index]
             w0lam = [Fraction(0)] * rs.ambient_dim
             for c, s in zip(coords, rs.simple):
                 img = rs.roots[p[s]]

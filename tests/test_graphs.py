@@ -31,7 +31,7 @@ from bruhatcap import (
 from bruhatcap.weyl import WeylGroup
 from bruhatcap.graphs import d_min_all, random_walk_degree
 from bruhatcap.linalg import vec
-from weyl_ops import compose
+from weyl_ops import compose, root_perms
 
 # -- Bruhat graph ---------------------------------------------------------------
 
@@ -61,10 +61,11 @@ def _composed(weyl):
     """u * s_alpha for every element u and positive root alpha, by composing
     root permutations and looking the product up by its whole permutation."""
     rs = weyl.rs
-    index = {p: i for i, p in enumerate(weyl.perms)}
+    perms = root_perms(weyl)
+    index = {p: i for i, p in enumerate(perms)}
     refl = {a: rs.reflection_perm(a) for a in rs.positive}
     return {(u, a): index[tuple(p[k] for k in refl[a])]
-            for u, p in enumerate(weyl.perms) for a in rs.positive}
+            for u, p in enumerate(perms) for a in rs.positive}
 
 
 def _composed_bruhat_edges(weyl, pd, product):

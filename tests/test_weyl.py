@@ -7,7 +7,7 @@ import pytest
 from bruhatcap import ConsistencyError, SizeLimitError, ValidationError, WeylGroup, build, generate
 from bruhatcap import weyl as weyl_module
 from bruhatcap.linalg import neg, vec
-from weyl_ops import compose, inverse, inversion_count
+from weyl_ops import compose, inverse, inversion_count, root_perms
 
 ENUMERABLE = (
     [("A", r) for r in range(1, 5)]
@@ -57,24 +57,24 @@ def test_longest_element_length(fam, rank):
 def test_longest_element_stated_maps(w_b3, w_a2):
     # B3: w0 = -id on R^3
     rs = w_b3.rs
-    p = w_b3.perms[w_b3.longest_index]
+    p = root_perms(w_b3)[w_b3.longest_index]
     for j, r in enumerate(rs.roots):
         assert rs.roots[p[j]] == tuple(-x for x in r)
     # D3 (odd): w0 fixes the sign of the last coordinate
     d3 = build("D", 3)
     wd3 = generate(d3)
-    p = wd3.perms[wd3.longest_index]
+    p = root_perms(wd3)[wd3.longest_index]
     for j, r in enumerate(d3.roots):
         assert d3.roots[p[j]] == tuple(-x for x in r[:-1]) + (r[-1],)
     # D4 (even): w0 = -id
     d4 = build("D", 4)
     wd4 = generate(d4)
-    p = wd4.perms[wd4.longest_index]
+    p = root_perms(wd4)[wd4.longest_index]
     for j, r in enumerate(d4.roots):
         assert d4.roots[p[j]] == tuple(-x for x in r)
     # A2: w0 reverses coordinates
     rs = w_a2.rs
-    p = w_a2.perms[w_a2.longest_index]
+    p = root_perms(w_a2)[w_a2.longest_index]
     for j, r in enumerate(rs.roots):
         assert rs.roots[p[j]] == tuple(reversed(r))
 
@@ -104,7 +104,7 @@ def test_compose_inverse_identity(w_b2):
 
 def test_perm_commutes_with_negation(w_b3):
     rs = w_b3.rs
-    for p in w_b3.perms:
+    for p in root_perms(w_b3):
         for j in range(len(rs.roots)):
             assert p[rs.neg_of[j]] == rs.neg_of[p[j]]
 
@@ -257,17 +257,31 @@ def test_right_multiplication_matches_root_permutations(fam, rank):
     # and the multiplication tables name the same products
     rs = build(fam, rank)
     w = generate(rs)
+    perms = root_perms(w)
     for a in rs.positive:
         s = w.reflection(a)
         refl = rs.reflection_perm(a)
         table = w.reflection_table(a)
         assert len(table) == len(w)
-        for u, p in enumerate(w.perms):
-            assert w.perms[compose(w, u, s)] == tuple(p[k] for k in refl)
+        for u, p in enumerate(perms):
+            assert perms[compose(w, u, s)] == tuple(p[k] for k in refl)
             assert table[u] == compose(w, u, s)
     for g, row in enumerate(w.right):
         assert row == w.reflection_table(rs.simple[g])
         assert list(row) == [compose(w, u, w.simple_elements[g]) for u in range(len(w))]
+
+
+@pytest.mark.parametrize("fam,rank", [
+    ("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("F", 4),
+])
+def test_keys_are_the_simple_root_images_of_the_root_permutations(fam, rank):
+    rs = build(fam, rank)
+    w = generate(rs)
+    perms = root_perms(w)
+    assert len(w.keys) == len(perms) == len(w)
+    for i, (key, p) in enumerate(zip(w.keys, perms)):
+        assert key == tuple(p[s] for s in rs.simple)
+        assert w.index[key] == i
 
 
 def test_reflection_table_refuses_a_negative_root(w_b2):

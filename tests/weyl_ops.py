@@ -1,23 +1,42 @@
 """Group operations on an enumerated WeylGroup that only the tests need.
 
-An element is determined by the images of the simple roots, so a product or
-an inverse is looked up in `WeylGroup.index` by those images.
+The group keeps each element as its key, the images of the simple roots.
+These oracles work on whole root permutations instead, composed once per
+group along the enumeration tree, and look a product or an inverse up in
+`WeylGroup.index` by the images of the simple roots.
 """
+
+from functools import cache
+from operator import itemgetter
+
+
+@cache
+def root_perms(weyl) -> tuple[tuple[int, ...], ...]:
+    """The root permutation of every element: element i = parent * s_g sends
+    root k where its parent sends s_g(k).  Parents precede their children in
+    the enumeration, so one pass in index order composes them all."""
+    rs = weyl.rs
+    steps = [itemgetter(*rs.reflection_perm(s)) for s in rs.simple]
+    perms = [tuple(range(len(rs.roots)))]
+    for parent, g in weyl.parents[1:]:
+        perms.append(steps[g](perms[parent]))
+    return tuple(perms)
 
 
 def compose(weyl, i: int, j: int) -> int:
     """Index of w_i * w_j (apply w_j first)."""
-    pi, pj = weyl.perms[i], weyl.perms[j]
+    perms = root_perms(weyl)
+    pi, pj = perms[i], perms[j]
     return weyl.index[tuple(pi[pj[s]] for s in weyl.rs.simple)]
 
 
 def inverse(weyl, i: int) -> int:
-    p = weyl.perms[i]
+    p = root_perms(weyl)[i]
     return weyl.index[tuple(map(p.index, weyl.rs.simple))]
 
 
 def inversion_count(weyl, i: int) -> int:
     """|{beta in R+ : w(beta) < 0}|."""
-    p = weyl.perms[i]
+    p = root_perms(weyl)[i]
     pos = weyl.rs.is_positive
     return sum(1 for b in weyl.rs.positive if not pos[p[b]])
