@@ -21,7 +21,7 @@ from typing import Iterator, Mapping
 
 from .errors import ConsistencyError, SizeLimitError, ValidationError
 from .linalg import Vector, vec
-from .rootsystem import rational_str, scaled, vector_strs
+from .rootsystem import RootSystem, rational_str, scaled, vector_strs
 from .weyl import ParabolicData, Table, WeylGroup
 
 DEFAULT_CAYLEY_CAP = 7
@@ -126,6 +126,20 @@ class _TableNeighbours:
         return [(coset_of[t[rep]], w) for t, w in self.steps]
 
 
+def _area_labels(rs: RootSystem, lam: Vector, s_p) -> tuple[tuple[int, ...], int]:
+    """rs.scaled_labels(lam), refused unless every edge area on W/W_P is well
+    defined (zero labels on S_P) and nonnegative (no negative label)."""
+    labels, scale = rs.scaled_labels(lam)
+    if any(labels[k] for k in s_p):
+        raise ValidationError(
+            "lambda must pair to zero with every simple root of S_P "
+            f"{tuple(k + 1 for k in s_p)}: edge areas on W/W_P are not well defined"
+        )
+    if min(labels) < 0:
+        raise ValidationError("negative edge area; lambda is not dominant")
+    return labels, scale
+
+
 def min_path_area(parabolic: ParabolicData, lam: Vector, src: int, dst: int) -> Fraction:
     """The exact minimal total area <lam, coroot(alpha)> of a path from coset
     src to coset dst in the Bruhat graph on W/W_P.
@@ -133,25 +147,14 @@ def min_path_area(parabolic: ParabolicData, lam: Vector, src: int, dst: int) -> 
     The edges are not materialised: Dijkstra steps from coset u to the coset
     of rep(u) * s_alpha for each alpha in R+ - R+_P, read from the group's
     reflection tables.  That area is the same from every element of the coset
-    only when lam pairs to zero with S_P, so any other lam is refused.
+    only when lam pairs to zero with S_P; any other or non-dominant lam is refused.
     """
     weyl = parabolic.weyl
     rs = weyl.rs
-    labels, scale = rs.scaled_labels(lam)
-    if any(labels[k] for k in parabolic.s_p):
-        raise ValidationError(
-            "lambda must pair to zero with every simple root of S_P "
-            f"{tuple(k + 1 for k in parabolic.s_p)}: edge areas on W/W_P are not well defined"
-        )
+    labels, scale = _area_labels(rs, lam, parabolic.s_p)
     rp = set(parabolic.rp_plus)
-    steps = []
-    for a in rs.positive:
-        if a in rp:
-            continue
-        w = sum(map(mul, rs.signed_cocoefficients(a), labels))
-        if w < 0:
-            raise ValidationError("negative edge area; lambda is not dominant")
-        steps.append((weyl.reflection_table(a), w))
+    steps = [(weyl.reflection_table(a), sum(map(mul, rs.signed_cocoefficients(a), labels)))
+             for a in rs.positive if a not in rp]
     d = _dijkstra(_TableNeighbours(parabolic, steps), src, dst)
     if d is None:
         raise ConsistencyError("Bruhat graph is disconnected; this cannot happen for valid input")
@@ -456,12 +459,14 @@ def _weyl_chunks(graph, fmt: str, lam: Vector | None) -> Iterator[str]:
     order: the enumeration is breadth-first and cosets are numbered by their
     minimal representatives.  An edge's key is its root and degree; its area
     pairs lam with the degree (quantum) or with the root's coroot (Bruhat).
+    A lam is refused as min_path_area refuses it (S_P empty for quantum).
     """
     weyl = graph.weyl
     rs = weyl.rs
+    bruhat = isinstance(graph, BruhatGraph)
     if lam is not None:
-        dynkin, scale = rs.scaled_labels(lam)
-    if isinstance(graph, BruhatGraph):
+        dynkin, scale = _area_labels(rs, lam, graph.parabolic.s_p if bruhat else ())
+    if bruhat:
         reps = graph.parabolic.coset_reps
         head = {"kind": "bruhat", "s_p": list(graph.parabolic.s_p), "directed": False}
         area_coefficients = rs.signed_cocoefficients

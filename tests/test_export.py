@@ -22,6 +22,7 @@ from bruhatcap import (
     export,
     export_chunks,
     generate,
+    min_path_area,
     quantum_bruhat_graph,
 )
 from bruhatcap.errors import ValidationError
@@ -181,3 +182,23 @@ def test_export_chunks_checks_arguments_before_streaming():
         export_chunks(w, "json")
     with pytest.raises(ValidationError, match="dimension"):
         export_chunks(quantum_bruhat_graph(w), "json", lam=(Fraction(1), Fraction(0)))
+
+
+@pytest.mark.parametrize("kind,s_p,lam,match", [
+    # nonzero on S_P: an edge's area would depend on the coset representative
+    pytest.param("bruhat", (0,), (2, 1, 0), "S_P", id="bruhat-nonzero-on-S_P"),
+    pytest.param("bruhat", (), (0, 1, 2), "not dominant", id="bruhat-negative-label"),
+    pytest.param("quantum", (), (0, 1, 2), "not dominant", id="quantum-negative-label"),
+])
+def test_export_refuses_a_weight_min_path_area_refuses(kind, s_p, lam, match):
+    w = generate(build("A", 2))
+    pd = w.parabolic(s_p)
+    lam = tuple(map(Fraction, lam))
+    graph = bruhat_graph(w, pd) if kind == "bruhat" else quantum_bruhat_graph(w)
+    for fmt in ("json", "dot"):
+        with pytest.raises(ValidationError, match=match):
+            export_chunks(graph, fmt, lam=lam)
+        with pytest.raises(ValidationError, match=match):
+            export(graph, fmt, lam=lam)
+    with pytest.raises(ValidationError, match=match):
+        min_path_area(pd, lam, 0, pd.n_cosets - 1)
