@@ -1,10 +1,11 @@
 """Exact combinatorial bounds for the Hofer-Zehnder capacity of coadjoint
 orbits of compact simple Lie groups.
 
-The package builds root systems and Weyl groups with exact rational
-arithmetic, constructs Bruhat / quantum Bruhat / weighted Cayley graphs,
-and evaluates the path-degree upper bound and the coweight-optimization
-lower bound, together with the per-type closed-form table.
+The package builds root systems in integer simple-root coordinates and
+Weyl groups keyed by the images of the simple roots, constructs Bruhat /
+quantum Bruhat / weighted Cayley graphs, and evaluates the path-degree
+upper bound and the coweight-optimization lower bound, together with the
+per-type closed-form table.  Every result is an exact Fraction.
 """
 
 from .capacity import (
