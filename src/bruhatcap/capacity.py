@@ -28,7 +28,7 @@ from . import linalg
 from .errors import ConsistencyError, ValidationError
 from .graphs import Degree, d_min, min_path_area, quantum_bruhat_graph
 from .linalg import Vector, vec
-from .rootsystem import RootSystem, build, rational_str, vector_strs
+from .rootsystem import RootSystem, build, rational_str, scaled, vector_strs
 from .weyl import DEFAULT_GROUP_CAP, WeylGroup, generate, key_absolute_length
 
 DEFAULT_CONFIRM_CAP = 25_000
@@ -85,15 +85,11 @@ def dominant_from_pairings(rs: RootSystem, coeffs) -> Vector:
     """The weight in the root span with <lam, coroot(alpha_k)> = coeffs[k]."""
     if len(coeffs) != rs.rank:
         raise ValidationError(f"expected {rs.rank} chamber coordinates")
-    fw = rs.fundamental_weights()
-    lam = [Fraction(0)] * rs.ambient_dim
-    for c, w in zip(coeffs, fw):
-        c = Fraction(c)
-        if c < 0:
-            raise ValidationError("chamber coordinates must be nonnegative")
-        for i in range(rs.ambient_dim):
-            lam[i] += c * w[i]
-    return tuple(lam)
+    labels, scale = scaled([Fraction(c) for c in coeffs])
+    if any(c < 0 for c in labels):
+        raise ValidationError("chamber coordinates must be nonnegative")
+    rows, den = rs.fundamental_rows
+    return tuple(Fraction(sum(map(mul, labels, col)), den * scale) for col in zip(*rows))
 
 
 def random_dominant(rs: RootSystem, rng: random.Random, *, regular: bool = False,
@@ -105,12 +101,8 @@ def random_dominant(rs: RootSystem, rng: random.Random, *, regular: bool = False
 def random_positive_coweight(rs: RootSystem, rng: random.Random, *, max_coeff: int = 9) -> Vector:
     """A random vector in the interior of the positive coweight cone."""
     tau = rs.dual_basis()
-    xi = [Fraction(0)] * rs.ambient_dim
-    for t in tau:
-        c = Fraction(rng.randint(1, max_coeff))
-        for i in range(rs.ambient_dim):
-            xi[i] += c * t[i]
-    return tuple(xi)
+    coeffs = [rng.randint(1, max_coeff) for _ in tau]
+    return tuple(sum(map(mul, coeffs, col)) for col in zip(*tau))
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 The root kernel works in integer simple-root coordinates (see rootsystem);
 what is left here serves the ambient side: vectors and dot products, the
-one exact solve behind the fundamental weights, the dual basis and the
-projection onto the root span, and the rank behind absolute lengths.
-Everything is dense, rational and tiny (dimensions <= 9); no floating point
-is used anywhere in the package.
+integer inverse of the Cartan matrix behind the fundamental weights and
+the dual basis, the exact solve behind the projection onto the root span,
+and the rank behind absolute lengths.
+Everything is dense and exact; no floating point is used anywhere in the
+package.
 """
 
 from __future__ import annotations
@@ -76,6 +77,25 @@ def solve_columns(columns: Sequence[Vector], target: Sequence[Fraction]) -> tupl
     for r, c in zip(piv_rows, piv_cols):
         sol[c] = rows[r][n]
     return tuple(sol)
+
+
+def inverse(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """A square integer matrix's inverse as integer rows over one denominator (the
+    determinant up to sign), by one fraction-free Gauss-Jordan elimination of
+    [matrix | I] whose divisions are exact (Bareiss, Math. Comp. 22, 1968)."""
+    n = len(matrix)
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
+    last = 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if rows[i][k]), None)
+        if pivot is None:
+            raise ConsistencyError("inverse: singular matrix")
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        prow, d = rows[k], rows[k][k]
+        rows = [prow if i == k else [(d * a - row[k] * b) // last for a, b in zip(row, prow)]
+                for i, row in enumerate(rows)]
+        last = d
+    return [row[n:] for row in rows], last
 
 
 def rank(matrix: Sequence[Sequence[Fraction]]) -> int:

@@ -9,9 +9,11 @@ coefficients c_k^vee = c_k |alpha_k|^2 / |alpha|^2 and, on demand, each
 reflection as a permutation of root indices.  A weight is read once, as its
 Dynkin labels <lam, coroot(alpha_k)> over one common denominator
 (RootSystem.scaled_labels); its pairing with any root is then an integer
-sum over the coroot coefficients.  Ambient rational vectors are computed
-once per root, for input, output and the closed-form table; roots are
-indexed in their lexicographic order.
+sum over the coroot coefficients.  The build is integer too: the Gram and
+Cartan matrices, each root's ambient vector and norm, and the fundamental
+weights are integer sums over the simple roots scaled to integer rows over
+one denominator.  Fractions are made once per root coordinate, for input,
+output and the closed-form table; roots are indexed in lexicographic order.
 
 Coordinate conventions per type (the ones in which all closed-form bounds
 are stated):
@@ -27,15 +29,17 @@ are stated):
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial, gcd, lcm
-from operator import mul
+from operator import mul, sub
 
 from . import linalg
-from .errors import ConsistencyError, ValidationError
+from .errors import ConsistencyError, SizeLimitError, ValidationError
 from .linalg import Vector, vec
 
 HALF = Fraction(1, 2)
+# The largest rank built: `roots` and `capacity` of type B, C or D take about 3 s at it.
+MAX_RANK = 55
 
 _E8_SIMPLE: list[Vector] = [
     (HALF, -HALF, -HALF, -HALF, -HALF, -HALF, -HALF, HALF),
@@ -52,6 +56,8 @@ def _chain(dim: int, count: int) -> list[Vector]:
 def simple_root_vectors(family: str, rank: int) -> list[Vector]:
     """Simple roots of the chosen type in the standard realization."""
     fam = family.upper()
+    if rank > MAX_RANK:
+        raise SizeLimitError(f"rank {rank} is over the limit {MAX_RANK}")
     if fam == "A":
         if rank < 1:
             raise ValidationError("type A requires rank >= 1")
@@ -124,17 +130,6 @@ def scaled(values) -> tuple[tuple[int, ...], int]:
     return tuple(x.numerator * (scale // x.denominator) for x in values), scale
 
 
-def _combination(coords, vectors: list[Vector], dim: int) -> Vector:
-    """The ambient vector sum_k coords[k] * vectors[k]."""
-    out = [Fraction(0)] * dim
-    for c, v in zip(coords, vectors):
-        if c:
-            for d, x in enumerate(v):
-                if x:
-                    out[d] += c * x
-    return tuple(out)
-
-
 class RootSystem:
     """A simple root system over integer simple-root coordinates.
 
@@ -148,48 +143,64 @@ class RootSystem:
         simples = simple_root_vectors(fam, rank)
         self.family = fam
         self.rank = rank
-        self.ambient_dim = len(simples[0])
+        self.ambient_dim = dim = len(simples[0])
         self.weyl_order = weyl_group_order(fam, rank)
 
+        # The simple roots as integer rows over one denominator, alpha_k = rows[k] / den.
+        flat, den = scaled([x for a in simples for x in a])
+        rows = tuple(flat[k * dim:(k + 1) * dim] for k in range(rank))
+        self._rows, self._den = rows, den
+        gram = [[sum(map(mul, a, b)) for b in rows] for a in rows]  # den^2 (alpha_i, alpha_j)
+        self._gram = [[Fraction(g, den * den) for g in row] for row in gram]
         # C[i][j] = <alpha_j, coroot of alpha_i> = 2 (alpha_i, alpha_j) / (alpha_i, alpha_i)
-        self._gram = [[linalg.dot(a, b) for b in simples] for a in simples]
-        cartan = [[2 * g / row[i] for g in row] for i, row in enumerate(self._gram)]
-        if any(x.denominator != 1 for row in cartan for x in row):
-            raise ConsistencyError(f"{fam}{rank}: non-integral Cartan matrix {cartan}")
-        self._cartan = cartan = tuple(tuple(int(x) for x in row) for row in cartan)
-        # The simple coroots 2 alpha_k / |alpha_k|^2 as integer rows over one
-        # denominator, so that scaled_labels reads a weight in integers.
-        flat, self._label_denominator = scaled(
-            [2 * x / row[k] for k, (a, row) in enumerate(zip(simples, self._gram)) for x in a])
-        dim = self.ambient_dim
-        self._label_rows = tuple(flat[k * dim:(k + 1) * dim] for k in range(rank))
+        if any(2 * g % row[i] for i, row in enumerate(gram) for g in row):
+            raise ConsistencyError(f"{fam}{rank}: non-integral Cartan matrix, Gram matrix {self._gram}")
+        self._cartan = cartan = tuple(tuple(2 * g // row[i] for g in row) for i, row in enumerate(gram))
+        # The simple coroots 2 alpha_k / |alpha_k|^2 = 2 den rows[k] / gram[k][k] as integer
+        # rows over their least common denominator, so scaled_labels reads a weight in integers.
+        norms = [row[k] for k, row in enumerate(gram)]
+        self._label_denominator = scale = lcm(*(n // gcd(n, 2 * den * gcd(*r)) for n, r in zip(norms, rows)))
+        self._label_rows = tuple(tuple(2 * den * scale * x // n for x in r) for n, r in zip(norms, rows))
 
-        def simple_pairings(c: tuple[int, ...]) -> tuple[int, ...]:
-            """<beta, coroot of alpha_i> for each i, beta having coefficients c."""
-            return tuple(sum(cj * cij for cj, cij in zip(c, row)) for row in cartan)
-
-        # Close the simple roots under s_i(beta) = beta - <beta, coroot(alpha_i)> alpha_i,
-        # which changes only the i-th coefficient.
+        # Close the simple roots under s_i(beta) = beta - <beta, coroot(alpha_i)> alpha_i.  found
+        # maps each root's coefficients to den times its ambient vector and to its pairings
+        # <beta, coroot(alpha_j)>; s_i moves them by p times rows[i] and Cartan column i.
         units = [tuple(int(j == k) for j in range(rank)) for k in range(rank)]
-        found = set(units)
+        columns = list(zip(*cartan))
+        found = {u: (r, col) for u, r, col in zip(units, rows, columns)}
         queue = list(units)
         while queue:
             beta = queue.pop()
-            for i, p in enumerate(simple_pairings(beta)):
+            v, q = found[beta]
+            for i, p in enumerate(q):
                 if p:
                     image = beta[:i] + (beta[i] - p,) + beta[i + 1:]
                     if image not in found:
-                        found.add(image)
+                        found[image] = (tuple(map(sub, v, map(p.__mul__, rows[i]))),
+                                        tuple(map(sub, q, map(p.__mul__, columns[i]))))
                         queue.append(image)
-        ordered = sorted((_combination(c, simples, self.ambient_dim), c) for c in found)
+        # Over one positive denominator, integer vectors sort as the rational ones.
+        ordered = sorted((v, c, q) for c, (v, q) in found.items())
 
-        self.roots: tuple[Vector, ...] = tuple(r for r, _c in ordered)
+        # Signed integer coefficients of every coroot over the simple coroots:
+        # c_k^vee = c_k |alpha_k|^2 / |alpha|^2, by exact integer division.
+        cocoeffs = []
+        for v, cs, _q in ordered:
+            norm = sum(x * x for x in v)
+            co = [divmod(c * n, norm) for c, n in zip(cs, norms)]
+            if any(r for _q, r in co):
+                raise ConsistencyError(f"{fam}{rank}: non-integral coroot coefficients for root {cs}")
+            cocoeffs.append(tuple(q for q, _r in co))
+        self._cocoeffs: tuple[tuple[int, ...], ...] = tuple(cocoeffs)
+        # One Fraction per distinct coordinate value, shared by the roots.
+        fractions = {x: Fraction(x, den) for x in {x for v, _c, _q in ordered for x in v}}
+        self.roots: tuple[Vector, ...] = tuple(tuple(map(fractions.__getitem__, v)) for v, _c, _q in ordered)
         self.index: dict[Vector, int] = {r: i for i, r in enumerate(self.roots)}
         # Signed integer coefficients of every root over the simple roots.
-        self._coeffs: tuple[tuple[int, ...], ...] = tuple(c for _r, c in ordered)
-        self._coeff_index: dict[tuple[int, ...], int] = {c: i for i, c in enumerate(self._coeffs)}
+        self._coeffs: tuple[tuple[int, ...], ...] = tuple(c for _v, c, _q in ordered)
         # <root, coroot(alpha_i)> for every root and simple root i.
-        self._pairings: tuple[tuple[int, ...], ...] = tuple(simple_pairings(c) for c in self._coeffs)
+        self._pairings: tuple[tuple[int, ...], ...] = tuple(q for _v, _c, q in ordered)
+        self._coeff_index: dict[tuple[int, ...], int] = {c: i for i, c in enumerate(self._coeffs)}
         self.simple: tuple[int, ...] = tuple(self._coeff_index[u] for u in units)
 
         coeffs = self._coeffs
@@ -205,17 +216,6 @@ class RootSystem:
             )
 
         self.neg_of: tuple[int, ...] = tuple(self._coeff_index[tuple(-c for c in cs)] for cs in coeffs)
-
-        # Signed integer coefficients of every coroot over the simple coroots:
-        # c_k^vee = c_k |alpha_k|^2 / |alpha|^2.
-        cocoeffs = []
-        for r, cs in zip(self.roots, coeffs):
-            norm = linalg.dot(r, r)
-            co = [c * self._gram[k][k] / norm for k, c in enumerate(cs)]
-            if any(c.denominator != 1 for c in co):
-                raise ConsistencyError(f"{fam}{rank}: non-integral coroot coefficients {co} for root {r}")
-            cocoeffs.append(tuple(int(c) for c in co))
-        self._cocoeffs: tuple[tuple[int, ...], ...] = tuple(cocoeffs)
 
         # Highest root: unique dominance-maximal positive root.
         best = max(self.positive, key=lambda i: sum(self._coeffs[i]))
@@ -275,7 +275,7 @@ class RootSystem:
         index = self._coeff_index
         perm = []
         for j, (beta, pairings) in enumerate(zip(self._coeffs, self._pairings)):
-            p = sum(c * q for c, q in zip(co, pairings))
+            p = sum(map(mul, co, pairings))
             perm.append(index[tuple(b - p * a for b, a in zip(beta, alpha))] if p else j)
         return tuple(perm)
 
@@ -319,34 +319,35 @@ class RootSystem:
         """C[i][j] = <alpha_j, coroot of alpha_i>; always integral."""
         return [list(row) for row in self._cartan]
 
-    def _solve_in_root_span(self, matrix, rhs) -> Vector:
-        """The vector sum_k x_k alpha_k with sum_k matrix[i][k] x_k = rhs[i]."""
-        coords = linalg.solve_columns([vec(col) for col in zip(*matrix)], rhs)
-        return _combination(coords, self.simple_vectors(), self.ambient_dim)
-
-    def _unit_solutions(self, matrix) -> tuple[Vector, ...]:
-        return tuple(
-            self._solve_in_root_span(matrix, [int(i == j) for i in range(self.rank)])
-            for j in range(self.rank)
-        )
+    @cached_property
+    def fundamental_rows(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """The fundamental weights sum_k C^-1[k][j] alpha_k as integer rows over one
+        denominator, and that denominator, from one integer inversion of C."""
+        inverse, det = linalg.inverse(self._cartan)
+        columns = list(zip(*self._rows))
+        return tuple(tuple(sum(map(mul, x, d)) for d in columns) for x in zip(*inverse)), det * self._den
 
     def fundamental_weights(self) -> tuple[Vector, ...]:
         """Vectors w_j in the root span with <w_j, coroot of alpha_i> = delta_ij."""
         if self._fundamental is None:
-            self._fundamental = self._unit_solutions(self._cartan)
+            rows, den = self.fundamental_rows
+            self._fundamental = tuple(tuple(Fraction(x, den) for x in row) for row in rows)
         return self._fundamental
 
     def dual_basis(self) -> tuple[Vector, ...]:
-        """Vectors tau_j in the root span with (tau_j, alpha_i) = delta_ij."""
+        """Vectors tau_j = 2 w_j / |alpha_j|^2 in the root span, so (tau_j, alpha_i) = delta_ij."""
         if self._dual_basis is None:
-            self._dual_basis = self._unit_solutions(self._gram)
+            fw = self.fundamental_weights()
+            self._dual_basis = tuple(tuple(2 * x / self._gram[j][j] for x in w) for j, w in enumerate(fw))
         return self._dual_basis
 
     def project_to_root_span(self, t: Vector) -> Vector:
         """Orthogonal projection of t onto the span of the roots."""
         if len(t) != self.ambient_dim:
             raise ValidationError(f"vector has dimension {len(t)}, ambient is {self.ambient_dim}")
-        return self._solve_in_root_span(self._gram, [linalg.dot(t, a) for a in self.simple_vectors()])
+        simples = self.simple_vectors()
+        coords = linalg.solve_columns(self._gram, [linalg.dot(t, a) for a in simples])
+        return tuple(sum(map(mul, coords, col)) for col in zip(*simples))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RootSystem({self.family}{self.rank}, |R+|={len(self.positive)})"

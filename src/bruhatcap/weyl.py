@@ -92,7 +92,8 @@ class WeylGroup:
     def __init__(self, rs: RootSystem, cap: int = DEFAULT_GROUP_CAP):
         _require_within_cap(rs, cap)
         self.rs = rs
-        refl = self._refl = [rs.reflection_perm(r) for r in range(len(rs.roots))]
+        half = {r: rs.reflection_perm(r) for r in rs.positive}  # s_{-alpha} = s_alpha
+        refl = self._refl = [half[r if rs.is_positive[r] else rs.neg_of[r]] for r in range(len(rs.roots))]
         keys: list[Key] = [rs.simple]
         index: dict[Key, int] = {rs.simple: 0}
         lengths = [0]

@@ -48,6 +48,19 @@ def test_malformed_lambda_refused(capsys, argv):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ("roots", "--type", "A", "--rank", "100000"),
+    ("roots", "--type", "D", "--rank", "56", "--format", "json"),
+    ("capacity", "--type", "B", "--rank", "100000", "--lambda", "1,0"),
+    ("graph", "bruhat", "--type", "C", "--rank", "1000000000"),
+])
+def test_rank_over_the_limit_refused(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: rank ") and "is over the limit 55" in err
+
+
 def test_roots_g2_text(capsys):
     code, out, _ = run_cli(capsys, "roots", "--type", "G", "--rank", "2")
     assert code == 0

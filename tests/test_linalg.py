@@ -47,3 +47,24 @@ def test_rank():
     assert linalg.rank([[one, zero, zero], [zero, one, zero], [zero, zero, one]]) == 3
     assert linalg.rank([[Fraction(0)] * 3] * 3) == 0
 
+
+
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_inverse_matches_fraction_inverse(matrix):
+    n = len(matrix)
+    fractions = [linalg.vec(row) for row in matrix]
+    if linalg.rank(fractions) < n:
+        with pytest.raises(ConsistencyError):
+            linalg.inverse(matrix)
+        return
+    rows, den = linalg.inverse(matrix)
+    for j in range(n):
+        unit = [int(i == j) for i in range(n)]
+        assert tuple(Fraction(row[j], den) for row in rows) == linalg.solve_columns(list(zip(*fractions)), unit)
+
+
+def test_inverse_of_a_cartan_matrix():
+    rows, den = linalg.inverse([[2, -1], [-3, 2]])  # G2
+    assert abs(den) == 1
+    assert [[den * x for x in row] for row in rows] == [[2, 1], [3, 2]]

@@ -4,10 +4,10 @@ from math import lcm
 
 import pytest
 
-from bruhatcap import ValidationError, build, positive_root_count
+from bruhatcap import SizeLimitError, ValidationError, build, positive_root_count
 from bruhatcap.checks import TABLE_TYPES
 from bruhatcap.linalg import dot, neg, vec
-from bruhatcap.rootsystem import parse_rational, rational_str
+from bruhatcap.rootsystem import MAX_RANK, RootSystem, parse_rational, rational_str
 
 ALL_TYPES = (
     [("A", r) for r in range(1, 7)]
@@ -278,3 +278,11 @@ def test_against_sympy_liealgebras(fam, rank):
     assert len(ct.positive_roots()) == len(rs.positive)
     assert int(weyl_group.WeylGroup(name).group_order()) == rs.weyl_order
     assert _same_up_to_relabelling(rs.cartan_matrix(), ct.cartan_matrix().tolist())
+
+
+@pytest.mark.parametrize("fam", "ABCD")
+def test_build_at_the_rank_limit(fam):
+    rs = RootSystem(fam, MAX_RANK)
+    assert len(rs.positive) == positive_root_count(fam, MAX_RANK)
+    with pytest.raises(SizeLimitError, match=f"rank {MAX_RANK + 1} is over the limit {MAX_RANK}"):
+        RootSystem(fam, MAX_RANK + 1)
