@@ -15,6 +15,15 @@ import sys
 import time
 
 
+def _json_object(text: str) -> dict:
+    """text parsed as a JSON object; an empty one if text is not a JSON object."""
+    try:
+        value = json.loads(text)
+    except ValueError:
+        return {}
+    return value if isinstance(value, dict) else {}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("max_mb", type=float)
@@ -30,7 +39,7 @@ def main(argv=None) -> int:
     ok = run.returncode == 0 and rss_mb <= args.max_mb and wall_s <= args.max_s
     summary = f"exit {run.returncode}, wall {wall_s:.1f} s, peak RSS {rss_mb:.0f} MB"
     if args.json_key:
-        found = run.returncode == 0 and args.json_key in json.loads(run.stdout)
+        found = run.returncode == 0 and args.json_key in _json_object(run.stdout)
         summary += f", {args.json_key} {'present' if found else 'missing'}"
         ok = ok and found
     print(summary)

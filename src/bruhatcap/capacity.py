@@ -19,22 +19,32 @@ e to w0 on W/W_P (confirm_upper).
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import linalg
 from .errors import ConsistencyError, ValidationError
-from .graphs import Degree, d_min, min_path_area, quantum_bruhat_graph
+from .limits import DEFAULT_CONFIRM_CAP, DEFAULT_GROUP_CAP
 from .linalg import Vector, vec
-from .rootsystem import RootSystem, build, rational_str, scaled, vector_strs
-from .weyl import DEFAULT_GROUP_CAP, WeylGroup, generate, key_absolute_length
+from .rootsystem import RootSystem, build, key_absolute_length, rational_str, scaled, vector_strs
 
-DEFAULT_CONFIRM_CAP = 25_000
+if TYPE_CHECKING:
+    import random
+
+    from .weyl import WeylGroup
 
 HALF = Fraction(1, 2)
 TWO_THIRDS = Fraction(2, 3)
+
+# The types of the closed-form table (`bruhatcap table`), also those the checks sample.
+TABLE_TYPES: tuple[tuple[str, int], ...] = (
+    tuple(("A", r) for r in range(2, 7))
+    + tuple(("B", r) for r in range(2, 7))
+    + tuple(("C", r) for r in range(2, 7))
+    + tuple(("D", r) for r in range(3, 7))
+    + (("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2))
+)
 
 
 # ---------------------------------------------------------------------------
@@ -152,10 +162,10 @@ def _decomposition_vectors(family: str, rank: int) -> list[Vector]:
     raise ValidationError(f"unknown family {family!r}")
 
 
-@dataclass(frozen=True)
-class W0Decomposition:
+class W0Decomposition(NamedTuple):
     """An ordered list of pairwise orthogonal positive roots whose
-    reflections compose to w0; validated at construction."""
+    reflections compose to w0; validated at construction.  len() counts
+    the roots."""
 
     root_indices: tuple[int, ...]
     vectors: tuple[Vector, ...]
@@ -166,7 +176,7 @@ class W0Decomposition:
 
 
 _DECOMPOSITIONS: dict[tuple[str, int], W0Decomposition] = {}
-_W0_DEGREES: dict[tuple[str, int], Degree] = {}  # d_min(w0, e), filled by w0_degree
+_W0_DEGREES: dict[tuple[str, int], tuple[int, ...]] = {}  # d_min(w0, e), filled by w0_degree
 
 
 def w0_decomposition(rs: RootSystem) -> W0Decomposition:
@@ -177,9 +187,10 @@ def w0_decomposition(rs: RootSystem) -> W0Decomposition:
     positive roots, pairwise orthogonal, their reflections compose to w0
     (every positive root is sent to a negative one), the count equals the
     absolute length of w0 (fixed-space codimension), and the coroot heights
-    satisfy sum(2*ht - 1) = |R+|.  The product is composed from the integer
-    reflection permutations of the root indices, so no Weyl group
-    enumeration is needed (E8 included).
+    satisfy sum(2*ht - 1) = |R+|.  The product is followed on the simple
+    roots alone, reflection by reflection in integer simple-root coordinates,
+    so no Weyl group enumeration is needed (E8 included): an element is
+    linear, so it is w0 exactly when it sends every simple root negative.
     """
     key = (rs.family, rs.rank)
     got = _DECOMPOSITIONS.get(key)
@@ -192,31 +203,30 @@ def _validated_decomposition(rs: RootSystem) -> W0Decomposition:
     vectors = _decomposition_vectors(rs.family, rs.rank)
     indices = []
     for v in vectors:
-        idx = rs.index.get(v)
+        idx = rs.find(v)
         if idx is None or not rs.is_positive[idx]:
             raise ConsistencyError(
                 f"decomposition data for {rs.family}{rs.rank}: {v} is not a positive root"
             )
         indices.append(idx)
 
+    # Two roots are orthogonal exactly when the reflection in one fixes the other.
     for i in range(len(vectors)):
         for j in range(i + 1, len(vectors)):
-            if linalg.dot(vectors[i], vectors[j]) != 0:
+            if rs.reflected(indices[i], indices[j]) != indices[j]:
                 raise ConsistencyError(
                     f"decomposition data for {rs.family}{rs.rank}: "
                     f"roots {vectors[i]} and {vectors[j]} are not orthogonal"
                 )
 
-    product = tuple(range(len(rs.roots)))
-    for i in indices:
-        product = tuple(product[k] for k in rs.reflection_perm(i))
-    if any(rs.is_positive[product[p]] for p in rs.positive):
+    images = _simple_images(rs, indices)
+    if any(rs.is_positive[j] for j in images):
         raise ConsistencyError(
             f"decomposition data for {rs.family}{rs.rank}: product is not w0 "
             f"(does not map all positive roots to negative roots)"
         )
 
-    fixed_codim = key_absolute_length(rs, [product[s] for s in rs.simple])
+    fixed_codim = key_absolute_length(rs, images)
     if fixed_codim != len(vectors):
         raise ConsistencyError(
             f"decomposition data for {rs.family}{rs.rank}: {len(vectors)} reflections "
@@ -231,6 +241,15 @@ def _validated_decomposition(rs: RootSystem) -> W0Decomposition:
         )
 
     return W0Decomposition(tuple(indices), tuple(vectors), heights)
+
+
+def _simple_images(rs: RootSystem, indices) -> tuple[int, ...]:
+    """The root indices of the images of the simple roots under the product
+    s_{i_1} s_{i_2} ... s_{i_m} of the reflections in the roots of index i_k."""
+    images = rs.simple
+    for i in reversed(indices):
+        images = tuple(rs.reflected(i, j) for j in images)
+    return images
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +397,7 @@ def table_row(rs: RootSystem, lam: Vector,
 # Orchestration
 
 
-def w0_degree(weyl: WeylGroup) -> Degree:
+def w0_degree(weyl: WeylGroup) -> tuple[int, ...]:
     """d_min(w0, e), from a quantum Bruhat graph built for it and dropped;
     checked once per type and cached, and a failed build is not kept.
 
@@ -386,6 +405,8 @@ def w0_degree(weyl: WeylGroup) -> Degree:
     for every lam exactly when d_min(w0, e) is the sum of the decomposition
     coroots: ConsistencyError unless it is, or if Postnikov's uniqueness check
     fails."""
+    from .graphs import d_min, quantum_bruhat_graph
+
     rs = weyl.rs
     key = (rs.family, rs.rank)
     got = _W0_DEGREES.get(key)
@@ -404,6 +425,8 @@ def w0_degree(weyl: WeylGroup) -> Degree:
 def confirm_upper(weyl: WeylGroup, lam: Vector, upper: Fraction) -> Fraction:
     """The minimal Bruhat-graph path area from e to w0 on W/W_P, S_P the
     stabilizer of lam; for a regular lam, ConsistencyError unless it is `upper`."""
+    from .graphs import min_path_area
+
     s_p = parabolic_positions(weyl.rs, lam)
     pd = weyl.parabolic(s_p)
     area = min_path_area(pd, lam, pd.coset_of[weyl.identity_index],
@@ -414,8 +437,7 @@ def confirm_upper(weyl: WeylGroup, lam: Vector, upper: Fraction) -> Fraction:
     return area
 
 
-@dataclass
-class CapacityBounds:
+class CapacityBounds(NamedTuple):
     family: str
     rank: int
     lam_input: Vector
@@ -426,7 +448,7 @@ class CapacityBounds:
     witness: int                     # maximizing simple-root position
     decomposition: W0Decomposition
     regular: bool
-    d_min_degree: Degree | None
+    d_min_degree: tuple[int, ...] | None
     min_area: Fraction | None
     checks: dict
 
@@ -484,9 +506,11 @@ def hz_bounds(family: str, rank: int, lam, *, confirm_cap: int = DEFAULT_CONFIRM
         "ratio_ok": 3 * lower >= 2 * upper,
         "dmin_consistent": None,
     }
-    d_deg: Degree | None = None
+    d_deg: tuple[int, ...] | None = None
     area: Fraction | None = None
     if rs.weyl_order <= confirm_cap:
+        from .weyl import generate
+
         weyl = generate(rs, cap=group_cap)
         if regular:
             d_deg = w0_degree(weyl)

@@ -9,21 +9,14 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import capacity, graphs
+from .capacity import TABLE_TYPES
 from .errors import BruhatCapError, ConsistencyError
 from .rootsystem import build
 from .weyl import generate
-
-TABLE_TYPES: tuple[tuple[str, int], ...] = (
-    tuple(("A", r) for r in range(2, 7))
-    + tuple(("B", r) for r in range(2, 7))
-    + tuple(("C", r) for r in range(2, 7))
-    + tuple(("D", r) for r in range(3, 7))
-    + (("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2))
-)
 
 TRIANGLE_TYPES: tuple[tuple[str, int], ...] = (
     tuple(("A", r) for r in range(1, 5))
@@ -35,8 +28,7 @@ TRIANGLE_TYPES: tuple[tuple[str, int], ...] = (
 POSTNIKOV_TYPES: tuple[tuple[str, int], ...] = (("A", 3), ("B", 3), ("G", 2))
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str

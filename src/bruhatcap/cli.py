@@ -4,6 +4,11 @@ Subcommands: roots, graph, capacity, table, verify.  Every rational is
 emitted exactly ('p/q' or integer string); there is no floating-point
 formatting anywhere.  Graph exports are written chunk by chunk as they are
 rendered.  BC_GROUP_CAP overrides the default group cap.
+
+A command imports only the modules it runs: `roots` reads the root system
+alone, `table` and `capacity` add the bounds, the graph modules load only
+where a group is enumerated or a graph built, and the checks only for
+`verify`.
 """
 
 from __future__ import annotations
@@ -17,10 +22,13 @@ import sys
 from fractions import Fraction
 from typing import Iterable
 
-from . import capacity, checks, graphs
 from .errors import BruhatCapError, ValidationError
-from .rootsystem import MAX_DIGITS, build, parse_rational, rational_str, spelled_digits, vector_strs
-from .weyl import DEFAULT_GROUP_CAP, generate
+from .limits import DEFAULT_CAYLEY_CAP, DEFAULT_CONFIRM_CAP, DEFAULT_GROUP_CAP, MAX_DIGITS
+from .rootsystem import build, parse_rational, rational_str, spelled_digits, vector_strs
+
+# The names of checks.ALL_CHECKS, for the help text of `verify`.
+CHECK_NAMES = ("unitary-diameter", "type-c-sharp", "table", "height-lemma", "decompositions",
+               "postnikov", "triangle", "sandwich", "coweight")
 
 
 def _env_group_cap() -> int:
@@ -46,7 +54,9 @@ def parse_lambda(raw: str) -> tuple[Fraction, ...]:
 def default_table_lambda(rs) -> tuple[Fraction, ...]:
     """Documented default sample: lambda = sum_i (rank+1-i) * omega_i, a
     regular dominant weight."""
-    return capacity.dominant_from_pairings(rs, [rs.rank - i for i in range(rs.rank)])
+    from .capacity import dominant_from_pairings
+
+    return dominant_from_pairings(rs, [rs.rank - i for i in range(rs.rank)])
 
 
 def _detach_stdout() -> None:
@@ -140,6 +150,9 @@ def cmd_roots(args) -> int:
 
 
 def cmd_graph(args) -> int:
+    from . import graphs
+    from .weyl import generate
+
     lam = parse_lambda(args.lam) if args.lam else None
     if args.kind == "cayley":
         if args.n is None:
@@ -152,19 +165,24 @@ def cmd_graph(args) -> int:
     if not args.type or args.rank is None:
         raise ValidationError(f"graph {args.kind} requires --type and --rank")
     rs = build(args.type, args.rank)
+    s_p = ()
     if lam is not None:  # decorates edges with areas and, for bruhat, induces S_P
+        from . import capacity
+
         lam = capacity.checked_weight(rs, lam)
+        s_p = capacity.parabolic_positions(rs, lam)
     weyl = generate(rs, cap=args.group_cap)
     if args.kind == "quantum":
         graph = graphs.quantum_bruhat_graph(weyl)
     else:
-        s_p = capacity.parabolic_positions(rs, lam) if lam is not None else ()
         graph = graphs.bruhat_graph(weyl, weyl.parabolic(s_p))
     _emit(graphs.export_chunks(graph, args.format, lam=lam), args.output)
     return 0
 
 
 def cmd_capacity(args) -> int:
+    from . import capacity
+
     lam = parse_lambda(args.lam)
     bounds = capacity.hz_bounds(
         args.type, args.rank, lam,
@@ -214,8 +232,10 @@ def _group_label(fam: str, rank: int) -> str:
 
 
 def cmd_table(args) -> int:
+    from . import capacity
+
     lam_fixed = parse_lambda(args.lam) if args.lam else None
-    wanted = checks.TABLE_TYPES
+    wanted = capacity.TABLE_TYPES
     if args.type:
         wanted = tuple((f, r) for f, r in wanted if f == args.type.upper())
     if args.rank is not None:
@@ -255,6 +275,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import checks
+
     names = [n.strip() for n in args.only.split(",")] if args.only else None
     results = checks.run_checks(
         names=names, seed=args.seed, type_filter=args.type, rank_filter=args.rank
@@ -294,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated rationals; for bruhat, induces S_P and areas")
     p_graph.add_argument("--format", choices=["dot", "json"], default="dot")
     p_graph.add_argument("--group-cap", type=int, default=_env_group_cap())
-    p_graph.add_argument("--cayley-cap", type=int, default=graphs.DEFAULT_CAYLEY_CAP)
+    p_graph.add_argument("--cayley-cap", type=int, default=DEFAULT_CAYLEY_CAP)
     p_graph.add_argument("--output", "-o", default=None)
     p_graph.set_defaults(func=cmd_graph)
 
@@ -302,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_type_args(p_cap)
     p_cap.add_argument("--lambda", dest="lam", required=True)
     p_cap.add_argument("--format", choices=["text", "json"], default="text")
-    p_cap.add_argument("--confirm-cap", type=int, default=capacity.DEFAULT_CONFIRM_CAP,
+    p_cap.add_argument("--confirm-cap", type=int, default=DEFAULT_CONFIRM_CAP,
                        help="enumerate W and run graph confirmations when |W| is at most this")
     p_cap.add_argument("--group-cap", type=int, default=_env_group_cap())
     p_cap.add_argument("--output", "-o", default=None)
@@ -322,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the verification suite")
     p_verify.add_argument("--only", default=None,
-                          help=f"comma-separated subset of: {', '.join(checks.ALL_CHECKS)}")
+                          help=f"comma-separated subset of: {', '.join(CHECK_NAMES)}")
     p_verify.add_argument("--type", "-t", default=None, help="restrict typed checks to a family")
     p_verify.add_argument("--rank", "-r", type=int, default=None)
     p_verify.add_argument("--seed", type=int, default=0)

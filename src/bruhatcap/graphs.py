@@ -11,20 +11,18 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
-from operator import itemgetter, mul
+from operator import add, itemgetter, mul
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .errors import ConsistencyError, SizeLimitError, ValidationError
+from .limits import DEFAULT_CAYLEY_CAP
 from .linalg import Vector, vec
 from .rootsystem import RootSystem, rational_str, scaled, vector_strs
 from .weyl import ParabolicData, Table, WeylGroup
-
-DEFAULT_CAYLEY_CAP = 7
 
 Degree = tuple[int, ...]
 
@@ -35,7 +33,7 @@ def degree_leq(c: Degree, d: Degree) -> bool:
 
 
 def degree_add(c: Degree, d: Degree) -> Degree:
-    return tuple(a + b for a, b in zip(c, d))
+    return tuple(map(add, c, d))
 
 
 def _dijkstra(adj, src: int, dst: int | None = None):
@@ -65,8 +63,7 @@ def _dijkstra(adj, src: int, dst: int | None = None):
 # Bruhat graph on W/W_P
 
 
-@dataclass
-class BruhatGraph:
+class BruhatGraph(NamedTuple):
     """Undirected multigraph on W/W_P; edges carry the reflecting root."""
 
     parabolic: ParabolicData
@@ -165,8 +162,7 @@ def min_path_area(parabolic: ParabolicData, lam: Vector, src: int, dst: int) -> 
 # Quantum Bruhat graph on W
 
 
-@dataclass
-class QuantumBruhatGraph:
+class QuantumBruhatGraph(NamedTuple):
     """Directed graph on W; up-edges carry degree 0, down-edges the coroot."""
 
     weyl: WeylGroup
@@ -299,14 +295,13 @@ def _scaled_cayley_distances(frame: tuple, lam: Vector, src: int) -> tuple[list[
     return dist, scale
 
 
-@dataclass
-class WeightedCayleyGraph:
+class WeightedCayleyGraph(NamedTuple):
     n: int
     lam: Vector
     perms: tuple[tuple[int, ...], ...]
     index: Mapping[tuple[int, ...], int]  # shared by every graph on S_n, so read-only
     # (u, v, i, j, |lam_i - lam_j|) for a swap of positions i < j, u < v
-    edges: list[tuple[int, int, int, int, Fraction]] = field(repr=False)
+    edges: list[tuple[int, int, int, int, Fraction]]
 
     @property
     def identity_index(self) -> int:

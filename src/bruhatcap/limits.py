@@ -1,0 +1,19 @@
+"""Size limits and default caps, in a module that imports nothing.
+
+The command line reads these defaults while it builds its parser, before
+it knows which command runs, so they live apart from the modules that
+enforce them (rootsystem, weyl, graphs, capacity); each of those imports
+its own names from here.
+"""
+
+# The largest rank built.  At it, `roots --format json` of type B, C or D takes
+# about 1.6 s and `capacity` 0.7 s (2-vCPU machine, Python 3.11).
+MAX_RANK = 55
+# Parsed input stays printable: str() of an int refuses more than 4300 digits.
+MAX_DIGITS = 1000
+# Weyl groups are enumerated up to this order.
+DEFAULT_GROUP_CAP = 10_000_000
+# `capacity` enumerates W and confirms the upper bound on the graphs up to this order.
+DEFAULT_CONFIRM_CAP = 25_000
+# The largest n for which the weighted Cayley graph of S_n is built.
+DEFAULT_CAYLEY_CAP = 7

@@ -37,10 +37,6 @@ def neg(x: Vector) -> Vector:
     return tuple(-a for a in x)
 
 
-def scale(c: Fraction, x: Vector) -> Vector:
-    return tuple(c * a for a in x)
-
-
 def solve_columns(columns: Sequence[Vector], target: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Solve sum_j c_j * columns[j] == target exactly.
 

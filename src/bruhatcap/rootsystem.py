@@ -28,6 +28,7 @@ are stated):
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, gcd, lcm
@@ -35,11 +36,10 @@ from operator import mul, sub
 
 from . import linalg
 from .errors import ConsistencyError, SizeLimitError, ValidationError
+from .limits import MAX_DIGITS, MAX_RANK
 from .linalg import Vector, vec
 
 HALF = Fraction(1, 2)
-# The largest rank built: `roots` and `capacity` of type B, C or D take about 3 s at it.
-MAX_RANK = 55
 
 _E8_SIMPLE: list[Vector] = [
     (HALF, -HALF, -HALF, -HALF, -HALF, -HALF, -HALF, HALF),
@@ -195,7 +195,6 @@ class RootSystem:
         # One Fraction per distinct coordinate value, shared by the roots.
         fractions = {x: Fraction(x, den) for x in {x for v, _c, _q in ordered for x in v}}
         self.roots: tuple[Vector, ...] = tuple(tuple(map(fractions.__getitem__, v)) for v, _c, _q in ordered)
-        self.index: dict[Vector, int] = {r: i for i, r in enumerate(self.roots)}
         # Signed integer coefficients of every root over the simple roots.
         self._coeffs: tuple[tuple[int, ...], ...] = tuple(c for _v, c, _q in ordered)
         # <root, coroot(alpha_i)> for every root and simple root i.
@@ -232,10 +231,27 @@ class RootSystem:
 
     # -- elementary queries -------------------------------------------------
 
+    @cached_property
+    def index(self) -> dict[Vector, int]:
+        """Root vector -> root index, built on first use: a tuple of Fractions hashes slowly."""
+        return {r: i for i, r in enumerate(self.roots)}
+
+    def find(self, v: Vector) -> int | None:
+        """The index of the root v, or None if v is not a root; a binary search
+        over the roots, which are sorted."""
+        i = bisect_left(self.roots, v)
+        return i if i < len(self.roots) and self.roots[i] == v else None
+
+    @cached_property
+    def _coroot_columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per ambient coordinate, the nonzero entries (k, x) of the simple coroot rows."""
+        return tuple(tuple((k, x) for k, x in enumerate(col) if x) for col in zip(*self._label_rows))
+
     def coroot(self, i: int) -> Vector:
-        """The coroot 2*alpha/(alpha,alpha) of root i."""
-        alpha = self.roots[i]
-        return linalg.scale(Fraction(2) / linalg.dot(alpha, alpha), alpha)
+        """The coroot 2*alpha/(alpha,alpha) of root i, summed in integers as
+        sum_k c_k^vee coroot(alpha_k) over the simple coroot rows."""
+        co, den = self._cocoeffs[i], self._label_denominator
+        return tuple(Fraction(sum(co[k] * x for k, x in col), den) for col in self._coroot_columns)
 
     def pairing(self, t: Vector, i: int) -> Fraction:
         """<t, coroot of root i> = 2(t, alpha)/(alpha, alpha)."""
@@ -264,20 +280,17 @@ class RootSystem:
         c = self.pairing(t, i)
         return tuple(ti - c * ai for ti, ai in zip(t, self.roots[i]))
 
-    def reflection_perm(self, i: int) -> tuple[int, ...]:
-        """The reflection in root i as a permutation of root indices.
+    def reflected(self, i: int, j: int) -> int:
+        """The index of s(beta_j) = beta_j - <beta_j, coroot(alpha_i)> alpha_i, the
+        reflection of root j in root i, computed in integer simple-root coordinates."""
+        p = sum(map(mul, self._cocoeffs[i], self._pairings[j]))
+        if not p:
+            return j
+        return self._coeff_index[tuple(b - p * a for b, a in zip(self._coeffs[j], self._coeffs[i]))]
 
-        Entry j is the index of s(beta_j) = beta_j - <beta_j, coroot(alpha_i)> alpha_i,
-        computed in integer simple-root coordinates.
-        """
-        alpha = self._coeffs[i]
-        co = self._cocoeffs[i]
-        index = self._coeff_index
-        perm = []
-        for j, (beta, pairings) in enumerate(zip(self._coeffs, self._pairings)):
-            p = sum(map(mul, co, pairings))
-            perm.append(index[tuple(b - p * a for b, a in zip(beta, alpha))] if p else j)
-        return tuple(perm)
+    def reflection_perm(self, i: int) -> tuple[int, ...]:
+        """The reflection in root i as a permutation of root indices."""
+        return tuple(self.reflected(i, j) for j in range(len(self.roots)))
 
     def _require_positive(self, i: int) -> None:
         if not self.is_positive[i]:
@@ -353,6 +366,20 @@ class RootSystem:
         return f"RootSystem({self.family}{self.rank}, |R+|={len(self.positive)})"
 
 
+def key_absolute_length(rs: RootSystem, key: tuple[int, ...]) -> int:
+    """Minimal number of reflections whose product sends the simple roots to
+    the roots of index key.
+
+    Computed as the codimension of the fixed subspace inside the root span:
+    the rank of M - I, where the columns of M are the simple-root
+    coefficients of the images of the simple roots.
+    """
+    cols = [rs.signed_coefficients(k) for k in key]
+    return linalg.rank([
+        [Fraction(cols[j][k] - (j == k)) for j in range(rs.rank)] for k in range(rs.rank)
+    ])
+
+
 @lru_cache(maxsize=None)
 def build(family: str, rank: int) -> RootSystem:
     """Build (and cache) the root system of the given simple type."""
@@ -361,15 +388,11 @@ def build(family: str, rank: int) -> RootSystem:
 
 def rational_str(x) -> str:
     """Exact decimal-free rendering: '3', '-1/2', ..."""
-    return str(Fraction(x))
+    return str(x if isinstance(x, Fraction) else Fraction(x))
 
 
 def vector_strs(v: Vector) -> list[str]:
-    return [rational_str(x) for x in v]
-
-
-# Parsed input stays printable: str() of an int refuses more than 4300 digits.
-MAX_DIGITS = 1000
+    return list(map(rational_str, v))
 
 
 def spelled_digits(literal: str) -> int:

@@ -15,14 +15,12 @@ on the group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 from . import linalg
 from .errors import ConsistencyError, SizeLimitError, ValidationError
-from .rootsystem import RootSystem
-
-DEFAULT_GROUP_CAP = 10_000_000
+from .limits import DEFAULT_GROUP_CAP
+from .rootsystem import RootSystem, key_absolute_length
 
 Key = tuple[int, ...]  # root indices of the images of the simple roots
 Table = tuple[int, ...]  # entry u is the index of u * s for one reflection s
@@ -46,19 +44,6 @@ def stated_longest_map(family: str, rank: int):
     return None
 
 
-def key_absolute_length(rs: RootSystem, key: Key) -> int:
-    """Minimal number of reflections whose product sends the simple roots to key.
-
-    Computed as the codimension of the fixed subspace inside the root span:
-    the rank of M - I, where the columns of M are the simple-root
-    coefficients of the images of the simple roots.
-    """
-    cols = [rs.signed_coefficients(k) for k in key]
-    return linalg.rank([
-        [Fraction(cols[j][k] - (j == k)) for j in range(rs.rank)] for k in range(rs.rank)
-    ])
-
-
 def _require_within_cap(rs: RootSystem, cap: int) -> None:
     if rs.weyl_order > cap:
         raise SizeLimitError(
@@ -67,8 +52,7 @@ def _require_within_cap(rs: RootSystem, cap: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class ParabolicData:
+class ParabolicData(NamedTuple):
     """Coset structure of W/W_P for a subset S_P of the simple roots.
 
     Built once per S_P and shared by every caller, so it is immutable."""
@@ -151,7 +135,7 @@ class WeylGroup:
         if stated is None:
             return
         for s, image in zip(rs.simple, self.keys[self.longest_index]):
-            if rs.index.get(stated(rs.roots[s])) != image:
+            if rs.find(stated(rs.roots[s])) != image:
                 raise ConsistencyError(
                     f"{rs.family}{rs.rank}: w0 does not act as its stated ambient map"
                 )

@@ -76,6 +76,7 @@ def fraction_build(family: str, rank: int) -> dict:
     return {
         "roots": roots,
         "index": list({r: i for i, r in enumerate(roots)}.items()),
+        "coroots": tuple(tuple(2 * x / dot(r, r) for x in r) for r in roots),
         "coeffs": coeffs,
         "cocoeffs": tuple(cocoeffs),
         "pairings": tuple(pairings(c) for c in coeffs),
@@ -97,6 +98,7 @@ def built_fields(rs) -> dict:
     return {
         "roots": rs.roots,
         "index": list(rs.index.items()),
+        "coroots": tuple(map(rs.coroot, range(len(rs.roots)))),
         "coeffs": rs._coeffs,
         "cocoeffs": rs._cocoeffs,
         "pairings": rs._pairings,

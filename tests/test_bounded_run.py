@@ -34,3 +34,16 @@ def test_json_key():
     missing = _run("600", "60", "--json-key", "min_path_area", "--", *printer)
     assert missing.returncode == 1
     assert "min_path_area missing" in missing.stdout
+
+
+@pytest.mark.parametrize("stdout", [
+    '"no d_min_degree here"',  # a JSON string that contains the key
+    '["d_min_degree"]',        # a JSON list that holds it
+    "d_min_degree: [1]",       # not JSON at all
+])
+def test_json_key_needs_a_json_object(stdout):
+    printer = [sys.executable, "-c", f"print({stdout!r})"]
+    run = _run("600", "60", "--json-key", "d_min_degree", "--", *printer)
+    assert run.returncode == 1
+    assert "d_min_degree missing" in run.stdout
+    assert "Traceback" not in run.stderr

@@ -30,8 +30,9 @@ from bruhatcap import (
 )
 from bruhatcap.capacity import confirm_upper, w0_degree
 from bruhatcap.checks import TABLE_TYPES
+from bruhatcap.graphs import d_min
 from bruhatcap.linalg import dot, solve_columns, vec
-from weyl_ops import root_perms
+from weyl_ops import product_images, root_perms
 
 RNG_SEED = 20260809
 
@@ -123,6 +124,7 @@ def test_w0_decomposition_a1_trivial():
 
 @pytest.mark.parametrize("fam,rank,vectors,match", [
     pytest.param("A", 2, [vec([-1, 0, 1])], "not a positive root", id="negative-root"),
+    pytest.param("A", 2, [vec([1, 0, 0])], "not a positive root", id="not-a-root"),
     pytest.param("A", 2, [vec([1, -1, 0]), vec([0, 1, -1])], "not orthogonal",
                  id="non-orthogonal"),
     # B3's w0 is the product of three orthogonal reflections; two fix a root
@@ -135,6 +137,19 @@ def test_tampered_decomposition_is_refused(monkeypatch, fam, rank, vectors, matc
     with pytest.raises(ConsistencyError, match=match):
         w0_decomposition(build(fam, rank))
     assert capacity._DECOMPOSITIONS == {}
+
+
+@pytest.mark.parametrize("fam,rank", sorted(
+    set(TABLE_TYPES) | {(f, r) for f in "BCD" for r in range(2 if f != "D" else 3, 21)}))
+def test_simple_images_match_the_permutation_product(fam, rank):
+    # The validation follows only the simple roots through the reflections;
+    # the oracle composes whole root permutations.  Also on products that
+    # are not w0: the decomposition without its first root, and the Coxeter
+    # element s_1 ... s_n in both orders, whose reflections do not commute.
+    rs = build(fam, rank)
+    indices = w0_decomposition(rs).root_indices
+    for word in (indices, indices[1:], rs.simple, rs.simple[::-1]):
+        assert list(capacity._simple_images(rs, word)) == product_images(rs, word)
 
 
 @pytest.mark.parametrize("fam,rank,lt", [
@@ -516,9 +531,9 @@ def test_hz_bounds_builds_weight_free_data_once_per_type(monkeypatch):
     monkeypatch.setattr(weyl_module, "_GROUP_CACHE", {})
     monkeypatch.setattr(capacity, "_W0_DEGREES", {})
     counts = Counter()
-    monkeypatch.setattr(capacity, "quantum_bruhat_graph",
+    monkeypatch.setattr(graphs, "quantum_bruhat_graph",
                         _counted(counts, "quantum", graphs.quantum_bruhat_graph))
-    monkeypatch.setattr(capacity, "d_min", _counted(counts, "d_min", graphs.d_min))
+    monkeypatch.setattr(graphs, "d_min", _counted(counts, "d_min", graphs.d_min))
     monkeypatch.setattr(weyl_module, "ParabolicData",
                         _counted(counts, "cosets", weyl_module.ParabolicData))
     for module in (graphs, capacity):
@@ -562,13 +577,13 @@ def _failed_w0_degree_is_not_kept(monkeypatch, rs, fake_d_min, match):
         counts["d_min"] += 1
         return fake_d_min(graph, u, v)
 
-    monkeypatch.setattr(capacity, "d_min", counted)
+    monkeypatch.setattr(graphs, "d_min", counted)
     for _ in range(2):
         with pytest.raises(ConsistencyError, match=match):
             w0_degree(w)
     assert counts["d_min"] == 2
     assert capacity._W0_DEGREES == {}
-    monkeypatch.setattr(capacity, "d_min", graphs.d_min)
+    monkeypatch.setattr(graphs, "d_min", d_min)
     degree = w0_degree(w)
     assert w0_degree(w) is degree
     assert capacity._W0_DEGREES == {(rs.family, rs.rank): degree}
@@ -583,7 +598,7 @@ def test_d_min_failure_is_not_kept(monkeypatch, b3):
 
 def test_wrong_w0_degree_is_refused_and_not_kept(monkeypatch, b3):
     def off_by_one(graph, u, v):
-        degree, length = graphs.d_min(graph, u, v)
+        degree, length = d_min(graph, u, v)
         return (degree[0] + 1,) + degree[1:], length
 
     _failed_w0_degree_is_not_kept(monkeypatch, b3, off_by_one, "coroots sum to")

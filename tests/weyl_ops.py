@@ -40,3 +40,12 @@ def inversion_count(weyl, i: int) -> int:
     p = root_perms(weyl)[i]
     pos = weyl.rs.is_positive
     return sum(1 for b in weyl.rs.positive if not pos[p[b]])
+
+
+def product_images(rs, indices) -> list[int]:
+    """The images of the simple roots under s_{i_1} s_{i_2} ... s_{i_m}, the
+    reflections in the roots of index i_k, composed as whole root permutations."""
+    product = tuple(range(len(rs.roots)))
+    for i in indices:
+        product = tuple(product[k] for k in rs.reflection_perm(i))
+    return [product[s] for s in rs.simple]
