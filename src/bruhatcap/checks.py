@@ -15,6 +15,7 @@ from typing import NamedTuple
 from . import capacity, graphs
 from .capacity import TABLE_TYPES
 from .errors import BruhatCapError, ConsistencyError
+from .limits import DEFAULT_CAYLEY_CAP
 from .rootsystem import build
 from .weyl import generate
 
@@ -40,7 +41,7 @@ def _result(name: str, started: float, passed: bool, detail: str) -> CheckResult
                        seconds=time.perf_counter() - started)
 
 
-def check_unitary_diameter(seed: int = 0, ns: range | tuple = range(2, 7),
+def check_unitary_diameter(seed: int = 0, ns: range | tuple = range(2, DEFAULT_CAYLEY_CAP + 1),
                            samples: int = 100) -> CheckResult:
     """Weighted Cayley diameter equals (1/2) sum |lam_k - lam_{n-k+1}| exactly."""
     t0 = time.perf_counter()

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
 from operator import add, itemgetter, mul
-from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
 
 from .errors import ConsistencyError, SizeLimitError, ValidationError
@@ -57,6 +57,50 @@ def _dijkstra(adj, src: int, dst: int | None = None):
                 dist[v] = nd
                 heappush(heap, (nd, v))
     return dist if dst is None else None
+
+
+def _images(vertices, columns) -> Iterator[tuple[int, ...]]:
+    """Per column, its entries at the vertices (a nonempty set), in one fixed order."""
+    get = itemgetter(*vertices)
+    if len(vertices) == 1:  # itemgetter with one key returns the entry, not a tuple
+        return ((get(column),) for column in columns)
+    return map(get, columns)
+
+
+def _step_dijkstra(n_vertices: int, steps, src: int) -> list[int | None]:
+    """All shortest distances from src in a step graph on range(n_vertices).
+
+    Each step (column, w) joins every vertex u to column[u] at the same
+    nonnegative integer weight w.  Distances are settled one level at a time
+    (Dial's order): every vertex pending at the least distance d is settled at
+    once, the level is closed under the zero-weight steps, and each other step
+    adds the level's images to the vertices pending at d + w.  The per-edge
+    work is done by itemgetter, list.extend and set.intersection, not by a
+    Python loop.  Returns the distances as _dijkstra does: None marks an
+    unreachable vertex.
+    """
+    zero = [column for column, w in steps if w == 0]
+    columns = [column for column, w in steps if w]
+    weights = [w for _column, w in steps if w]
+    dist: list[int | None] = [None] * n_vertices
+    unsettled = set(range(n_vertices))
+    pending: dict[int, list[int]] = {0: [src]}
+    while pending and unsettled:
+        d = min(pending)
+        level = unsettled.intersection(pending.pop(d))
+        if not level:
+            continue  # every vertex pending at d was settled more cheaply
+        unsettled -= level
+        frontier = level
+        while zero and frontier:
+            frontier = unsettled.intersection(itertools.chain.from_iterable(_images(frontier, zero)))
+            unsettled -= frontier
+            level |= frontier
+        for u in level:
+            dist[u] = d
+        for images, w in zip(_images(level, columns), weights):
+            pending.setdefault(d + w, []).extend(images)
+    return dist
 
 
 # ---------------------------------------------------------------------------
@@ -260,18 +304,20 @@ def random_walk_degree(graph: QuantumBruhatGraph, rng, u: int, steps: int) -> tu
 
 @lru_cache(maxsize=None)
 def _cayley_frame(n: int) -> tuple:
-    """The permutations of S_n in lexicographic order, as itertools emits them
-    (the identity first), their index, the swaps i < j of positions, and per
-    vertex its neighbour under each swap, in swap order.
+    """The swaps i < j of positions, and per swap its column: for each vertex
+    u, the index of u * (i j), u with its entries at positions i and j
+    exchanged.  Vertices are the permutations of S_n in lexicographic order,
+    as itertools emits them (the identity first); the permutations themselves
+    are not kept, cayley_graph lists them again for export.
     Built once per n: callers check n against their cap first."""
-    perms = tuple(itertools.permutations(range(1, n + 1)))
+    perms = list(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
     swaps = tuple(itertools.combinations(range(n), 2))
-    neighbours = tuple(
-        tuple(index[p[:i] + (p[j],) + p[i + 1:j] + (p[i],) + p[j + 1:]] for i, j in swaps)
-        for p in perms
+    columns = tuple(
+        tuple(index[p[:i] + (p[j],) + p[i + 1:j] + (p[i],) + p[j + 1:]] for p in perms)
+        for i, j in swaps
     )
-    return perms, MappingProxyType(index), swaps, neighbours
+    return swaps, columns
 
 
 def _checked_cayley_frame(n: int, lam: Vector, cap: int) -> tuple:
@@ -286,10 +332,10 @@ def _checked_cayley_frame(n: int, lam: Vector, cap: int) -> tuple:
 
 def _scaled_cayley_distances(frame: tuple, lam: Vector, src: int) -> tuple[list[int], int]:
     """Distances from src under the weights |lam_i - lam_j|, scaled to integers; and the scale."""
-    _perms, _index, swaps, neighbours = frame
+    swaps, columns = frame
     scaled_lam, scale = scaled(lam)
-    swap_weights = tuple(abs(scaled_lam[i] - scaled_lam[j]) for i, j in swaps)
-    dist = _dijkstra([zip(row, swap_weights) for row in neighbours], src)
+    steps = [(column, abs(scaled_lam[i] - scaled_lam[j])) for column, (i, j) in zip(columns, swaps)]
+    dist = _step_dijkstra(math.factorial(len(lam)), steps, src)
     if None in dist:
         raise ConsistencyError("Cayley graph is disconnected; this cannot happen for valid input")
     return dist, scale
@@ -299,7 +345,7 @@ class WeightedCayleyGraph(NamedTuple):
     n: int
     lam: Vector
     perms: tuple[tuple[int, ...], ...]
-    index: Mapping[tuple[int, ...], int]  # shared by every graph on S_n, so read-only
+    index: Mapping[tuple[int, ...], int]
     # (u, v, i, j, |lam_i - lam_j|) for a swap of positions i < j, u < v
     edges: list[tuple[int, int, int, int, Fraction]]
 
@@ -311,14 +357,16 @@ class WeightedCayleyGraph(NamedTuple):
 def cayley_graph(n: int, lam, cap: int = DEFAULT_CAYLEY_CAP) -> WeightedCayleyGraph:
     """The Cayley graph of S_n on all transpositions, weighted by |lam_i - lam_j|."""
     lam = vec(lam)
-    perms, index, swaps, neighbours = _checked_cayley_frame(n, lam, cap)
+    swaps, columns = _checked_cayley_frame(n, lam, cap)
+    perms = tuple(itertools.permutations(range(1, n + 1)))  # the frame's vertex order
     swap_weights = [abs(lam[i] - lam[j]) for i, j in swaps]
     edges = [
         (u, v, i, j, w)
-        for u, row in enumerate(neighbours)
+        for u, row in enumerate(zip(*columns))
         for v, (i, j), w in zip(row, swaps, swap_weights)
         if v > u
     ]
+    index = {p: i for i, p in enumerate(perms)}
     return WeightedCayleyGraph(n=n, lam=lam, perms=perms, index=index, edges=edges)
 
 

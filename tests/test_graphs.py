@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bruhatcap import (
@@ -447,6 +447,28 @@ def test_random_walk_degrees_dominate_d_min(w_b3):
 # -- weighted Cayley graph -------------------------------------------------------
 
 
+@st.composite
+def _step_graphs(draw):
+    """A vertex count, steps (column, weight) and a source.  Columns are
+    arbitrary maps, so they hold self-loops and leave vertices unreachable;
+    weights in 0..3 repeat and include zero."""
+    n = draw(st.integers(1, 10))
+    column = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+    steps = draw(st.lists(st.tuples(column, st.integers(0, 3)), max_size=5))
+    return n, steps, draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_step_graphs())
+@example((1, [], 0))  # no steps: the vertex count cannot be read off a column
+@example((3, [([1, 2, 2], 1)], 0))  # every level a single vertex
+@example((4, [([1, 0, 3, 2], 0), ([2, 3, 0, 1], 2)], 0))  # zero-weight closure
+def test_step_dijkstra_matches_heap_dijkstra(graph):
+    n, steps, src = graph
+    adj = [[(column[u], w) for column, w in steps] for u in range(n)]
+    assert graphs._step_dijkstra(n, steps, src) == graphs._dijkstra(adj, src)
+
+
 def test_cayley_n2():
     assert cayley_diameter(2, [Fraction(7, 2), 1]) == Fraction(5, 2)
 
@@ -479,27 +501,36 @@ def test_cayley_diameter_interleaved_sizes():
         (3, [5, Fraction(1, 2), -1]),
         (5, [Fraction(9, 2), 3, Fraction(1, 3), 0, -2]),
         (3, [Fraction(2, 3), 0, 0]),
+        (7, [5, 5, 2, 2, 2, -3, -3]),
+        (6, [5, 5, 2, 2, 2, -3]),
     ]:
         assert cayley_diameter(n, lam) == unitary_capacity(lam)
 
 
 def test_cayley_distances_disconnected(monkeypatch):
     g = cayley_graph(3, [2, 1, 0])
-    perms, index, swaps, _neighbours = graphs._cayley_frame(3)
-    monkeypatch.setattr(graphs, "_cayley_frame", lambda n: (perms, index, swaps, ((),) * len(perms)))
+    swaps, _columns = graphs._cayley_frame(3)
+    # Every swap fixes every vertex, so nothing but the source is reachable.
+    loops = tuple(range(len(g.perms)))
+    monkeypatch.setattr(graphs, "_cayley_frame", lambda n: (swaps, (loops,) * len(swaps)))
     with pytest.raises(ConsistencyError, match="disconnected"):
         cayley_distances(g, 0)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_cayley_distances_match_networkx_from_every_source(n):
+    # Tied entries give zero-weight swaps.  At n = 6 and 7 only the identity is
+    # a source: by left-invariance its distances determine every source's.
     nx = pytest.importorskip("networkx")
-    lam = (Fraction(7, 2), Fraction(-4, 3), 1, Fraction(1, 2), Fraction(5, 3))[:n]
+    lam = ((Fraction(7, 2), Fraction(-4, 3), 1, Fraction(1, 2), Fraction(5, 3)) if n <= 5
+           else (5, 5, 2, 2, 2, -3, -3))[:n]
     g = cayley_graph(n, lam)
     oracle = nx.Graph()
     oracle.add_nodes_from(range(len(g.perms)))
     oracle.add_weighted_edges_from((u, v, w) for u, v, _i, _j, w in g.edges)
-    for src, expected in nx.all_pairs_dijkstra_path_length(oracle):
+    sources = range(len(g.perms)) if n <= 5 else [g.identity_index]
+    for src in sources:
+        expected = nx.single_source_dijkstra_path_length(oracle, src)
         assert cayley_distances(g, src) == [expected[v] for v in range(len(g.perms))]
 
 
