@@ -568,6 +568,19 @@ def test_confirm_upper_raises_on_wrong_upper(b3):
     assert confirm_upper(w, singular, area + 1) == area
 
 
+CONFIRM_CAP_TYPES = [t for t in TABLE_TYPES if build(*t).weyl_order <= capacity.DEFAULT_CONFIRM_CAP]
+
+
+@pytest.mark.parametrize("fam,rank", CONFIRM_CAP_TYPES)
+def test_w0_degree_matches_quantum_bruhat_bfs(fam, rank):
+    # The breadth-first search over the whole quantum Bruhat graph is the
+    # independent oracle for the degree that `hz_bounds` reports.
+    w = generate(build(fam, rank))
+    degree, length = d_min(graphs.quantum_bruhat_graph(w), w.longest_index, w.identity_index)
+    assert w0_degree(w) == degree
+    assert length == len(w0_decomposition(w.rs))
+
+
 def _failed_w0_degree_is_not_kept(monkeypatch, rs, fake_d_min, match):
     monkeypatch.setattr(capacity, "_W0_DEGREES", {})
     w = weyl_module.WeylGroup(rs)
