@@ -12,9 +12,9 @@ The coweight xi of the oscillation bound is still paired with the roots in
 ambient coordinates, and closed_form_table works in ambient coordinates, as
 the independent oracle.
 
-The graphs confirm the upper bound once per type, as d_min(w0, e) = the sum
-of the decomposition coroots (w0_degree), and per weight by one Dijkstra from
-e to w0 on W/W_P (confirm_upper).
+For an enumerated group, w0_degree reads d_min(w0, e) off a quantum-edge walk
+from w0 to e (`verify triangle`, `verify postnikov` and the tests keep the graph
+search), and confirm_upper runs one Dijkstra per weight from e to w0 on W/W_P.
 """
 
 from __future__ import annotations
@@ -176,7 +176,6 @@ class W0Decomposition(NamedTuple):
 
 
 _DECOMPOSITIONS: dict[tuple[str, int], W0Decomposition] = {}
-_W0_DEGREES: dict[tuple[str, int], tuple[int, ...]] = {}  # d_min(w0, e), filled by w0_degree
 
 
 def w0_decomposition(rs: RootSystem) -> W0Decomposition:
@@ -398,28 +397,21 @@ def table_row(rs: RootSystem, lam: Vector,
 
 
 def w0_degree(weyl: WeylGroup) -> tuple[int, ...]:
-    """d_min(w0, e), from a quantum Bruhat graph built for it and dropped;
-    checked once per type and cached, and a failed build is not kept.
-
-    The pairing is linear, so <lam, d_min(w0, e)> is the decomposition sum
-    for every lam exactly when d_min(w0, e) is the sum of the decomposition
-    coroots: ConsistencyError unless it is, or if Postnikov's uniqueness check
-    fails."""
-    from .graphs import d_min, quantum_bruhat_graph
-
+    """d_min(w0, e) = the sum of the decomposition coroots, once the walk u -> u s_alpha from
+    w0 over them is checked to reach e by quantum edges (each drops the length 2 ht - 1): as
+    long as the absolute length of w0, it is a shortest path of unique degree (Postnikov)."""
     rs = weyl.rs
-    key = (rs.family, rs.rank)
-    got = _W0_DEGREES.get(key)
-    if got is None:
-        got, _length = d_min(quantum_bruhat_graph(weyl), weyl.longest_index,
-                             weyl.identity_index)
-        dec = w0_decomposition(rs)
-        coroots = tuple(map(sum, zip(*map(rs.coroot_coefficients, dec.root_indices))))
-        if got != coroots:
-            raise ConsistencyError(f"{rs.family}{rs.rank}: d_min(w0, e) = {got} but "
-                                   f"the decomposition coroots sum to {coroots}")
-        _W0_DEGREES[key] = got
-    return got
+    dec = w0_decomposition(rs)
+    u, lengths = weyl.longest_index, weyl.lengths
+    for a, height in zip(dec.root_indices, dec.coroot_heights):
+        v = weyl.reflection_table(a)[u]
+        if lengths[u] - lengths[v] != 2 * height - 1:
+            raise ConsistencyError(f"{rs.family}{rs.rank}: the step by s_alpha, alpha = "
+                                   f"({','.join(vector_strs(rs.roots[a]))}), is not a quantum edge")
+        u = v
+    if u != weyl.identity_index:
+        raise ConsistencyError(f"{rs.family}{rs.rank}: the w0 walk ends at {weyl.word_label(u)}")
+    return tuple(map(sum, zip(*map(rs.coroot_coefficients, dec.root_indices))))
 
 
 def confirm_upper(weyl: WeylGroup, lam: Vector, upper: Fraction) -> Fraction:
@@ -478,12 +470,12 @@ class CapacityBounds(NamedTuple):
 def hz_bounds(family: str, rank: int, lam, *, confirm_cap: int = DEFAULT_CONFIRM_CAP,
               group_cap: int = DEFAULT_GROUP_CAP) -> CapacityBounds:
     """Full pipeline: root system, decomposition, bounds and, for groups
-    small enough to enumerate, graph confirmations of the upper bound: the
-    per-type identity d_min(w0, e) = sum of the decomposition coroots
-    (w0_degree), and one Dijkstra per weight on W/W_P (confirm_upper).
+    small enough to enumerate, graph confirmations of the upper bound: for a
+    regular weight, d_min(w0, e) = sum of the decomposition coroots by a
+    quantum-edge walk (w0_degree), and one Dijkstra on W/W_P (confirm_upper).
 
     Everything weight-free is built once per type and kept: the root system,
-    the decomposition, d_min(w0, e), the group and its cosets."""
+    the decomposition, the group, its reflection tables and its cosets."""
     rs = build(family, rank)
     lam_input = vec(lam)
     lam_used = checked_weight(rs, lam_input)

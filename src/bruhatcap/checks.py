@@ -181,8 +181,8 @@ def check_postnikov(seed: int = 0, walk_samples: int = 1000,
 
 def check_triangle(seed: int = 0, samples: int = 3,
                    types: tuple = TRIANGLE_TYPES) -> CheckResult:
-    """Per type, d_min(w0, e) = the sum of the decomposition coroots; for
-    regular weights, decomposition sum = Dijkstra min area."""
+    """Per type, w0_degree = d_min(w0, e) by a search of the whole quantum
+    Bruhat graph; for regular weights, decomposition sum = Dijkstra min area."""
     t0 = time.perf_counter()
     rng = random.Random(seed)
     tested = 0
@@ -190,16 +190,23 @@ def check_triangle(seed: int = 0, samples: int = 3,
         rs = build(fam, rank)
         dec = capacity.w0_decomposition(rs)
         weyl = generate(rs)
+        try:
+            walked = capacity.w0_degree(weyl)
+            q = graphs.quantum_bruhat_graph(weyl)
+            searched = graphs.d_min(q, weyl.longest_index, weyl.identity_index)[0]
+            if walked != searched:
+                raise ConsistencyError(f"w0_degree {walked} but d_min(w0, e) = {searched}")
+        except ConsistencyError as exc:
+            return _result("triangle", t0, False, f"{fam}{rank}: {exc}")
         for _ in range(samples):
             lam = capacity.random_dominant(rs, rng, regular=True)
             try:
-                capacity.w0_degree(weyl)  # computed and checked on the first sample
                 capacity.confirm_upper(weyl, lam, capacity.upper_bound(rs, lam, dec))
             except ConsistencyError as exc:
                 return _result("triangle", t0, False, f"{fam}{rank} lambda={lam}: {exc}")
             tested += 1
-    return _result("triangle", t0, True,
-                   f"{tested} regular weights across {len(types)} types agree exactly")
+    return _result("triangle", t0, True, f"d_min(w0, e) by walk and by search agree on "
+                   f"{len(types)} types; {tested} regular weights agree exactly")
 
 
 def check_sandwich(seed: int = 0, samples: int = 200,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bruhatcap import capacity, graphs
+from bruhatcap import capacity, checks, graphs
 from bruhatcap import weyl as weyl_module
 from bruhatcap import (
     ConsistencyError,
@@ -527,9 +527,8 @@ def _counted(counts, name, fn):
 
 
 def test_hz_bounds_builds_weight_free_data_once_per_type(monkeypatch):
-    # Fresh groups and degrees, so no d_min(w0, e) or coset data is kept from earlier tests.
+    # Fresh groups, so no reflection tables or coset data are kept from earlier tests.
     monkeypatch.setattr(weyl_module, "_GROUP_CACHE", {})
-    monkeypatch.setattr(capacity, "_W0_DEGREES", {})
     counts = Counter()
     monkeypatch.setattr(graphs, "quantum_bruhat_graph",
                         _counted(counts, "quantum", graphs.quantum_bruhat_graph))
@@ -547,11 +546,12 @@ def test_hz_bounds_builds_weight_free_data_once_per_type(monkeypatch):
         assert first.as_dict() == second.as_dict()
         assert second.checks["dmin_consistent"] is True
         w = generate(rs)
-        assert second.d_min_degree is w0_degree(w)
+        assert second.d_min_degree == w0_degree(w)
         assert hz_bounds(fam, rank, singular).as_dict() == hz_bounds(fam, rank, singular).as_dict()
         assert w.parabolic((0,)) is w.parabolic([0])
     n = len(CONFIRMED_TYPES)
-    assert counts == {"quantum": n, "d_min": n, "cosets": 2 * n}
+    # The degree comes from a walk on the group's tables: no quantum Bruhat graph, no search.
+    assert counts == {"cosets": 2 * n}
 
 
 def test_confirm_upper_raises_on_wrong_upper(b3):
@@ -581,40 +581,69 @@ def test_w0_degree_matches_quantum_bruhat_bfs(fam, rank):
     assert length == len(w0_decomposition(w.rs))
 
 
-def _failed_w0_degree_is_not_kept(monkeypatch, rs, fake_d_min, match):
-    monkeypatch.setattr(capacity, "_W0_DEGREES", {})
-    w = weyl_module.WeylGroup(rs)
+def _walk(w):
+    """The walk w0, w0 s_(a_1), w0 s_(a_1) s_(a_2), ... over the decomposition roots a_k."""
+    roots = w0_decomposition(w.rs).root_indices
+    path = [w.longest_index]
+    for a in roots:
+        path.append(w.reflection_table(a)[path[-1]])
+    return path, roots
+
+
+def _tamper_length(w):
+    path, _roots = _walk(w)
+    w.lengths = list(w.lengths)
+    w.lengths[path[1]] -= 1  # the first step now lowers the length by one too many
+
+
+def _tamper_table(w):
+    _path, roots = _walk(w)
+    w._reflection_tables[roots[0]] = tuple(range(len(w)))  # u s_alpha = u: no step at all
+
+
+def _tamper_end(w):
+    # The last step lands on s_1 instead of e, and s_1 is given length 0, so
+    # every step still has the length drop of a quantum edge.
+    path, roots = _walk(w)
+    wrong = w.simple_elements[0]
+    table = list(w.reflection_table(roots[-1]))
+    table[path[-2]] = wrong
+    w._reflection_tables[roots[-1]] = tuple(table)
+    w.lengths = list(w.lengths)
+    w.lengths[wrong] = 0
+
+
+@pytest.mark.parametrize("tamper,match", [
+    (_tamper_length, r"B3: the step by s_alpha, alpha = \(1,-1,0\), is not a quantum edge"),
+    (_tamper_table, r"B3: the step by s_alpha, alpha = \(1,-1,0\), is not a quantum edge"),
+    (_tamper_end, "B3: the w0 walk ends at s1$"),
+])
+def test_w0_degree_refuses_a_broken_walk(b3, tamper, match):
+    tampered = weyl_module.WeylGroup(b3)
+    tamper(tampered)
+    with pytest.raises(ConsistencyError, match=match):
+        w0_degree(tampered)
+    w = generate(b3)
+    degree, _length = d_min(graphs.quantum_bruhat_graph(w), w.longest_index, w.identity_index)
+    assert w0_degree(w) == degree
+
+
+def test_triangle_check_searches_once_per_type(monkeypatch):
     counts = Counter()
-
-    def counted(graph, u, v):
-        counts["d_min"] += 1
-        return fake_d_min(graph, u, v)
-
-    monkeypatch.setattr(graphs, "d_min", counted)
-    for _ in range(2):
-        with pytest.raises(ConsistencyError, match=match):
-            w0_degree(w)
-    assert counts["d_min"] == 2
-    assert capacity._W0_DEGREES == {}
-    monkeypatch.setattr(graphs, "d_min", d_min)
-    degree = w0_degree(w)
-    assert w0_degree(w) is degree
-    assert capacity._W0_DEGREES == {(rs.family, rs.rank): degree}
+    monkeypatch.setattr(graphs, "quantum_bruhat_graph",
+                        _counted(counts, "quantum", graphs.quantum_bruhat_graph))
+    monkeypatch.setattr(graphs, "d_min", _counted(counts, "d_min", graphs.d_min))
+    res = checks.check_triangle(samples=3, types=(("B", 3), ("G", 2)))
+    assert res.passed, res.detail
+    assert counts == {"quantum": 2, "d_min": 2}
 
 
-def test_d_min_failure_is_not_kept(monkeypatch, b3):
-    def failing(graph, u, v):
-        raise ConsistencyError("shortest-path degree must be unique")
-
-    _failed_w0_degree_is_not_kept(monkeypatch, b3, failing, "unique")
-
-
-def test_wrong_w0_degree_is_refused_and_not_kept(monkeypatch, b3):
-    def off_by_one(graph, u, v):
-        degree, length = d_min(graph, u, v)
-        return (degree[0] + 1,) + degree[1:], length
-
-    _failed_w0_degree_is_not_kept(monkeypatch, b3, off_by_one, "coroots sum to")
+def test_triangle_check_reports_both_degrees_on_a_mismatch(monkeypatch):
+    monkeypatch.setattr(capacity, "w0_degree", lambda w: (0,) * w.rs.rank)
+    res = checks.check_triangle(types=(("B", 3),))
+    assert not res.passed
+    assert res.detail.startswith("B3: w0_degree (0, 0, 0) but ")
+    assert f"d_min(w0, e) = {w0_degree(generate(build('B', 3)))}" in res.detail
 
 
 def test_hz_bounds_as_dict_rationals_are_strings():
