@@ -293,7 +293,8 @@ def coweight_oscillation_bound(rs: RootSystem, lam: Vector, xi: Vector,
 
     xi must pair nonnegatively with every simple root and positively with
     the highest root (the dual-basis vertices qualify).  The maximum of
-    |(root, xi)| is then attained at the highest root, which is asserted.
+    |(root, xi)| is then attained at the highest root, which is asserted;
+    every root is +-a positive root, so the maximum is taken over R+.
     """
     xi = vec(xi)
     if dec is None:
@@ -304,7 +305,7 @@ def coweight_oscillation_bound(rs: RootSystem, lam: Vector, xi: Vector,
     m = linalg.dot(xi, rs.rho)
     if m <= 0:
         raise ValidationError("xi must pair positively with the highest root")
-    worst = max(abs(linalg.dot(xi, r)) for r in rs.roots)
+    worst = max(abs(linalg.dot(xi, rs.roots[i])) for i in rs.positive)
     if worst != m:
         raise ConsistencyError("max |(root, xi)| not attained at the highest root")
     osc = sum((p * linalg.dot(rs.roots[i], xi) for i, p in zip(dec.root_indices, pairings)),

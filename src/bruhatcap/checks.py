@@ -2,7 +2,9 @@
 acceptance test suite.
 
 Each check returns a CheckResult; sample sizes default to the acceptance
-requirements.  All comparisons are exact.
+requirements.  All comparisons are exact.  The Weyl-group and graph modules
+are imported only by the three checks that run them (unitary-diameter,
+postnikov, triangle).
 """
 
 from __future__ import annotations
@@ -12,12 +14,11 @@ import time
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import capacity, graphs
+from . import capacity
 from .capacity import TABLE_TYPES
 from .errors import BruhatCapError, ConsistencyError
 from .limits import DEFAULT_CAYLEY_CAP
 from .rootsystem import build
-from .weyl import generate
 
 TRIANGLE_TYPES: tuple[tuple[str, int], ...] = (
     tuple(("A", r) for r in range(1, 5))
@@ -44,6 +45,8 @@ def _result(name: str, started: float, passed: bool, detail: str) -> CheckResult
 def check_unitary_diameter(seed: int = 0, ns: range | tuple = range(2, DEFAULT_CAYLEY_CAP + 1),
                            samples: int = 100) -> CheckResult:
     """Weighted Cayley diameter equals (1/2) sum |lam_k - lam_{n-k+1}| exactly."""
+    from . import graphs
+
     t0 = time.perf_counter()
     rng = random.Random(seed)
     tested = 0
@@ -147,6 +150,9 @@ def check_postnikov(seed: int = 0, walk_samples: int = 1000,
                     types: tuple = POSTNIKOV_TYPES) -> CheckResult:
     """Shortest-path degree uniqueness over all ordered pairs, plus sampled
     longer paths dominating d_min componentwise."""
+    from . import graphs
+    from .weyl import generate
+
     t0 = time.perf_counter()
     rng = random.Random(seed)
     pair_count = 0
@@ -183,6 +189,9 @@ def check_triangle(seed: int = 0, samples: int = 3,
                    types: tuple = TRIANGLE_TYPES) -> CheckResult:
     """Per type, w0_degree = d_min(w0, e) by a search of the whole quantum
     Bruhat graph; for regular weights, decomposition sum = Dijkstra min area."""
+    from . import graphs
+    from .weyl import generate
+
     t0 = time.perf_counter()
     rng = random.Random(seed)
     tested = 0

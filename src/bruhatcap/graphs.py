@@ -312,12 +312,17 @@ def _cayley_frame(n: int) -> tuple:
     Built once per n: callers check n against their cap first."""
     perms = list(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
+    adjacent = [tuple(index[p[:i] + (p[i + 1], p[i]) + p[i + 2:]] for p in perms)
+                for i in range(n - 1)]
+    # u * (i j) = u * (i i+1) * (i+1 j) * (i i+1): each column from the one of (i+1 j).
+    column = {}
+    for i in reversed(range(n - 1)):
+        a = adjacent[i]
+        column[i, i + 1] = a
+        for j in range(i + 2, n):
+            column[i, j] = tuple(map(a.__getitem__, map(column[i + 1, j].__getitem__, a)))
     swaps = tuple(itertools.combinations(range(n), 2))
-    columns = tuple(
-        tuple(index[p[:i] + (p[j],) + p[i + 1:j] + (p[i],) + p[j + 1:]] for p in perms)
-        for i, j in swaps
-    )
-    return swaps, columns
+    return swaps, tuple(column[s] for s in swaps)
 
 
 def _checked_cayley_frame(n: int, lam: Vector, cap: int) -> tuple:

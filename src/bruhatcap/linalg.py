@@ -4,7 +4,7 @@ The root kernel works in integer simple-root coordinates (see rootsystem);
 what is left here serves the ambient side: vectors and dot products, the
 integer inverse of the Cartan matrix behind the fundamental weights and
 the dual basis, the exact solve behind the projection onto the root span,
-and the rank behind absolute lengths.
+and the integer rank behind absolute lengths.
 Everything is dense and exact; no floating point is used anywhere in the
 package.
 """
@@ -94,25 +94,21 @@ def inverse(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
     return [row[n:] for row in rows], last
 
 
-def rank(matrix: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of a rational matrix by row echelon reduction."""
+def integer_rank(matrix: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix by fraction-free row echelon reduction, whose
+    divisions are exact (Bareiss, as in inverse)."""
     rows = [list(r) for r in matrix]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rk = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rk, len(rows)) if rows[i][col] != 0), None)
+    rk, last = 0, 1
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rk, len(rows)) if rows[i][col]), None)
         if pivot is None:
             continue
         rows[rk], rows[pivot] = rows[pivot], rows[rk]
-        prow = rows[rk]
-        for i in range(rk + 1, len(rows)):
-            if rows[i][col] != 0:
-                f = rows[i][col] / prow[col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
+        prow, d = rows[rk], rows[rk][col]
+        rows[rk + 1:] = [[(d * a - row[col] * b) // last for a, b in zip(row, prow)]
+                         for row in rows[rk + 1:]]
+        last = d
         rk += 1
         if rk == len(rows):
             break
     return rk
-

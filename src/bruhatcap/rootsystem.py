@@ -28,7 +28,6 @@ are stated):
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, gcd, lcm
@@ -236,11 +235,31 @@ class RootSystem:
         """Root vector -> root index, built on first use: a tuple of Fractions hashes slowly."""
         return {r: i for i, r in enumerate(self.roots)}
 
+    @cached_property
+    def _pairing_index(self) -> dict[tuple[int, ...], int]:
+        """Root pairings (<beta, coroot(alpha_k)>)_k -> root index; a root is fixed by its pairings."""
+        return dict(zip(self._pairings, range(len(self._pairings))))
+
+    def _row(self, v: Vector) -> list[int] | None:
+        """v times the simple roots' denominator as integers; None unless they are integers."""
+        den = self._den
+        if any(den % x.denominator for x in v):
+            return None
+        return [x.numerator * (den // x.denominator) for x in v]
+
     def find(self, v: Vector) -> int | None:
-        """The index of the root v, or None if v is not a root; a binary search
-        over the roots, which are sorted."""
-        i = bisect_left(self.roots, v)
-        return i if i < len(self.roots) and self.roots[i] == v else None
+        """The index of the root v, or None if v is not a root, in integers: v's
+        row over the simple roots' denominator names by its pairings with the
+        simple coroots the one candidate root, whose row must then equal it."""
+        row = self._row(v) if len(v) == self.ambient_dim else None
+        if row is None:
+            return None
+        scale = self._den * self._label_denominator
+        pairings = [sum(map(mul, row, r)) for r in self._label_rows]
+        if any(p % scale for p in pairings):
+            return None
+        i = self._pairing_index.get(tuple(p // scale for p in pairings))
+        return i if i is not None and self._row(self.roots[i]) == row else None
 
     @cached_property
     def _coroot_columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -375,9 +394,7 @@ def key_absolute_length(rs: RootSystem, key: tuple[int, ...]) -> int:
     coefficients of the images of the simple roots.
     """
     cols = [rs.signed_coefficients(k) for k in key]
-    return linalg.rank([
-        [Fraction(cols[j][k] - (j == k)) for j in range(rs.rank)] for k in range(rs.rank)
-    ])
+    return linalg.integer_rank([[cols[j][k] - (j == k) for j in range(rs.rank)] for k in range(rs.rank)])
 
 
 @lru_cache(maxsize=None)

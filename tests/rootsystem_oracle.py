@@ -5,7 +5,8 @@ matrices and every root norm by Fraction dot products, each ambient root
 vector as a Fraction combination of the simple roots, and each fundamental
 weight and dual-basis vector from its own exact solve of one unit column.
 `fraction_build` returns every field that RootSystem computes, so a test can
-compare the two value for value and type for type.
+compare the two value for value and type for type.  `fraction_rank` is the
+Fraction row reduction that absolute lengths were once computed by.
 """
 
 from fractions import Fraction
@@ -113,3 +114,25 @@ def built_fields(rs) -> dict:
         "fundamental_weights": rs.fundamental_weights(),
         "dual_basis": rs.dual_basis(),
     }
+
+
+def fraction_rank(matrix) -> int:
+    """Rank of a rational matrix by row echelon reduction in Fraction arithmetic."""
+    rows = [[Fraction(x) for x in r] for r in matrix]
+    if not rows:
+        return 0
+    rk = 0
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(rk, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rk], rows[pivot] = rows[pivot], rows[rk]
+        prow = rows[rk]
+        for i in range(rk + 1, len(rows)):
+            if rows[i][col] != 0:
+                f = rows[i][col] / prow[col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
+        rk += 1
+        if rk == len(rows):
+            break
+    return rk

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bruhatcap import capacity, checks, graphs
+from bruhatcap import capacity, checks, graphs, linalg
 from bruhatcap import weyl as weyl_module
 from bruhatcap import (
     ConsistencyError,
@@ -32,6 +32,7 @@ from bruhatcap.capacity import confirm_upper, w0_degree
 from bruhatcap.checks import TABLE_TYPES
 from bruhatcap.graphs import d_min
 from bruhatcap.linalg import dot, solve_columns, vec
+from bruhatcap.rootsystem import RootSystem
 from weyl_ops import product_images, root_perms
 
 RNG_SEED = 20260809
@@ -302,6 +303,75 @@ def test_coweight_never_beats_lower_bound_b3(xi_coeffs, lam_coeffs):
     )
     low, _ = lower_bound(rs, lam, dec)
     assert coweight_oscillation_bound(rs, lam, xi, dec) <= low
+
+
+def _all_roots_coweight_bound(rs, lam, xi, dec):
+    """The oscillation bound in ambient Fraction arithmetic, with its maximum
+    taken over all 2|R+| roots: the oracle of the maximum over R+ alone."""
+    xi = vec(xi)
+    if any(dot(xi, rs.roots[s]) < 0 for s in rs.simple):
+        raise ValidationError("xi must pair nonnegatively with every simple root")
+    m = dot(xi, rs.rho)
+    if m <= 0:
+        raise ValidationError("xi must pair positively with the highest root")
+    if max(abs(dot(xi, r)) for r in rs.roots) != m:
+        raise ConsistencyError("max |(root, xi)| not attained at the highest root")
+    return sum((rs.pairing(lam, i) * dot(rs.roots[i], xi) for i in dec.root_indices),
+               Fraction(0)) / m
+
+
+@pytest.mark.parametrize("fam,rank", TABLE_TYPES)
+def test_coweight_maximum_over_positive_roots_is_over_all_roots(fam, rank):
+    rs = build(fam, rank)
+    dec = w0_decomposition(rs)
+    rng = random.Random(RNG_SEED)
+    for xi in rs.dual_basis() + tuple(random_positive_coweight(rs, rng) for _ in range(5)):
+        over_positive = max(abs(dot(xi, rs.roots[i])) for i in rs.positive)
+        assert over_positive == max(abs(dot(xi, r)) for r in rs.roots) == dot(xi, rs.rho)
+        lam = random_dominant(rs, rng)
+        assert coweight_oscillation_bound(rs, lam, xi, dec) == _all_roots_coweight_bound(rs, lam, xi, dec)
+
+
+TAMPERED_HIGHEST = r"^max \|\(root, xi\)\| not attained at the highest root$"
+
+
+@pytest.mark.parametrize("fam,rank", [("B", 3), ("G", 2), ("F", 4)])
+def test_tampered_highest_root_is_refused(fam, rank):
+    # A fresh system, so the cached one keeps its highest root.  An interior
+    # coweight pairs less with any other positive root than with the highest.
+    dec = w0_decomposition(build(fam, rank))
+    rng = random.Random(RNG_SEED)
+    for wrong in build(fam, rank).positive:
+        rs = RootSystem(fam, rank)
+        lam, xi = random_dominant(rs, rng), random_positive_coweight(rs, rng)
+        if wrong == rs.highest:
+            assert coweight_oscillation_bound(rs, lam, xi, dec) == _all_roots_coweight_bound(rs, lam, xi, dec)
+            continue
+        rs.highest = wrong
+        for bound in (coweight_oscillation_bound, _all_roots_coweight_bound):
+            with pytest.raises(ConsistencyError, match=TAMPERED_HIGHEST):
+                bound(rs, lam, xi, dec)
+
+
+def test_coweight_bound_pairs_xi_once_per_positive_root(monkeypatch):
+    # rank simple-root checks, the highest root, R+ and the decomposition roots
+    calls = Counter()
+    real_dot = linalg.dot
+
+    def counted(x, y):
+        calls["dot"] += 1
+        return real_dot(x, y)
+
+    monkeypatch.setattr(linalg, "dot", counted)
+    rng = random.Random(RNG_SEED)
+    for fam, rank in TABLE_TYPES:
+        rs = build(fam, rank)
+        dec = w0_decomposition(rs)
+        lam = random_dominant(rs, rng)
+        for xi in rs.dual_basis() + (random_positive_coweight(rs, rng),):
+            calls.clear()
+            coweight_oscillation_bound(rs, lam, xi, dec)
+            assert calls["dot"] == rs.rank + 1 + len(rs.positive) + len(dec)
 
 
 def test_oscillation_identity_small_types():

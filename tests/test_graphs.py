@@ -507,6 +507,17 @@ def test_cayley_diameter_interleaved_sizes():
         assert cayley_diameter(n, lam) == unitary_capacity(lam)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_cayley_frame_columns_match_swapping_positions(n):
+    # Each column directly: u * (i j) is u with its entries at i and j exchanged.
+    perms = list(permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    swaps = tuple(combinations(range(n), 2))
+    columns = tuple(tuple(index[p[:i] + (p[j],) + p[i + 1:j] + (p[i],) + p[j + 1:]] for p in perms)
+                    for i, j in swaps)
+    assert graphs._cayley_frame(n) == (swaps, columns)
+
+
 def test_cayley_distances_disconnected(monkeypatch):
     g = cayley_graph(3, [2, 1, 0])
     swaps, _columns = graphs._cayley_frame(3)

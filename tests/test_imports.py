@@ -66,6 +66,14 @@ def test_graph_commands_load_no_check_module(argv):
     assert loaded & {"bruhatcap.checks", "dataclasses", "inspect"} == set()
 
 
+def test_checks_import_the_group_and_graph_modules_only_in_the_checks_that_run_them():
+    script = "import json, sys, bruhatcap.checks; print(json.dumps(sorted(sys.modules)))"
+    assert set(json.loads(_python("-c", script).stdout)) & {"bruhatcap.weyl", "bruhatcap.graphs"} == set()
+    loaded = _modules_after("verify", "--only", "sandwich,coweight,table")
+    assert "bruhatcap.checks" in loaded
+    assert loaded & {"bruhatcap.weyl", "bruhatcap.graphs"} == set()
+
+
 def test_package_import_loads_no_module_and_star_resolves_every_name():
     script = ("import sys, bruhatcap\n"
               "before = sorted(m for m in sys.modules if m.startswith('bruhatcap'))\n"

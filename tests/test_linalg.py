@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rootsystem_oracle import fraction_rank
+
 from bruhatcap import ConsistencyError
 from bruhatcap import linalg
 
@@ -42,10 +44,29 @@ def test_solve_columns_round_trip(xs, ys):
 
 
 def test_rank():
-    assert linalg.rank([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]) == 1
-    one, zero = Fraction(1), Fraction(0)
-    assert linalg.rank([[one, zero, zero], [zero, one, zero], [zero, zero, one]]) == 3
-    assert linalg.rank([[Fraction(0)] * 3] * 3) == 0
+    for rank in (fraction_rank, linalg.integer_rank):
+        assert rank([[1, 2], [2, 4]]) == 1
+        assert rank([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 3
+        assert rank([[0] * 3] * 3) == 0
+        assert rank([]) == 0
+        assert rank([[0, 0, 1], [0, 0, 2], [0, 1, 5]]) == 2
+
+
+# Products of random n x k and k x m factors have rank at most k, so the
+# elimination meets dependent rows and pivot-free columns.
+_low_rank = st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(0, 6)).flatmap(
+    lambda nmk: st.tuples(
+        st.lists(st.lists(st.integers(-5, 5), min_size=nmk[2], max_size=nmk[2]),
+                 min_size=nmk[0], max_size=nmk[0]),
+        st.lists(st.lists(st.integers(-5, 5), min_size=nmk[1], max_size=nmk[1]),
+                 min_size=nmk[2], max_size=nmk[2]),
+    ).map(lambda ab: [[sum(x * ab[1][t][j] for t, x in enumerate(row)) if ab[1] else 0
+                       for j in range(nmk[1])] for row in ab[0]]))
+
+
+@given(_low_rank)
+def test_integer_rank_matches_fraction_rank(matrix):
+    assert linalg.integer_rank(matrix) == fraction_rank(matrix)
 
 
 
@@ -54,7 +75,7 @@ def test_rank():
 def test_inverse_matches_fraction_inverse(matrix):
     n = len(matrix)
     fractions = [linalg.vec(row) for row in matrix]
-    if linalg.rank(fractions) < n:
+    if fraction_rank(fractions) < n:
         with pytest.raises(ConsistencyError):
             linalg.inverse(matrix)
         return

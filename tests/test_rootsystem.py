@@ -286,3 +286,15 @@ def test_build_at_the_rank_limit(fam):
     assert len(rs.positive) == positive_root_count(fam, MAX_RANK)
     with pytest.raises(SizeLimitError, match=f"rank {MAX_RANK + 1} is over the limit {MAX_RANK}"):
         RootSystem(fam, MAX_RANK + 1)
+
+
+@pytest.mark.parametrize("fam,rank", ALL_TYPES)
+def test_find_matches_the_root_index(fam, rank):
+    rs = build(fam, rank)
+    for i, r in enumerate(rs.roots):
+        assert rs.find(r) == i
+        for not_a_root in (tuple(2 * x for x in r), tuple(x / 2 for x in r),
+                           r[:-1] + (r[-1] + Fraction(1, 3),), r[:-1] + (r[-1] + 1,)):
+            assert rs.find(not_a_root) == rs.index.get(not_a_root)
+    assert rs.find(vec([0] * rs.ambient_dim)) is None
+    assert rs.find(rs.roots[0][:-1]) is None

@@ -5,8 +5,12 @@ from itertools import combinations
 import pytest
 
 from bruhatcap import ConsistencyError, SizeLimitError, ValidationError, WeylGroup, build, generate
+from bruhatcap import capacity
 from bruhatcap import weyl as weyl_module
+from bruhatcap.capacity import TABLE_TYPES
+from bruhatcap.rootsystem import key_absolute_length
 from bruhatcap.linalg import neg, vec
+from rootsystem_oracle import fraction_rank
 from weyl_ops import compose, inverse, inversion_count, root_perms
 
 ENUMERABLE = (
@@ -168,6 +172,30 @@ def test_absolute_length_basics(w_b3):
 def test_absolute_length_of_w0(fam, rank, lt):
     w = generate(build(fam, rank))
     assert w.absolute_length(w.longest_index) == lt
+
+
+def _fraction_absolute_length(rs, key):
+    cols = [rs.signed_coefficients(k) for k in key]
+    return fraction_rank([[Fraction(cols[j][k] - (j == k)) for j in range(rs.rank)]
+                          for k in range(rs.rank)])
+
+
+@pytest.mark.parametrize("fam,rank", [
+    ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("B", 2), ("B", 3), ("B", 4),
+    ("C", 3), ("D", 4), ("F", 4), ("G", 2),
+])
+def test_integer_absolute_length_matches_fraction_rank(fam, rank):
+    w = generate(build(fam, rank))
+    assert [key_absolute_length(w.rs, key) for key in w.keys] == [
+        _fraction_absolute_length(w.rs, key) for key in w.keys]
+
+
+@pytest.mark.parametrize("fam,rank", TABLE_TYPES)
+def test_integer_absolute_length_of_the_w0_key(fam, rank):
+    rs = build(fam, rank)
+    key = capacity._simple_images(rs, capacity.w0_decomposition(rs).root_indices)
+    assert key_absolute_length(rs, key) == _fraction_absolute_length(rs, key) == len(
+        capacity.w0_decomposition(rs))
 
 
 # -- parabolic quotients -------------------------------------------------------
