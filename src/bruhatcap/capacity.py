@@ -8,9 +8,9 @@ orthogonally projected onto the root plane first, which leaves every bound
 unchanged.  Each bound reads its weight once, as integer Dynkin labels over
 one common denominator, and pairs it with roots by integer sums over their
 coroot coefficients; the upper and lower bounds return a single Fraction.
-The coweight xi of the oscillation bound is still paired with the roots in
-ambient coordinates, and closed_form_table works in ambient coordinates, as
-the independent oracle.
+The coweight xi of the oscillation bound is still paired with the positive
+roots in ambient coordinates, and closed_form_table works in ambient
+coordinates, as the independent oracle.
 
 For an enumerated group, w0_degree reads d_min(w0, e) off a quantum-edge walk
 from w0 to e (`verify triangle`, `verify postnikov` and the tests keep the graph

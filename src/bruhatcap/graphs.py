@@ -312,13 +312,11 @@ def _cayley_frame(n: int) -> tuple:
     Built once per n: callers check n against their cap first."""
     perms = list(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
-    adjacent = [tuple(index[p[:i] + (p[i + 1], p[i]) + p[i + 2:]] for p in perms)
-                for i in range(n - 1)]
-    # u * (i j) = u * (i i+1) * (i+1 j) * (i i+1): each column from the one of (i+1 j).
+    # u * (i j) = u * (i i+1) * (i+1 j) * (i i+1): only the adjacent swaps are
+    # read off the permutations, each other column is composed from (i+1 j)'s.
     column = {}
     for i in reversed(range(n - 1)):
-        a = adjacent[i]
-        column[i, i + 1] = a
+        a = column[i, i + 1] = tuple(index[p[:i] + (p[i + 1], p[i]) + p[i + 2:]] for p in perms)
         for j in range(i + 2, n):
             column[i, j] = tuple(map(a.__getitem__, map(column[i + 1, j].__getitem__, a)))
     swaps = tuple(itertools.combinations(range(n), 2))

@@ -390,8 +390,8 @@ def key_absolute_length(rs: RootSystem, key: tuple[int, ...]) -> int:
     the roots of index key.
 
     Computed as the codimension of the fixed subspace inside the root span:
-    the rank of M - I, where the columns of M are the simple-root
-    coefficients of the images of the simple roots.
+    the rank of the integer matrix M - I, where the columns of M are the
+    simple-root coefficients of the images of the simple roots.
     """
     cols = [rs.signed_coefficients(k) for k in key]
     return linalg.integer_rank([[cols[j][k] - (j == k) for j in range(rs.rank)] for k in range(rs.rank)])

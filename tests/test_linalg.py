@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootsystem_oracle import fraction_rank
@@ -52,22 +52,30 @@ def test_rank():
         assert rank([[0, 0, 1], [0, 0, 2], [0, 1, 5]]) == 2
 
 
-# Products of random n x k and k x m factors have rank at most k, so the
-# elimination meets dependent rows and pivot-free columns.
-_low_rank = st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(0, 6)).flatmap(
-    lambda nmk: st.tuples(
-        st.lists(st.lists(st.integers(-5, 5), min_size=nmk[2], max_size=nmk[2]),
-                 min_size=nmk[0], max_size=nmk[0]),
-        st.lists(st.lists(st.integers(-5, 5), min_size=nmk[1], max_size=nmk[1]),
-                 min_size=nmk[2], max_size=nmk[2]),
-    ).map(lambda ab: [[sum(x * ab[1][t][j] for t, x in enumerate(row)) if ab[1] else 0
-                       for j in range(nmk[1])] for row in ab[0]]))
+# Sparse matrices, and products of random n x k and k x m factors (rank at
+# most k), so the elimination meets dependent rows and pivot-free columns.
+_entries = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
 
 
-@given(_low_rank)
+def _matrices(n, m):
+    return st.lists(st.lists(_entries, min_size=m, max_size=m), min_size=n, max_size=n)
+
+
+def _product(a, b, m):
+    return [[sum(x * b[t][j] for t, x in enumerate(row)) for j in range(m)] for row in a]
+
+
+_sizes = st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(0, 6))
+
+
+@settings(max_examples=400)
+@given(st.one_of(
+    _sizes.flatmap(lambda nmk: _matrices(nmk[0], nmk[1])),
+    _sizes.flatmap(lambda nmk: st.tuples(_matrices(nmk[0], nmk[2]), _matrices(nmk[2], nmk[1]))
+                   .map(lambda ab: _product(*ab, nmk[1]))),
+))
 def test_integer_rank_matches_fraction_rank(matrix):
     assert linalg.integer_rank(matrix) == fraction_rank(matrix)
-
 
 
 @given(st.integers(1, 5).flatmap(

@@ -8,8 +8,8 @@ from bruhatcap import ConsistencyError, SizeLimitError, ValidationError, WeylGro
 from bruhatcap import capacity
 from bruhatcap import weyl as weyl_module
 from bruhatcap.capacity import TABLE_TYPES
-from bruhatcap.rootsystem import key_absolute_length
 from bruhatcap.linalg import neg, vec
+from bruhatcap.rootsystem import key_absolute_length
 from rootsystem_oracle import fraction_rank
 from weyl_ops import compose, inverse, inversion_count, root_perms
 
