@@ -251,7 +251,7 @@ class RootSystem:
         """The index of the root v, or None if v is not a root, in integers: v's
         row over the simple roots' denominator names by its pairings with the
         simple coroots the one candidate root, whose row must then equal it."""
-        row = self._row(v) if len(v) == self.ambient_dim else None
+        row = self._row(v)
         if row is None:
             return None
         scale = self._den * self._label_denominator
