@@ -8,8 +8,9 @@ orthogonally projected onto the root plane first, which leaves every bound
 unchanged.  Each bound reads its weight once, as integer Dynkin labels over
 one common denominator, and pairs it with roots by integer sums over their
 coroot coefficients; the upper and lower bounds return a single Fraction.
-The coweight xi of the oscillation bound is still paired with the positive
-roots in ambient coordinates, and closed_form_table works in ambient
+The coweight xi of the oscillation bound is still paired in ambient
+coordinates, once with each positive root, and every check and sum of that
+bound reads those |R+| pairings; closed_form_table works in ambient
 coordinates, as the independent oracle.
 
 For an enumerated group, w0_degree reads d_min(w0, e) off a quantum-edge walk
@@ -295,21 +296,25 @@ def coweight_oscillation_bound(rs: RootSystem, lam: Vector, xi: Vector,
     the highest root (the dual-basis vertices qualify).  The maximum of
     |(root, xi)| is then attained at the highest root, which is asserted;
     every root is +-a positive root, so the maximum is taken over R+.
+
+    xi is paired once with each positive root, |R+| dot products in all:
+    the simple roots, the highest root and the decomposition roots are
+    positive, so the cone check, m = (xi, theta), the maximum and the
+    oscillation sum all read that one pass.
     """
     xi = vec(xi)
     if dec is None:
         dec = w0_decomposition(rs)
     pairings, scale = _scaled_pairings(rs, lam, dec.root_indices)
-    if any(linalg.dot(xi, rs.roots[s]) < 0 for s in rs.simple):
+    xi_pairs = {i: linalg.dot(xi, rs.roots[i]) for i in rs.positive}
+    if any(xi_pairs[s] < 0 for s in rs.simple):
         raise ValidationError("xi must pair nonnegatively with every simple root")
-    m = linalg.dot(xi, rs.rho)
+    m = xi_pairs[rs.highest]
     if m <= 0:
         raise ValidationError("xi must pair positively with the highest root")
-    worst = max(abs(linalg.dot(xi, rs.roots[i])) for i in rs.positive)
-    if worst != m:
+    if max(map(abs, xi_pairs.values())) != m:
         raise ConsistencyError("max |(root, xi)| not attained at the highest root")
-    osc = sum((p * linalg.dot(rs.roots[i], xi) for i, p in zip(dec.root_indices, pairings)),
-              Fraction(0))
+    osc = sum(map(mul, pairings, map(xi_pairs.__getitem__, dec.root_indices)), Fraction(0))
     return osc / (scale * m)
 
 

@@ -320,6 +320,70 @@ def _all_roots_coweight_bound(rs, lam, xi, dec):
                Fraction(0)) / m
 
 
+def _separate_dots_coweight_bound(rs, lam, xi, dec):
+    """The oscillation bound with one dot product per check and per summand,
+    rank + 1 + |R+| + |dec| of them: the oracle of the single pass over R+."""
+    xi = vec(xi)
+    pairings, scale = capacity._scaled_pairings(rs, lam, dec.root_indices)
+    if any(dot(xi, rs.roots[s]) < 0 for s in rs.simple):
+        raise ValidationError("xi must pair nonnegatively with every simple root")
+    m = dot(xi, rs.rho)
+    if m <= 0:
+        raise ValidationError("xi must pair positively with the highest root")
+    worst = max(abs(dot(xi, rs.roots[i])) for i in rs.positive)
+    if worst != m:
+        raise ConsistencyError("max |(root, xi)| not attained at the highest root")
+    osc = sum((p * dot(rs.roots[i], xi) for i, p in zip(dec.root_indices, pairings)),
+              Fraction(0))
+    return osc / (scale * m)
+
+
+def _outcome(bound, *args):
+    """What a call returns, or the type and text of what it raises."""
+    try:
+        return "value", bound(*args)
+    except (ValidationError, ConsistencyError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("fam,rank", TABLE_TYPES)
+def test_one_pass_coweight_bound_matches_separate_dots(fam, rank):
+    rs = build(fam, rank)
+    dec = w0_decomposition(rs)
+    tau = rs.dual_basis()
+    rng = random.Random(RNG_SEED)
+    # the interior of the cone, its vertices, and a face: xi orthogonal to alpha_1
+    face = tuple(map(sum, zip(*tau[1:])))
+    cone = tuple(random_positive_coweight(rs, rng) for _ in range(4))
+    for xi in tau + cone + (face,):
+        for lam in (random_dominant(rs, rng), random_dominant(rs, rng, regular=True)):
+            got = coweight_oscillation_bound(rs, lam, xi, dec)
+            assert type(got) is Fraction
+            assert got == _separate_dots_coweight_bound(rs, lam, xi, dec)
+
+
+@pytest.mark.parametrize("fam,rank", TABLE_TYPES)
+def test_one_pass_coweight_bound_refuses_like_separate_dots(fam, rank):
+    rs = build(fam, rank)
+    dec = w0_decomposition(rs)
+    tau = rs.dual_basis()
+    rng = random.Random(RNG_SEED)
+    lam = random_dominant(rs, rng)
+    zero = vec([0] * rs.ambient_dim)
+    # negative on alpha_1 only; xi = 0, which passes the cone check with m = 0
+    negative = tuple(b - a for a, b in zip(tau[0], tau[1]))
+    not_dominant = tuple(-x for x in random_dominant(rs, rng, regular=True))
+    cases = [(lam, negative), (lam, zero), (not_dominant, negative), (not_dominant, tau[0])]
+    texts = set()
+    for weight, xi in cases:
+        got = _outcome(coweight_oscillation_bound, rs, weight, xi, dec)
+        assert got[0] != "value"
+        assert got == _outcome(_separate_dots_coweight_bound, rs, weight, xi, dec)
+        texts.add(got[1])
+    assert "xi must pair nonnegatively with every simple root" in texts
+    assert "xi must pair positively with the highest root" in texts
+
+
 @pytest.mark.parametrize("fam,rank", TABLE_TYPES)
 def test_coweight_maximum_over_positive_roots_is_over_all_roots(fam, rank):
     rs = build(fam, rank)
@@ -346,13 +410,15 @@ def test_tampered_highest_root_is_refused(fam, rank):
         rs = RootSystem(fam, rank)
         lam, xi = random_dominant(rs, rng), random_positive_coweight(rs, rng)
         rs.highest = wrong
-        for bound in (coweight_oscillation_bound, _all_roots_coweight_bound):
+        for bound in (coweight_oscillation_bound, _separate_dots_coweight_bound,
+                      _all_roots_coweight_bound):
             with pytest.raises(ConsistencyError, match=TAMPERED_HIGHEST):
                 bound(rs, lam, xi, dec)
 
 
 def test_coweight_bound_pairs_xi_once_per_positive_root(monkeypatch):
-    # rank simple-root checks, the highest root, R+ and the decomposition roots
+    # one dot product per positive root: the cone check, theta, the maximum and
+    # the oscillation sum all read that pass
     calls = Counter()
     real_dot = linalg.dot
 
@@ -369,7 +435,7 @@ def test_coweight_bound_pairs_xi_once_per_positive_root(monkeypatch):
         for xi in rs.dual_basis() + (random_positive_coweight(rs, rng),):
             calls.clear()
             coweight_oscillation_bound(rs, lam, xi, dec)
-            assert calls["dot"] == rs.rank + 1 + len(rs.positive) + len(dec)
+            assert calls["dot"] == len(rs.positive)
 
 
 def test_oscillation_identity_small_types():
