@@ -36,9 +36,20 @@ def _env_group_cap() -> int:
     if raw is None:
         return DEFAULT_GROUP_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise ValidationError(f"BC_GROUP_CAP must be an integer, got {raw!r}") from None
+    if cap < 0:
+        raise ValidationError(f"BC_GROUP_CAP must be nonnegative, got {raw!r}")
+    return cap
+
+
+def _require_nonnegative_caps(args) -> None:
+    """ValidationError for a negative --confirm-cap, --group-cap or --cayley-cap; 0 is valid."""
+    for name in ("confirm_cap", "group_cap", "cayley_cap"):
+        cap = getattr(args, name, None)
+        if cap is not None and cap < 0:
+            raise ValidationError(f"--{name.replace('_', '-')} must be nonnegative, got {cap}")
 
 
 def parse_lambda(raw: str) -> tuple[Fraction, ...]:
@@ -96,36 +107,55 @@ def _add_type_args(p: argparse.ArgumentParser) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_roots(args) -> int:
-    rs = build(args.type, args.rank)
-    rows = []
+def _root_rows(rs):
+    """The rows of `roots`, one dict per positive root, made as they are read."""
     for i in rs.positive:
-        rows.append({
+        yield {
             "root": vector_strs(rs.roots[i]),
             "coroot": vector_strs(rs.coroot(i)),
             "coroot_coefficients": list(rs.coroot_coefficients(i)),
             "height": rs.coroot_height(i),
             "simple": i in rs.simple,
             "highest": i == rs.highest,
-        })
-    if args.format == "json":
-        payload = {
-            "type": rs.family,
-            "rank": rs.rank,
-            "ambient_dim": rs.ambient_dim,
-            "n_roots": len(rs.roots),
-            "n_positive": len(rs.positive),
-            "weyl_order": rs.weyl_order,
-            "highest_root": vector_strs(rs.rho),
-            "simple_roots": [vector_strs(rs.roots[i]) for i in rs.simple],
-            "positive_roots": rows,
         }
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)
+
+
+_ROWS_MARK = "<positive roots>"
+
+
+def _roots_json_chunks(rs) -> Iterable[str]:
+    """json.dumps(payload, indent=2, sort_keys=True) + "\n" of the `roots`
+    payload, rendered one positive root at a time so that the rows are never
+    all held: each row is dumped alone and indented two levels deeper."""
+    payload = {
+        "type": rs.family,
+        "rank": rs.rank,
+        "ambient_dim": rs.ambient_dim,
+        "n_roots": len(rs.roots),
+        "n_positive": len(rs.positive),
+        "weyl_order": rs.weyl_order,
+        "highest_root": vector_strs(rs.rho),
+        "simple_roots": [vector_strs(rs.roots[i]) for i in rs.simple],
+        "positive_roots": _ROWS_MARK,
+    }
+    head, tail = json.dumps(payload, indent=2, sort_keys=True).split(json.dumps(_ROWS_MARK))
+    yield head + "["
+    newline = "\n    "
+    for k, row in enumerate(_root_rows(rs)):
+        text = json.dumps(row, indent=2, sort_keys=True).replace("\n", newline)
+        yield ("," if k else "") + newline + text
+    yield "\n  ]" + tail + "\n"
+
+
+def cmd_roots(args) -> int:
+    rs = build(args.type, args.rank)
+    if args.format == "json":
+        _emit(_roots_json_chunks(rs), args.output)
     elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["root", "coroot", "coroot_coefficients", "height", "simple", "highest"])
-        for row in rows:
+        for row in _root_rows(rs):
             writer.writerow([
                 " ".join(row["root"]), " ".join(row["coroot"]),
                 " ".join(map(str, row["coroot_coefficients"])),
@@ -139,7 +169,7 @@ def cmd_roots(args) -> int:
             f"highest root rho = ({','.join(vector_strs(rs.rho))})",
             "positive roots (root | coroot | height):",
         ]
-        for row in rows:
+        for row in _root_rows(rs):
             mark = " *" if row["simple"] else ("  <- rho" if row["highest"] else "")
             lines.append(
                 f"  ({','.join(row['root'])}) | ({','.join(row['coroot'])}) | {row['height']}{mark}"
@@ -358,6 +388,7 @@ def main(argv=None) -> int:
     try:
         # build_parser reads BC_GROUP_CAP, which can be malformed
         args = build_parser().parse_args(argv)
+        _require_nonnegative_caps(args)
         return args.func(args)
     except BruhatCapError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,8 +8,11 @@ from pathlib import Path
 
 import pytest
 
+from bruhatcap import capacity, cli
 from bruhatcap.cli import main, parse_lambda
 from bruhatcap.errors import ValidationError
+from bruhatcap.limits import MAX_RANK
+from bruhatcap.rootsystem import build, vector_strs
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -73,6 +76,36 @@ def test_roots_a1(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["n_roots"] == 2
+
+
+def _roots_payload(rs):
+    """The `roots --format json` payload, built whole: the reference of the stream."""
+    rows = [{
+        "root": vector_strs(rs.roots[i]),
+        "coroot": vector_strs(rs.coroot(i)),
+        "coroot_coefficients": list(rs.coroot_coefficients(i)),
+        "height": rs.coroot_height(i),
+        "simple": i in rs.simple,
+        "highest": i == rs.highest,
+    } for i in rs.positive]
+    return {
+        "type": rs.family,
+        "rank": rs.rank,
+        "ambient_dim": rs.ambient_dim,
+        "n_roots": len(rs.roots),
+        "n_positive": len(rs.positive),
+        "weyl_order": rs.weyl_order,
+        "highest_root": vector_strs(rs.rho),
+        "simple_roots": [vector_strs(rs.roots[i]) for i in rs.simple],
+        "positive_roots": rows,
+    }
+
+
+@pytest.mark.parametrize("fam,rank", [("A", 1), ("G", 2), ("E", 8), ("B", MAX_RANK)])
+def test_streamed_roots_json_matches_json_dumps(capsys, fam, rank):
+    code, out, _ = run_cli(capsys, "roots", "-t", fam, "-r", str(rank), "--format", "json")
+    assert code == 0
+    assert out == json.dumps(_roots_payload(build(fam, rank)), indent=2, sort_keys=True) + "\n"
 
 
 def test_roots_b3_json_rationals(capsys):
@@ -171,6 +204,44 @@ def test_malformed_group_cap_env(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err == "error: BC_GROUP_CAP must be an integer, got 'abc'\n"
+
+
+E8_LAMBDA = "1/2,13/2,23/2,31/2,37/2,41/2,43/2,219/2"
+
+
+@pytest.mark.parametrize("env,argv,message", [
+    (None, ("capacity", "-t", "E", "-r", "8", "--lambda", E8_LAMBDA,
+            "--group-cap", "-5", "--confirm-cap", "-3"), "--confirm-cap must be nonnegative, got -3"),
+    (None, ("capacity", "-t", "A", "-r", "2", "--lambda", "2,1,0", "--group-cap", "-1"),
+     "--group-cap must be nonnegative, got -1"),
+    (None, ("graph", "bruhat", "-t", "A", "-r", "2", "--group-cap", "-2"),
+     "--group-cap must be nonnegative, got -2"),
+    (None, ("graph", "cayley", "--n", "1", "--lambda", "0", "--cayley-cap", "-1"),
+     "--cayley-cap must be nonnegative, got -1"),
+    ("-7", ("capacity", "-t", "A", "-r", "2", "--lambda", "2,1,0", "--confirm-cap", "0"),
+     "BC_GROUP_CAP must be nonnegative, got '-7'"),
+    ("-7", ("roots", "-t", "A", "-r", "2"), "BC_GROUP_CAP must be nonnegative, got '-7'"),
+])
+def test_negative_cap_refused_before_any_build(capsys, monkeypatch, env, argv, message):
+    def refuse(*args):
+        raise AssertionError("a root system was built")
+
+    monkeypatch.setattr(cli, "build", refuse)
+    monkeypatch.setattr(capacity, "build", refuse)
+    if env is None:
+        monkeypatch.delenv("BC_GROUP_CAP", raising=False)
+    else:
+        monkeypatch.setenv("BC_GROUP_CAP", env)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_zero_caps_turn_the_confirmation_off(capsys, monkeypatch):
+    monkeypatch.setenv("BC_GROUP_CAP", "0")
+    code, out, _ = run_cli(capsys, "capacity", "-t", "A", "-r", "2", "--lambda", "2,1,0",
+                           "--confirm-cap", "0", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["checks"]["dmin_consistent"] is None
 
 
 def test_capacity_c3(capsys):
