@@ -2,8 +2,10 @@
 
 Subcommands: roots, graph, capacity, table, verify.  Every rational is
 emitted exactly ('p/q' or integer string); there is no floating-point
-formatting anywhere.  Graph exports are written chunk by chunk as they are
-rendered.  BC_GROUP_CAP overrides the default group cap.
+formatting anywhere.  Graph exports and `roots --format json` are written
+chunk by chunk as they are rendered.  BC_GROUP_CAP overrides the default
+group cap; a negative cap, from it or from a flag, is refused before any
+command runs.
 
 A command imports only the modules it runs: `roots` reads the root system
 alone, `table` and `capacity` add the bounds, the graph modules load only
@@ -386,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        # build_parser reads BC_GROUP_CAP, which can be malformed
+        # build_parser reads BC_GROUP_CAP, which can be malformed or negative
         args = build_parser().parse_args(argv)
         _require_nonnegative_caps(args)
         return args.func(args)
