@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import linalg
 from .errors import ConsistencyError, ValidationError
-from .limits import DEFAULT_CONFIRM_CAP, DEFAULT_GROUP_CAP
+from .limits import DEFAULT_CONFIRM_CAP, DEFAULT_GROUP_CAP, require_nonnegative_cap
 from .linalg import Vector, vec
 from .rootsystem import RootSystem, build, key_absolute_length, rational_str, scaled, vector_strs
 
@@ -57,9 +57,13 @@ def dominance_violations(rs: RootSystem, lam: Vector) -> list[int]:
     return [k for k, label in enumerate(rs.scaled_labels(lam)[0]) if label < 0]
 
 
-def require_dominant(rs: RootSystem, lam: Vector) -> tuple[tuple[int, ...], int]:
-    """rs.scaled_labels(lam); ValidationError if a label is negative."""
+def require_dominant(rs: RootSystem, lam: Vector, s_p=()) -> tuple[tuple[int, ...], int]:
+    """rs.scaled_labels(lam); ValidationError if a label on S_P is nonzero (an edge
+    area on W/W_P would depend on the coset representative) or a label is negative."""
     labels, scale = rs.scaled_labels(lam)
+    if any(labels[k] for k in s_p):
+        raise ValidationError("lambda must pair to zero with every simple root of S_P "
+                              f"{tuple(k + 1 for k in s_p)}: edge areas on W/W_P are not well defined")
     for k, label in enumerate(labels):
         if label < 0:
             alpha = rs.roots[rs.simple[k]]
@@ -99,8 +103,7 @@ def dominant_from_pairings(rs: RootSystem, coeffs) -> Vector:
     labels, scale = scaled([Fraction(c) for c in coeffs])
     if any(c < 0 for c in labels):
         raise ValidationError("chamber coordinates must be nonnegative")
-    rows, den = rs.fundamental_rows
-    return tuple(Fraction(sum(map(mul, labels, col)), den * scale) for col in zip(*rows))
+    return rs.weight(labels, scale)
 
 
 def random_dominant(rs: RootSystem, rng: random.Random, *, regular: bool = False,
@@ -482,6 +485,8 @@ def hz_bounds(family: str, rank: int, lam, *, confirm_cap: int = DEFAULT_CONFIRM
 
     Everything weight-free is built once per type and kept: the root system,
     the decomposition, the group, its reflection tables and its cosets."""
+    require_nonnegative_cap("confirm_cap", confirm_cap)
+    require_nonnegative_cap("group_cap", group_cap)
     rs = build(family, rank)
     lam_input = vec(lam)
     lam_used = checked_weight(rs, lam_input)

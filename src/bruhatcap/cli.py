@@ -25,7 +25,8 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import BruhatCapError, ValidationError
-from .limits import DEFAULT_CAYLEY_CAP, DEFAULT_CONFIRM_CAP, DEFAULT_GROUP_CAP, MAX_DIGITS
+from .limits import (DEFAULT_CAYLEY_CAP, DEFAULT_CONFIRM_CAP, DEFAULT_GROUP_CAP, MAX_DIGITS,
+                     require_nonnegative_cap)
 from .rootsystem import build, parse_rational, rational_str, spelled_digits, vector_strs
 
 # The names of checks.ALL_CHECKS, for the help text of `verify`.
@@ -50,8 +51,8 @@ def _require_nonnegative_caps(args) -> None:
     """ValidationError for a negative --confirm-cap, --group-cap or --cayley-cap; 0 is valid."""
     for name in ("confirm_cap", "group_cap", "cayley_cap"):
         cap = getattr(args, name, None)
-        if cap is not None and cap < 0:
-            raise ValidationError(f"--{name.replace('_', '-')} must be nonnegative, got {cap}")
+        if cap is not None:
+            require_nonnegative_cap(f"--{name.replace('_', '-')}", cap)
 
 
 def parse_lambda(raw: str) -> tuple[Fraction, ...]:
@@ -249,15 +250,12 @@ def cmd_capacity(args) -> int:
     return 0
 
 
-_SO_LABELS = {"B": lambda r: f"SO({2 * r + 1})", "D": lambda r: f"SO({2 * r})"}
-
-
 def _group_label(fam: str, rank: int) -> str:
     if fam == "A":
         return f"U({rank + 1})"
     if fam == "C":
         return f"Sp({2 * rank})"
-    if fam in _SO_LABELS:
+    if fam in ("B", "D"):
         n = 2 * rank + (1 if fam == "B" else 0)
         return f"SO({n})=SO(4m+{n % 4})"
     return f"{fam}{rank}"

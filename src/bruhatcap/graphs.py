@@ -19,9 +19,9 @@ from operator import add, itemgetter, mul
 from typing import Iterator, Mapping, NamedTuple
 
 from .errors import ConsistencyError, SizeLimitError, ValidationError
-from .limits import DEFAULT_CAYLEY_CAP
+from .limits import DEFAULT_CAYLEY_CAP, require_nonnegative_cap
 from .linalg import Vector, vec
-from .rootsystem import RootSystem, rational_str, scaled, vector_strs
+from .rootsystem import rational_str, scaled, vector_strs
 from .weyl import ParabolicData, Table, WeylGroup
 
 Degree = tuple[int, ...]
@@ -167,20 +167,6 @@ class _TableNeighbours:
         return [(coset_of[t[rep]], w) for t, w in self.steps]
 
 
-def _area_labels(rs: RootSystem, lam: Vector, s_p) -> tuple[tuple[int, ...], int]:
-    """rs.scaled_labels(lam), refused unless every edge area on W/W_P is well
-    defined (zero labels on S_P) and nonnegative (no negative label)."""
-    labels, scale = rs.scaled_labels(lam)
-    if any(labels[k] for k in s_p):
-        raise ValidationError(
-            "lambda must pair to zero with every simple root of S_P "
-            f"{tuple(k + 1 for k in s_p)}: edge areas on W/W_P are not well defined"
-        )
-    if min(labels) < 0:
-        raise ValidationError("negative edge area; lambda is not dominant")
-    return labels, scale
-
-
 def min_path_area(parabolic: ParabolicData, lam: Vector, src: int, dst: int) -> Fraction:
     """The exact minimal total area <lam, coroot(alpha)> of a path from coset
     src to coset dst in the Bruhat graph on W/W_P.
@@ -190,9 +176,11 @@ def min_path_area(parabolic: ParabolicData, lam: Vector, src: int, dst: int) -> 
     reflection tables.  That area is the same from every element of the coset
     only when lam pairs to zero with S_P; any other or non-dominant lam is refused.
     """
+    from .capacity import require_dominant
+
     weyl = parabolic.weyl
     rs = weyl.rs
-    labels, scale = _area_labels(rs, lam, parabolic.s_p)
+    labels, scale = require_dominant(rs, lam, parabolic.s_p)
     rp = set(parabolic.rp_plus)
     steps = [(weyl.reflection_table(a), sum(map(mul, rs.signed_cocoefficients(a), labels)))
              for a in rs.positive if a not in rp]
@@ -324,6 +312,7 @@ def _cayley_frame(n: int) -> tuple:
 
 
 def _checked_cayley_frame(n: int, lam: Vector, cap: int) -> tuple:
+    require_nonnegative_cap("cap", cap)
     if n < 1:
         raise ValidationError("n must be positive")
     if n > cap:
@@ -511,7 +500,9 @@ def _weyl_chunks(graph, fmt: str, lam: Vector | None) -> Iterator[str]:
     rs = weyl.rs
     bruhat = isinstance(graph, BruhatGraph)
     if lam is not None:
-        dynkin, scale = _area_labels(rs, lam, graph.parabolic.s_p if bruhat else ())
+        from .capacity import require_dominant
+
+        dynkin, scale = require_dominant(rs, lam, graph.parabolic.s_p if bruhat else ())
     if bruhat:
         reps = graph.parabolic.coset_reps
         head = {"kind": "bruhat", "s_p": list(graph.parabolic.s_p), "directed": False}

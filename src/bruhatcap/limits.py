@@ -1,10 +1,12 @@
-"""Size limits and default caps, in a module that imports nothing.
+"""Size limits and default caps, in a module that imports only the errors.
 
 The command line reads these defaults while it builds its parser, before
 it knows which command runs, so they live apart from the modules that
 enforce them (rootsystem, weyl, graphs, capacity); each of those imports
-its own names from here.
+its own names from here, and the one refusal of a negative cap.
 """
+
+from .errors import ValidationError
 
 # The largest rank built.  At it, `roots --format json` of type B, C or D takes
 # about 1.6 s and `capacity` 0.7 s (2-vCPU machine, Python 3.11).
@@ -17,3 +19,9 @@ DEFAULT_GROUP_CAP = 10_000_000
 DEFAULT_CONFIRM_CAP = 25_000
 # The largest n for which the weighted Cayley graph of S_n is built.
 DEFAULT_CAYLEY_CAP = 7
+
+
+def require_nonnegative_cap(name: str, cap: int) -> None:
+    """ValidationError naming the cap if it is negative; a cap of 0 is valid."""
+    if cap < 0:
+        raise ValidationError(f"{name} must be nonnegative, got {cap}")

@@ -2,9 +2,10 @@
 
 The root kernel works in integer simple-root coordinates (see rootsystem);
 what is left here serves the ambient side: vectors and dot products, the
-integer inverse of the Cartan matrix behind the fundamental weights and
-the dual basis, the exact solve behind the projection onto the root span,
-and the integer rank behind absolute lengths.
+integer inverse of the Cartan matrix behind the fundamental weights, the
+dual basis and the projection onto the root span, and the integer rank
+behind absolute lengths.  solve_columns, an exact Gauss solve, is no longer
+called by the package; the tests keep it as their reference projection.
 Everything is dense and exact; no floating point is used anywhere in the
 package.
 """

@@ -14,6 +14,7 @@ Cartan matrices, each root's ambient vector and norm, and the fundamental
 weights are integer sums over the simple roots scaled to integer rows over
 one denominator.  Fractions are made once per root coordinate, for input,
 output and the closed-form table; roots are indexed in lexicographic order.
+The dual basis and the projection onto the root span read the same rows.
 
 Coordinate conventions per type (the ones in which all closed-form bounds
 are stated):
@@ -150,14 +151,14 @@ class RootSystem:
         rows = tuple(flat[k * dim:(k + 1) * dim] for k in range(rank))
         self._rows, self._den = rows, den
         gram = [[sum(map(mul, a, b)) for b in rows] for a in rows]  # den^2 (alpha_i, alpha_j)
-        self._gram = [[Fraction(g, den * den) for g in row] for row in gram]
         # C[i][j] = <alpha_j, coroot of alpha_i> = 2 (alpha_i, alpha_j) / (alpha_i, alpha_i)
         if any(2 * g % row[i] for i, row in enumerate(gram) for g in row):
-            raise ConsistencyError(f"{fam}{rank}: non-integral Cartan matrix, Gram matrix {self._gram}")
+            raise ConsistencyError(
+                f"{fam}{rank}: non-integral Cartan matrix, Gram matrix {gram} over {den * den}")
         self._cartan = cartan = tuple(tuple(2 * g // row[i] for g in row) for i, row in enumerate(gram))
         # The simple coroots 2 alpha_k / |alpha_k|^2 = 2 den rows[k] / gram[k][k] as integer
         # rows over their least common denominator, so scaled_labels reads a weight in integers.
-        norms = [row[k] for k, row in enumerate(gram)]
+        self._norms = norms = [row[k] for k, row in enumerate(gram)]  # den^2 |alpha_k|^2
         self._label_denominator = scale = lcm(*(n // gcd(n, 2 * den * gcd(*r)) for n, r in zip(norms, rows)))
         self._label_rows = tuple(tuple(2 * den * scale * x // n for x in r) for n, r in zip(norms, rows))
 
@@ -225,15 +226,9 @@ class RootSystem:
                 raise ConsistencyError(f"{fam}{rank}: highest root not dominance-maximal")
         self.highest: int = best
 
-        self._fundamental: tuple[Vector, ...] | None = None
         self._dual_basis: tuple[Vector, ...] | None = None
 
     # -- elementary queries -------------------------------------------------
-
-    @cached_property
-    def index(self) -> dict[Vector, int]:
-        """Root vector -> root index, built on first use: a tuple of Fractions hashes slowly."""
-        return {r: i for i, r in enumerate(self.roots)}
 
     @cached_property
     def _pairing_index(self) -> dict[tuple[int, ...], int]:
@@ -342,9 +337,6 @@ class RootSystem:
         """The highest positive root."""
         return self.roots[self.highest]
 
-    def simple_vectors(self) -> list[Vector]:
-        return [self.roots[i] for i in self.simple]
-
     # -- derived bases ------------------------------------------------------
 
     def cartan_matrix(self) -> list[list[int]]:
@@ -359,27 +351,30 @@ class RootSystem:
         columns = list(zip(*self._rows))
         return tuple(tuple(sum(map(mul, x, d)) for d in columns) for x in zip(*inverse)), det * self._den
 
+    def weight(self, labels, scale: int) -> Vector:
+        """The vector of the root span with Dynkin labels <w, coroot(alpha_k)> = labels[k] / scale:
+        sum_k labels[k] w_k over the fundamental rows."""
+        rows, den = self.fundamental_rows
+        return tuple(Fraction(sum(map(mul, labels, col)), den * scale) for col in zip(*rows))
+
     def fundamental_weights(self) -> tuple[Vector, ...]:
         """Vectors w_j in the root span with <w_j, coroot of alpha_i> = delta_ij."""
-        if self._fundamental is None:
-            rows, den = self.fundamental_rows
-            self._fundamental = tuple(tuple(Fraction(x, den) for x in row) for row in rows)
-        return self._fundamental
+        rows, den = self.fundamental_rows
+        return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
 
     def dual_basis(self) -> tuple[Vector, ...]:
-        """Vectors tau_j = 2 w_j / |alpha_j|^2 in the root span, so (tau_j, alpha_i) = delta_ij."""
+        """Vectors tau_j = 2 w_j / |alpha_j|^2 in the root span, so (tau_j, alpha_i) = delta_ij;
+        |alpha_j|^2 is the integer _norms[j] over _den^2."""
         if self._dual_basis is None:
-            fw = self.fundamental_weights()
-            self._dual_basis = tuple(tuple(2 * x / self._gram[j][j] for x in w) for j, w in enumerate(fw))
+            rows, den = self.fundamental_rows
+            self._dual_basis = tuple(tuple(Fraction(2 * self._den ** 2 * x, den * n) for x in row)
+                                     for row, n in zip(rows, self._norms))
         return self._dual_basis
 
     def project_to_root_span(self, t: Vector) -> Vector:
-        """Orthogonal projection of t onto the span of the roots."""
-        if len(t) != self.ambient_dim:
-            raise ValidationError(f"vector has dimension {len(t)}, ambient is {self.ambient_dim}")
-        simples = self.simple_vectors()
-        coords = linalg.solve_columns(self._gram, [linalg.dot(t, a) for a in simples])
-        return tuple(sum(map(mul, coords, col)) for col in zip(*simples))
+        """Orthogonal projection of t onto the span of the roots: the vector of the
+        span with the Dynkin labels of t."""
+        return self.weight(*self.scaled_labels(t))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RootSystem({self.family}{self.rank}, |R+|={len(self.positive)})"

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from . import linalg
 from .errors import ConsistencyError, SizeLimitError, ValidationError
-from .limits import DEFAULT_GROUP_CAP
+from .limits import DEFAULT_GROUP_CAP, require_nonnegative_cap
 from .rootsystem import RootSystem, key_absolute_length
 
 Key = tuple[int, ...]  # root indices of the images of the simple roots
@@ -45,6 +45,7 @@ def stated_longest_map(family: str, rank: int):
 
 
 def _require_within_cap(rs: RootSystem, cap: int) -> None:
+    require_nonnegative_cap("cap", cap)
     if rs.weyl_order > cap:
         raise SizeLimitError(
             f"Weyl group of {rs.family}{rs.rank} has order {rs.weyl_order:,}, "
@@ -104,7 +105,6 @@ class WeylGroup:
                 f"{rs.family}{rs.rank}: enumerated {len(keys)} elements, expected {rs.weyl_order}"
             )
         self.keys = keys  # element index -> key
-        self.index = index
         self.lengths = lengths
         self.parents = parents
         self.identity_index = 0

@@ -98,14 +98,14 @@ def built_fields(rs) -> dict:
     """The same fields, read from a RootSystem."""
     return {
         "roots": rs.roots,
-        "index": list(rs.index.items()),
+        "index": [(r, rs.find(r)) for r in rs.roots],
         "coroots": tuple(map(rs.coroot, range(len(rs.roots)))),
         "coeffs": rs._coeffs,
         "cocoeffs": rs._cocoeffs,
         "pairings": rs._pairings,
         "label_rows": rs._label_rows,
         "label_denominator": rs._label_denominator,
-        "gram": rs._gram,
+        "gram": [[dot(rs.roots[a], rs.roots[b]) for b in rs.simple] for a in rs.simple],
         "cartan": rs._cartan,
         "simple": rs.simple,
         "positive": rs.positive,

@@ -10,6 +10,7 @@ from bruhatcap import capacity, checks, graphs, linalg
 from bruhatcap import weyl as weyl_module
 from bruhatcap import (
     ConsistencyError,
+    SizeLimitError,
     ValidationError,
     build,
     cayley_diameter,
@@ -28,7 +29,7 @@ from bruhatcap import (
     upper_bound,
     w0_decomposition,
 )
-from bruhatcap.capacity import confirm_upper, w0_degree
+from bruhatcap.capacity import confirm_upper, require_dominant, w0_degree
 from bruhatcap.checks import TABLE_TYPES
 from bruhatcap.graphs import d_min
 from bruhatcap.linalg import dot, solve_columns, vec
@@ -176,7 +177,7 @@ def test_height_lemma_equality_on_decomposition_roots(fam, rank):
     rs = build(fam, rank)
     dec = w0_decomposition(rs)
     for a, h in zip(dec.root_indices, dec.coroot_heights):
-        refl = [rs.index[rs.reflect(a, r)] for r in rs.roots]
+        refl = [rs.find(rs.reflect(a, r)) for r in rs.roots]
         length = sum(1 for b in rs.positive if not rs.is_positive[refl[b]])
         assert length == 2 * h - 1
 
@@ -456,7 +457,7 @@ def test_oscillation_identity_small_types():
             )
             # independent route: w0(lam) from the permutation action; lam lies
             # in the root span, where the action is determined by the roots
-            simples = rs.simple_vectors()
+            simples = [rs.roots[s] for s in rs.simple]
             coords = solve_columns(simples, lam)
             p = root_perms(weyl)[weyl.longest_index]
             w0lam = [Fraction(0)] * rs.ambient_dim
@@ -641,6 +642,32 @@ def test_hz_bounds_f4_dominant():
 def test_hz_bounds_wrong_length():
     with pytest.raises(ValidationError):
         hz_bounds("B", 3, [1, 2])
+
+
+@pytest.mark.parametrize("cap", ["confirm_cap", "group_cap"])
+def test_hz_bounds_negative_cap_refused_before_any_build(monkeypatch, cap):
+    def unexpected(family, rank):
+        raise AssertionError(f"{family}{rank} was built")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(capacity, "build", unexpected)
+        with pytest.raises(ValidationError, match=f"{cap} must be nonnegative, got -3"):
+            hz_bounds("A", 2, [2, 1, 0], **{cap: -3})
+    # a cap of 0 is valid: it skips the confirmation, or refuses |W| = 6 by size
+    if cap == "confirm_cap":
+        assert hz_bounds("A", 2, [2, 1, 0], confirm_cap=0).checks["dmin_consistent"] is None
+    else:
+        with pytest.raises(SizeLimitError):
+            hz_bounds("A", 2, [2, 1, 0], group_cap=0)
+
+
+def test_require_dominant_checks_s_p_before_dominance(b3):
+    lam = vec([0, 1, 0])  # Dynkin labels (-1, 1, 0)
+    with pytest.raises(ValidationError, match="S_P"):
+        require_dominant(b3, lam, (1,))
+    with pytest.raises(ValidationError, match="not dominant"):
+        require_dominant(b3, lam, (2,))
+    assert require_dominant(b3, vec([1, 1, 0]), (0, 2)) == ((0, 1, 0), 1)
 
 
 def test_hz_bounds_big_group_skips_confirmation():

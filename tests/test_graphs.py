@@ -495,6 +495,18 @@ def test_cayley_cap(monkeypatch):
         cayley_graph(8, list(range(8, 0, -1)))
 
 
+@pytest.mark.parametrize("entry", [cayley_graph, cayley_diameter])
+def test_cayley_negative_cap_refused_before_any_build(monkeypatch, entry):
+    def unexpected(n):
+        raise AssertionError(f"the S_{n} structure was built")
+
+    monkeypatch.setattr(graphs, "_cayley_frame", unexpected)
+    with pytest.raises(ValidationError, match="cap must be nonnegative, got -1"):
+        entry(1, [0], cap=-1)
+    with pytest.raises(SizeLimitError):  # a cap of 0 is valid, and refuses n = 1 by size
+        entry(1, [0], cap=0)
+
+
 def test_cayley_diameter_interleaved_sizes():
     # the cached S_n structure of one n never serves another
     for n, lam in [

@@ -37,6 +37,19 @@ def test_cap_refusal():
     assert "696,729,600" in str(err.value)
 
 
+@pytest.mark.parametrize("entry", [generate, WeylGroup])
+def test_negative_cap_refused_before_enumeration(monkeypatch, entry):
+    def unexpected(i):
+        raise AssertionError("the group was enumerated")
+
+    rs = build("A", 2)
+    monkeypatch.setattr(rs, "reflection_perm", unexpected)
+    with pytest.raises(ValidationError, match="cap must be nonnegative, got -1"):
+        entry(rs, cap=-1)
+    with pytest.raises(SizeLimitError):  # a cap of 0 is valid, and refuses |W| = 6 by size
+        entry(rs, cap=0)
+
+
 def test_cached_group_refused_under_smaller_cap(b2):
     assert len(generate(b2)) == 8
     with pytest.raises(SizeLimitError) as err:
@@ -213,8 +226,8 @@ def test_parabolic_a3_grassmannian(w_a3):
     assert pd.n_cosets == 6
     assert len(pd.wp_elements) == 4
     assert set(pd.rp_plus) == {
-        w_a3.rs.index[vec([1, -1, 0, 0])],
-        w_a3.rs.index[vec([0, 0, 1, -1])],
+        w_a3.rs.find(vec([1, -1, 0, 0])),
+        w_a3.rs.find(vec([0, 0, 1, -1])),
     }
 
 
@@ -309,7 +322,7 @@ def test_keys_are_the_simple_root_images_of_the_root_permutations(fam, rank):
     assert len(w.keys) == len(perms) == len(w)
     for i, (key, p) in enumerate(zip(w.keys, perms)):
         assert key == tuple(p[s] for s in rs.simple)
-        assert w.index[key] == i
+    assert len(set(w.keys)) == len(w)
 
 
 def test_reflection_table_refuses_a_negative_root(w_b2):

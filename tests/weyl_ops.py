@@ -2,8 +2,9 @@
 
 The group keeps each element as its key, the images of the simple roots.
 These oracles work on whole root permutations instead, composed once per
-group along the enumeration tree, and look a product or an inverse up in
-`WeylGroup.index` by the images of the simple roots.
+group along the enumeration tree, and look a product or an inverse up by
+the images of the simple roots, in a dict built once per group from
+`WeylGroup.keys`.
 """
 
 from functools import cache
@@ -23,16 +24,22 @@ def root_perms(weyl) -> tuple[tuple[int, ...], ...]:
     return tuple(perms)
 
 
+@cache
+def key_index(weyl) -> dict[tuple[int, ...], int]:
+    """Key -> element index."""
+    return {key: i for i, key in enumerate(weyl.keys)}
+
+
 def compose(weyl, i: int, j: int) -> int:
     """Index of w_i * w_j (apply w_j first)."""
     perms = root_perms(weyl)
     pi, pj = perms[i], perms[j]
-    return weyl.index[tuple(pi[pj[s]] for s in weyl.rs.simple)]
+    return key_index(weyl)[tuple(pi[pj[s]] for s in weyl.rs.simple)]
 
 
 def inverse(weyl, i: int) -> int:
     p = root_perms(weyl)[i]
-    return weyl.index[tuple(map(p.index, weyl.rs.simple))]
+    return key_index(weyl)[tuple(map(p.index, weyl.rs.simple))]
 
 
 def inversion_count(weyl, i: int) -> int:
