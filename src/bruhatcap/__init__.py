@@ -19,7 +19,7 @@ _MODULES = {
     "capacity": (
         "CapacityBounds", "W0Decomposition", "closed_form_table", "coweight_oscillation_bound",
         "dominance_violations", "dominant_from_pairings", "hz_bounds", "is_regular",
-        "lower_bound", "parabolic_positions", "random_dominant", "random_positive_coweight",
+        "lower_bound", "random_dominant", "random_positive_coweight",
         "unitary_capacity", "upper_bound", "w0_decomposition",
     ),
     "errors": ("BruhatCapError", "ConsistencyError", "SizeLimitError", "ValidationError"),
@@ -29,7 +29,8 @@ _MODULES = {
         "export_chunks", "min_path_area", "quantum_bruhat_graph", "transposition_distance_formula",
     ),
     "limits": ("DEFAULT_GROUP_CAP",),
-    "rootsystem": ("RootSystem", "build", "positive_root_count", "weyl_group_order"),
+    "rootsystem": ("RootSystem", "build", "parabolic_positions", "positive_root_count",
+                   "weyl_group_order"),
     "weyl": ("ParabolicData", "WeylGroup", "generate"),
 }
 _MODULE_OF = {name: module for module, names in _MODULES.items() for name in names}

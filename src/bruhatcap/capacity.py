@@ -28,7 +28,11 @@ from . import linalg
 from .errors import ConsistencyError, ValidationError
 from .limits import DEFAULT_CONFIRM_CAP, DEFAULT_GROUP_CAP, require_nonnegative_cap
 from .linalg import Vector, vec
-from .rootsystem import RootSystem, build, key_absolute_length, rational_str, scaled, vector_strs
+# require_dominant, checked_weight and parabolic_positions read a weight beside
+# RootSystem.scaled_labels, so that a graph export checks one without this module.
+from .rootsystem import (RootSystem, build, checked_weight, key_absolute_length,  # noqa: F401
+                         parabolic_positions, rational_str, require_dominant, scaled, vector_strs,
+                         zero_positions)
 
 if TYPE_CHECKING:
     import random
@@ -57,43 +61,8 @@ def dominance_violations(rs: RootSystem, lam: Vector) -> list[int]:
     return [k for k, label in enumerate(rs.scaled_labels(lam)[0]) if label < 0]
 
 
-def require_dominant(rs: RootSystem, lam: Vector, s_p=()) -> tuple[tuple[int, ...], int]:
-    """rs.scaled_labels(lam); ValidationError if a label on S_P is nonzero (an edge
-    area on W/W_P would depend on the coset representative) or a label is negative."""
-    labels, scale = rs.scaled_labels(lam)
-    if any(labels[k] for k in s_p):
-        raise ValidationError("lambda must pair to zero with every simple root of S_P "
-                              f"{tuple(k + 1 for k in s_p)}: edge areas on W/W_P are not well defined")
-    for k, label in enumerate(labels):
-        if label < 0:
-            alpha = rs.roots[rs.simple[k]]
-            raise ValidationError(
-                f"lambda is not dominant for {rs.family}{rs.rank}: "
-                f"<lambda, coroot(alpha_{k + 1})> < 0 for alpha_{k + 1} = ({','.join(vector_strs(alpha))})"
-            )
-    return labels, scale
-
-
-def checked_weight(rs: RootSystem, lam) -> Vector:
-    """lam as an exact dominant weight of rs; a G2 weight is projected onto the root plane."""
-    lam = vec(lam)
-    if len(lam) != rs.ambient_dim:
-        raise ValidationError(
-            f"lambda has {len(lam)} coordinates; {rs.family}{rs.rank} needs {rs.ambient_dim}"
-        )
-    if rs.family == "G":
-        lam = rs.project_to_root_span(lam)
-    require_dominant(rs, lam)
-    return lam
-
-
 def is_regular(rs: RootSystem, lam: Vector) -> bool:
     return all(label > 0 for label in rs.scaled_labels(lam)[0])
-
-
-def parabolic_positions(rs: RootSystem, lam: Vector) -> tuple[int, ...]:
-    """S_P for the orbit through lam: simple roots pairing to zero (the stabilizer)."""
-    return tuple(k for k, label in enumerate(rs.scaled_labels(lam)[0]) if label == 0)
 
 
 def dominant_from_pairings(rs: RootSystem, coeffs) -> Vector:
@@ -259,17 +228,25 @@ def _simple_images(rs: RootSystem, indices) -> tuple[int, ...]:
 # Bounds
 
 
+def _pairings(rs: RootSystem, labels: tuple[int, ...], indices) -> list[int]:
+    """<lam, coroot(alpha_i)> times the scale of lam's labels, for each root index i."""
+    return [sum(map(mul, rs.signed_cocoefficients(i), labels)) for i in indices]
+
+
 def _scaled_pairings(rs: RootSystem, lam: Vector, indices) -> tuple[list[int], int]:
     """<lam, coroot(alpha_i)> for each root index i, as integers over one scale; and the scale.
     ValidationError unless lam is dominant."""
     labels, scale = require_dominant(rs, vec(lam))
-    return [sum(map(mul, rs.signed_cocoefficients(i), labels)) for i in indices], scale
+    return _pairings(rs, labels, indices), scale
 
 
 def upper_bound(rs: RootSystem, lam: Vector, dec: W0Decomposition) -> Fraction:
     """sum_k <lam, coroot(alpha_k)> over the decomposition roots."""
-    pairings, scale = _scaled_pairings(rs, lam, dec.root_indices)
-    return Fraction(sum(pairings), scale)
+    return _upper(rs, *require_dominant(rs, vec(lam)), dec)
+
+
+def _upper(rs: RootSystem, labels: tuple[int, ...], scale: int, dec: W0Decomposition) -> Fraction:
+    return Fraction(sum(_pairings(rs, labels, dec.root_indices)), scale)
 
 
 def lower_bound(rs: RootSystem, lam: Vector, dec: W0Decomposition) -> tuple[Fraction, int]:
@@ -277,7 +254,12 @@ def lower_bound(rs: RootSystem, lam: Vector, dec: W0Decomposition) -> tuple[Frac
 
     Returns the value and the position of the maximizing simple root.
     """
-    pairings, scale = _scaled_pairings(rs, lam, dec.root_indices)
+    return _lower(rs, *require_dominant(rs, vec(lam)), dec)
+
+
+def _lower(rs: RootSystem, labels: tuple[int, ...], scale: int,
+           dec: W0Decomposition) -> tuple[Fraction, int]:
+    pairings = _pairings(rs, labels, dec.root_indices)
     n_rho = rs.root_coefficients(rs.highest)
     if any(c < 1 for c in n_rho):
         raise ConsistencyError("highest root must have full support over the simple roots")
@@ -426,9 +408,12 @@ def w0_degree(weyl: WeylGroup) -> tuple[int, ...]:
 def confirm_upper(weyl: WeylGroup, lam: Vector, upper: Fraction) -> Fraction:
     """The minimal Bruhat-graph path area from e to w0 on W/W_P, S_P the
     stabilizer of lam; for a regular lam, ConsistencyError unless it is `upper`."""
+    return _confirm_upper(weyl, lam, parabolic_positions(weyl.rs, lam), upper)
+
+
+def _confirm_upper(weyl: WeylGroup, lam: Vector, s_p: tuple[int, ...], upper: Fraction) -> Fraction:
     from .graphs import min_path_area
 
-    s_p = parabolic_positions(weyl.rs, lam)
     pd = weyl.parabolic(s_p)
     area = min_path_area(pd, lam, pd.coset_of[weyl.identity_index],
                          pd.coset_of[weyl.longest_index])
@@ -489,11 +474,12 @@ def hz_bounds(family: str, rank: int, lam, *, confirm_cap: int = DEFAULT_CONFIRM
     require_nonnegative_cap("group_cap", group_cap)
     rs = build(family, rank)
     lam_input = vec(lam)
-    lam_used = checked_weight(rs, lam_input)
+    # The weight is read once: every bound below pairs these labels.
+    lam_used, labels, scale = checked_weight(rs, lam_input)
 
     dec = w0_decomposition(rs)
-    upper = upper_bound(rs, lam_used, dec)
-    lower, witness = lower_bound(rs, lam_used, dec)
+    upper = _upper(rs, labels, scale, dec)
+    lower, witness = _lower(rs, labels, scale, dec)
     exact = unitary_capacity(lam_used) if rs.family == "A" else None
 
     if not (0 <= lower <= upper):
@@ -503,7 +489,7 @@ def hz_bounds(family: str, rank: int, lam, *, confirm_cap: int = DEFAULT_CONFIRM
     if exact is not None and (exact != upper or exact != lower):
         raise ConsistencyError("type A bounds must be sharp and equal the unitary value")
 
-    regular = is_regular(rs, lam_used)
+    regular = all(labels)
     checks = {
         "sharp": lower == upper,
         "ratio_ok": 3 * lower >= 2 * upper,
@@ -517,7 +503,8 @@ def hz_bounds(family: str, rank: int, lam, *, confirm_cap: int = DEFAULT_CONFIRM
         weyl = generate(rs, cap=group_cap)
         if regular:
             d_deg = w0_degree(weyl)
-        area = confirm_upper(weyl, lam_used, upper)
+        # min_path_area checks the weight against S_P itself: the one other read.
+        area = _confirm_upper(weyl, lam_used, zero_positions(labels), upper)
         # For degenerate orbits the minimal parabolic path area may drop
         # below the regular-orbit upper bound; report, do not hide.
         checks["dmin_consistent"] = area == upper

@@ -10,15 +10,16 @@ command runs.
 A command imports only the modules it runs: `roots` reads the root system
 alone, `table` and `capacity` add the bounds, the graph modules load only
 where a group is enumerated or a graph built, and the checks only for
-`verify`.
+`verify`.  `graph cayley` loads no Weyl group module and `graph bruhat` or
+`graph quantum` no bounds module; json and csv load only for the formats
+that write them.  `graph bruhat|quantum` estimates the bytes of the group
+and the reflection tables it reads before enumerating, and refuses a type
+over limits.GRAPH_MEMORY_BUDGET (E7, E8).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import os
 import sys
 from fractions import Fraction
@@ -27,7 +28,8 @@ from typing import Iterable
 from .errors import BruhatCapError, ValidationError
 from .limits import (DEFAULT_CAYLEY_CAP, DEFAULT_CONFIRM_CAP, DEFAULT_GROUP_CAP, MAX_DIGITS,
                      require_nonnegative_cap)
-from .rootsystem import build, parse_rational, rational_str, spelled_digits, vector_strs
+from .rootsystem import (build, checked_weight, parse_rational, rational_str, spelled_digits,
+                         vector_strs, zero_positions)
 
 # The names of checks.ALL_CHECKS, for the help text of `verify`.
 CHECK_NAMES = ("unitary-diameter", "type-c-sharp", "table", "height-lemma", "decompositions",
@@ -130,6 +132,8 @@ def _roots_json_chunks(rs) -> Iterable[str]:
     """json.dumps(payload, indent=2, sort_keys=True) + "\n" of the `roots`
     payload, rendered one positive root at a time so that the rows are never
     all held: each row is dumped alone and indented two levels deeper."""
+    import json
+
     payload = {
         "type": rs.family,
         "rank": rs.rank,
@@ -155,6 +159,9 @@ def cmd_roots(args) -> int:
     if args.format == "json":
         _emit(_roots_json_chunks(rs), args.output)
     elif args.format == "csv":
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["root", "coroot", "coroot_coefficients", "height", "simple", "highest"])
@@ -184,7 +191,6 @@ def cmd_roots(args) -> int:
 
 def cmd_graph(args) -> int:
     from . import graphs
-    from .weyl import generate
 
     lam = parse_lambda(args.lam) if args.lam else None
     if args.kind == "cayley":
@@ -195,20 +201,23 @@ def cmd_graph(args) -> int:
         graph = graphs.cayley_graph(args.n, lam, cap=args.cayley_cap)
         _emit(graphs.export_chunks(graph, args.format), args.output)
         return 0
+    from . import weyl
+
     if not args.type or args.rank is None:
         raise ValidationError(f"graph {args.kind} requires --type and --rank")
     rs = build(args.type, args.rank)
     s_p = ()
     if lam is not None:  # decorates edges with areas and, for bruhat, induces S_P
-        from . import capacity
-
-        lam = capacity.checked_weight(rs, lam)
-        s_p = capacity.parabolic_positions(rs, lam)
-    weyl = generate(rs, cap=args.group_cap)
+        lam, labels, _scale = checked_weight(rs, lam)
+        if args.kind == "bruhat":
+            s_p = zero_positions(labels)
+    # The export reads the reflection tables of R+ - R+_P (of R+ for quantum).
+    weyl.require_within_budget(rs, len(rs.positive) - len(weyl.parabolic_roots(rs, s_p)))
+    group = weyl.generate(rs, cap=args.group_cap)
     if args.kind == "quantum":
-        graph = graphs.quantum_bruhat_graph(weyl)
+        graph = graphs.quantum_bruhat_graph(group)
     else:
-        graph = graphs.bruhat_graph(weyl, weyl.parabolic(s_p))
+        graph = graphs.bruhat_graph(group, group.parabolic(s_p))
     _emit(graphs.export_chunks(graph, args.format, lam=lam), args.output)
     return 0
 
@@ -222,6 +231,8 @@ def cmd_capacity(args) -> int:
         confirm_cap=args.confirm_cap, group_cap=args.group_cap,
     )
     if args.format == "json":
+        import json
+
         _emit(json.dumps(bounds.as_dict(), indent=2, sort_keys=True) + "\n", args.output)
         return 0
     lines = [
@@ -274,6 +285,9 @@ def cmd_table(args) -> int:
         raise ValidationError("no table rows match the requested type/rank")
     if lam_fixed is not None and len(wanted) != 1:
         raise ValidationError("--lambda with `table` needs a single row (--type and --rank)")
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow([

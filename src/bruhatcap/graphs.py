@@ -5,24 +5,37 @@ parabolic Bruhat graph); path areas pair a dominant weight with a degree.
 Areas and Cayley weights are exact: the weight is scaled by the least common
 denominator of its Dynkin labels (of its entries, for S_n), every edge then
 carries an integer, and a result is divided back into a Fraction once.
+
+A graph is a view over tables it does not copy: the Bruhat and quantum
+Bruhat graphs over the Weyl group's reflection tables, the Cayley graph of
+S_n over the columns of its frame.  Each graph has one per-vertex edge
+reader (its `_edge_rows`), and the export reads each vertex's edges from it
+as it writes that vertex, so no edge list is built for an export.  The edge
+lists `BruhatGraph.edges`, `QuantumBruhatGraph.out` and
+`WeightedCayleyGraph.edges` come from the same reader, built on first read
+for the searches that walk them (d_min_all, the random walks).  The Weyl
+group module is imported only to type the Bruhat graphs, so a Cayley graph
+loads none of it.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
+from bisect import bisect_right
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from heapq import heappop, heappush
-from operator import add, itemgetter, mul
-from typing import Iterator, Mapping, NamedTuple
+from operator import add, ge, itemgetter, mul
+from typing import TYPE_CHECKING, Iterator, Mapping
 
 from .errors import ConsistencyError, SizeLimitError, ValidationError
 from .limits import DEFAULT_CAYLEY_CAP, require_nonnegative_cap
 from .linalg import Vector, vec
-from .rootsystem import rational_str, scaled, vector_strs
-from .weyl import ParabolicData, Table, WeylGroup
+from .rootsystem import rational_str, require_dominant, scaled, vector_strs
+
+if TYPE_CHECKING:  # a Cayley graph needs no Weyl group
+    from .weyl import ParabolicData, Table, WeylGroup
 
 Degree = tuple[int, ...]
 
@@ -103,16 +116,42 @@ def _step_dijkstra(n_vertices: int, steps, src: int) -> list[int | None]:
     return dist
 
 
+def _upper_rows(columns) -> Iterator[tuple[int, list[tuple[int, int]]]]:
+    """Per vertex u in order, the pairs (v, k) with v = columns[k][u] > u, sorted:
+    each edge of an undirected graph whose edges join u to columns[k][u], once."""
+    top = len(columns)
+    ks = range(top)
+    for u, row in enumerate(zip(*columns)):
+        pairs = sorted(zip(row, ks))
+        yield u, pairs[bisect_right(pairs, (u, top)):]
+
+
 # ---------------------------------------------------------------------------
 # Bruhat graph on W/W_P
 
 
-class BruhatGraph(NamedTuple):
-    """Undirected multigraph on W/W_P; edges carry the reflecting root."""
+def _coset_columns(parabolic: ParabolicData, roots) -> list[Table]:
+    """Per root alpha of roots, the column u -> the coset of rep(u) * s_alpha, over the cosets u."""
+    weyl = parabolic.weyl
+    coset_of, reps = parabolic.coset_of, parabolic.coset_reps
+    tables = [weyl.reflection_table(a) for a in roots]
+    if len(reps) == len(coset_of):  # S_P is empty: coset u is the element u
+        return tables
+    return [tuple(map(coset_of.__getitem__, map(t.__getitem__, reps))) for t in tables]
 
-    parabolic: ParabolicData
-    # (u, v, root index, degree over S - S_P), with u < v
-    edges: list[tuple[int, int, int, Degree]]
+
+class BruhatGraph:
+    """Undirected multigraph on W/W_P; edges carry the reflecting root.
+
+    A view over the group's reflection tables: the coset u is joined to the
+    coset of rep(u) * s_alpha for each alpha in R+ - R+_P.  The edge list is
+    built on first read."""
+
+    def __init__(self, parabolic: ParabolicData):
+        self.parabolic = parabolic
+        rs = parabolic.weyl.rs
+        rp = set(parabolic.rp_plus)
+        self.roots = tuple(a for a in rs.positive if a not in rp)  # R+ - R+_P, in root order
 
     @property
     def weyl(self) -> WeylGroup:
@@ -122,31 +161,26 @@ class BruhatGraph(NamedTuple):
     def n_vertices(self) -> int:
         return self.parabolic.n_cosets
 
+    def _edge_rows(self, roots):
+        """The one reader of the edges: (keys, rows), where keys[k] is (roots[k], its
+        degree over S - S_P) and rows yields per coset u the edges u -- v, v > u, as
+        sorted pairs (v, k).  Distinct roots joining the same cosets stay distinct edges."""
+        free = self.parabolic.free_simple
+        cocoeffs = map(self.weyl.rs.signed_cocoefficients, roots)
+        keys = [(a, tuple(co[k] for k in free)) for a, co in zip(roots, cocoeffs)]
+        return keys, _upper_rows(_coset_columns(self.parabolic, roots))
+
+    @cached_property
+    def edges(self) -> list[tuple[int, int, int, Degree]]:
+        """(u, v, root index, degree over S - S_P) with u < v, sorted."""
+        keys, rows = self._edge_rows(self.roots)
+        return [(u, v, *keys[k]) for u, row in rows for v, k in row]
+
 
 def bruhat_graph(weyl: WeylGroup, parabolic: ParabolicData | None = None) -> BruhatGraph:
-    """All edges u -- u*s_alpha mod W_P for alpha in R+ - R+_P, materialised
-    for export; min_path_area reads the same edges from the reflection tables.
-
-    Each torus-invariant curve is emitted once, from its smaller endpoint;
-    distinct roots joining the same coset pair stay as distinct edges.
-    """
-    pd = parabolic if parabolic is not None else weyl.parabolic(())
-    rs = weyl.rs
-    rp = set(pd.rp_plus)
-    coset_of = pd.coset_of
-    edges = []
-    for a in rs.positive:
-        if a in rp:
-            continue
-        cocoeff = rs.signed_cocoefficients(a)
-        degree = tuple(cocoeff[k] for k in pd.free_simple)
-        table = weyl.reflection_table(a)
-        for cu, rep in enumerate(pd.coset_reps):
-            cv = coset_of[table[rep]]
-            if cv > cu:
-                edges.append((cu, cv, a, degree))
-    edges.sort()
-    return BruhatGraph(parabolic=pd, edges=edges)
+    """The Bruhat graph on W/W_P: each torus-invariant curve u -- u*s_alpha mod W_P,
+    alpha in R+ - R+_P, once, read from the group's reflection tables."""
+    return BruhatGraph(parabolic if parabolic is not None else weyl.parabolic(()))
 
 
 class _TableNeighbours:
@@ -176,8 +210,6 @@ def min_path_area(parabolic: ParabolicData, lam: Vector, src: int, dst: int) -> 
     reflection tables.  That area is the same from every element of the coset
     only when lam pairs to zero with S_P; any other or non-dominant lam is refused.
     """
-    from .capacity import require_dominant
-
     weyl = parabolic.weyl
     rs = weyl.rs
     labels, scale = require_dominant(rs, lam, parabolic.s_p)
@@ -194,34 +226,56 @@ def min_path_area(parabolic: ParabolicData, lam: Vector, src: int, dst: int) -> 
 # Quantum Bruhat graph on W
 
 
-class QuantumBruhatGraph(NamedTuple):
-    """Directed graph on W; up-edges carry degree 0, down-edges the coroot."""
+class QuantumBruhatGraph:
+    """Directed graph on W; up-edges carry degree 0, down-edges the coroot.
 
-    weyl: WeylGroup
-    out: list[list[tuple[int, int, Degree]]]  # per u: (v, root index, degree)
-    zero: Degree
+    A view over the group's reflection tables: u -> u * s_alpha is an edge
+    when the length goes up by 1 or down by 2 ht(coroot(alpha)) - 1.  The
+    out-lists are built on first read, unless given."""
+
+    def __init__(self, weyl: WeylGroup, out: list[list[tuple[int, int, Degree]]] | None = None):
+        self.weyl = weyl
+        self.zero: Degree = (0,) * weyl.rs.rank
+        if out is not None:
+            self.__dict__["out"] = out
 
     @property
     def n_vertices(self) -> int:
         return len(self.weyl)
 
+    def _edge_rows(self, roots):
+        """The one reader of the edges: (keys, rows), where rows yields per element u
+        in order its out-edges as pairs (v, code) in the order of roots, and keys[code]
+        is the edge's (root, degree): code 2k for the up-edge by roots[k], 2k + 1 for
+        its down-edge."""
+        weyl = self.weyl
+        rs, lengths = weyl.rs, weyl.lengths
+        keys = [key for a in roots for key in ((a, self.zero), (a, rs.coroot_coefficients(a)))]
+        tables = [weyl.reflection_table(a) for a in roots]
+        steps = list(zip(range(0, 2 * len(roots), 2), [1 - 2 * rs.coroot_height(a) for a in roots]))
+
+        def rows():
+            for u, (row, lu) in enumerate(zip(zip(*tables), lengths)):
+                out = []
+                for v, (code, down) in zip(row, steps):
+                    step = lengths[v] - lu
+                    if step == 1:
+                        out.append((v, code))
+                    elif step == down:
+                        out.append((v, code + 1))
+                yield u, out
+
+        return keys, rows()
+
+    @cached_property
+    def out(self) -> list[list[tuple[int, int, Degree]]]:
+        """Per u, its out-edges (v, root index, degree) in root order."""
+        keys, rows = self._edge_rows(self.weyl.rs.positive)
+        return [[(v, *keys[c]) for v, c in row] for _u, row in rows]
+
 
 def quantum_bruhat_graph(weyl: WeylGroup) -> QuantumBruhatGraph:
-    rs = weyl.rs
-    zero = (0,) * rs.rank
-    lengths = weyl.lengths
-    out: list[list[tuple[int, int, Degree]]] = [[] for _ in range(len(weyl))]
-    # Root by root, so each out[u] lists its edges in root order.
-    for a in rs.positive:
-        down = 1 - 2 * rs.coroot_height(a)
-        degree = rs.coroot_coefficients(a)
-        for v, lu, row in zip(weyl.reflection_table(a), lengths, out):
-            step = lengths[v] - lu
-            if step == 1:
-                row.append((v, a, zero))
-            elif step == down:
-                row.append((v, a, degree))
-    return QuantumBruhatGraph(weyl=weyl, out=out, zero=zero)
+    return QuantumBruhatGraph(weyl)
 
 
 def d_min_all(graph: QuantumBruhatGraph, u: int) -> tuple[list[int], list[Degree]]:
@@ -333,33 +387,44 @@ def _scaled_cayley_distances(frame: tuple, lam: Vector, src: int) -> tuple[list[
     return dist, scale
 
 
-class WeightedCayleyGraph(NamedTuple):
-    n: int
-    lam: Vector
-    perms: tuple[tuple[int, ...], ...]
-    index: Mapping[tuple[int, ...], int]
-    # (u, v, i, j, |lam_i - lam_j|) for a swap of positions i < j, u < v
-    edges: list[tuple[int, int, int, int, Fraction]]
+class WeightedCayleyGraph:
+    """The Cayley graph of S_n on all transpositions, a view over the columns of
+    _cayley_frame(n).  The edge list and the index are built on first read."""
+
+    def __init__(self, n: int, lam: Vector):
+        self.n = n
+        self.lam = lam
+        self.perms: tuple[tuple[int, ...], ...] = tuple(itertools.permutations(range(1, n + 1)))
 
     @property
     def identity_index(self) -> int:
-        return self.index[tuple(range(1, self.n + 1))]
+        return 0  # the frame's vertex order opens with the identity
+
+    @cached_property
+    def index(self) -> Mapping[tuple[int, ...], int]:
+        return {p: i for i, p in enumerate(self.perms)}
+
+    def _edge_rows(self):
+        """The one reader of the edges: (keys, rows), keys[k] being (i, j, |lam_i - lam_j|)
+        for the k-th swap of positions i < j, and rows yielding per vertex u the edges
+        u -- v, v > u, as sorted pairs (v, k)."""
+        swaps, columns = _cayley_frame(self.n)
+        lam = self.lam
+        keys = [(i, j, abs(lam[i] - lam[j])) for i, j in swaps]
+        return keys, _upper_rows(columns)
+
+    @cached_property
+    def edges(self) -> list[tuple[int, int, int, int, Fraction]]:
+        """(u, v, i, j, |lam_i - lam_j|) for a swap of positions i < j, u < v, sorted."""
+        keys, rows = self._edge_rows()
+        return [(u, v, *keys[k]) for u, row in rows for v, k in row]
 
 
 def cayley_graph(n: int, lam, cap: int = DEFAULT_CAYLEY_CAP) -> WeightedCayleyGraph:
     """The Cayley graph of S_n on all transpositions, weighted by |lam_i - lam_j|."""
     lam = vec(lam)
-    swaps, columns = _checked_cayley_frame(n, lam, cap)
-    perms = tuple(itertools.permutations(range(1, n + 1)))  # the frame's vertex order
-    swap_weights = [abs(lam[i] - lam[j]) for i, j in swaps]
-    edges = [
-        (u, v, i, j, w)
-        for u, row in enumerate(zip(*columns))
-        for v, (i, j), w in zip(row, swaps, swap_weights)
-        if v > u
-    ]
-    index = {p: i for i, p in enumerate(perms)}
-    return WeightedCayleyGraph(n=n, lam=lam, perms=perms, index=index, edges=edges)
+    _checked_cayley_frame(n, lam, cap)
+    return WeightedCayleyGraph(n, lam)
 
 
 def cayley_distances(graph: WeightedCayleyGraph, src: int) -> list[Fraction]:
@@ -402,11 +467,15 @@ def cayley_diameter(n: int, lam, cap: int = DEFAULT_CAYLEY_CAP) -> Fraction:
 
 def _json_value(value, depth: int) -> str:
     """value as json.dumps(indent=2) renders it nested `depth` levels deep."""
+    import json
+
     # A JSON string holds no raw newline, so every newline is indentation.
     return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
 
 
 def _json_members(fields: dict, depth: int) -> list[str]:
+    import json
+
     pad = "  " * depth
     return [f"{pad}{json.dumps(k)}: {_json_value(fields[k], depth)}" for k in sorted(fields)]
 
@@ -439,37 +508,36 @@ def _json_list(items) -> Iterator[str]:
 
 
 def _text_chunks(fmt: str, head: dict, labels: list[str], lengths: list[int] | None,
-                 rows, edge_fields) -> Iterator[str]:
+                 rows, edge_fields: list[dict]) -> Iterator[str]:
     """The export text of a graph whose vertex i has the label labels[i].
 
     head holds the payload's other members; lengths, when given, is exported
     per vertex.  rows yields (u, [(v, key), ...]) in order of u, each list in
-    edge order; edge_fields(key) gives an edge's fields besides u and v.
+    edge order; edge_fields[key] holds an edge's fields besides u and v.
     """
-    parts: dict = {}
-
-    def edge_texts(row, left: str, right: list[str]) -> list[str]:
-        # The edge u -> v renders as pre + left + right[v] + post.
-        texts = []
-        for v, key in row:
-            pre_post = parts.get(key)
-            if pre_post is None:
-                pre_post = parts[key] = _edge_parts(fmt, edge_fields(key))
-            texts.append(pre_post[0] + left + right[v] + pre_post[1])
-        return texts
-
+    # The edge u -> v renders as pres[key] + (u's text) + (v's text) + posts[key].
+    parts = [_edge_parts(fmt, fields) for fields in edge_fields]
+    pres, posts = [pre for pre, _post in parts], [post for _pre, post in parts]
     if fmt == "dot":
         directed = head["directed"]
         arrow = "->" if directed else "--"
         yield ("digraph " if directed else "graph ") + head["kind"] + " {\n"
         yield "".join(f'  "{label}";\n' for label in labels)
         for u, row in rows:
-            yield "".join(edge_texts(row, f'  "{labels[u]}" {arrow} "', labels))
+            left = f'  "{labels[u]}" {arrow} "'
+            yield "".join([left + labels[v] + posts[key] for v, key in row])
         yield "}\n"
         return
 
+    import json
+
     ids = [str(i) for i in range(len(labels))]
-    edges = (",\n".join(edge_texts(row, ids[u] + ',\n      "v": ', ids)) for u, row in rows)
+
+    def edges():
+        for u, row in rows:
+            left = ids[u] + ',\n      "v": '
+            yield ",\n".join([pres[key] + left + ids[v] + posts[key] for v, key in row])
+
     vertices = (
         f'    {{\n      "id": {i},\n      "label": {json.dumps(label)}'
         + ("" if lengths is None else f',\n      "length": {lengths[i]}')
@@ -477,7 +545,7 @@ def _text_chunks(fmt: str, head: dict, labels: list[str], lengths: list[int] | N
         for i, label in enumerate(labels)
     )
     members = {k: [_json_value(x, 1)] for k, x in head.items()}
-    members["edges"] = _json_list(edges)
+    members["edges"] = _json_list(edges())
     members["vertices"] = _json_list(vertices)
     sep = "{\n"
     for key in sorted(members):
@@ -492,61 +560,58 @@ def _weyl_chunks(graph, fmt: str, lam: Vector | None) -> Iterator[str]:
 
     Vertices are exported in order of (length, element), which is their own
     order: the enumeration is breadth-first and cosets are numbered by their
-    minimal representatives.  An edge's key is its root and degree; its area
-    pairs lam with the degree (quantum) or with the root's coroot (Bruhat).
-    A lam is refused as min_path_area refuses it (S_P empty for quantum).
+    minimal representatives.  Each vertex's edges are read from the tables as
+    the export reaches it and sorted within its row.  An edge's key is its
+    root and degree; its area pairs lam with the degree (quantum) or with the
+    root's coroot (Bruhat).  A lam is refused as min_path_area refuses it
+    (S_P empty for quantum).
     """
     weyl = graph.weyl
     rs = weyl.rs
     bruhat = isinstance(graph, BruhatGraph)
     if lam is not None:
-        from .capacity import require_dominant
-
         dynkin, scale = require_dominant(rs, lam, graph.parabolic.s_p if bruhat else ())
+    # The edges leaving a vertex sort by v, then by the root's coordinate
+    # strings; (u, v, root) never repeats.  So the reader takes the roots in
+    # that order, and sorting a row's pairs (v, key) sorts its edges.
     if bruhat:
         reps = graph.parabolic.coset_reps
         head = {"kind": "bruhat", "s_p": list(graph.parabolic.s_p), "directed": False}
         area_coefficients = rs.signed_cocoefficients
-        # The edges are sorted, so those leaving each vertex form one run.
-        leaving = ((u, [(v, a, deg) for _u, v, a, deg in run])
-                   for u, run in itertools.groupby(graph.edges, key=itemgetter(0)))
+        roots = graph.roots
     else:
         reps = range(len(weyl))
         head = {"kind": "quantum", "directed": True}
         area_coefficients = None  # the degree itself
-        leaving = enumerate(graph.out)
+        roots = rs.positive
+    keys, rows = graph._edge_rows(sorted(roots, key=lambda a: vector_strs(rs.roots[a])))
+    if not bruhat:
+        rows = ((u, sorted(row)) for u, row in rows)
     lengths = [weyl.lengths[w] for w in reps]
-    if sorted(reps, key=lambda w: (weyl.lengths[w], w)) != list(reps):
+    if any(map(ge, zip(lengths, reps), zip(lengths[1:], reps[1:]))):
         raise ConsistencyError("graph vertices are not in order of (length, element)")
-    # The edges leaving a vertex sort by v, then by the root's coordinate
-    # strings; (u, v, root) never repeats.
-    by_strs = sorted(rs.positive, key=lambda a: vector_strs(rs.roots[a]))
-    root_rank = {a: i for i, a in enumerate(by_strs)}
-    rows = ((u, [(v, (a, deg)) for v, _r, a, deg in sorted(
-                (v, root_rank[a], a, deg) for v, a, deg in out)])
-            for u, out in leaving)
 
-    def edge_fields(key):
-        a, deg = key
+    edge_fields = []
+    for a, deg in keys:
         fields = {"root": vector_strs(rs.roots[a]), "degree": list(deg)}
         if lam is not None:
             coeffs = deg if area_coefficients is None else area_coefficients(a)
             fields["area"] = rational_str(Fraction(sum(map(mul, coeffs, dynkin)), scale))
-        return fields
+        edge_fields.append(fields)
 
     head.update(family=rs.family, rank=rs.rank)
-    return _text_chunks(fmt, head, [weyl.word_label(w) for w in reps], lengths, rows,
-                        edge_fields)
+    labels = weyl.word_labels()
+    if bruhat:
+        labels = [labels[w] for w in reps]
+    return _text_chunks(fmt, head, labels, lengths, rows, edge_fields)
 
 
 def _cayley_chunks(graph: WeightedCayleyGraph, fmt: str) -> Iterator[str]:
-    edges = sorted(graph.edges)
-    rows = ((u, [(v, (i, j, w)) for _u, v, i, j, w in run])
-            for u, run in itertools.groupby(edges, key=itemgetter(0)))
+    keys, rows = graph._edge_rows()
     head = {"kind": "cayley", "n": graph.n, "lambda": vector_strs(graph.lam), "directed": False}
     return _text_chunks(
         fmt, head, ["".join(map(str, p)) for p in graph.perms], None, rows,
-        lambda key: {"swap": [key[0] + 1, key[1] + 1], "weight": rational_str(key[2])},
+        [{"swap": [i + 1, j + 1], "weight": rational_str(w)} for i, j, w in keys],
     )
 
 

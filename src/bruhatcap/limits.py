@@ -19,6 +19,10 @@ DEFAULT_GROUP_CAP = 10_000_000
 DEFAULT_CONFIRM_CAP = 25_000
 # The largest n for which the weighted Cayley graph of S_n is built.
 DEFAULT_CAYLEY_CAP = 7
+# `graph bruhat|quantum` refuses a group whose enumeration and reflection tables are
+# estimated, before any is built, to need more bytes than this (weyl.enumeration_bytes).
+# E6 needs about 34 MB; E7 about 2.4 GB, so it is refused.
+GRAPH_MEMORY_BUDGET = 1 << 30
 
 
 def require_nonnegative_cap(name: str, cap: int) -> None:

@@ -9,7 +9,9 @@ coefficients c_k^vee = c_k |alpha_k|^2 / |alpha|^2 and, on demand, each
 reflection as a permutation of root indices.  A weight is read once, as its
 Dynkin labels <lam, coroot(alpha_k)> over one common denominator
 (RootSystem.scaled_labels); its pairing with any root is then an integer
-sum over the coroot coefficients.  The build is integer too: the Gram and
+sum over the coroot coefficients.  The checks of a weight sit beside that
+reading (require_dominant, checked_weight, parabolic_positions), so a graph
+export checks one without the bounds module.  The build is integer too: the Gram and
 Cartan matrices, each root's ambient vector and norm, and the fundamental
 weights are integer sums over the simple roots scaled to integer rows over
 one denominator.  Fractions are made once per root coordinate, for input,
@@ -378,6 +380,57 @@ class RootSystem:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RootSystem({self.family}{self.rank}, |R+|={len(self.positive)})"
+
+
+# ---------------------------------------------------------------------------
+# Reading a weight
+
+
+def _require_dominant_labels(rs: RootSystem, labels: tuple[int, ...], s_p=()) -> None:
+    """ValidationError if a label on S_P is nonzero or a label is negative."""
+    if any(labels[k] for k in s_p):
+        raise ValidationError("lambda must pair to zero with every simple root of S_P "
+                              f"{tuple(k + 1 for k in s_p)}: edge areas on W/W_P are not well defined")
+    for k, label in enumerate(labels):
+        if label < 0:
+            alpha = rs.roots[rs.simple[k]]
+            raise ValidationError(
+                f"lambda is not dominant for {rs.family}{rs.rank}: "
+                f"<lambda, coroot(alpha_{k + 1})> < 0 for alpha_{k + 1} = ({','.join(vector_strs(alpha))})"
+            )
+
+
+def require_dominant(rs: RootSystem, lam: Vector, s_p=()) -> tuple[tuple[int, ...], int]:
+    """rs.scaled_labels(lam); ValidationError if a label on S_P is nonzero (an edge
+    area on W/W_P would depend on the coset representative) or a label is negative."""
+    labels, scale = rs.scaled_labels(lam)
+    _require_dominant_labels(rs, labels, s_p)
+    return labels, scale
+
+
+def checked_weight(rs: RootSystem, lam) -> tuple[Vector, tuple[int, ...], int]:
+    """lam as an exact dominant weight of rs, with its Dynkin labels over their scale,
+    read once; a G2 weight is projected onto the root plane, which keeps its labels."""
+    lam = vec(lam)
+    if len(lam) != rs.ambient_dim:
+        raise ValidationError(
+            f"lambda has {len(lam)} coordinates; {rs.family}{rs.rank} needs {rs.ambient_dim}"
+        )
+    labels, scale = rs.scaled_labels(lam)
+    if rs.family == "G":
+        lam = rs.weight(labels, scale)
+    _require_dominant_labels(rs, labels)
+    return lam, labels, scale
+
+
+def zero_positions(labels: tuple[int, ...]) -> tuple[int, ...]:
+    """The positions of the zero Dynkin labels: S_P, the stabilizer of the weight."""
+    return tuple(k for k, label in enumerate(labels) if label == 0)
+
+
+def parabolic_positions(rs: RootSystem, lam: Vector) -> tuple[int, ...]:
+    """S_P for the orbit through lam: simple roots pairing to zero (the stabilizer)."""
+    return zero_positions(rs.scaled_labels(lam)[0])
 
 
 def key_absolute_length(rs: RootSystem, key: tuple[int, ...]) -> int:

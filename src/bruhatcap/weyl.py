@@ -6,11 +6,15 @@ derives the key of u * s_i from that of u, and keeps u * s_i for every
 element u and simple reflection s_i as the table right[i] (Casselman,
 Computation in Coxeter groups I, EJC 9, 2002); the table u -> u * s_alpha of
 any positive root follows in one pass over W.  No element keeps a root
-permutation: only the 2|R+| reflections do.  The graphs read their edges
-from these tables, and the cosets of W/W_P are the orbits w W_P under the
-tables of S_P, taken in the breadth-first order, so each opens at its
-minimal-length element.  Tables and cosets are built on first use and kept
-on the group.
+permutation: only the 2|R+| reflections do.  The graphs are views over these
+tables: each reads a vertex's edges from them when it is needed, and none
+copies them into an edge list for an export.  The cosets of W/W_P are the
+orbits w W_P under the tables of S_P, taken in the breadth-first order, so
+each opens at its minimal-length element.  Tables and cosets are built on
+first use and kept on the group; the word labels of all elements are read
+off the breadth-first tree in one pass.  How many bytes an enumeration and
+its tables take is estimated before any is built (enumeration_bytes), so a
+graph export over budget is refused before it allocates.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import NamedTuple
 
 from . import linalg
 from .errors import ConsistencyError, SizeLimitError, ValidationError
-from .limits import DEFAULT_GROUP_CAP, require_nonnegative_cap
+from .limits import DEFAULT_GROUP_CAP, GRAPH_MEMORY_BUDGET, require_nonnegative_cap
 from .rootsystem import RootSystem, key_absolute_length
 
 Key = tuple[int, ...]  # root indices of the images of the simple roots
@@ -50,6 +54,34 @@ def _require_within_cap(rs: RootSystem, cap: int) -> None:
         raise SizeLimitError(
             f"Weyl group of {rs.family}{rs.rank} has order {rs.weyl_order:,}, "
             f"over the cap {cap:,}; raise the cap to force enumeration"
+        )
+
+
+def parabolic_roots(rs: RootSystem, s_p) -> tuple[int, ...]:
+    """R+_P: the positive root indices lying in Z*S_P, S_P given by simple-root positions."""
+    return tuple(i for i in rs.positive
+                 if not any(c for k, c in enumerate(rs.signed_coefficients(i)) if k not in s_p))
+
+
+def enumeration_bytes(rs: RootSystem, n_tables: int) -> int:
+    """An estimate, made before anything is built, of the bytes the enumerated group
+    and n_tables reflection tables take.  Per element: its key (a tuple of rank ints
+    in a list, 56 + 8 rank), its entry in the enumeration's index with the int it
+    maps to (96), its length and parent (72), the rank right tables, built as lists
+    and kept as tuples (16 rank), and one entry of 8 per reflection table.  E6 with
+    its 36 tables measures about 510 bytes per element against 656 estimated."""
+    rank = rs.rank
+    return rs.weyl_order * (56 + 8 * rank + 96 + 72 + 16 * rank + 8 * n_tables)
+
+
+def require_within_budget(rs: RootSystem, n_tables: int, budget: int = GRAPH_MEMORY_BUDGET) -> None:
+    """SizeLimitError, before any allocation, if enumeration_bytes is over the budget."""
+    need = enumeration_bytes(rs, n_tables)
+    if need > budget:
+        raise SizeLimitError(
+            f"{rs.family}{rs.rank}: the Weyl group ({rs.weyl_order:,} elements) and {n_tables} "
+            f"reflection tables would need about {need >> 20:,} MB, over the budget of "
+            f"{budget >> 20:,} MB"
         )
 
 
@@ -158,6 +190,14 @@ class WeylGroup:
         w = self.word(i)
         return "e" if not w else " ".join(f"s{g + 1}" for g in w)
 
+    def word_labels(self) -> list[str]:
+        """word_label(i) for every element i, in one pass over the BFS tree: a
+        child's label is its parent's with one more generator."""
+        labels = ["e"]
+        for parent, g in self.parents[1:]:
+            labels.append(f"{labels[parent]} s{g + 1}" if parent else f"s{g + 1}")
+        return labels
+
     def reflection(self, root_idx: int) -> int:
         """Element index of the reflection s_alpha for a positive root index."""
         return self.reflection_table(root_idx)[self.identity_index]
@@ -209,10 +249,7 @@ class WeylGroup:
             raise ValidationError(f"S_P positions {sp} out of range for rank {rs.rank}")
         free = tuple(k for k in range(rs.rank) if k not in sp)
 
-        rp_plus = tuple(
-            i for i in rs.positive
-            if all(c == 0 for k, c in enumerate(rs.signed_coefficients(i)) if k in free)
-        )
+        rp_plus = parabolic_roots(rs, sp)
 
         # Cosets are the orbits w W_P under right multiplication by S_P.  In
         # BFS order lengths never decrease, so the element that opens a coset

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -10,7 +11,7 @@ import pytest
 
 from bruhatcap import capacity, cli
 from bruhatcap.cli import main, parse_lambda
-from bruhatcap.errors import ValidationError
+from bruhatcap.errors import SizeLimitError, ValidationError
 from bruhatcap.limits import MAX_RANK
 from bruhatcap.rootsystem import build, vector_strs
 
@@ -189,6 +190,44 @@ def test_graph_e8_refused(capsys):
     assert code == 1
     assert "E8" in err
     assert "696,729,600" in err
+
+
+@pytest.mark.parametrize("kind", ["quantum", "bruhat"])
+def test_graph_e7_refused_before_enumeration(capsys, monkeypatch, kind):
+    from bruhatcap import weyl
+
+    def enumerate_group(*args, **kwargs):
+        raise AssertionError("the group was enumerated")
+
+    monkeypatch.setattr(weyl.WeylGroup, "__init__", enumerate_group)
+    code, out, err = run_cli(capsys, "graph", kind, "-t", "E", "-r", "7", "--format", "json")
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("error: E7: the Weyl group (2,903,040 elements)")
+    assert "over the budget of 1,024 MB" in err
+
+
+def test_graph_budget_counts_the_tables_the_export_reads():
+    from bruhatcap.limits import GRAPH_MEMORY_BUDGET
+    from bruhatcap.weyl import enumeration_bytes, require_within_budget
+
+    e6, e7 = build("E", 6), build("E", 7)
+    assert enumeration_bytes(e6, 36) < GRAPH_MEMORY_BUDGET < enumeration_bytes(e7, 0)
+    assert enumeration_bytes(e6, 36) - enumeration_bytes(e6, 35) == 8 * 51_840
+    require_within_budget(e6, 36)
+    with pytest.raises(SizeLimitError, match="63 reflection tables"):
+        require_within_budget(e7, 63)
+
+
+# The parent of the per-vertex export wrote this file; its bytes must not move.
+E6_QUANTUM_JSON_SHA256 = "da06499672b8be0db337b420aee483e05d3086f24f57e4114dc1d767ef6bce7e"
+
+
+def test_graph_e6_quantum_still_exports(tmp_path):
+    out = tmp_path / "e6.json"
+    subprocess.run([sys.executable, "-m", "bruhatcap.cli", "graph", "quantum", "-t", "E", "-r", "6",
+                    "--format", "json", "-o", str(out)],
+                   env={**os.environ, "PYTHONPATH": str(SRC)}, check=True, timeout=120)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == E6_QUANTUM_JSON_SHA256
 
 
 def test_graph_cap_override(capsys, monkeypatch):

@@ -1,10 +1,15 @@
-"""Graph exports against a payload-tree oracle.
+"""Graph exports and edge lists against materialising oracles.
 
-The oracle is the earlier exporter, kept here verbatim in substance: it
-builds one dict per vertex and per edge, sorts the edge dicts, and renders
-them with `json.dumps(indent=2, sort_keys=True)` or line by line as DOT.
-The streamed chunks of `export_chunks`, joined, and `export` must match it
-byte for byte in both formats.
+The oracle is the earlier exporter, kept here verbatim in substance.  It
+builds every edge with the earlier materialising loops (root by root over
+the reflection tables, or swap by swap over the Cayley frame), then one dict
+per vertex and per edge, sorts the edge dicts, and renders them with
+`json.dumps(indent=2, sort_keys=True)` or line by line as DOT; vertex labels
+come from `WeylGroup.word_label`, which walks each element back to the
+identity.  The streamed chunks of `export_chunks`, joined, and `export` must
+match it byte for byte in both formats, and the graphs' own edge lists
+(`BruhatGraph.edges`, `QuantumBruhatGraph.out`, `WeightedCayleyGraph.edges`),
+built by the graphs' per-vertex reader, must equal the oracle's.
 """
 
 import json
@@ -16,6 +21,7 @@ import pytest
 
 from bruhatcap import (
     bruhat_graph,
+    graphs,
     build,
     cayley_graph,
     dominant_from_pairings,
@@ -55,7 +61,7 @@ def _oracle_cayley_payload(graph):
     vertices = [{"id": i, "label": "".join(map(str, p))} for i, p in enumerate(graph.perms)]
     edges = [
         {"u": u, "v": v, "swap": [i + 1, j + 1], "weight": rational_str(w)}
-        for u, v, i, j, w in sorted(graph.edges)
+        for u, v, i, j, w in oracle_cayley_edges(graph)
     ]
     return {
         "kind": "cayley",
@@ -89,14 +95,61 @@ def _oracle_payload_to_dot(payload):
     return "\n".join(lines) + "\n"
 
 
+def oracle_bruhat_edges(weyl, pd):
+    """(u, v, root index, degree over S - S_P), u < v, sorted: root by root, every coset."""
+    rs = weyl.rs
+    rp = set(pd.rp_plus)
+    edges = []
+    for a in rs.positive:
+        if a in rp:
+            continue
+        cocoeff = rs.signed_cocoefficients(a)
+        degree = tuple(cocoeff[k] for k in pd.free_simple)
+        table = weyl.reflection_table(a)
+        for cu, rep in enumerate(pd.coset_reps):
+            cv = pd.coset_of[table[rep]]
+            if cv > cu:
+                edges.append((cu, cv, a, degree))
+    edges.sort()
+    return edges
+
+
+def oracle_quantum_out(weyl):
+    """Per u, (v, root index, degree) in root order: root by root, every element."""
+    rs = weyl.rs
+    zero = (0,) * rs.rank
+    lengths = weyl.lengths
+    out = [[] for _ in range(len(weyl))]
+    for a in rs.positive:
+        down = 1 - 2 * rs.coroot_height(a)
+        degree = rs.coroot_coefficients(a)
+        for v, lu, row in zip(weyl.reflection_table(a), lengths, out):
+            step = lengths[v] - lu
+            if step == 1:
+                row.append((v, a, zero))
+            elif step == down:
+                row.append((v, a, degree))
+    return out
+
+
+def oracle_cayley_edges(graph):
+    """(u, v, i, j, |lam_i - lam_j|), u < v, vertex by vertex over the Cayley frame."""
+    swaps, columns = graphs._cayley_frame(graph.n)
+    lam = graph.lam
+    return sorted((u, v, i, j, abs(lam[i] - lam[j]))
+                  for u, row in enumerate(zip(*columns))
+                  for v, (i, j) in zip(row, swaps) if v > u)
+
+
 def _oracle_payload(graph, lam):
     if hasattr(graph, "parabolic"):
         co = graph.weyl.rs.signed_cocoefficients
-        edges = ((u, v, a, deg, co(a)) for u, v, a, deg in graph.edges)
+        edges = ((u, v, a, deg, co(a)) for u, v, a, deg in oracle_bruhat_edges(graph.weyl, graph.parabolic))
         return _oracle_weyl_payload(graph.weyl, graph.parabolic.coset_reps, edges, lam,
                                     kind="bruhat", s_p=list(graph.parabolic.s_p), directed=False)
-    if hasattr(graph, "out"):
-        edges = ((u, v, a, deg, deg) for u, out in enumerate(graph.out) for v, a, deg in out)
+    if isinstance(graph, graphs.QuantumBruhatGraph):
+        edges = ((u, v, a, deg, deg) for u, out in enumerate(oracle_quantum_out(graph.weyl))
+                 for v, a, deg in out)
         return _oracle_weyl_payload(graph.weyl, range(len(graph.weyl)), edges, lam,
                                     kind="quantum", directed=True)
     return _oracle_cayley_payload(graph)
@@ -111,7 +164,8 @@ def oracle_export(graph, fmt, lam=None):
 
 # -- cases -------------------------------------------------------------------------
 
-TYPES = (("A", 3), ("B", 3), ("G", 2))
+# Every S_P of these types is exported; the quantum graph of each as well.
+TYPES = (("A", 3), ("B", 3), ("C", 3), ("D", 4), ("F", 4), ("G", 2))
 # Dynkin labels off S_P cycle through these: denominators 2 and 3, so the
 # areas of one graph mix halves, thirds and sixths.
 FRACTIONAL_LABELS = (Fraction(1, 2), Fraction(2, 3), Fraction(7, 6), Fraction(5, 2))
@@ -144,19 +198,27 @@ def _check(graph, lam):
 def test_bruhat_export_matches_oracle(fam, rank, s_p, weighted):
     rs = build(fam, rank)
     w = generate(rs)
-    graph = bruhat_graph(w, w.parabolic(s_p))
+    pd = w.parabolic(s_p)
+    graph = bruhat_graph(w, pd)
+    _check(graph, _fractional_weight(rs, s_p) if weighted else None)
+    assert "edges" not in vars(graph)  # the export reads the tables, not the edge list
+    assert graph.edges == oracle_bruhat_edges(w, pd)
     if len(s_p) == rank:
         assert graph.edges == []
-    _check(graph, _fractional_weight(rs, s_p) if weighted else None)
 
 
 @pytest.mark.parametrize("fam,rank", TYPES)
 @pytest.mark.parametrize("weight", ["none", "regular", "singular"])
 def test_quantum_export_matches_oracle(fam, rank, weight):
     rs = build(fam, rank)
+    w = generate(rs)
     lam = {"none": None, "regular": _fractional_weight(rs),
            "singular": _fractional_weight(rs, (0,))}[weight]
-    _check(quantum_bruhat_graph(generate(rs)), lam)
+    graph = quantum_bruhat_graph(w)
+    _check(graph, lam)
+    assert "out" not in vars(graph)
+    # In root order: the walks of `verify postnikov` read out[u] in this order.
+    assert graph.out == oracle_quantum_out(w)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -164,7 +226,16 @@ def test_cayley_export_matches_oracle(n):
     sorted_lam = [Fraction(7, 2) - Fraction(k, 3) - Fraction(k * k, 2) for k in range(n)]
     unsorted_lam = list(reversed(sorted_lam))
     for lam in (sorted_lam, unsorted_lam):
-        _check(cayley_graph(n, lam), None)
+        graph = cayley_graph(n, lam)
+        _check(graph, None)
+        assert "edges" not in vars(graph)
+        assert graph.edges == oracle_cayley_edges(graph)
+
+
+def test_word_labels_are_the_word_labels():
+    for fam, rank in TYPES:
+        w = generate(build(fam, rank))
+        assert w.word_labels() == [w.word_label(i) for i in range(len(w))]
 
 
 def test_empty_edge_list_renders_as_json_does():

@@ -425,7 +425,7 @@ def test_d_min_uniqueness_violation_detected(w_a2):
     out[1] = [(3, 0, (0, 0))]
     out[2] = [(3, 0, (0, 0))]
     out[3] = [(0, 0, (0, 0))]
-    fake = QuantumBruhatGraph(weyl=w_a2, out=out, zero=(0, 0))
+    fake = QuantumBruhatGraph(w_a2, out=out)
     with pytest.raises(ConsistencyError):
         d_min_all(fake, 0)
 

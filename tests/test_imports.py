@@ -66,6 +66,26 @@ def test_graph_commands_load_no_check_module(argv):
     assert loaded & {"bruhatcap.checks", "dataclasses", "inspect"} == set()
 
 
+def test_graph_cayley_loads_no_group_module():
+    loaded = _modules_after("graph", "cayley", "--n", "4", "--lambda", "3,2,1,0", "--format", "json")
+    assert "bruhatcap.weyl" not in loaded
+
+
+@pytest.mark.parametrize("kind", ["bruhat", "quantum"])
+def test_graph_with_a_weight_loads_no_capacity_module(kind):
+    loaded = _modules_after("graph", kind, "-t", "A", "-r", "3", "--lambda", "2,2,0,0")
+    assert "bruhatcap.weyl" in loaded
+    assert "bruhatcap.capacity" not in loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ("roots", "-t", "B", "-r", "3"),
+    ("capacity", "-t", "F", "-r", "4", "--lambda", "8,3,2,1"),
+])
+def test_text_formats_load_no_csv_module(argv):
+    assert "csv" not in _modules_after(*argv)
+
+
 def test_checks_import_the_group_and_graph_modules_only_in_the_checks_that_run_them():
     script = "import json, sys, bruhatcap.checks; print(json.dumps(sorted(sys.modules)))"
     assert set(json.loads(_python("-c", script).stdout)) & {"bruhatcap.weyl", "bruhatcap.graphs"} == set()
