@@ -19,6 +19,7 @@ graph export over budget is refused before it allocates.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import linalg
@@ -117,12 +118,15 @@ class WeylGroup:
         parents: list[tuple[int, int]] = [(-1, -1)]
         right: list[list[int]] = [[] for _ in rs.simple]
         # u s_g u^-1 is the reflection in u(alpha_g), so u * s_g sends alpha_k
-        # to that reflection of u(alpha_k).  Breadth-first: the loop visits
-        # elements in the order they are appended, so right[g] fills in
-        # element order.
+        # to that reflection of u(alpha_k): the key of u * s_g is the entries
+        # of that reflection at u's key, read by one itemgetter per element
+        # (which returns a bare entry, not a tuple, for a single key).
+        # Breadth-first: the loop visits elements in the order they are
+        # appended, so right[g] fills in element order.
         for wi, key in enumerate(keys):
+            at_key = itemgetter(*key) if len(key) > 1 else lambda perm, k=key[0]: (perm[k],)
             for g, row in enumerate(right):
-                child = tuple(map(refl[key[g]].__getitem__, key))
+                child = at_key(refl[key[g]])
                 j = index.get(child)
                 if j is None:
                     j = index[child] = len(keys)
