@@ -21,7 +21,7 @@ DEFAULT_CONFIRM_CAP = 25_000
 DEFAULT_CAYLEY_CAP = 7
 # `graph bruhat|quantum` refuses a group whose enumeration and reflection tables are
 # estimated, before any is built, to need more bytes than this (weyl.enumeration_bytes).
-# E6 needs about 34 MB; E7 about 2.4 GB, so it is refused.
+# E6 needs about 32 MB; E7 about 2.4 GB, so it is refused.
 GRAPH_MEMORY_BUDGET = 1 << 30
 
 

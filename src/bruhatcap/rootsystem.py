@@ -11,12 +11,13 @@ Dynkin labels <lam, coroot(alpha_k)> over one common denominator
 (RootSystem.scaled_labels); its pairing with any root is then an integer
 sum over the coroot coefficients.  The checks of a weight sit beside that
 reading (require_dominant, checked_weight, parabolic_positions), so a graph
-export checks one without the bounds module.  The build is integer too: the Gram and
-Cartan matrices, each root's ambient vector and norm, and the fundamental
-weights are integer sums over the simple roots scaled to integer rows over
-one denominator.  Fractions are made once per root coordinate, for input,
-output and the closed-form table; roots are indexed in lexicographic order.
-The dual basis and the projection onto the root span read the same rows.
+export checks one without the bounds module.  The build is integer too: the
+Gram and Cartan matrices, each root's ambient vector and norm, and the
+fundamental weights are integer sums over the simple roots scaled to integer
+rows over one denominator.  Fractions are made once per root coordinate, for
+input, output and the closed-form table; roots are indexed in lexicographic
+order.  The dual basis and the projection onto the root span read the same
+rows.
 
 Coordinate conventions per type (the ones in which all closed-form bounds
 are stated):

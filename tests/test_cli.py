@@ -218,7 +218,8 @@ def test_graph_budget_counts_the_tables_the_export_reads():
         require_within_budget(e7, 63)
 
 
-# The parent of the per-vertex export wrote this file; its bytes must not move.
+# The sha256 of the E6 quantum JSON as the edge-list exporter wrote it; the
+# per-vertex export must write the same bytes.
 E6_QUANTUM_JSON_SHA256 = "da06499672b8be0db337b420aee483e05d3086f24f57e4114dc1d767ef6bce7e"
 
 
