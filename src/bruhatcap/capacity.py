@@ -28,11 +28,8 @@ from . import linalg
 from .errors import ConsistencyError, ValidationError
 from .limits import DEFAULT_CONFIRM_CAP, DEFAULT_GROUP_CAP, require_nonnegative_cap
 from .linalg import Vector, vec
-# require_dominant, checked_weight and parabolic_positions read a weight beside
-# RootSystem.scaled_labels, so that a graph export checks one without this module.
-from .rootsystem import (RootSystem, build, checked_weight, key_absolute_length,  # noqa: F401
-                         parabolic_positions, rational_str, require_dominant, scaled, vector_strs,
-                         zero_positions)
+from .rootsystem import (RootSystem, build, checked_weight, key_absolute_length, parabolic_positions,
+                         rational_str, require_dominant, scaled, vector_strs)
 
 if TYPE_CHECKING:
     import random
@@ -228,25 +225,17 @@ def _simple_images(rs: RootSystem, indices) -> tuple[int, ...]:
 # Bounds
 
 
-def _pairings(rs: RootSystem, labels: tuple[int, ...], indices) -> list[int]:
-    """<lam, coroot(alpha_i)> times the scale of lam's labels, for each root index i."""
-    return [sum(map(mul, rs.signed_cocoefficients(i), labels)) for i in indices]
-
-
 def _scaled_pairings(rs: RootSystem, lam: Vector, indices) -> tuple[list[int], int]:
     """<lam, coroot(alpha_i)> for each root index i, as integers over one scale; and the scale.
     ValidationError unless lam is dominant."""
     labels, scale = require_dominant(rs, vec(lam))
-    return _pairings(rs, labels, indices), scale
+    return [sum(map(mul, rs.signed_cocoefficients(i), labels)) for i in indices], scale
 
 
 def upper_bound(rs: RootSystem, lam: Vector, dec: W0Decomposition) -> Fraction:
     """sum_k <lam, coroot(alpha_k)> over the decomposition roots."""
-    return _upper(rs, *require_dominant(rs, vec(lam)), dec)
-
-
-def _upper(rs: RootSystem, labels: tuple[int, ...], scale: int, dec: W0Decomposition) -> Fraction:
-    return Fraction(sum(_pairings(rs, labels, dec.root_indices)), scale)
+    pairings, scale = _scaled_pairings(rs, lam, dec.root_indices)
+    return Fraction(sum(pairings), scale)
 
 
 def lower_bound(rs: RootSystem, lam: Vector, dec: W0Decomposition) -> tuple[Fraction, int]:
@@ -254,12 +243,7 @@ def lower_bound(rs: RootSystem, lam: Vector, dec: W0Decomposition) -> tuple[Frac
 
     Returns the value and the position of the maximizing simple root.
     """
-    return _lower(rs, *require_dominant(rs, vec(lam)), dec)
-
-
-def _lower(rs: RootSystem, labels: tuple[int, ...], scale: int,
-           dec: W0Decomposition) -> tuple[Fraction, int]:
-    pairings = _pairings(rs, labels, dec.root_indices)
+    pairings, scale = _scaled_pairings(rs, lam, dec.root_indices)
     n_rho = rs.root_coefficients(rs.highest)
     if any(c < 1 for c in n_rho):
         raise ConsistencyError("highest root must have full support over the simple roots")
@@ -408,12 +392,9 @@ def w0_degree(weyl: WeylGroup) -> tuple[int, ...]:
 def confirm_upper(weyl: WeylGroup, lam: Vector, upper: Fraction) -> Fraction:
     """The minimal Bruhat-graph path area from e to w0 on W/W_P, S_P the
     stabilizer of lam; for a regular lam, ConsistencyError unless it is `upper`."""
-    return _confirm_upper(weyl, lam, parabolic_positions(weyl.rs, lam), upper)
-
-
-def _confirm_upper(weyl: WeylGroup, lam: Vector, s_p: tuple[int, ...], upper: Fraction) -> Fraction:
     from .graphs import min_path_area
 
+    s_p = parabolic_positions(weyl.rs, lam)
     pd = weyl.parabolic(s_p)
     area = min_path_area(pd, lam, pd.coset_of[weyl.identity_index],
                          pd.coset_of[weyl.longest_index])
@@ -474,12 +455,11 @@ def hz_bounds(family: str, rank: int, lam, *, confirm_cap: int = DEFAULT_CONFIRM
     require_nonnegative_cap("group_cap", group_cap)
     rs = build(family, rank)
     lam_input = vec(lam)
-    # The weight is read once: every bound below pairs these labels.
-    lam_used, labels, scale = checked_weight(rs, lam_input)
+    lam_used = checked_weight(rs, lam_input)
 
     dec = w0_decomposition(rs)
-    upper = _upper(rs, labels, scale, dec)
-    lower, witness = _lower(rs, labels, scale, dec)
+    upper = upper_bound(rs, lam_used, dec)
+    lower, witness = lower_bound(rs, lam_used, dec)
     exact = unitary_capacity(lam_used) if rs.family == "A" else None
 
     if not (0 <= lower <= upper):
@@ -489,7 +469,7 @@ def hz_bounds(family: str, rank: int, lam, *, confirm_cap: int = DEFAULT_CONFIRM
     if exact is not None and (exact != upper or exact != lower):
         raise ConsistencyError("type A bounds must be sharp and equal the unitary value")
 
-    regular = all(labels)
+    regular = is_regular(rs, lam_used)
     checks = {
         "sharp": lower == upper,
         "ratio_ok": 3 * lower >= 2 * upper,
@@ -503,8 +483,7 @@ def hz_bounds(family: str, rank: int, lam, *, confirm_cap: int = DEFAULT_CONFIRM
         weyl = generate(rs, cap=group_cap)
         if regular:
             d_deg = w0_degree(weyl)
-        # min_path_area checks the weight against S_P itself: the one other read.
-        area = _confirm_upper(weyl, lam_used, zero_positions(labels), upper)
+        area = confirm_upper(weyl, lam_used, upper)
         # For degenerate orbits the minimal parabolic path area may drop
         # below the regular-orbit upper bound; report, do not hide.
         checks["dmin_consistent"] = area == upper

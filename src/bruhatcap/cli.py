@@ -12,9 +12,8 @@ alone, `table` and `capacity` add the bounds, the graph modules load only
 where a group is enumerated or a graph built, and the checks only for
 `verify`.  `graph cayley` loads no Weyl group module and `graph bruhat` or
 `graph quantum` no bounds module; json and csv load only for the formats
-that write them.  `graph bruhat|quantum` estimates the bytes of the group
-and the reflection tables it reads before enumerating, and refuses a type
-over limits.GRAPH_MEMORY_BUDGET (E7, E8).
+that write them.  A Weyl group over limits.GROUP_MEMORY_BUDGET (E7, E8) is
+refused before it is enumerated.
 """
 
 from __future__ import annotations
@@ -28,8 +27,8 @@ from typing import Iterable
 from .errors import BruhatCapError, ValidationError
 from .limits import (DEFAULT_CAYLEY_CAP, DEFAULT_CONFIRM_CAP, DEFAULT_GROUP_CAP, MAX_DIGITS,
                      require_nonnegative_cap)
-from .rootsystem import (build, checked_weight, parse_rational, rational_str, spelled_digits,
-                         vector_strs, zero_positions)
+from .rootsystem import (build, checked_weight, parabolic_positions, parse_rational, rational_str,
+                         spelled_digits, vector_strs)
 
 # The names of checks.ALL_CHECKS, for the help text of `verify`.
 CHECK_NAMES = ("unitary-diameter", "type-c-sharp", "table", "height-lemma", "decompositions",
@@ -201,23 +200,20 @@ def cmd_graph(args) -> int:
         graph = graphs.cayley_graph(args.n, lam, cap=args.cayley_cap)
         _emit(graphs.export_chunks(graph, args.format), args.output)
         return 0
-    from . import weyl
+    from .weyl import generate
 
     if not args.type or args.rank is None:
         raise ValidationError(f"graph {args.kind} requires --type and --rank")
     rs = build(args.type, args.rank)
     s_p = ()
     if lam is not None:  # decorates edges with areas and, for bruhat, induces S_P
-        lam, labels, _scale = checked_weight(rs, lam)
-        if args.kind == "bruhat":
-            s_p = zero_positions(labels)
-    # The export reads the reflection tables of R+ - R+_P (of R+ for quantum).
-    weyl.require_within_budget(rs, len(rs.positive) - len(weyl.parabolic_roots(rs, s_p)))
-    group = weyl.generate(rs, cap=args.group_cap)
+        lam = checked_weight(rs, lam)
+        s_p = parabolic_positions(rs, lam)
+    weyl = generate(rs, cap=args.group_cap)
     if args.kind == "quantum":
-        graph = graphs.quantum_bruhat_graph(group)
+        graph = graphs.quantum_bruhat_graph(weyl)
     else:
-        graph = graphs.bruhat_graph(group, group.parabolic(s_p))
+        graph = graphs.bruhat_graph(weyl, weyl.parabolic(s_p))
     _emit(graphs.export_chunks(graph, args.format, lam=lam), args.output)
     return 0
 

@@ -149,9 +149,6 @@ class BruhatGraph:
 
     def __init__(self, parabolic: ParabolicData):
         self.parabolic = parabolic
-        rs = parabolic.weyl.rs
-        rp = set(parabolic.rp_plus)
-        self.roots = tuple(a for a in rs.positive if a not in rp)  # R+ - R+_P, in root order
 
     @property
     def weyl(self) -> WeylGroup:
@@ -173,7 +170,7 @@ class BruhatGraph:
     @cached_property
     def edges(self) -> list[tuple[int, int, int, Degree]]:
         """(u, v, root index, degree over S - S_P) with u < v, sorted."""
-        keys, rows = self._edge_rows(self.roots)
+        keys, rows = self._edge_rows(self.parabolic.free_roots)
         return [(u, v, *keys[k]) for u, row in rows for v, k in row]
 
 
@@ -213,9 +210,8 @@ def min_path_area(parabolic: ParabolicData, lam: Vector, src: int, dst: int) -> 
     weyl = parabolic.weyl
     rs = weyl.rs
     labels, scale = require_dominant(rs, lam, parabolic.s_p)
-    rp = set(parabolic.rp_plus)
     steps = [(weyl.reflection_table(a), sum(map(mul, rs.signed_cocoefficients(a), labels)))
-             for a in rs.positive if a not in rp]
+             for a in parabolic.free_roots]
     d = _dijkstra(_TableNeighbours(parabolic, steps), src, dst)
     if d is None:
         raise ConsistencyError("Bruhat graph is disconnected; this cannot happen for valid input")
@@ -578,7 +574,7 @@ def _weyl_chunks(graph, fmt: str, lam: Vector | None) -> Iterator[str]:
         reps = graph.parabolic.coset_reps
         head = {"kind": "bruhat", "s_p": list(graph.parabolic.s_p), "directed": False}
         area_coefficients = rs.signed_cocoefficients
-        roots = graph.roots
+        roots = graph.parabolic.free_roots
     else:
         reps = range(len(weyl))
         head = {"kind": "quantum", "directed": True}
@@ -600,9 +596,8 @@ def _weyl_chunks(graph, fmt: str, lam: Vector | None) -> Iterator[str]:
         edge_fields.append(fields)
 
     head.update(family=rs.family, rank=rs.rank)
-    labels = weyl.word_labels()
-    if bruhat:
-        labels = [labels[w] for w in reps]
+    # Every element is a vertex unless S_P is nonempty; then only the representatives are.
+    labels = weyl.word_labels() if len(reps) == len(weyl) else list(map(weyl.word_label, reps))
     return _text_chunks(fmt, head, labels, lengths, rows, edge_fields)
 
 

@@ -13,16 +13,18 @@ from .errors import ValidationError
 MAX_RANK = 55
 # Parsed input stays printable: str() of an int refuses more than 4300 digits.
 MAX_DIGITS = 1000
-# Weyl groups are enumerated up to this order.
+# Weyl groups are enumerated up to this order, a limit a caller lowers
+# (`--group-cap`, `BC_GROUP_CAP`).  Every group over it is also over the memory
+# budget below, which is checked first.
 DEFAULT_GROUP_CAP = 10_000_000
 # `capacity` enumerates W and confirms the upper bound on the graphs up to this order.
 DEFAULT_CONFIRM_CAP = 25_000
 # The largest n for which the weighted Cayley graph of S_n is built.
 DEFAULT_CAYLEY_CAP = 7
-# `graph bruhat|quantum` refuses a group whose enumeration and reflection tables are
-# estimated, before any is built, to need more bytes than this (weyl.enumeration_bytes).
-# E6 needs about 32 MB; E7 about 2.4 GB, so it is refused.
-GRAPH_MEMORY_BUDGET = 1 << 30
+# A Weyl group whose enumeration and |R+| reflection tables are estimated, before
+# any is built, to need more bytes than this is refused (weyl.enumeration_bytes).
+# E6 needs about 32 MB, A8 243 MB and B7 482 MB; E7 about 2.4 GB, so it is refused.
+GROUP_MEMORY_BUDGET = 1 << 30
 
 
 def require_nonnegative_cap(name: str, cap: int) -> None:

@@ -387,8 +387,10 @@ class RootSystem:
 # Reading a weight
 
 
-def _require_dominant_labels(rs: RootSystem, labels: tuple[int, ...], s_p=()) -> None:
-    """ValidationError if a label on S_P is nonzero or a label is negative."""
+def require_dominant(rs: RootSystem, lam: Vector, s_p=()) -> tuple[tuple[int, ...], int]:
+    """rs.scaled_labels(lam); ValidationError if a label on S_P is nonzero (an edge
+    area on W/W_P would depend on the coset representative) or a label is negative."""
+    labels, scale = rs.scaled_labels(lam)
     if any(labels[k] for k in s_p):
         raise ValidationError("lambda must pair to zero with every simple root of S_P "
                               f"{tuple(k + 1 for k in s_p)}: edge areas on W/W_P are not well defined")
@@ -399,39 +401,25 @@ def _require_dominant_labels(rs: RootSystem, labels: tuple[int, ...], s_p=()) ->
                 f"lambda is not dominant for {rs.family}{rs.rank}: "
                 f"<lambda, coroot(alpha_{k + 1})> < 0 for alpha_{k + 1} = ({','.join(vector_strs(alpha))})"
             )
-
-
-def require_dominant(rs: RootSystem, lam: Vector, s_p=()) -> tuple[tuple[int, ...], int]:
-    """rs.scaled_labels(lam); ValidationError if a label on S_P is nonzero (an edge
-    area on W/W_P would depend on the coset representative) or a label is negative."""
-    labels, scale = rs.scaled_labels(lam)
-    _require_dominant_labels(rs, labels, s_p)
     return labels, scale
 
 
-def checked_weight(rs: RootSystem, lam) -> tuple[Vector, tuple[int, ...], int]:
-    """lam as an exact dominant weight of rs, with its Dynkin labels over their scale,
-    read once; a G2 weight is projected onto the root plane, which keeps its labels."""
+def checked_weight(rs: RootSystem, lam) -> Vector:
+    """lam as an exact dominant weight of rs; a G2 weight is projected onto the root plane."""
     lam = vec(lam)
     if len(lam) != rs.ambient_dim:
         raise ValidationError(
             f"lambda has {len(lam)} coordinates; {rs.family}{rs.rank} needs {rs.ambient_dim}"
         )
-    labels, scale = rs.scaled_labels(lam)
     if rs.family == "G":
-        lam = rs.weight(labels, scale)
-    _require_dominant_labels(rs, labels)
-    return lam, labels, scale
-
-
-def zero_positions(labels: tuple[int, ...]) -> tuple[int, ...]:
-    """The positions of the zero Dynkin labels: S_P, the stabilizer of the weight."""
-    return tuple(k for k, label in enumerate(labels) if label == 0)
+        lam = rs.project_to_root_span(lam)
+    require_dominant(rs, lam)
+    return lam
 
 
 def parabolic_positions(rs: RootSystem, lam: Vector) -> tuple[int, ...]:
     """S_P for the orbit through lam: simple roots pairing to zero (the stabilizer)."""
-    return zero_positions(rs.scaled_labels(lam)[0])
+    return tuple(k for k, label in enumerate(rs.scaled_labels(lam)[0]) if label == 0)
 
 
 def key_absolute_length(rs: RootSystem, key: tuple[int, ...]) -> int:

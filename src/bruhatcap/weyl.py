@@ -14,7 +14,8 @@ each opens at its minimal-length element.  Tables and cosets are built on
 first use and kept on the group; the word labels of all elements are read
 off the breadth-first tree in one pass.  How many bytes an enumeration and
 its tables take is estimated before any is built (enumeration_bytes), so a
-graph export over budget is refused before it allocates.
+group over the memory budget is refused, like one over the element cap,
+before it allocates.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import NamedTuple
 
 from . import linalg
 from .errors import ConsistencyError, SizeLimitError, ValidationError
-from .limits import DEFAULT_GROUP_CAP, GRAPH_MEMORY_BUDGET, require_nonnegative_cap
+from .limits import DEFAULT_GROUP_CAP, GROUP_MEMORY_BUDGET, require_nonnegative_cap
 from .rootsystem import RootSystem, key_absolute_length
 
 Key = tuple[int, ...]  # root indices of the images of the simple roots
@@ -49,40 +50,32 @@ def stated_longest_map(family: str, rank: int):
     return None
 
 
+def enumeration_bytes(rs: RootSystem) -> int:
+    """An estimate, made before anything is built, of the bytes the enumerated group
+    and its |R+| reflection tables take (the most any graph reads).  Per element: its
+    key (a tuple of rank ints in a list, 56 + 8 rank), its entry in the enumeration's
+    index with the int it maps to (96), its length and parent (72), the rank right
+    tables, built as lists and kept as tuples (16 rank), and one entry of 8 per
+    reflection table.  E6 measures about 510 bytes per element against 656 estimated."""
+    rank = rs.rank
+    return rs.weyl_order * (56 + 8 * rank + 96 + 72 + 16 * rank + 8 * len(rs.positive))
+
+
 def _require_within_cap(rs: RootSystem, cap: int) -> None:
+    """SizeLimitError, before any allocation, if the group's enumeration_bytes are
+    over limits.GROUP_MEMORY_BUDGET or its order is over the caller's cap."""
     require_nonnegative_cap("cap", cap)
+    need = enumeration_bytes(rs)
+    if need > GROUP_MEMORY_BUDGET:
+        raise SizeLimitError(
+            f"{rs.family}{rs.rank}: the Weyl group ({rs.weyl_order:,} elements) and its "
+            f"{len(rs.positive)} reflection tables would need about {need >> 20:,} MB, "
+            f"over the budget of {GROUP_MEMORY_BUDGET >> 20:,} MB"
+        )
     if rs.weyl_order > cap:
         raise SizeLimitError(
             f"Weyl group of {rs.family}{rs.rank} has order {rs.weyl_order:,}, "
             f"over the cap {cap:,}; raise the cap to force enumeration"
-        )
-
-
-def parabolic_roots(rs: RootSystem, s_p) -> tuple[int, ...]:
-    """R+_P: the positive root indices lying in Z*S_P, S_P given by simple-root positions."""
-    return tuple(i for i in rs.positive
-                 if not any(c for k, c in enumerate(rs.signed_coefficients(i)) if k not in s_p))
-
-
-def enumeration_bytes(rs: RootSystem, n_tables: int) -> int:
-    """An estimate, made before anything is built, of the bytes the enumerated group
-    and n_tables reflection tables take.  Per element: its key (a tuple of rank ints
-    in a list, 56 + 8 rank), its entry in the enumeration's index with the int it
-    maps to (96), its length and parent (72), the rank right tables, built as lists
-    and kept as tuples (16 rank), and one entry of 8 per reflection table.  E6 with
-    its 36 tables measures about 510 bytes per element against 656 estimated."""
-    rank = rs.rank
-    return rs.weyl_order * (56 + 8 * rank + 96 + 72 + 16 * rank + 8 * n_tables)
-
-
-def require_within_budget(rs: RootSystem, n_tables: int, budget: int = GRAPH_MEMORY_BUDGET) -> None:
-    """SizeLimitError, before any allocation, if enumeration_bytes is over the budget."""
-    need = enumeration_bytes(rs, n_tables)
-    if need > budget:
-        raise SizeLimitError(
-            f"{rs.family}{rs.rank}: the Weyl group ({rs.weyl_order:,} elements) and {n_tables} "
-            f"reflection tables would need about {need >> 20:,} MB, over the budget of "
-            f"{budget >> 20:,} MB"
         )
 
 
@@ -95,6 +88,7 @@ class ParabolicData(NamedTuple):
     s_p: tuple[int, ...]            # positions into the simple-root list
     free_simple: tuple[int, ...]    # complementary positions, in order
     rp_plus: tuple[int, ...]        # positive root indices lying in Z*S_P
+    free_roots: tuple[int, ...]     # R+ - R+_P, in root order: the Bruhat graph's roots
     wp_elements: frozenset[int]
     coset_of: tuple[int, ...]       # element index -> coset index
     coset_reps: tuple[int, ...]     # coset index -> minimal-length element
@@ -253,7 +247,11 @@ class WeylGroup:
             raise ValidationError(f"S_P positions {sp} out of range for rank {rs.rank}")
         free = tuple(k for k in range(rs.rank) if k not in sp)
 
-        rp_plus = parabolic_roots(rs, sp)
+        rp_plus = tuple(
+            i for i in rs.positive
+            if all(c == 0 for k, c in enumerate(rs.signed_coefficients(i)) if k in free)
+        )
+        rp = set(rp_plus)
 
         # Cosets are the orbits w W_P under right multiplication by S_P.  In
         # BFS order lengths never decrease, so the element that opens a coset
@@ -289,6 +287,7 @@ class WeylGroup:
             s_p=sp,
             free_simple=free,
             rp_plus=rp_plus,
+            free_roots=tuple(a for a in rs.positive if a not in rp),
             wp_elements=frozenset(wp),
             coset_of=tuple(coset_of),
             coset_reps=tuple(coset_reps),

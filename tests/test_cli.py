@@ -11,7 +11,7 @@ import pytest
 
 from bruhatcap import capacity, cli
 from bruhatcap.cli import main, parse_lambda
-from bruhatcap.errors import SizeLimitError, ValidationError
+from bruhatcap.errors import ValidationError
 from bruhatcap.limits import MAX_RANK
 from bruhatcap.rootsystem import build, vector_strs
 
@@ -204,18 +204,6 @@ def test_graph_e7_refused_before_enumeration(capsys, monkeypatch, kind):
     assert (code, out) == (1, "")
     assert err.count("\n") == 1 and err.startswith("error: E7: the Weyl group (2,903,040 elements)")
     assert "over the budget of 1,024 MB" in err
-
-
-def test_graph_budget_counts_the_tables_the_export_reads():
-    from bruhatcap.limits import GRAPH_MEMORY_BUDGET
-    from bruhatcap.weyl import enumeration_bytes, require_within_budget
-
-    e6, e7 = build("E", 6), build("E", 7)
-    assert enumeration_bytes(e6, 36) < GRAPH_MEMORY_BUDGET < enumeration_bytes(e7, 0)
-    assert enumeration_bytes(e6, 36) - enumeration_bytes(e6, 35) == 8 * 51_840
-    require_within_budget(e6, 36)
-    with pytest.raises(SizeLimitError, match="63 reflection tables"):
-        require_within_budget(e7, 63)
 
 
 # The sha256 of the E6 quantum JSON as the edge-list exporter wrote it; the

@@ -50,6 +50,31 @@ def test_negative_cap_refused_before_enumeration(monkeypatch, entry):
         entry(rs, cap=0)
 
 
+@pytest.mark.parametrize("entry", [generate, WeylGroup])
+def test_group_over_memory_budget_refused_before_enumeration(monkeypatch, entry):
+    def unexpected(i):
+        raise AssertionError("the group was enumerated")
+
+    rs = build("E", 7)
+    monkeypatch.setattr(rs, "reflection_perm", unexpected)
+    # The budget holds whatever the caller's cap: raising the cap cannot force E7.
+    with pytest.raises(SizeLimitError, match=r"E7: the Weyl group \(2,903,040 elements\) and its "
+                                             r"63 reflection tables would need about 2,480 MB"):
+        entry(rs, cap=10**9)
+
+
+def test_memory_estimate_counts_every_reflection_table():
+    from bruhatcap.limits import GROUP_MEMORY_BUDGET
+
+    e6, e7 = build("E", 6), build("E", 7)
+    assert weyl_module.enumeration_bytes(e6) == 51_840 * (56 + 8 * 6 + 96 + 72 + 16 * 6 + 8 * 36)
+    assert weyl_module.enumeration_bytes(e6) < GROUP_MEMORY_BUDGET < weyl_module.enumeration_bytes(e7)
+    for fam, rank in [("A", 8), ("B", 7), ("C", 7), ("D", 7)]:
+        assert weyl_module.enumeration_bytes(build(fam, rank)) < GROUP_MEMORY_BUDGET
+    # Every group over the default cap is over the budget too.
+    assert weyl_module.enumeration_bytes(build("B", 8)) > GROUP_MEMORY_BUDGET
+
+
 def test_cached_group_refused_under_smaller_cap(b2):
     assert len(generate(b2)) == 8
     with pytest.raises(SizeLimitError) as err:
