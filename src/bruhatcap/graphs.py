@@ -280,7 +280,7 @@ def d_min_all(graph: QuantumBruhatGraph, u: int) -> tuple[list[int], list[Degree
     The uniqueness of the shortest-path degree is a checked theorem: if two
     shortest paths to any vertex disagree, ConsistencyError is raised.
     """
-    n = graph.n_vertices
+    n, out = graph.n_vertices, graph.out  # out is read once: a cached attribute
     dist = [-1] * n
     dist[u] = 0
     order = [u]
@@ -288,7 +288,7 @@ def d_min_all(graph: QuantumBruhatGraph, u: int) -> tuple[list[int], list[Degree
     while head < len(order):
         x = order[head]
         head += 1
-        for y, _a, _d in graph.out[x]:
+        for y, _a, _d in out[x]:
             if dist[y] < 0:
                 dist[y] = dist[x] + 1
                 order.append(y)
@@ -299,7 +299,7 @@ def d_min_all(graph: QuantumBruhatGraph, u: int) -> tuple[list[int], list[Degree
     for x in order:
         dx = degs[x]
         assert dx is not None
-        for y, _a, dd in graph.out[x]:
+        for y, _a, dd in out[x]:
             if dist[y] == dist[x] + 1:
                 acc = degs[y]
                 if acc is None:
@@ -327,10 +327,10 @@ def d_min(graph: QuantumBruhatGraph, u: int, v: int) -> tuple[Degree, int]:
 
 def random_walk_degree(graph: QuantumBruhatGraph, rng, u: int, steps: int) -> tuple[int, Degree]:
     """Follow `steps` random directed edges from u; return endpoint and path degree."""
-    x = u
+    x, out = u, graph.out
     total = graph.zero
     for _ in range(steps):
-        v, _a, dd = rng.choice(graph.out[x])
+        v, _a, dd = rng.choice(out[x])
         total = degree_add(total, dd)
         x = v
     return x, total
