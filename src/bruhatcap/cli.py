@@ -3,9 +3,10 @@
 Subcommands: roots, graph, capacity, table, verify.  Every rational is
 emitted exactly ('p/q' or integer string); there is no floating-point
 formatting anywhere.  Graph exports and `roots --format json` are written
-chunk by chunk as they are rendered.  BC_GROUP_CAP overrides the default
-group cap; a negative cap, from it or from a flag, is refused before any
-command runs.
+chunk by chunk as they are rendered, joined into blocks of at least
+BLOCK_SIZE characters, so that a large export is a few large writes and
+holds at most one block.  BC_GROUP_CAP overrides the default group cap; a
+negative cap, from it or from a flag, is refused before any command runs.
 
 A command imports only the modules it runs: `roots` reads the root system
 alone, `table` and `capacity` add the bounds, the graph modules load only
@@ -14,15 +15,22 @@ where a group is enumerated or a graph built, and the checks only for
 `graph quantum` no bounds module; json and csv load only for the formats
 that write them.  A Weyl group over limits.GROUP_MEMORY_BUDGET (E7, E8) is
 refused before it is enumerated.
+
+`console_main` is the `bruhatcap` console script and `python -m
+bruhatcap.cli`: it runs `main` and ends the process without interpreter
+teardown.  `main(argv)` returns the exit code and leaves the process
+alone, for the library and the tests.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import errno
 import os
 import sys
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator, NoReturn
 
 from .errors import BruhatCapError, ValidationError
 from .limits import (DEFAULT_CAYLEY_CAP, DEFAULT_CONFIRM_CAP, DEFAULT_GROUP_CAP, MAX_DIGITS,
@@ -33,6 +41,11 @@ from .rootsystem import (build, checked_weight, parabolic_positions, parse_ratio
 # The names of checks.ALL_CHECKS, for the help text of `verify`.
 CHECK_NAMES = ("unitary-diameter", "type-c-sharp", "table", "height-lemma", "decompositions",
                "postnikov", "triangle", "sandwich", "coweight")
+
+# The least text written at once: the Linux pipe capacity.  A per-vertex
+# chunk is about 1 KB, and with unbuffered stdout (PYTHONUNBUFFERED) each
+# would be a write of its own that wakes the reader.
+BLOCK_SIZE = 1 << 16
 
 
 def _env_group_cap() -> int:
@@ -79,16 +92,39 @@ def _detach_stdout() -> None:
     os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
+def _blocks(chunks: Iterable[str]) -> Iterator[str]:
+    """The chunks joined into blocks of at least BLOCK_SIZE characters.
+
+    Only the last block may be shorter, no block is empty, and a chunk is
+    never split, so a chunk longer than BLOCK_SIZE passes whole.  At most
+    one block is held at a time."""
+    held: list[str] = []
+    n = 0
+    for chunk in chunks:
+        held.append(chunk)
+        n += len(chunk)
+        if n >= BLOCK_SIZE:
+            yield "".join(held)
+            held = []
+            n = 0
+    if n:
+        yield "".join(held)
+
+
 def _emit(text: str | Iterable[str], path: str | None) -> None:
-    """Write text, or a stream of text chunks, to the file at path or to stdout.
+    """Write text, or a stream of text chunks, to the file at path or to stdout,
+    in blocks of at least BLOCK_SIZE characters.
 
     The file is opened only here, after the command has checked its input,
     so a refused input leaves an existing file untouched.  Stdout is flushed
     here, so a failed write shows as an error here, not at exit."""
-    chunks = (text,) if isinstance(text, str) else text
+    blocks = _blocks((text,) if isinstance(text, str) else text)
     if not path:
+        if sys.stdout is None:  # the process started without fd 1
+            raise ValidationError(f"cannot write <stdout>: {os.strerror(errno.EBADF)}")
         try:
-            sys.stdout.writelines(chunks)
+            for block in blocks:
+                sys.stdout.write(block)
             sys.stdout.flush()
         except BrokenPipeError:
             raise  # the reader went away: not an error of this command
@@ -98,7 +134,8 @@ def _emit(text: str | Iterable[str], path: str | None) -> None:
         return
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
+            for block in blocks:
+                fh.write(block)
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from None
 
@@ -408,5 +445,22 @@ def main(argv=None) -> int:
         return 1
 
 
+def console_main() -> NoReturn:
+    """Run main() on sys.argv and end the process with its exit code, skipping
+    interpreter teardown.
+
+    The atexit handlers run and stdout and stderr are flushed, as at a normal
+    exit; then os._exit ends the process without finalizing modules and
+    freeing every object, which would take 10-20 ms per command.  An
+    exception or SystemExit leaving main (argparse's --help and usage
+    errors), or a failed flush here, takes the normal exit path."""
+    code = main()
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:  # None when the process started without its fd
+            stream.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_main()
