@@ -5,6 +5,10 @@ Each check returns a CheckResult; sample sizes default to the acceptance
 requirements.  All comparisons are exact.  The Weyl-group and graph modules
 are imported only by the three checks that run them (unitary-diameter,
 postnikov, triangle).
+
+Every parameter of a check is keyword-only, and its signature is the one
+place that states the check's inputs: run_checks passes the seed to a check
+with a `seed` parameter and narrows the default of a `types` parameter.
 """
 
 from __future__ import annotations
@@ -20,15 +24,6 @@ from .errors import BruhatCapError, ConsistencyError
 from .limits import DEFAULT_CAYLEY_CAP
 from .rootsystem import build
 
-TRIANGLE_TYPES: tuple[tuple[str, int], ...] = (
-    tuple(("A", r) for r in range(1, 5))
-    + tuple(("B", r) for r in range(2, 5))
-    + tuple(("C", r) for r in range(2, 5))
-    + (("D", 3), ("D", 4), ("F", 4), ("G", 2))
-)
-
-POSTNIKOV_TYPES: tuple[tuple[str, int], ...] = (("A", 3), ("B", 3), ("G", 2))
-
 
 class CheckResult(NamedTuple):
     name: str
@@ -42,7 +37,18 @@ def _result(name: str, started: float, passed: bool, detail: str) -> CheckResult
                        seconds=time.perf_counter() - started)
 
 
-def check_unitary_diameter(seed: int = 0, ns: range | tuple = range(2, DEFAULT_CAYLEY_CAP + 1),
+def _weights(types, rng: random.Random, samples: int):
+    """Per type in order: build it, decompose w0, then draw `samples` dominant
+    weights from rng.  Yields (rs, dec, lam); a caller may draw from rng between
+    weights, and the next weight is drawn after it."""
+    for fam, rank in types:
+        rs = build(fam, rank)
+        dec = capacity.w0_decomposition(rs)
+        for _ in range(samples):
+            yield rs, dec, capacity.random_dominant(rs, rng)
+
+
+def check_unitary_diameter(*, seed: int = 0, ns: range | tuple = range(2, DEFAULT_CAYLEY_CAP + 1),
                            samples: int = 100) -> CheckResult:
     """Weighted Cayley diameter equals (1/2) sum |lam_k - lam_{n-k+1}| exactly."""
     from . import graphs
@@ -65,51 +71,38 @@ def check_unitary_diameter(seed: int = 0, ns: range | tuple = range(2, DEFAULT_C
                    f"{tested} weights across n={list(ns)} match exactly")
 
 
-def check_type_c_sharp(seed: int = 0, ranks: range | tuple = range(2, 7),
-                       samples: int = 50) -> CheckResult:
+def check_type_c_sharp(*, seed: int = 0, samples: int = 50,
+                       types: tuple = tuple(("C", r) for r in range(2, 7))) -> CheckResult:
     """Type C: lower = upper = sum(lambda) exactly."""
     t0 = time.perf_counter()
-    rng = random.Random(seed)
     tested = 0
-    for n in ranks:
-        rs = build("C", n)
-        dec = capacity.w0_decomposition(rs)
-        for _ in range(samples):
-            lam = capacity.random_dominant(rs, rng)
-            total = sum(lam, Fraction(0))
-            up = capacity.upper_bound(rs, lam, dec)
-            low, _ = capacity.lower_bound(rs, lam, dec)
-            if not (low == up == total):
-                return _result("type-c-sharp", t0, False,
-                               f"C{n} lambda={lam}: lower={low} upper={up} sum={total}")
-            tested += 1
+    for rs, dec, lam in _weights(types, random.Random(seed), samples):
+        total = sum(lam, Fraction(0))
+        up = capacity.upper_bound(rs, lam, dec)
+        low, _ = capacity.lower_bound(rs, lam, dec)
+        if not (low == up == total):
+            return _result("type-c-sharp", t0, False, f"{rs.family}{rs.rank} lambda={lam}: "
+                           f"lower={low} upper={up} sum={total}")
+        tested += 1
     return _result("type-c-sharp", t0, True, f"{tested} dominant weights, all sharp")
 
 
-def check_table(seed: int = 0, samples: int = 20,
-                types: tuple = TABLE_TYPES) -> CheckResult:
+def check_table(*, seed: int = 0, samples: int = 20, types: tuple = TABLE_TYPES) -> CheckResult:
     """Closed-form table rows equal the first-principles bounds exactly."""
     t0 = time.perf_counter()
-    rng = random.Random(seed)
-    rows = 0
-    for fam, rank in types:
-        rs = build(fam, rank)
-        dec = capacity.w0_decomposition(rs)
-        for _ in range(samples):
-            lam = capacity.random_dominant(rs, rng)
-            lam, closed_low, low, closed_up, up = capacity.table_row(rs, lam, dec)
-            if closed_up != up or closed_low != low:
-                return _result(
-                    "table", t0, False,
-                    f"{fam}{rank} lambda={lam}: closed ({closed_low},{closed_up}) "
-                    f"vs first-principles ({low},{up})",
-                )
-        rows += 1
+    for rs, dec, lam in _weights(types, random.Random(seed), samples):
+        lam, closed_low, low, closed_up, up = capacity.table_row(rs, lam, dec)
+        if closed_up != up or closed_low != low:
+            return _result(
+                "table", t0, False,
+                f"{rs.family}{rs.rank} lambda={lam}: closed ({closed_low},{closed_up}) "
+                f"vs first-principles ({low},{up})",
+            )
     return _result("table", t0, True,
-                   f"{rows} table rows x {samples} dominant weights match exactly")
+                   f"{len(types)} table rows x {samples} dominant weights match exactly")
 
 
-def check_height_lemma(types: tuple = TABLE_TYPES) -> CheckResult:
+def check_height_lemma(*, types: tuple = TABLE_TYPES) -> CheckResult:
     """l(s_alpha) <= 2 ht(coroot(alpha)) - 1 for every positive root, by inversion count."""
     t0 = time.perf_counter()
     total = 0
@@ -128,26 +121,29 @@ def check_height_lemma(types: tuple = TABLE_TYPES) -> CheckResult:
     return _result("height-lemma", t0, True, f"{total} positive roots across {len(types)} types")
 
 
-def check_decompositions(types: tuple = TABLE_TYPES) -> CheckResult:
-    """Transcribed w0 decompositions pass product/orthogonality/length/height checks."""
+def check_decompositions(*, types: tuple = TABLE_TYPES) -> CheckResult:
+    """Transcribed w0 decompositions pass product/orthogonality/length/height checks.
+
+    Each type's cached decomposition is dropped first, so the check validates
+    even after another check in the same process has filled the cache."""
     t0 = time.perf_counter()
     details = []
     for fam, rank in types:
         rs = build(fam, rank)
+        capacity._DECOMPOSITIONS.pop((fam, rank), None)
         t1 = time.perf_counter()
         try:
-            dec = capacity.w0_decomposition(rs)
+            capacity.w0_decomposition(rs)
         except BruhatCapError as exc:
             return _result("decompositions", t0, False, f"{fam}{rank}: {exc}")
         if (fam, rank) == ("E", 8):
             details.append(f"E8 validated in {time.perf_counter() - t1:.3f}s without enumeration")
-        del dec
     return _result("decompositions", t0, True,
                    f"{len(types)} types validated; " + "; ".join(details))
 
 
-def check_postnikov(seed: int = 0, walk_samples: int = 1000,
-                    types: tuple = POSTNIKOV_TYPES) -> CheckResult:
+def check_postnikov(*, seed: int = 0, walk_samples: int = 1000,
+                    types: tuple = (("A", 3), ("B", 3), ("G", 2))) -> CheckResult:
     """Shortest-path degree uniqueness over all ordered pairs, plus sampled
     longer paths dominating d_min componentwise."""
     from . import graphs
@@ -185,8 +181,11 @@ def check_postnikov(seed: int = 0, walk_samples: int = 1000,
                    f"{pair_count} ordered pairs unique; {walk_count} sampled longer paths dominated")
 
 
-def check_triangle(seed: int = 0, samples: int = 3,
-                   types: tuple = TRIANGLE_TYPES) -> CheckResult:
+def check_triangle(*, seed: int = 0, samples: int = 3,
+                   types: tuple = (tuple(("A", r) for r in range(1, 5))
+                                   + tuple(("B", r) for r in range(2, 5))
+                                   + tuple(("C", r) for r in range(2, 5))
+                                   + (("D", 3), ("D", 4), ("F", 4), ("G", 2)))) -> CheckResult:
     """Per type, w0_degree = d_min(w0, e) by a search of the whole quantum
     Bruhat graph; for regular weights, decomposition sum = Dijkstra min area."""
     from . import graphs
@@ -218,54 +217,42 @@ def check_triangle(seed: int = 0, samples: int = 3,
                    f"{len(types)} types; {tested} regular weights agree exactly")
 
 
-def check_sandwich(seed: int = 0, samples: int = 200,
-                   types: tuple = TABLE_TYPES) -> CheckResult:
+def check_sandwich(*, seed: int = 0, samples: int = 200, types: tuple = TABLE_TYPES) -> CheckResult:
     """(2/3) * upper <= lower <= upper for random dominant weights, all types."""
     t0 = time.perf_counter()
-    rng = random.Random(seed)
     tested = 0
-    for fam, rank in types:
-        rs = build(fam, rank)
-        dec = capacity.w0_decomposition(rs)
-        for _ in range(samples):
-            lam = capacity.random_dominant(rs, rng)
-            up = capacity.upper_bound(rs, lam, dec)
-            low, _ = capacity.lower_bound(rs, lam, dec)
-            if not (0 <= low <= up and 3 * low >= 2 * up):
-                return _result("sandwich", t0, False,
-                               f"{fam}{rank} lambda={lam}: lower={low} upper={up}")
-            tested += 1
+    for rs, dec, lam in _weights(types, random.Random(seed), samples):
+        up = capacity.upper_bound(rs, lam, dec)
+        low, _ = capacity.lower_bound(rs, lam, dec)
+        if not (0 <= low <= up and 3 * low >= 2 * up):
+            return _result("sandwich", t0, False,
+                           f"{rs.family}{rs.rank} lambda={lam}: lower={low} upper={up}")
+        tested += 1
     return _result("sandwich", t0, True, f"{tested} dominant weights satisfy the sandwich")
 
 
-def check_coweight(seed: int = 0, samples: int = 100,
-                   types: tuple = TABLE_TYPES) -> CheckResult:
+def check_coweight(*, seed: int = 0, samples: int = 100, types: tuple = TABLE_TYPES) -> CheckResult:
     """Random positive coweights never beat the lower bound; the dual-basis
     vertex at the witness root attains it exactly."""
     t0 = time.perf_counter()
     rng = random.Random(seed)
     tested = 0
-    for fam, rank in types:
-        rs = build(fam, rank)
-        dec = capacity.w0_decomposition(rs)
-        tau = rs.dual_basis()
-        for _ in range(samples):
-            lam = capacity.random_dominant(rs, rng)
-            low, witness = capacity.lower_bound(rs, lam, dec)
-            vertex = capacity.coweight_oscillation_bound(rs, lam, tau[witness], dec)
-            if vertex != low:
-                return _result(
-                    "coweight", t0, False,
-                    f"{fam}{rank} lambda={lam}: vertex value {vertex} != lower bound {low}",
-                )
-            xi = capacity.random_positive_coweight(rs, rng)
-            value = capacity.coweight_oscillation_bound(rs, lam, xi, dec)
-            if value > low:
-                return _result(
-                    "coweight", t0, False,
-                    f"{fam}{rank} lambda={lam} xi={xi}: oscillation bound {value} > lower {low}",
-                )
-            tested += 1
+    for rs, dec, lam in _weights(types, rng, samples):
+        low, witness = capacity.lower_bound(rs, lam, dec)
+        vertex = capacity.coweight_oscillation_bound(rs, lam, rs.dual_basis()[witness], dec)
+        if vertex != low:
+            return _result(
+                "coweight", t0, False,
+                f"{rs.family}{rs.rank} lambda={lam}: vertex value {vertex} != lower bound {low}",
+            )
+        xi = capacity.random_positive_coweight(rs, rng)
+        value = capacity.coweight_oscillation_bound(rs, lam, xi, dec)
+        if value > low:
+            return _result(
+                "coweight", t0, False,
+                f"{rs.family}{rs.rank} lambda={lam} xi={xi}: oscillation bound {value} > lower {low}",
+            )
+        tested += 1
     return _result("coweight", t0, True,
                    f"{tested} (weight, coweight) samples; vertex optimality exact")
 
@@ -282,38 +269,35 @@ ALL_CHECKS = {
     "coweight": check_coweight,
 }
 
-_SEEDED = {"unitary-diameter", "type-c-sharp", "table", "postnikov",
-           "triangle", "sandwich", "coweight"}
-_TYPED = {"table", "height-lemma", "decompositions", "postnikov",
-          "triangle", "sandwich", "coweight"}
-
 
 def run_checks(names=None, seed: int = 0, type_filter: str | None = None,
                rank_filter: int | None = None) -> list[CheckResult]:
-    """Run the named checks (all by default) with optional type/rank filters."""
-    selected = list(ALL_CHECKS) if not names else list(names)
-    results = []
-    for name in selected:
+    """Run the named checks (all by default) with optional type/rank filters.
+
+    The filters narrow each check's default `types`.  A check left with no
+    type is skipped, unless `names` names it: then the filter is an error, and
+    so it is when no check that takes types keeps one."""
+    for name in names or ():
         if name not in ALL_CHECKS:
-            raise BruhatCapError(
-                f"unknown check {name!r}; available: {', '.join(ALL_CHECKS)}"
-            )
+            raise BruhatCapError(f"unknown check {name!r}; available: {', '.join(ALL_CHECKS)}")
+    filtering = bool(type_filter) or rank_filter is not None
+    calls, unmatched = [], []
+    for name in names or ALL_CHECKS:
         fn = ALL_CHECKS[name]
-        kwargs = {}
-        if name in _SEEDED:
-            kwargs["seed"] = seed
-        if name in _TYPED and (type_filter or rank_filter is not None):
-            base = POSTNIKOV_TYPES if name == "postnikov" else (
-                TRIANGLE_TYPES if name == "triangle" else TABLE_TYPES)
-            picked = tuple(
-                (f, r) for f, r in base
-                if (type_filter is None or f == type_filter.upper())
+        defaults = fn.__kwdefaults__
+        kwargs = {"seed": seed} if "seed" in defaults else {}
+        if filtering and "types" in defaults:
+            kwargs["types"] = tuple(
+                (f, r) for f, r in defaults["types"]
+                if (not type_filter or f == type_filter.upper())
                 and (rank_filter is None or r == rank_filter)
             )
-            if not picked:
-                raise BruhatCapError(
-                    f"check {name!r}: no types match filter {type_filter}/{rank_filter}"
-                )
-            kwargs["types"] = picked
-        results.append(fn(**kwargs))
-    return results
+            if not kwargs["types"]:
+                unmatched.append(name)
+                continue
+        calls.append((fn, kwargs))
+    if unmatched and (names or not any("types" in kw for _fn, kw in calls)):
+        raise BruhatCapError(
+            f"check {unmatched[0]!r}: no types match filter {type_filter}/{rank_filter}"
+        )
+    return [fn(**kwargs) for fn, kwargs in calls]

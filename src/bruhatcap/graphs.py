@@ -227,13 +227,11 @@ class QuantumBruhatGraph:
 
     A view over the group's reflection tables: u -> u * s_alpha is an edge
     when the length goes up by 1 or down by 2 ht(coroot(alpha)) - 1.  The
-    out-lists are built on first read, unless given."""
+    out-lists are built on first read."""
 
-    def __init__(self, weyl: WeylGroup, out: list[list[tuple[int, int, Degree]]] | None = None):
+    def __init__(self, weyl: WeylGroup):
         self.weyl = weyl
         self.zero: Degree = (0,) * weyl.rs.rank
-        if out is not None:
-            self.__dict__["out"] = out
 
     @property
     def n_vertices(self) -> int:

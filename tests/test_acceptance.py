@@ -27,7 +27,8 @@ def test_criterion_1_unitary_exactness():
 
 
 def test_criterion_2_type_c_sharpness():
-    res = checks.check_type_c_sharp(seed=SEED, ranks=range(2, 7), samples=50)
+    res = checks.check_type_c_sharp(seed=SEED, types=tuple(("C", n) for n in range(2, 7)),
+                                     samples=50)
     _report(2, "type C sharpness", res)
 
 

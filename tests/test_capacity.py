@@ -807,6 +807,16 @@ def test_triangle_check_reports_both_degrees_on_a_mismatch(monkeypatch):
     assert f"d_min(w0, e) = {w0_degree(generate(build('B', 3)))}" in res.detail
 
 
+def test_decompositions_check_validates_after_another_check_filled_the_cache(monkeypatch):
+    assert checks.check_table().passed  # decomposes every table type, filling the cache
+    counts = Counter()
+    monkeypatch.setattr(capacity, "_validated_decomposition",
+                        _counted(counts, "validated", capacity._validated_decomposition))
+    res = checks.check_decompositions()
+    assert res.passed, res.detail
+    assert counts["validated"] == len(TABLE_TYPES) == 24
+
+
 def test_hz_bounds_as_dict_rationals_are_strings():
     b = hz_bounds("C", 2, [Fraction(5, 2), 1])
     d = b.as_dict()

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from bruhatcap import capacity, cli
+from bruhatcap import capacity, checks, cli
 from bruhatcap.cli import main, parse_lambda
 from bruhatcap.errors import ValidationError
 from bruhatcap.limits import MAX_RANK
@@ -346,6 +346,48 @@ def test_verify_unknown_check(capsys):
     code, _, err = run_cli(capsys, "verify", "--only", "nonsense")
     assert code == 1
     assert "unknown check" in err
+
+
+@pytest.fixture
+def cheap_checks(monkeypatch):
+    """The registry without the three slow sampled checks; each filter below still
+    leaves one of the remaining typed checks without a type."""
+    slow = ("unitary-diameter", "sandwich", "coweight")
+    monkeypatch.setattr(checks, "ALL_CHECKS",
+                        {n: fn for n, fn in checks.ALL_CHECKS.items() if n not in slow})
+
+
+@pytest.mark.parametrize("filters,skipped", [
+    (("--type", "C"), {"postnikov"}),
+    (("--type", "E", "--rank", "6"), {"type-c-sharp", "postnikov", "triangle"}),
+    (("--rank", "4"), {"postnikov"}),
+    (("--type", "A"), {"type-c-sharp"}),
+])
+def test_verify_filter_skips_the_checks_it_leaves_without_a_type(capsys, cheap_checks,
+                                                                 filters, skipped):
+    code, out, _ = run_cli(capsys, "verify", *filters)
+    assert code == 0
+    ran = [line.split()[1] for line in out.splitlines()[:-1]]
+    assert ran == [n for n in checks.ALL_CHECKS if n not in skipped]
+    assert out.endswith(f"{len(ran)}/{len(ran)} checks passed\n")
+
+
+def test_verify_type_and_rank_narrow_type_c_sharp(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--only", "type-c-sharp", "--type", "c", "--rank", "3")
+    assert code == 0
+    assert "[PASS] type-c-sharp" in out and ": 50 dominant weights, all sharp" in out
+
+
+@pytest.mark.parametrize("argv,name", [
+    (("--only", "postnikov", "--type", "C"), "postnikov"),
+    (("--only", "decompositions,type-c-sharp", "--type", "A"), "type-c-sharp"),
+    (("--type", "Z"), "type-c-sharp"),
+])
+def test_verify_filter_with_no_type_for_a_named_check_or_any_check_is_an_error(capsys, argv, name):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 1
+    assert out == ""
+    assert f"check {name!r}: no types match filter" in err
 
 
 def test_deterministic_output(capsys):

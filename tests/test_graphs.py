@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -415,18 +416,16 @@ def test_d_min_uniqueness_all_pairs_b2(w_b2):
         d_min_all(q, u)  # raises on any uniqueness violation
 
 
-def test_d_min_uniqueness_violation_detected(w_a2):
-    # synthetic graph: two 2-step routes u -> v with different degrees must trip
-    # the checked-theorem guard
-    from bruhatcap.graphs import QuantumBruhatGraph
-
+def test_d_min_uniqueness_violation_detected():
+    # synthetic strongly connected graph: two 2-step routes 0 -> 3 with different
+    # degrees must trip the checked-theorem guard
     out = [[] for _ in range(4)]
     out[0] = [(1, 0, (1, 0)), (2, 0, (0, 1))]
     out[1] = [(3, 0, (0, 0))]
     out[2] = [(3, 0, (0, 0))]
     out[3] = [(0, 0, (0, 0))]
-    fake = QuantumBruhatGraph(w_a2, out=out)
-    with pytest.raises(ConsistencyError):
+    fake = SimpleNamespace(n_vertices=4, out=out, zero=(0, 0))
+    with pytest.raises(ConsistencyError, match="distinct degrees"):
         d_min_all(fake, 0)
 
 
