@@ -28,6 +28,9 @@ def _cases() -> dict[str, tuple[str, ...]]:
         cases[f"capacity_{fam}{rank}.json"] = (
             "capacity", *t, "--lambda", DEFAULT_LAMBDA, "--format", "json")
     cases["table.csv"] = ("table",)
+    cases["table_G2_lambda_3h_1t_0.csv"] = ("table", "-t", "G", "-r", "2", "--lambda", "3/2,1/3,0")
+    for fam, rank in (("A", 2), ("B", 3), ("G", 2)):
+        cases[f"roots_{fam}{rank}.csv"] = ("roots", "-t", fam, "-r", str(rank), "--format", "csv")
     for kind in ("bruhat", "quantum"):
         for fam, rank in (("A", 2), ("B", 2), ("G", 2)):
             for fmt in ("dot", "json"):
@@ -37,14 +40,16 @@ def _cases() -> dict[str, tuple[str, ...]]:
         cases[f"graph_bruhat_A3_lambda_2200.{fmt}"] = (
             "graph", "bruhat", "-t", "A", "-r", "3", "--lambda", "2,2,0,0", "--format", fmt)
     # Non-integer weights: areas whose denominators differ.
-    cases["graph_quantum_B2_lambda_3h_1h.json"] = (
-        "graph", "quantum", "-t", "B", "-r", "2", "--lambda", "3/2,1/2", "--format", "json")
+    for fmt in ("dot", "json"):
+        cases[f"graph_quantum_B2_lambda_3h_1h.{fmt}"] = (
+            "graph", "quantum", "-t", "B", "-r", "2", "--lambda", "3/2,1/2", "--format", fmt)
     cases["graph_bruhat_G2_lambda_3h_1t_0.dot"] = (
         "graph", "bruhat", "-t", "G", "-r", "2", "--lambda", "3/2,1/3,0", "--format", "dot")
     cases["graph_quantum_G2_lambda_3h_1t_0.json"] = (
         "graph", "quantum", "-t", "G", "-r", "2", "--lambda", "3/2,1/3,0", "--format", "json")
-    cases["graph_cayley_4_lambda_7h_1_1t_m2.json"] = (
-        "graph", "cayley", "--n", "4", "--lambda", "7/2,1,1/3,-2", "--format", "json")
+    for fmt in ("dot", "json"):
+        cases[f"graph_cayley_4_lambda_7h_1_1t_m2.{fmt}"] = (
+            "graph", "cayley", "--n", "4", "--lambda", "7/2,1,1/3,-2", "--format", fmt)
     return cases
 
 
