@@ -127,7 +127,7 @@ def check_decompositions(*, types: tuple = TABLE_TYPES) -> CheckResult:
     Each type's cached decomposition is dropped first, so the check validates
     even after another check in the same process has filled the cache."""
     t0 = time.perf_counter()
-    details = []
+    detail = f"{len(types)} types validated"
     for fam, rank in types:
         rs = build(fam, rank)
         capacity._DECOMPOSITIONS.pop((fam, rank), None)
@@ -137,9 +137,8 @@ def check_decompositions(*, types: tuple = TABLE_TYPES) -> CheckResult:
         except BruhatCapError as exc:
             return _result("decompositions", t0, False, f"{fam}{rank}: {exc}")
         if (fam, rank) == ("E", 8):
-            details.append(f"E8 validated in {time.perf_counter() - t1:.3f}s without enumeration")
-    return _result("decompositions", t0, True,
-                   f"{len(types)} types validated; " + "; ".join(details))
+            detail += f"; E8 validated in {time.perf_counter() - t1:.3f}s without enumeration"
+    return _result("decompositions", t0, True, detail)
 
 
 def check_postnikov(*, seed: int = 0, walk_samples: int = 1000,
@@ -276,28 +275,32 @@ def run_checks(names=None, seed: int = 0, type_filter: str | None = None,
 
     The filters narrow each check's default `types`.  A check left with no
     type is skipped, unless `names` names it: then the filter is an error, and
-    so it is when no check that takes types keeps one."""
+    so it is when no check that takes types keeps one, or when the filter
+    matches no type of any check.  Every error is raised before a check runs."""
     for name in names or ():
         if name not in ALL_CHECKS:
             raise BruhatCapError(f"unknown check {name!r}; available: {', '.join(ALL_CHECKS)}")
     filtering = bool(type_filter) or rank_filter is not None
+
+    def narrowed(fn) -> tuple:
+        return tuple((f, r) for f, r in fn.__kwdefaults__.get("types", ())
+                     if (not type_filter or f == type_filter.upper())
+                     and (rank_filter is None or r == rank_filter))
+
     calls, unmatched = [], []
     for name in names or ALL_CHECKS:
         fn = ALL_CHECKS[name]
         defaults = fn.__kwdefaults__
         kwargs = {"seed": seed} if "seed" in defaults else {}
         if filtering and "types" in defaults:
-            kwargs["types"] = tuple(
-                (f, r) for f, r in defaults["types"]
-                if (not type_filter or f == type_filter.upper())
-                and (rank_filter is None or r == rank_filter)
-            )
+            kwargs["types"] = narrowed(fn)
             if not kwargs["types"]:
                 unmatched.append(name)
                 continue
         calls.append((fn, kwargs))
+    no_match = f"no types match filter {type_filter}/{rank_filter}"
     if unmatched and (names or not any("types" in kw for _fn, kw in calls)):
-        raise BruhatCapError(
-            f"check {unmatched[0]!r}: no types match filter {type_filter}/{rank_filter}"
-        )
+        raise BruhatCapError(f"check {unmatched[0]!r}: {no_match}")
+    if filtering and not any(map(narrowed, ALL_CHECKS.values())):
+        raise BruhatCapError(no_match)
     return [fn(**kwargs) for fn, kwargs in calls]

@@ -35,8 +35,8 @@ from typing import Iterable, Iterator, NoReturn
 from .errors import BruhatCapError, ValidationError
 from .limits import (DEFAULT_CAYLEY_CAP, DEFAULT_CONFIRM_CAP, DEFAULT_GROUP_CAP, MAX_DIGITS,
                      require_nonnegative_cap)
-from .rootsystem import (build, checked_weight, parabolic_positions, parse_rational, rational_str,
-                         spelled_digits, vector_strs)
+from .rootsystem import (build, checked_weight, json_chunks, json_item, parabolic_positions,
+                         parse_rational, rational_str, spelled_digits, vector_strs)
 
 # The names of checks.ALL_CHECKS, for the help text of `verify`.
 CHECK_NAMES = ("unitary-diameter", "type-c-sharp", "table", "height-lemma", "decompositions",
@@ -159,53 +159,41 @@ def _root_rows(rs):
         }
 
 
-_ROWS_MARK = "<positive roots>"
+def _csv_text(header: list[str], rows) -> str:
+    """The CSV text of a header and its rows, as csv.writer writes them."""
+    import csv
+    import io
 
-
-def _roots_json_chunks(rs) -> Iterable[str]:
-    """json.dumps(payload, indent=2, sort_keys=True) + "\n" of the `roots`
-    payload, rendered one positive root at a time so that the rows are never
-    all held: each row is dumped alone and indented two levels deeper."""
-    import json
-
-    payload = {
-        "type": rs.family,
-        "rank": rs.rank,
-        "ambient_dim": rs.ambient_dim,
-        "n_roots": len(rs.roots),
-        "n_positive": len(rs.positive),
-        "weyl_order": rs.weyl_order,
-        "highest_root": vector_strs(rs.rho),
-        "simple_roots": [vector_strs(rs.roots[i]) for i in rs.simple],
-        "positive_roots": _ROWS_MARK,
-    }
-    head, tail = json.dumps(payload, indent=2, sort_keys=True).split(json.dumps(_ROWS_MARK))
-    yield head + "["
-    newline = "\n    "
-    for k, row in enumerate(_root_rows(rs)):
-        text = json.dumps(row, indent=2, sort_keys=True).replace("\n", newline)
-        yield ("," if k else "") + newline + text
-    yield "\n  ]" + tail + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def cmd_roots(args) -> int:
     rs = build(args.type, args.rank)
     if args.format == "json":
-        _emit(_roots_json_chunks(rs), args.output)
+        payload = {
+            "type": rs.family,
+            "rank": rs.rank,
+            "ambient_dim": rs.ambient_dim,
+            "n_roots": len(rs.roots),
+            "n_positive": len(rs.positive),
+            "weyl_order": rs.weyl_order,
+            "highest_root": vector_strs(rs.rho),
+            "simple_roots": [vector_strs(rs.roots[i]) for i in rs.simple],
+        }
+        # One block per row, so that the rows are never all held.
+        _emit(json_chunks(payload, {"positive_roots": map(json_item, _root_rows(rs))}),
+              args.output)
     elif args.format == "csv":
-        import csv
-        import io
-
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["root", "coroot", "coroot_coefficients", "height", "simple", "highest"])
-        for row in _root_rows(rs):
-            writer.writerow([
-                " ".join(row["root"]), " ".join(row["coroot"]),
-                " ".join(map(str, row["coroot_coefficients"])),
-                row["height"], row["simple"], row["highest"],
-            ])
-        _emit(buf.getvalue(), args.output)
+        _emit(_csv_text(
+            ["root", "coroot", "coroot_coefficients", "height", "simple", "highest"],
+            ([" ".join(row["root"]), " ".join(row["coroot"]),
+              " ".join(map(str, row["coroot_coefficients"])),
+              row["height"], row["simple"], row["highest"]] for row in _root_rows(rs)),
+        ), args.output)
     else:
         lines = [
             f"{rs.family}{rs.rank}: {len(rs.roots)} roots, {len(rs.positive)} positive, "
@@ -316,17 +304,13 @@ def cmd_table(args) -> int:
         raise ValidationError("no table rows match the requested type/rank")
     if lam_fixed is not None and len(wanted) != 1:
         raise ValidationError("--lambda with `table` needs a single row (--type and --rank)")
-    import csv
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow([
+    header = [
         "family", "rank", "group", "lambda",
         "lower_closed_form", "lower_first_principles",
         "upper_closed_form", "upper_first_principles",
         "lower_match", "upper_match", "sharp", "exact_value",
-    ])
+    ]
+    rows = []
     all_match = True
     for fam, rank in wanted:
         rs = build(fam, rank)
@@ -337,7 +321,7 @@ def cmd_table(args) -> int:
         lower_match = closed_low == low
         upper_match = closed_up == up
         all_match = all_match and lower_match and upper_match
-        writer.writerow([
+        rows.append([
             fam, rank, _group_label(fam, rank),
             " ".join(vector_strs(lam)),
             rational_str(closed_low), rational_str(low),
@@ -345,7 +329,7 @@ def cmd_table(args) -> int:
             lower_match, upper_match, low == up,
             rational_str(exact) if exact is not None else "",
         ])
-    _emit(buf.getvalue(), args.output)
+    _emit(_csv_text(header, rows), args.output)
     return 0 if all_match else 2
 
 

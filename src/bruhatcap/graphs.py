@@ -10,7 +10,10 @@ A graph is a view over tables it does not copy: the Bruhat and quantum
 Bruhat graphs over the Weyl group's reflection tables, the Cayley graph of
 S_n over the columns of its frame.  Each graph has one per-vertex edge
 reader (its `_edge_rows`), and the export reads each vertex's edges from it
-as it writes that vertex, so no edge list is built for an export.  The edge
+as it writes that vertex, so no edge list is built for an export.  One edge
+loop writes JSON and DOT, and the JSON text comes from the one JSON writer,
+rootsystem.json_chunks, which `roots --format json` shares (see Exports
+below): json.dumps lays out all of it.  The edge
 lists `BruhatGraph.edges`, `QuantumBruhatGraph.out` and
 `WeightedCayleyGraph.edges` come from the same reader, built on first read
 for the searches that walk them (d_min_all, the random walks).  The Weyl
@@ -32,7 +35,7 @@ from typing import TYPE_CHECKING, Iterator, Mapping
 from .errors import ConsistencyError, SizeLimitError, ValidationError
 from .limits import DEFAULT_CAYLEY_CAP, require_nonnegative_cap
 from .linalg import Vector, vec
-from .rootsystem import rational_str, require_dominant, scaled, vector_strs
+from .rootsystem import json_chunks, json_item, rational_str, require_dominant, scaled, vector_strs
 
 if TYPE_CHECKING:  # a Cayley graph needs no Weyl group
     from .weyl import ParabolicData, Table, WeylGroup
@@ -453,52 +456,26 @@ def cayley_diameter(n: int, lam, cap: int = DEFAULT_CAYLEY_CAP) -> Fraction:
 #   {"kind", "directed", ..., "vertices": [{"id", "label", ...}, ...],
 #    "edges": [{"u", "v", ...}, ...]}
 # with edges sorted by u, then v, then their other fields.  The JSON text is
-# byte-identical to json.dumps(payload, indent=2, sort_keys=True) + "\n";
-# the DOT text lists the vertices, then the edges in the same order.  The
-# text of each kind of edge (a root with its degree and area, or a swap with
-# its weight) is rendered once per export, as is each vertex's label.
+# rootsystem.json_chunks of that payload, byte-identical to
+# json.dumps(payload, indent=2, sort_keys=True) + "\n": the vertex text and
+# the text of each kind of edge (a root with its degree and area, or a swap
+# with its weight) are cut from json.dumps templates (json_item) once per
+# export.  The DOT text lists the vertices, then the edges in the same order,
+# each labelled with its field values.  One edge loop (_edge_texts) writes
+# both formats.
 
 
-def _json_value(value, depth: int) -> str:
-    """value as json.dumps(indent=2) renders it nested `depth` levels deep."""
-    import json
-
-    # A JSON string holds no raw newline, so every newline is indentation.
-    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+def _dot_value(value) -> str:
+    return "(" + ",".join(map(str, value)) + ")" if isinstance(value, list) else str(value)
 
 
-def _json_members(fields: dict, depth: int) -> list[str]:
-    import json
-
-    pad = "  " * depth
-    return [f"{pad}{json.dumps(k)}: {_json_value(fields[k], depth)}" for k in sorted(fields)]
-
-
-def _edge_parts(fmt: str, fields: dict) -> tuple[str, str]:
-    """The text of an edge with these fields (besides u and v) around its endpoints."""
-    if fmt == "json":
-        before = _json_members({k: x for k, x in fields.items() if k < "u"}, 3)
-        after = _json_members({k: x for k, x in fields.items() if k > "v"}, 3)
-        return ("    {\n" + "".join(m + ",\n" for m in before) + '      "u": ',
-                "".join(",\n" + m for m in after) + "\n    }")
-    if "root" in fields:
-        parts = ["(" + ",".join(fields["root"]) + ")",
-                 "(" + ",".join(map(str, fields["degree"])) + ")"]
-        if "area" in fields:
-            parts.append(fields["area"])
-    else:
-        parts = ["(" + ",".join(map(str, fields["swap"])) + ")", fields["weight"]]
-    return "", '" [label="' + " / ".join(parts) + '"];\n'
-
-
-def _json_list(items) -> Iterator[str]:
-    """A list of rendered JSON items, given in blocks joined by ",\n", as a member value."""
-    opened = False
-    for block in items:
-        if block:
-            yield (",\n" if opened else "[\n") + block
-            opened = True
-    yield "\n  ]" if opened else "[]"
+def _edge_texts(rows, ends: list[str], middle: str, pres: list[str], posts: list[str]):
+    """Per row of rows, the texts of its edges, for either format: the edge
+    u -- v with key k is pres[k] + left + ends[v] + posts[k], where
+    left = ends[u] + middle is built once per row."""
+    for u, row in rows:
+        left = ends[u] + middle
+        yield [pres[key] + left + ends[v] + posts[key] for v, key in row]
 
 
 def _text_chunks(fmt: str, head: dict, labels: list[str], lengths: list[int] | None,
@@ -507,46 +484,31 @@ def _text_chunks(fmt: str, head: dict, labels: list[str], lengths: list[int] | N
 
     head holds the payload's other members; lengths, when given, is exported
     per vertex.  rows yields (u, [(v, key), ...]) in order of u, each list in
-    edge order; edge_fields[key] holds an edge's fields besides u and v.
+    edge order; edge_fields[key] holds an edge's fields besides u and v, and
+    none of them sorts between "u" and "v".
     """
-    # The edge u -> v renders as pres[key] + (u's text) + (v's text) + posts[key].
-    parts = [_edge_parts(fmt, fields) for fields in edge_fields]
-    pres, posts = [pre for pre, _post in parts], [post for _pre, post in parts]
     if fmt == "dot":
         directed = head["directed"]
-        arrow = "->" if directed else "--"
+        posts = ['" [label="' + " / ".join(map(_dot_value, fields.values())) + '"];\n'
+                 for fields in edge_fields]
         yield ("digraph " if directed else "graph ") + head["kind"] + " {\n"
         yield "".join(f'  "{label}";\n' for label in labels)
-        for u, row in rows:
-            left = f'  "{labels[u]}" {arrow} "'
-            yield "".join([left + labels[v] + posts[key] for v, key in row])
+        middle = '" -> "' if directed else '" -- "'
+        yield from map("".join, _edge_texts(rows, labels, middle, ['  "'] * len(posts), posts))
         yield "}\n"
         return
 
     import json
 
     ids = [str(i) for i in range(len(labels))]
-
-    def edges():
-        for u, row in rows:
-            left = ids[u] + ',\n      "v": '
-            yield ",\n".join([pres[key] + left + ids[v] + posts[key] for v, key in row])
-
-    vertices = (
-        f'    {{\n      "id": {i},\n      "label": {json.dumps(label)}'
-        + ("" if lengths is None else f',\n      "length": {lengths[i]}')
-        + "\n    }"
-        for i, label in enumerate(labels)
-    )
-    members = {k: [_json_value(x, 1)] for k, x in head.items()}
-    members["edges"] = _json_list(edges())
-    members["vertices"] = _json_list(vertices)
-    sep = "{\n"
-    for key in sorted(members):
-        yield f'{sep}  "{key}": '
-        yield from members[key]
-        sep = ",\n"
-    yield "\n}\n"
+    cut = [json_item(fields, ("u", "v")) for fields in edge_fields]
+    edges = _edge_texts(rows, ids, json_item({}, ("u", "v"))[1],
+                        [c[0] for c in cut], [c[-1] for c in cut])
+    holes = ("id", "label") if lengths is None else ("id", "label", "length")
+    first, *parts = json_item({}, holes)
+    columns = [ids, map(json.dumps, labels)] + ([] if lengths is None else [map(str, lengths)])
+    vertices = ([first + "".join(map(add, values, parts))] for values in zip(*columns))
+    yield from json_chunks(head, {"edges": edges, "vertices": vertices})
 
 
 def _weyl_chunks(graph, fmt: str, lam: Vector | None) -> Iterator[str]:
@@ -556,28 +518,28 @@ def _weyl_chunks(graph, fmt: str, lam: Vector | None) -> Iterator[str]:
     order: the enumeration is breadth-first and cosets are numbered by their
     minimal representatives.  Each vertex's edges are read from the tables as
     the export reaches it and sorted within its row.  An edge's key is its
-    root and degree; its area pairs lam with the degree (quantum) or with the
-    root's coroot (Bruhat).  A lam is refused as min_path_area refuses it
-    (S_P empty for quantum).
+    root and its degree over S - S_P, S_P being empty for the quantum graph.
+    Its area, in both graphs, pairs lam's labels on S - S_P with the degree.
+    lam pairs to zero with S_P, so a Bruhat edge's area is lam paired with the
+    root's coroot.  A lam is refused as min_path_area refuses it.
     """
     weyl = graph.weyl
     rs = weyl.rs
     bruhat = isinstance(graph, BruhatGraph)
+    if bruhat:
+        p = graph.parabolic
+        s_p, free, roots, reps = p.s_p, p.free_simple, p.free_roots, p.coset_reps
+        head = {"kind": "bruhat", "s_p": list(s_p), "directed": False}
+    else:
+        s_p, free, roots, reps = (), range(rs.rank), rs.positive, range(len(weyl))
+        head = {"kind": "quantum", "directed": True}
+    head.update(family=rs.family, rank=rs.rank)
     if lam is not None:
-        dynkin, scale = require_dominant(rs, lam, graph.parabolic.s_p if bruhat else ())
+        dynkin, scale = require_dominant(rs, lam, s_p)
+        free_labels = [dynkin[k] for k in free]
     # The edges leaving a vertex sort by v, then by the root's coordinate
     # strings; (u, v, root) never repeats.  So the reader takes the roots in
     # that order, and sorting a row's pairs (v, key) sorts its edges.
-    if bruhat:
-        reps = graph.parabolic.coset_reps
-        head = {"kind": "bruhat", "s_p": list(graph.parabolic.s_p), "directed": False}
-        area_coefficients = rs.signed_cocoefficients
-        roots = graph.parabolic.free_roots
-    else:
-        reps = range(len(weyl))
-        head = {"kind": "quantum", "directed": True}
-        area_coefficients = None  # the degree itself
-        roots = rs.positive
     keys, rows = graph._edge_rows(sorted(roots, key=lambda a: vector_strs(rs.roots[a])))
     if not bruhat:
         rows = ((u, sorted(row)) for u, row in rows)
@@ -589,11 +551,9 @@ def _weyl_chunks(graph, fmt: str, lam: Vector | None) -> Iterator[str]:
     for a, deg in keys:
         fields = {"root": vector_strs(rs.roots[a]), "degree": list(deg)}
         if lam is not None:
-            coeffs = deg if area_coefficients is None else area_coefficients(a)
-            fields["area"] = rational_str(Fraction(sum(map(mul, coeffs, dynkin)), scale))
+            fields["area"] = rational_str(Fraction(sum(map(mul, deg, free_labels)), scale))
         edge_fields.append(fields)
 
-    head.update(family=rs.family, rank=rs.rank)
     # Every element is a vertex unless S_P is nonempty; then only the representatives are.
     labels = weyl.word_labels() if len(reps) == len(weyl) else list(map(weyl.word_label, reps))
     return _text_chunks(fmt, head, labels, lengths, rows, edge_fields)

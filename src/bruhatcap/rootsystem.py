@@ -36,6 +36,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, gcd, lcm
 from operator import mul, sub
+from typing import Iterator
 
 from . import linalg
 from .errors import ConsistencyError, SizeLimitError, ValidationError
@@ -447,6 +448,51 @@ def rational_str(x) -> str:
 
 def vector_strs(v: Vector) -> list[str]:
     return list(map(rational_str, v))
+
+
+# The one JSON writer: json.dumps(indent=2, sort_keys=True) lays out all JSON
+# text.  A document or an item is dumped once with a placeholder in each
+# member that is filled in later, and the text is cut at the placeholders.
+
+
+def _dumps_cut(value: dict, holes, pad: str) -> list[str]:
+    """pad + json.dumps(value, indent=2, sort_keys=True), every newline followed by
+    pad, cut where the top-level members named in holes go (in sorted order)."""
+    import json
+
+    mark = "\0"
+    while True:
+        text = json.dumps({**value, **dict.fromkeys(holes, mark)}, indent=2, sort_keys=True)
+        quoted = json.dumps(mark)
+        if text.count(quoted) == len(holes):  # the mark is spelled nowhere else
+            return (pad + text.replace("\n", "\n" + pad)).split(quoted)
+        mark += "\0"
+
+
+def json_item(value: dict, holes=()) -> list[str]:
+    """value as an item of a list that json_chunks streams, cut where the members
+    named in holes go: the JSON texts of those scalar members, in sorted order,
+    fill the gaps.  With no holes this is [text], a block of one item."""
+    return _dumps_cut(value, holes, "    ")
+
+
+def json_chunks(payload: dict, lists: dict) -> Iterator[str]:
+    """json.dumps(payload with the members of lists, indent=2, sort_keys=True) + "\\n",
+    as a stream of text chunks.
+
+    Each value of lists is a streamed top-level list: an iterable of blocks,
+    each block a list of item texts from json_item, written as it arrives.
+    A block may be empty."""
+    parts = iter(_dumps_cut(payload, lists, ""))
+    yield next(parts)
+    for key, tail in zip(sorted(lists), parts):
+        sep = "[\n"
+        for block in lists[key]:
+            if block:
+                yield sep + ",\n".join(block)
+                sep = ",\n"
+        yield ("[]" if sep == "[\n" else "\n  ]") + tail
+    yield "\n"
 
 
 def spelled_digits(literal: str) -> int:

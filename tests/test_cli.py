@@ -390,6 +390,26 @@ def test_verify_filter_with_no_type_for_a_named_check_or_any_check_is_an_error(c
     assert f"check {name!r}: no types match filter" in err
 
 
+def test_verify_filter_that_matches_no_type_of_any_check_is_an_error(capsys):
+    # unitary-diameter takes no types, so the filter must be refused before it runs.
+    code, out, err = run_cli(capsys, "verify", "--only", "unitary-diameter",
+                             "--type", "Z", "--rank", "2")
+    assert code == 1
+    assert out == ""
+    assert err == "error: no types match filter Z/2\n"
+
+
+@pytest.mark.parametrize("filters,detail", [
+    (("--type", "A"), ": 5 types validated\n"),
+    (("--type", "E", "--rank", "8"), ": 1 types validated; E8 validated in "),
+])
+def test_verify_decompositions_names_e8_only_when_it_ran(capsys, filters, detail):
+    code, out, _ = run_cli(capsys, "verify", "--only", "decompositions", *filters)
+    assert code == 0
+    assert detail in out
+    assert "; \n" not in out
+
+
 def test_deterministic_output(capsys):
     _, out1, _ = run_cli(capsys, "graph", "quantum", "-t", "B", "-r", "2",
                          "--format", "json")
