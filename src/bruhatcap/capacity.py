@@ -238,23 +238,34 @@ def upper_bound(rs: RootSystem, lam: Vector, dec: W0Decomposition) -> Fraction:
     return Fraction(sum(pairings), scale)
 
 
-def lower_bound(rs: RootSystem, lam: Vector, dec: W0Decomposition) -> tuple[Fraction, int]:
-    """max over simple alpha of sum_k (n_{alpha_k,alpha}/n_{rho,alpha}) <lam, coroot(alpha_k)>.
-
-    Returns the value and the position of the maximizing simple root.
-    """
+def lower_candidates(rs: RootSystem, lam: Vector,
+                     dec: W0Decomposition) -> tuple[list[int], list[int]]:
+    """The candidates of lower_bound, one per simple root alpha_j: candidate j is
+    sums[j] / dens[j] = sum_k (n_{alpha_k,alpha_j}/n_{rho,alpha_j}) <lam, coroot(alpha_k)>,
+    with integer numerators and positive integer denominators.  Each is linear in
+    the Dynkin labels of lam."""
     pairings, scale = _scaled_pairings(rs, lam, dec.root_indices)
     n_rho = rs.root_coefficients(rs.highest)
     if any(c < 1 for c in n_rho):
         raise ConsistencyError("highest root must have full support over the simple roots")
     coeffs = [rs.root_coefficients(i) for i in dec.root_indices]
-    # Candidate j is sums[j] / n_rho[j]; compare the fractions by cross-multiplying.
     sums = [sum(c[j] * p for c, p in zip(coeffs, pairings)) for j in range(rs.rank)]
+    return sums, [n * scale for n in n_rho]
+
+
+def lower_bound(rs: RootSystem, lam: Vector, dec: W0Decomposition) -> tuple[Fraction, int]:
+    """max over simple alpha of sum_k (n_{alpha_k,alpha}/n_{rho,alpha}) <lam, coroot(alpha_k)>,
+    the largest of lower_candidates.
+
+    Returns the value and the position of the maximizing simple root.
+    """
+    sums, dens = lower_candidates(rs, lam, dec)
+    # Compare the candidate fractions by cross-multiplying.
     witness = 0
     for j in range(1, rs.rank):
-        if sums[j] * n_rho[witness] > sums[witness] * n_rho[j]:
+        if sums[j] * dens[witness] > sums[witness] * dens[j]:
             witness = j
-    return Fraction(sums[witness], n_rho[witness] * scale), witness
+    return Fraction(sums[witness], dens[witness]), witness
 
 
 def coweight_oscillation_bound(rs: RootSystem, lam: Vector, xi: Vector,

@@ -817,6 +817,69 @@ def test_decompositions_check_validates_after_another_check_filled_the_cache(mon
     assert counts["validated"] == len(TABLE_TYPES) == 24
 
 
+# Planted faults, each run with no samples: only the check's certificate can catch them.
+
+@pytest.mark.parametrize("fam,rank,source,target,coord", [
+    ("A", 3, 0, 23, 0),
+    ("B", 3, 5, 17, 2),
+    ("G", 2, 7, 2, 1),
+    ("G", 2, 3, 3, 0),  # d_min(v, v): the base case, which the edges out of v also catch
+])
+def test_postnikov_certificate_catches_a_raised_d_min(monkeypatch, fam, rank, source, target,
+                                                       coord):
+    d_min_all = graphs.d_min_all
+
+    def raised(graph, u):
+        dist, degs = d_min_all(graph, u)
+        if u == source:
+            degs = list(degs)
+            degs[target] = tuple(d + (k == coord) for k, d in enumerate(degs[target]))
+        return dist, degs
+
+    types = ((fam, rank),)
+    assert checks.check_postnikov(walk_samples=0, types=types).passed
+    monkeypatch.setattr(graphs, "d_min_all", raised)
+    res = checks.check_postnikov(walk_samples=0, types=types)
+    assert not res.passed
+    assert res.detail.startswith(f"{fam}{rank}: ")
+    assert f"d_min({source},{target}) = " in res.detail
+
+
+@pytest.mark.parametrize("shift", [1, Fraction(-1, 3)])
+def test_type_c_sharp_certificate_catches_a_lower_bound_wrong_off_the_rays(monkeypatch, shift):
+    lower_bound_ = capacity.lower_bound
+
+    def wrong(rs, lam, dec):
+        low, witness = lower_bound_(rs, lam, dec)
+        if sum(1 for c in rs.scaled_labels(vec(lam))[0] if c) >= 2:
+            low += shift
+        return low, witness
+
+    assert checks.check_type_c_sharp(samples=0).passed
+    monkeypatch.setattr(capacity, "lower_bound", wrong)
+    res = checks.check_type_c_sharp(samples=0)
+    assert not res.passed
+    assert res.detail.startswith("certificate: C2 lambda=")
+
+
+@pytest.mark.parametrize("fam,rank,i,j", [("B", 3, 2, 1), ("E", 6, 4, 6), ("G", 2, 1, 2)])
+def test_coweight_certificate_catches_one_wrong_vertex_value(monkeypatch, fam, rank, i, j):
+    rs = build(fam, rank)
+    omega, vertex = rs.fundamental_weights()[i - 1], rs.dual_basis()[j - 1]
+    bound = capacity.coweight_oscillation_bound
+
+    def off(rs_, lam, xi, dec=None):
+        value = bound(rs_, lam, xi, dec)
+        return value + Fraction(1, 5) if (rs_, lam, xi) == (rs, omega, vertex) else value
+
+    types = ((fam, rank),)
+    assert checks.check_coweight(samples=0, types=types).passed
+    monkeypatch.setattr(capacity, "coweight_oscillation_bound", off)
+    res = checks.check_coweight(samples=0, types=types)
+    assert not res.passed
+    assert res.detail.startswith(f"{fam}{rank} omega_{i}: vertex {j} value ")
+
+
 def test_hz_bounds_as_dict_rationals_are_strings():
     b = hz_bounds("C", 2, [Fraction(5, 2), 1])
     d = b.as_dict()
