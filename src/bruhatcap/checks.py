@@ -290,7 +290,7 @@ def check_sandwich(*, seed: int = 0, samples: int = 200, types: tuple = TABLE_TY
     return _result("sandwich", t0, True, f"{tested} dominant weights satisfy the sandwich")
 
 
-def check_coweight(*, seed: int = 0, samples: int = 10, types: tuple = TABLE_TYPES) -> CheckResult:
+def check_coweight(*, seed: int = 0, samples: int = 5, types: tuple = TABLE_TYPES) -> CheckResult:
     """No coweight xi of the positive cone has an oscillation bound above the
     lower bound, and the dual-basis vertex at the witness root attains it.
 
