@@ -403,7 +403,7 @@ def test_verify_filter_that_matches_no_type_of_any_check_is_an_error(capsys):
 
 @pytest.mark.parametrize("filters,detail", [
     (("--type", "A"), ": 5 types validated\n"),
-    (("--type", "E", "--rank", "8"), ": 1 type validated; E8 validated in "),
+    pytest.param(("--type", "E", "--rank", "8"), ": 1 type validated; E8 validated in ", id="E8"),
 ])
 def test_verify_decompositions_names_e8_only_when_it_ran(capsys, filters, detail):
     code, out, _ = run_cli(capsys, "verify", "--only", "decompositions", *filters)
