@@ -63,12 +63,15 @@ def _weights(types, rng: random.Random, samples: int):
 
 def check_unitary_diameter(*, seed: int = 0, ns: range | tuple = range(2, DEFAULT_CAYLEY_CAP + 1),
                            samples: int = 100) -> CheckResult:
-    """Weighted Cayley diameter equals (1/2) sum |lam_k - lam_{n-k+1}| exactly."""
+    """Weighted Cayley diameter equals (1/2) sum |lam_k - lam_{n-k+1}| exactly.
+
+    The detail counts the weights with a repeated entry: cayley_diameter
+    searches those on S_n / W_lam, the others on all of S_n."""
     from . import graphs
 
     t0 = time.perf_counter()
     rng = random.Random(seed)
-    tested = 0
+    tested = tied = 0
     for n in ns:
         for _ in range(samples):
             lam = sorted((rng.randint(-20, 20) for _ in range(n)), reverse=True)
@@ -80,8 +83,11 @@ def check_unitary_diameter(*, seed: int = 0, ns: range | tuple = range(2, DEFAUL
                     f"n={n} lambda={lam}: Dijkstra diameter {got} != formula {expected}",
                 )
             tested += 1
+            tied += len(set(lam)) < n
     return _result("unitary-diameter", t0, True,
-                   f"{tested} weights across n={list(ns)} match exactly")
+                   f"{tested} weights across n={list(ns)} match exactly: "
+                   f"{tested - tied} with distinct entries, searched on S_n, and "
+                   f"{tied} with a repeated entry, on S_n/W_lambda")
 
 
 def check_type_c_sharp(*, seed: int = 0, samples: int = 5,

@@ -19,6 +19,14 @@ lists `BruhatGraph.edges`, `QuantumBruhatGraph.out` and
 for the searches that walk them (d_min_all, the random walks).  The Weyl
 group module is imported only to type the Bruhat graphs, so a Cayley graph
 loads none of it.
+
+Cayley distances come from _step_dijkstra, a level-by-level search over the
+frame's columns.  A weight with a repeated entry is searched on S_n / W_lam:
+its zero-weight swaps join the permutations of one coset, and each settled
+coset relaxes its other swaps only from its minimal representative.  The
+distances are still those of every vertex of S_n (the proof is in
+_scaled_cayley_distances).  A vertex argument (src, dst) must be an int in
+range(n_vertices); any other is refused with ValidationError.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from heapq import heappop, heappush
-from operator import add, ge, itemgetter, mul
+from operator import add, ge, gt, itemgetter, mul
 from typing import TYPE_CHECKING, Iterator, Mapping
 
 from .errors import ConsistencyError, SizeLimitError, ValidationError
@@ -75,6 +83,12 @@ def _dijkstra(adj, src: int, dst: int | None = None):
     return dist if dst is None else None
 
 
+def _require_vertex(name: str, v, n_vertices: int) -> None:
+    """ValidationError unless v is an int (not a bool) in range(n_vertices)."""
+    if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n_vertices:
+        raise ValidationError(f"{name} must be a vertex index in range({n_vertices}), got {v!r}")
+
+
 def _images(vertices, columns) -> Iterator[tuple[int, ...]]:
     """Per column, its entries at the vertices (a nonempty set), in one fixed order."""
     get = itemgetter(*vertices)
@@ -83,7 +97,7 @@ def _images(vertices, columns) -> Iterator[tuple[int, ...]]:
     return map(get, columns)
 
 
-def _step_dijkstra(n_vertices: int, steps, src: int) -> list[int | None]:
+def _step_dijkstra(n_vertices: int, steps, src: int, reps: set[int] | None = None) -> list[int | None]:
     """All shortest distances from src in a step graph on range(n_vertices).
 
     Each step (column, w) joins every vertex u to column[u] at the same
@@ -94,6 +108,18 @@ def _step_dijkstra(n_vertices: int, steps, src: int) -> list[int | None]:
     work is done by itemgetter, list.extend and set.intersection, not by a
     Python loop.  Returns the distances as _dijkstra does: None marks an
     unreachable vertex.
+
+    With reps given, a level relaxes its nonzero steps only from its vertices
+    in reps.  The precondition: reps holds one vertex r of each class of the
+    zero-step closure, and each class that a vertex of r's class reaches by a
+    step of weight w, r reaches by a step of weight w.  The weighted Cayley
+    graph of S_n meets it with the minimal coset representatives (the proof
+    is in _scaled_cayley_distances).  Then the search is exact.  A class is
+    settled whole, in one level, since its vertices are joined at weight 0;
+    so r is in that level, it reaches every class at d + w that the level's
+    other vertices of its class reach, and the closure of the level at
+    d + w settles every vertex of each such class.  Without reps every
+    vertex of a level is relaxed, and any step graph is searched exactly.
     """
     zero = [column for column, w in steps if w == 0]
     columns = [column for column, w in steps if w]
@@ -114,7 +140,7 @@ def _step_dijkstra(n_vertices: int, steps, src: int) -> list[int | None]:
             level |= frontier
         for u in level:
             dist[u] = d
-        for images, w in zip(_images(level, columns), weights):
+        for images, w in zip(_images(level if reps is None else level & reps, columns), weights):
             pending.setdefault(d + w, []).extend(images)
     return dist
 
@@ -208,8 +234,11 @@ def min_path_area(parabolic: ParabolicData, lam: Vector, src: int, dst: int) -> 
     The edges are not materialised: Dijkstra steps from coset u to the coset
     of rep(u) * s_alpha for each alpha in R+ - R+_P, read from the group's
     reflection tables.  That area is the same from every element of the coset
-    only when lam pairs to zero with S_P; any other or non-dominant lam is refused.
+    only when lam pairs to zero with S_P; any other or non-dominant lam is refused,
+    and so is a src or dst that is not a coset index.
     """
+    _require_vertex("src", src, parabolic.n_cosets)
+    _require_vertex("dst", dst, parabolic.n_cosets)
     weyl = parabolic.weyl
     rs = weyl.rs
     labels, scale = require_dominant(rs, lam, parabolic.s_p)
@@ -373,12 +402,38 @@ def _checked_cayley_frame(n: int, lam: Vector, cap: int) -> tuple:
     return _cayley_frame(n)
 
 
+def _minimal_coset_reps(n_vertices: int, zero) -> set[int] | None:
+    """The vertices u with column[u] > u for every column of zero; None if zero is empty."""
+    if not zero:
+        return None
+    reps = list(itertools.compress(range(n_vertices), map(gt, zero[0], itertools.count())))
+    for column in zero[1:]:
+        reps = list(itertools.compress(reps, map(gt, next(_images(reps, (column,))), reps)))
+    return set(reps)
+
+
 def _scaled_cayley_distances(frame: tuple, lam: Vector, src: int) -> tuple[list[int], int]:
-    """Distances from src under the weights |lam_i - lam_j|, scaled to integers; and the scale."""
+    """Distances from src under the weights |lam_i - lam_j|, scaled to integers; and the scale.
+
+    A tied lam searches S_n / W_lam, W_lam being the permutations p of the
+    positions with lam_p(k) = lam_k, generated by the zero-weight swaps.  The
+    zero-step classes are the cosets u W_lam, and _step_dijkstra relaxes each
+    settled coset only from its minimal representative r: the vertex with
+    r(i) < r(j) for every tied i < j, that is column[r] > r for every
+    zero-weight swap, the frame's order being lexicographic.  This is exact.
+    Write u = r p with p in W_lam.  Then u t = r (p t p^-1) p for each swap
+    t = (a b), and p t p^-1 = (p(a) p(b)) is a swap of the same weight
+    |lam_p(a) - lam_p(b)| = |lam_a - lam_b|.  So each coset reached from u at
+    d + w is reached from r at d + w.  The zero-weight closure still settles
+    every vertex, so the distances are those of all of S_n, from any source
+    and for sorted or unsorted lam.
+    """
     swaps, columns = frame
     scaled_lam, scale = scaled(lam)
     steps = [(column, abs(scaled_lam[i] - scaled_lam[j])) for column, (i, j) in zip(columns, swaps)]
-    dist = _step_dijkstra(math.factorial(len(lam)), steps, src)
+    n_vertices = math.factorial(len(lam))
+    reps = _minimal_coset_reps(n_vertices, [column for column, w in steps if w == 0])
+    dist = _step_dijkstra(n_vertices, steps, src, reps)
     if None in dist:
         raise ConsistencyError("Cayley graph is disconnected; this cannot happen for valid input")
     return dist, scale
@@ -425,7 +480,8 @@ def cayley_graph(n: int, lam, cap: int = DEFAULT_CAYLEY_CAP) -> WeightedCayleyGr
 
 
 def cayley_distances(graph: WeightedCayleyGraph, src: int) -> list[Fraction]:
-    """Single-source Dijkstra over the weighted Cayley graph."""
+    """Single-source Dijkstra over the weighted Cayley graph; src is a vertex index."""
+    _require_vertex("src", src, len(graph.perms))
     dist, scale = _scaled_cayley_distances(_cayley_frame(graph.n), graph.lam, src)
     return [Fraction(d, scale) for d in dist]
 

@@ -304,6 +304,17 @@ def test_min_path_area_rejects_weight_nonzero_on_s_p(w_a3):
     assert min_path_area(pd, vec([2, 2, 0, 0]), 0, pd.n_cosets - 1) == 4
 
 
+@pytest.mark.parametrize("src,dst", [(-1, 0), (8, 0), (0, -1), (0, 8), (True, 0), (0, 1.0)])
+def test_min_path_area_refuses_a_coset_index_out_of_range(w_b2, src, dst):
+    # B2 has 8 cosets of the empty S_P.  A negative index used to be read from
+    # the end (src = -1 gave 4, the area from coset 7), and 8 raised IndexError.
+    pd = w_b2.parabolic(())
+    lam = vec([2, 1])
+    with pytest.raises(ValidationError, match=r"must be a vertex index in range\(8\), got "):
+        min_path_area(pd, lam, src, dst)
+    assert min_path_area(pd, lam, 0, 7) == min_path_area(pd, lam, 7, 0) == 4
+
+
 def test_min_path_area_disconnected_graph(monkeypatch):
     # Cut what the Dijkstra reads: with every reflection table the identity,
     # no coset has a neighbour.
@@ -539,13 +550,35 @@ def test_cayley_distances_disconnected(monkeypatch):
         cayley_distances(g, 0)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
-def test_cayley_distances_match_networkx_from_every_source(n):
-    # Tied entries give zero-weight swaps.  At n = 6 and 7 only the identity is
-    # a source: by left-invariance its distances determine every source's.
+@pytest.mark.parametrize("src", [-1, 6, True, 0.0])
+def test_cayley_distances_refuses_a_source_out_of_range(src):
+    # S_3 has 6 vertices; 6 used to raise the false "disconnected" error.
+    g = cayley_graph(3, [2, 1, 0])
+    with pytest.raises(ValidationError, match=r"src must be a vertex index in range\(6\), got "):
+        cayley_distances(g, src)
+    assert cayley_distances(g, 5) == [2, 2, 2, 1, 1, 0]
+
+
+_DISTINCT = (Fraction(7, 2), Fraction(-4, 3), 1, Fraction(1, 2), Fraction(5, 3))
+# Tied entries give zero-weight swaps, and the search runs on S_n / W_lam.
+_TIED = {
+    "one-tie": (4, 4, 2, Fraction(1, 2), 0),
+    "block-of-three": (5, 2, 2, 2, -1),
+    "two-blocks": (3, 3, 1, 1, Fraction(-2, 3)),
+    "unsorted-apart": (Fraction(1, 3), 4, Fraction(1, 3), 0, 4),
+    "all-equal": (2, 2, 2, 2, 2),
+}
+
+
+@pytest.mark.parametrize("n,lam", [
+    *(pytest.param(n, (_DISTINCT if n <= 5 else (5, 5, 2, 2, 2, -3, -3))[:n], id=str(n))
+      for n in range(1, 8)),
+    *(pytest.param(len(lam), lam, id=name) for name, lam in _TIED.items()),
+])
+def test_cayley_distances_match_networkx_from_every_source(n, lam):
+    # At n = 6 and 7 only the identity is a source: by left-invariance its
+    # distances determine every source's.
     nx = pytest.importorskip("networkx")
-    lam = ((Fraction(7, 2), Fraction(-4, 3), 1, Fraction(1, 2), Fraction(5, 3)) if n <= 5
-           else (5, 5, 2, 2, 2, -3, -3))[:n]
     g = cayley_graph(n, lam)
     oracle = nx.Graph()
     oracle.add_nodes_from(range(len(g.perms)))
@@ -554,6 +587,48 @@ def test_cayley_distances_match_networkx_from_every_source(n):
     for src in sources:
         expected = nx.single_source_dijkstra_path_length(oracle, src)
         assert cayley_distances(g, src) == [expected[v] for v in range(len(g.perms))]
+
+
+def _set_partitions(items):
+    """Every partition of the list items into blocks, each block a list."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for blocks in _set_partitions(rest):
+        yield [[first], *blocks]
+        for k in range(len(blocks)):
+            yield [*blocks[:k], [first, *blocks[k]], *blocks[k + 1:]]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_cayley_search_from_coset_representatives_is_exact_on_every_tie_pattern(n):
+    # Every tie pattern of n positions, tied or not, adjacent or not; block
+    # values spaced to give distinct weights, then equal nonzero weights.
+    perms = list(permutations(range(n)))
+    swaps, columns = graphs._cayley_frame(n)
+    patterns = list(_set_partitions(list(range(n))))
+    assert len(patterns) == [1, 2, 5, 15, 52][n - 1]  # the Bell numbers
+    for blocks in patterns:
+        for spacing in (lambda b: 3 ** b, lambda b: b):
+            lam = [0] * n
+            for b, block in enumerate(blocks):
+                for k in block:
+                    lam[k] = spacing(b)
+            steps = [(column, abs(lam[i] - lam[j])) for column, (i, j) in zip(columns, swaps)]
+            zero = [column for column, w in steps if w == 0]
+            reps = graphs._minimal_coset_reps(len(perms), zero)
+            # One vertex per coset u W_lam, the least: increasing on each block.
+            cosets = {tuple(frozenset(p[k] for k in block) for block in blocks) for p in perms}
+            expected = {u for u, p in enumerate(perms)
+                        if all(p[i] < p[j] for block in blocks for i, j in zip(block, block[1:]))}
+            if zero:
+                assert reps == expected and len(reps) == len(cosets)
+            else:
+                assert reps is None and len(cosets) == len(perms)
+            for src in range(len(perms)):
+                assert graphs._step_dijkstra(len(perms), steps, src, reps) == \
+                    graphs._step_dijkstra(len(perms), steps, src)
 
 
 def _floyd_warshall_oracle(n, lam):
