@@ -491,6 +491,21 @@ def test_unitary_capacity_rejects_unsorted():
         unitary_capacity([1, 2, 3])
 
 
+def test_unitary_diameter_check_counts_weights_with_a_repeated_entry():
+    # The check draws its weights as below.  Its detail splits them by the
+    # space cayley_diameter searched: S_n, or S_n / W_lambda for a tied weight.
+    rng = random.Random(5)
+    tied = 0
+    for n in (3, 7):
+        for _ in range(30):
+            tied += len({rng.randint(-20, 20) for _ in range(n)}) < n
+    assert 0 < tied < 60
+    res = checks.check_unitary_diameter(seed=5, ns=(3, 7), samples=30)
+    assert res.passed
+    assert res.detail == (f"60 weights across n=[3, 7] match exactly: {60 - tied} with distinct "
+                          f"entries, searched on S_n, and {tied} with a repeated entry, on S_n/W_lambda")
+
+
 # -- closed-form table ----------------------------------------------------------------
 
 
