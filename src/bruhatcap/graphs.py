@@ -20,13 +20,16 @@ for the searches that walk them (d_min_all, the random walks).  The Weyl
 group module is imported only to type the Bruhat graphs, so a Cayley graph
 loads none of it.
 
-Cayley distances come from _step_dijkstra, a level-by-level search over the
-frame's columns.  A weight with a repeated entry is searched on S_n / W_lam:
-its zero-weight swaps join the permutations of one coset, and each settled
-coset relaxes its other swaps only from its minimal representative.  The
-distances are still those of every vertex of S_n (the proof is in
-_scaled_cayley_distances).  A vertex argument (src, dst) must be an int in
-range(n_vertices); any other is refused with ValidationError.
+Cayley distances come from _settled_levels, which yields the settled levels
+(d, level) of a level-by-level search over the frame's columns and returns
+after the level that settles the last vertex.  cayley_diameter reads only the
+last d, and cayley_distances the list _step_dijkstra makes of the levels.  A
+weight with a repeated entry is searched on S_n / W_lam: its zero-weight swaps
+join the permutations of one coset, and each settled coset relaxes its other
+swaps only from its minimal representative.  The distances are still those
+of every vertex of S_n (the proof is in _cayley_search).  A vertex argument
+(src, dst) must be an int in range(n_vertices); any other is refused with
+ValidationError.
 """
 
 from __future__ import annotations
@@ -97,8 +100,11 @@ def _images(vertices, columns) -> Iterator[tuple[int, ...]]:
     return map(get, columns)
 
 
-def _step_dijkstra(n_vertices: int, steps, src: int, reps: set[int] | None = None) -> list[int | None]:
-    """All shortest distances from src in a step graph on range(n_vertices).
+def _settled_levels(n_vertices: int, steps, src: int,
+                    reps: set[int] | None = None) -> Iterator[tuple[int, set[int]]]:
+    """The shortest distances from src in a step graph on range(n_vertices), as
+    the levels (d, level) in increasing d: level is the set of the vertices at
+    distance d.
 
     Each step (column, w) joins every vertex u to column[u] at the same
     nonnegative integer weight w.  Distances are settled one level at a time
@@ -106,28 +112,32 @@ def _step_dijkstra(n_vertices: int, steps, src: int, reps: set[int] | None = Non
     once, the level is closed under the zero-weight steps, and each other step
     adds the level's images to the vertices pending at d + w.  The per-edge
     work is done by itemgetter, list.extend and set.intersection, not by a
-    Python loop.  Returns the distances as _dijkstra does: None marks an
-    unreachable vertex.
+    Python loop.  The levels are disjoint, their union is the set of the
+    vertices reachable from src, and the search returns right after the level
+    that settles the last vertex of range(n_vertices), without relaxing it.
 
     With reps given, a level relaxes its nonzero steps only from its vertices
-    in reps.  The precondition: reps holds one vertex r of each class of the
-    zero-step closure, and each class that a vertex of r's class reaches by a
-    step of weight w, r reaches by a step of weight w.  The weighted Cayley
-    graph of S_n meets it with the minimal coset representatives (the proof
-    is in _scaled_cayley_distances).  Then the search is exact.  A class is
-    settled whole, in one level, since its vertices are joined at weight 0;
-    so r is in that level, it reaches every class at d + w that the level's
-    other vertices of its class reach, and the closure of the level at
-    d + w settles every vertex of each such class.  Without reps every
-    vertex of a level is relaxed, and any step graph is searched exactly.
+    in reps.  The precondition: each zero-weight step is an involution, reps
+    holds one vertex r of each class of the zero-step closure, and each class
+    that a vertex of r's class reaches by a step of weight w, r reaches by a
+    step of weight w.  The weighted Cayley graph of S_n meets it with the
+    minimal coset representatives (the proof is in _cayley_search).  Then the
+    search is exact.  A class is settled whole, in one level, since its
+    vertices are joined at weight 0; so r is in that level, it reaches every
+    class at d + w that the level's other vertices of its class reach, and the
+    closure of the level at d + w settles every vertex of each such class.  A
+    single zero-weight step z then closes a level in one round: the images
+    under z of the vertices that round adds are the level's own.  Without reps
+    every vertex of a level is relaxed, the closure runs until it adds
+    nothing, and any step graph is searched exactly.
     """
     zero = [column for column, w in steps if w == 0]
+    one_round = reps is not None and len(zero) == 1
     columns = [column for column, w in steps if w]
     weights = [w for _column, w in steps if w]
-    dist: list[int | None] = [None] * n_vertices
     unsettled = set(range(n_vertices))
     pending: dict[int, list[int]] = {0: [src]}
-    while pending and unsettled:
+    while pending:
         d = min(pending)
         level = unsettled.intersection(pending.pop(d))
         if not level:
@@ -138,10 +148,23 @@ def _step_dijkstra(n_vertices: int, steps, src: int, reps: set[int] | None = Non
             frontier = unsettled.intersection(itertools.chain.from_iterable(_images(frontier, zero)))
             unsettled -= frontier
             level |= frontier
-        for u in level:
-            dist[u] = d
+            if one_round:
+                break
+        yield d, level
+        if not unsettled:
+            return
         for images, w in zip(_images(level if reps is None else level & reps, columns), weights):
             pending.setdefault(d + w, []).extend(images)
+
+
+def _step_dijkstra(n_vertices: int, steps, src: int, reps: set[int] | None = None) -> list[int | None]:
+    """All shortest distances from src, read off _settled_levels (whose
+    docstring states the step graph and reps).  None marks an unreachable
+    vertex, as in _dijkstra."""
+    dist: list[int | None] = [None] * n_vertices
+    for d, level in _settled_levels(n_vertices, steps, src, reps):
+        for u in level:
+            dist[u] = d
     return dist
 
 
@@ -412,31 +435,33 @@ def _minimal_coset_reps(n_vertices: int, zero) -> set[int] | None:
     return set(reps)
 
 
-def _scaled_cayley_distances(frame: tuple, lam: Vector, src: int) -> tuple[list[int], int]:
-    """Distances from src under the weights |lam_i - lam_j|, scaled to integers; and the scale.
+def _cayley_search(frame: tuple, lam: Vector) -> tuple[int, list, set[int] | None, int]:
+    """What _settled_levels searches for lam on the frame: the vertex count, the
+    steps (column, |lam_i - lam_j|) scaled to integers and the representatives
+    reps; and the scale, which divides a distance back.
 
     A tied lam searches S_n / W_lam, W_lam being the permutations p of the
     positions with lam_p(k) = lam_k, generated by the zero-weight swaps.  The
-    zero-step classes are the cosets u W_lam, and _step_dijkstra relaxes each
+    zero-step classes are the cosets u W_lam, and _settled_levels relaxes each
     settled coset only from its minimal representative r: the vertex with
     r(i) < r(j) for every tied i < j, that is column[r] > r for every
     zero-weight swap, the frame's order being lexicographic.  This is exact.
     Write u = r p with p in W_lam.  Then u t = r (p t p^-1) p for each swap
     t = (a b), and p t p^-1 = (p(a) p(b)) is a swap of the same weight
     |lam_p(a) - lam_p(b)| = |lam_a - lam_b|.  So each coset reached from u at
-    d + w is reached from r at d + w.  The zero-weight closure still settles
-    every vertex, so the distances are those of all of S_n, from any source
-    and for sorted or unsorted lam.
+    d + w is reached from r at d + w.  Each swap is an involution, and the
+    zero-weight closure still settles every vertex, so the distances are those
+    of all of S_n, from any source and for sorted or unsorted lam.
     """
     swaps, columns = frame
     scaled_lam, scale = scaled(lam)
     steps = [(column, abs(scaled_lam[i] - scaled_lam[j])) for column, (i, j) in zip(columns, swaps)]
     n_vertices = math.factorial(len(lam))
     reps = _minimal_coset_reps(n_vertices, [column for column, w in steps if w == 0])
-    dist = _step_dijkstra(n_vertices, steps, src, reps)
-    if None in dist:
-        raise ConsistencyError("Cayley graph is disconnected; this cannot happen for valid input")
-    return dist, scale
+    return n_vertices, steps, reps, scale
+
+
+_DISCONNECTED = "Cayley graph is disconnected; this cannot happen for valid input"
 
 
 class WeightedCayleyGraph:
@@ -482,7 +507,10 @@ def cayley_graph(n: int, lam, cap: int = DEFAULT_CAYLEY_CAP) -> WeightedCayleyGr
 def cayley_distances(graph: WeightedCayleyGraph, src: int) -> list[Fraction]:
     """Single-source Dijkstra over the weighted Cayley graph; src is a vertex index."""
     _require_vertex("src", src, len(graph.perms))
-    dist, scale = _scaled_cayley_distances(_cayley_frame(graph.n), graph.lam, src)
+    n_vertices, steps, reps, scale = _cayley_search(_cayley_frame(graph.n), graph.lam)
+    dist = _step_dijkstra(n_vertices, steps, src, reps)
+    if None in dist:
+        raise ConsistencyError(_DISCONNECTED)
     return [Fraction(d, scale) for d in dist]
 
 
@@ -499,9 +527,13 @@ def cayley_diameter(n: int, lam, cap: int = DEFAULT_CAYLEY_CAP) -> Fraction:
     lam = vec(lam)
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
         raise ValidationError("lambda must be sorted in nonincreasing order")
-    frame = _checked_cayley_frame(n, lam, cap)
-    dist, scale = _scaled_cayley_distances(frame, lam, 0)  # the identity comes first
-    return Fraction(max(dist), scale)
+    n_vertices, steps, reps, scale = _cayley_search(_checked_cayley_frame(n, lam, cap), lam)
+    settled = 0
+    for d, level in _settled_levels(n_vertices, steps, 0, reps):  # the identity comes first
+        settled += len(level)
+    if settled < n_vertices:
+        raise ConsistencyError(_DISCONNECTED)
+    return Fraction(d, scale)  # the last level's distance
 
 
 # ---------------------------------------------------------------------------

@@ -479,6 +479,41 @@ def test_step_dijkstra_matches_heap_dijkstra(graph):
     assert graphs._step_dijkstra(n, steps, src) == graphs._dijkstra(adj, src)
 
 
+class _LoggedColumn(list):
+    """A column that logs each vertex it is read at."""
+
+    def __init__(self, entries, log):
+        super().__init__(entries)
+        self.log = log
+
+    def __getitem__(self, u):
+        self.log.append(u)
+        return super().__getitem__(u)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_step_graphs())
+@example((1, [], 0))
+@example((3, [([1, 2, 2], 1)], 0))
+@example((4, [([1, 0, 3, 2], 0), ([2, 3, 0, 1], 2)], 0))
+@example((4, [([1, 2, 3, 3], 0), ([0, 0, 0, 0], 1)], 0))  # a zero step that is no involution
+def test_settled_levels_partition_the_reachable_set(graph):
+    n, steps, src = graph
+    dist = graphs._dijkstra([[(column[u], w) for column, w in steps] for u in range(n)], src)
+    log = []
+    levels = graphs._settled_levels(n, [(_LoggedColumn(column, log), w) for column, w in steps], src)
+    settled, last = set(), -1
+    for d, level in levels:
+        assert d > last and level and settled.isdisjoint(level)
+        assert all(dist[u] == d for u in level)
+        settled |= level
+        last = d
+        if len(settled) == n:  # the last vertex: the search returns without relaxing
+            log.clear()
+            assert next(levels, None) is None and log == []
+    assert settled == {u for u, d in enumerate(dist) if d is not None}
+
+
 def test_cayley_n2():
     assert cayley_diameter(2, [Fraction(7, 2), 1]) == Fraction(5, 2)
 
@@ -548,6 +583,8 @@ def test_cayley_distances_disconnected(monkeypatch):
     monkeypatch.setattr(graphs, "_cayley_frame", lambda n: (swaps, (loops,) * len(swaps)))
     with pytest.raises(ConsistencyError, match="disconnected"):
         cayley_distances(g, 0)
+    with pytest.raises(ConsistencyError, match="disconnected"):
+        cayley_diameter(3, [2, 1, 0])
 
 
 @pytest.mark.parametrize("src", [-1, 6, True, 0.0])
@@ -587,6 +624,23 @@ def test_cayley_distances_match_networkx_from_every_source(n, lam):
     for src in sources:
         expected = nx.single_source_dijkstra_path_length(oracle, src)
         assert cayley_distances(g, src) == [expected[v] for v in range(len(g.perms))]
+
+
+@pytest.mark.parametrize("lam", [
+    pytest.param((Fraction(5, 2),), id="n-1"),
+    pytest.param((3, 3, 3, 3, 3), id="all-equal"),
+    pytest.param((9, 4, 4, 1, -2, -6), id="one-tie"),
+    pytest.param((9, 9, 1, -2, -2, -6), id="two-ties"),
+    pytest.param((8, 3, 3, 3, 0, -1, -5), id="block-of-three"),
+    pytest.param((10**40, 3 * 10**35 + 1, 12345678901234567890123456789012, 7,
+                  -(10**31) - 9, -(10**38), -(10**40)), id="30-plus-digits"),
+    pytest.param((Fraction(7, 1000003), Fraction(1, 1000033), 0, Fraction(-5, 2000003),
+                  Fraction(-9, 1999993)), id="denominators-above-1e6"),
+])
+def test_cayley_readers_agree_with_the_unitary_capacity(lam):
+    n = len(lam)
+    g = cayley_graph(n, lam)
+    assert cayley_diameter(n, lam) == max(cayley_distances(g, g.identity_index)) == unitary_capacity(lam)
 
 
 def _set_partitions(items):
