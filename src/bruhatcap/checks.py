@@ -66,7 +66,8 @@ def check_unitary_diameter(*, seed: int = 0, ns: range | tuple = range(2, DEFAUL
     """Weighted Cayley diameter equals (1/2) sum |lam_k - lam_{n-k+1}| exactly.
 
     The detail counts the weights with a repeated entry: cayley_diameter
-    searches those on S_n / W_lam, the others on all of S_n."""
+    searches those on S_n / W_lam, over the cached frame of their tie
+    pattern whose vertices are the cosets, and the others on all of S_n."""
     from . import graphs
 
     t0 = time.perf_counter()

@@ -21,26 +21,25 @@ group module is imported only to type the Bruhat graphs, so a Cayley graph
 loads none of it.
 
 Cayley distances come from _settled_levels, which yields the settled levels
-(d, level) of a level-by-level search over the frame's columns and returns
-after the level that settles the last vertex.  cayley_diameter reads only the
-last d, and cayley_distances the list _step_dijkstra makes of the levels.  A
-weight with a repeated entry is searched on S_n / W_lam: its zero-weight swaps
-join the permutations of one coset, and each settled coset relaxes its other
-swaps only from its minimal representative.  The distances are still those
-of every vertex of S_n (the proof is in _cayley_search).  A vertex argument
-(src, dst) must be an int in range(n_vertices); any other is refused with
-ValidationError.
+(d, level) of a level-by-level search over a frame's columns and returns
+after the level that settles the last vertex.  cayley_distances reads the
+list _step_dijkstra makes of the levels of S_n, tied entries giving
+zero-weight swaps that close each level.  cayley_diameter reads only the
+last d of a search on S_n / W_lam, over one cached frame per n and tie
+pattern whose vertices are the cosets, after relabelling lam so that its
+tie blocks sit where the frame puts them; distinct entries search S_n
+(the proof is in _quotient_search).  A vertex argument (src, dst) must be
+an int in range(n_vertices); any other is refused with ValidationError.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from heapq import heappop, heappush
-from operator import add, ge, gt, itemgetter, mul
+from operator import add, eq, ge, itemgetter, mul, not_
 from typing import TYPE_CHECKING, Iterator, Mapping
 
 from .errors import ConsistencyError, SizeLimitError, ValidationError
@@ -100,45 +99,31 @@ def _images(vertices, columns) -> Iterator[tuple[int, ...]]:
     return map(get, columns)
 
 
-def _settled_levels(n_vertices: int, steps, src: int,
-                    reps: set[int] | None = None) -> Iterator[tuple[int, set[int]]]:
+def _settled_levels(n_vertices: int, steps, src: int) -> Iterator[tuple[int, set[int]]]:
     """The shortest distances from src in a step graph on range(n_vertices), as
     the levels (d, level) in increasing d: level is the set of the vertices at
     distance d.
 
     Each step (column, w) joins every vertex u to column[u] at the same
     nonnegative integer weight w.  Distances are settled one level at a time
-    (Dial's order): every vertex pending at the least distance d is settled at
-    once, the level is closed under the zero-weight steps, and each other step
-    adds the level's images to the vertices pending at d + w.  The per-edge
-    work is done by itemgetter, list.extend and set.intersection, not by a
-    Python loop.  The levels are disjoint, their union is the set of the
-    vertices reachable from src, and the search returns right after the level
-    that settles the last vertex of range(n_vertices), without relaxing it.
-
-    With reps given, a level relaxes its nonzero steps only from its vertices
-    in reps.  The precondition: each zero-weight step is an involution, reps
-    holds one vertex r of each class of the zero-step closure, and each class
-    that a vertex of r's class reaches by a step of weight w, r reaches by a
-    step of weight w.  The weighted Cayley graph of S_n meets it with the
-    minimal coset representatives (the proof is in _cayley_search).  Then the
-    search is exact.  A class is settled whole, in one level, since its
-    vertices are joined at weight 0; so r is in that level, it reaches every
-    class at d + w that the level's other vertices of its class reach, and the
-    closure of the level at d + w settles every vertex of each such class.  A
-    single zero-weight step z then closes a level in one round: the images
-    under z of the vertices that round adds are the level's own.  Without reps
-    every vertex of a level is relaxed, the closure runs until it adds
-    nothing, and any step graph is searched exactly.
+    (Dial's order, with a heap of the pending distances, so that weights of
+    any size cost no array as long as the largest): every vertex pending at
+    the least distance d is settled at once, the level is closed under the
+    zero-weight steps until that adds nothing, and each other step adds the
+    level's images to the vertices pending at d + w.  The per-edge work is
+    done by itemgetter, list.extend and set.intersection, not by a Python
+    loop.  The levels are disjoint, their union is the set of the vertices
+    reachable from src, and the search returns right after the level that
+    settles the last vertex of range(n_vertices), without relaxing it.
     """
     zero = [column for column, w in steps if w == 0]
-    one_round = reps is not None and len(zero) == 1
     columns = [column for column, w in steps if w]
     weights = [w for _column, w in steps if w]
     unsettled = set(range(n_vertices))
     pending: dict[int, list[int]] = {0: [src]}
-    while pending:
-        d = min(pending)
+    heap = [0]
+    while heap:
+        d = heappop(heap)
         level = unsettled.intersection(pending.pop(d))
         if not level:
             continue  # every vertex pending at d was settled more cheaply
@@ -148,21 +133,23 @@ def _settled_levels(n_vertices: int, steps, src: int,
             frontier = unsettled.intersection(itertools.chain.from_iterable(_images(frontier, zero)))
             unsettled -= frontier
             level |= frontier
-            if one_round:
-                break
         yield d, level
         if not unsettled:
             return
-        for images, w in zip(_images(level if reps is None else level & reps, columns), weights):
-            pending.setdefault(d + w, []).extend(images)
+        for images, w in zip(_images(level, columns), weights):
+            bucket = pending.get(d + w)
+            if bucket is None:
+                bucket = pending[d + w] = []
+                heappush(heap, d + w)
+            bucket.extend(images)
 
 
-def _step_dijkstra(n_vertices: int, steps, src: int, reps: set[int] | None = None) -> list[int | None]:
+def _step_dijkstra(n_vertices: int, steps, src: int) -> list[int | None]:
     """All shortest distances from src, read off _settled_levels (whose
-    docstring states the step graph and reps).  None marks an unreachable
-    vertex, as in _dijkstra."""
+    docstring states the step graph).  None marks an unreachable vertex, as
+    in _dijkstra."""
     dist: list[int | None] = [None] * n_vertices
-    for d, level in _settled_levels(n_vertices, steps, src, reps):
+    for d, level in _settled_levels(n_vertices, steps, src):
         for u in level:
             dist[u] = d
     return dist
@@ -414,7 +401,8 @@ def _cayley_frame(n: int) -> tuple:
     return swaps, tuple(column[s] for s in swaps)
 
 
-def _checked_cayley_frame(n: int, lam: Vector, cap: int) -> tuple:
+def _require_cayley_size(n: int, lam: Vector, cap: int) -> None:
+    """The checks of n, lam and the cap, made before any frame is built."""
     require_nonnegative_cap("cap", cap)
     if n < 1:
         raise ValidationError("n must be positive")
@@ -422,43 +410,62 @@ def _checked_cayley_frame(n: int, lam: Vector, cap: int) -> tuple:
         raise SizeLimitError(f"n = {n} exceeds the Cayley cap {cap} ({n}! vertices)")
     if len(lam) != n:
         raise ValidationError(f"lambda has {len(lam)} entries, expected {n}")
-    return _cayley_frame(n)
 
 
-def _minimal_coset_reps(n_vertices: int, zero) -> set[int] | None:
-    """The vertices u with column[u] > u for every column of zero; None if zero is empty."""
-    if not zero:
-        return None
-    reps = list(itertools.compress(range(n_vertices), map(gt, zero[0], itertools.count())))
-    for column in zero[1:]:
-        reps = list(itertools.compress(reps, map(gt, next(_images(reps, (column,))), reps)))
-    return set(reps)
+@lru_cache(maxsize=None)
+def _quotient_frame(n: int, blocks: tuple[int, ...]) -> tuple:
+    """The frame of S_n / W, W = S_b1 x ... x S_bk permuting each block of
+    consecutive positions, blocks = (b1, ..., bk) having one bi > 1: the swaps
+    (i j) between blocks and per swap its column, for each coset the index
+    of the coset of rep * (i j).  A coset's rep is its least vertex, the one
+    increasing on each block, and cosets are numbered in the order of their
+    reps, so the identity's coset is 0.  Built by C-level passes over the
+    columns of _cayley_frame(n): the map taking each vertex to the least of
+    itself and its images under the swaps inside a block (a step of selection
+    sort, at most n - 1 of which reach the rep) is composed with itself until
+    it settles.  Built once per (n, blocks): callers check n against their
+    cap first."""
+    swaps, columns = _cayley_frame(n)
+    block_of = [b for b, size in enumerate(blocks) for _ in range(size)]
+    inside = [block_of[i] == block_of[j] for i, j in swaps]
+    vertices = range(len(columns[0]))
+    rep_of = list(map(min, vertices, *itertools.compress(columns, inside)))
+    while (rep_of_rep := list(itemgetter(*rep_of)(rep_of))) != rep_of:
+        rep_of = rep_of_rep
+    reps = list(itertools.compress(vertices, map(eq, rep_of, vertices)))
+    coset_of = list(map(dict(zip(reps, vertices)).__getitem__, rep_of))
+    outside, at_reps = list(map(not_, inside)), itemgetter(*reps)
+    return (tuple(itertools.compress(swaps, outside)),
+            tuple(itemgetter(*at_reps(c))(coset_of) for c in itertools.compress(columns, outside)))
 
 
-def _cayley_search(frame: tuple, lam: Vector) -> tuple[int, list, set[int] | None, int]:
-    """What _settled_levels searches for lam on the frame: the vertex count, the
-    steps (column, |lam_i - lam_j|) scaled to integers and the representatives
-    reps; and the scale, which divides a distance back.
-
-    A tied lam searches S_n / W_lam, W_lam being the permutations p of the
-    positions with lam_p(k) = lam_k, generated by the zero-weight swaps.  The
-    zero-step classes are the cosets u W_lam, and _settled_levels relaxes each
-    settled coset only from its minimal representative r: the vertex with
-    r(i) < r(j) for every tied i < j, that is column[r] > r for every
-    zero-weight swap, the frame's order being lexicographic.  This is exact.
-    Write u = r p with p in W_lam.  Then u t = r (p t p^-1) p for each swap
-    t = (a b), and p t p^-1 = (p(a) p(b)) is a swap of the same weight
-    |lam_p(a) - lam_p(b)| = |lam_a - lam_b|.  So each coset reached from u at
-    d + w is reached from r at d + w.  Each swap is an involution, and the
-    zero-weight closure still settles every vertex, so the distances are those
-    of all of S_n, from any source and for sorted or unsorted lam.
-    """
+def _swap_steps(frame: tuple, ints) -> list:
+    """The steps (column, |ints_i - ints_j|) of a frame's swaps (i j)."""
     swaps, columns = frame
-    scaled_lam, scale = scaled(lam)
-    steps = [(column, abs(scaled_lam[i] - scaled_lam[j])) for column, (i, j) in zip(columns, swaps)]
-    n_vertices = math.factorial(len(lam))
-    reps = _minimal_coset_reps(n_vertices, [column for column, w in steps if w == 0])
-    return n_vertices, steps, reps, scale
+    return [(column, abs(ints[i] - ints[j])) for column, (i, j) in zip(columns, swaps)]
+
+
+def _quotient_search(n: int, lam: Vector) -> tuple[int, list, int]:
+    """The vertex count and the steps of S_n / W_lam, lam scaled to integers,
+    and the scale: what _settled_levels searches for the eccentricity of e.
+
+    lam is relabelled, sorted with its tie blocks by decreasing length, to
+    lam' = lam o sigma for a permutation sigma of the positions.  Then
+    u -> sigma^-1 u sigma takes u t to (sigma^-1 u sigma)(sigma^-1 t sigma),
+    and sigma^-1 (i j) sigma = (sigma^-1(i) sigma^-1(j)) weighs |lam_i - lam_j|
+    under lam': an isomorphism of the weighted graphs that fixes e, so the
+    eccentricity of e does not change.  The zero-weight swaps of lam' join the
+    vertices of a coset u W_lam.  For u = r p with p in W_lam, u t =
+    r (p t p^-1) p, and the swap p t p^-1 weighs what t weighs, so each coset
+    that u reaches at d + w, r reaches at d + w: the coset graph, read from
+    the reps, keeps the distances of S_n.  Distinct entries search S_n."""
+    ints, scale = scaled(lam)
+    runs = [list(run) for _v, run in itertools.groupby(sorted(ints, reverse=True))]
+    runs.sort(key=len, reverse=True)
+    blocks = tuple(map(len, runs))
+    frame = _cayley_frame(n) if blocks[0] == 1 else _quotient_frame(n, blocks)
+    steps = _swap_steps(frame, list(itertools.chain.from_iterable(runs)))
+    return (len(frame[1][0]) if frame[1] else 1), steps, scale
 
 
 _DISCONNECTED = "Cayley graph is disconnected; this cannot happen for valid input"
@@ -500,15 +507,15 @@ class WeightedCayleyGraph:
 def cayley_graph(n: int, lam, cap: int = DEFAULT_CAYLEY_CAP) -> WeightedCayleyGraph:
     """The Cayley graph of S_n on all transpositions, weighted by |lam_i - lam_j|."""
     lam = vec(lam)
-    _checked_cayley_frame(n, lam, cap)
+    _require_cayley_size(n, lam, cap)
     return WeightedCayleyGraph(n, lam)
 
 
 def cayley_distances(graph: WeightedCayleyGraph, src: int) -> list[Fraction]:
     """Single-source Dijkstra over the weighted Cayley graph; src is a vertex index."""
     _require_vertex("src", src, len(graph.perms))
-    n_vertices, steps, reps, scale = _cayley_search(_cayley_frame(graph.n), graph.lam)
-    dist = _step_dijkstra(n_vertices, steps, src, reps)
+    ints, scale = scaled(graph.lam)
+    dist = _step_dijkstra(len(graph.perms), _swap_steps(_cayley_frame(graph.n), ints), src)
     if None in dist:
         raise ConsistencyError(_DISCONNECTED)
     return [Fraction(d, scale) for d in dist]
@@ -527,9 +534,10 @@ def cayley_diameter(n: int, lam, cap: int = DEFAULT_CAYLEY_CAP) -> Fraction:
     lam = vec(lam)
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
         raise ValidationError("lambda must be sorted in nonincreasing order")
-    n_vertices, steps, reps, scale = _cayley_search(_checked_cayley_frame(n, lam, cap), lam)
+    _require_cayley_size(n, lam, cap)
+    n_vertices, steps, scale = _quotient_search(n, lam)
     settled = 0
-    for d, level in _settled_levels(n_vertices, steps, 0, reps):  # the identity comes first
+    for d, level in _settled_levels(n_vertices, steps, 0):  # the identity's coset comes first
         settled += len(level)
     if settled < n_vertices:
         raise ConsistencyError(_DISCONNECTED)

@@ -1,7 +1,8 @@
 import json
+import math
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 from types import SimpleNamespace
 
 import pytest
@@ -528,28 +529,32 @@ def test_cayley_unsorted_rejected():
         cayley_diameter(3, [1, 2, 0])
 
 
-def test_cayley_cap(monkeypatch):
-    def unexpected(n):
+def _refuse_every_frame_build(monkeypatch):
+    def unexpected(n, *blocks):
         raise AssertionError(f"the S_{n} structure was built")
 
-    # the cap refuses before any structure is built (or cached)
     monkeypatch.setattr(graphs, "_cayley_frame", unexpected)
-    with pytest.raises(SizeLimitError):
-        cayley_diameter(8, list(range(8, 0, -1)))
-    with pytest.raises(SizeLimitError):
-        cayley_graph(8, list(range(8, 0, -1)))
+    monkeypatch.setattr(graphs, "_quotient_frame", unexpected)
+
+
+def test_cayley_cap(monkeypatch):
+    # the cap refuses before any structure is built (or cached), S_n or quotient
+    _refuse_every_frame_build(monkeypatch)
+    for lam in (list(range(8, 0, -1)), [8, 8, 6, 5, 4, 3, 3, 3]):
+        with pytest.raises(SizeLimitError):
+            cayley_diameter(8, lam)
+        with pytest.raises(SizeLimitError):
+            cayley_graph(8, lam)
 
 
 @pytest.mark.parametrize("entry", [cayley_graph, cayley_diameter])
 def test_cayley_negative_cap_refused_before_any_build(monkeypatch, entry):
-    def unexpected(n):
-        raise AssertionError(f"the S_{n} structure was built")
-
-    monkeypatch.setattr(graphs, "_cayley_frame", unexpected)
-    with pytest.raises(ValidationError, match="cap must be nonnegative, got -1"):
-        entry(1, [0], cap=-1)
-    with pytest.raises(SizeLimitError):  # a cap of 0 is valid, and refuses n = 1 by size
-        entry(1, [0], cap=0)
+    _refuse_every_frame_build(monkeypatch)
+    for lam in ([0], [0, 0]):  # the S_1 frame, and the quotient frame of S_2 by one tie
+        with pytest.raises(ValidationError, match="cap must be nonnegative, got -1"):
+            entry(len(lam), lam, cap=-1)
+        with pytest.raises(SizeLimitError):  # a cap below n is valid, and refuses by size
+            entry(len(lam), lam, cap=len(lam) - 1)
 
 
 def test_cayley_diameter_interleaved_sizes():
@@ -655,34 +660,89 @@ def _set_partitions(items):
             yield [*blocks[:k], [first, *blocks[k]], *blocks[k + 1:]]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_cayley_search_from_coset_representatives_is_exact_on_every_tie_pattern(n):
-    # Every tie pattern of n positions, tied or not, adjacent or not; block
-    # values spaced to give distinct weights, then equal nonzero weights.
-    perms = list(permutations(range(n)))
-    swaps, columns = graphs._cayley_frame(n)
-    patterns = list(_set_partitions(list(range(n))))
-    assert len(patterns) == [1, 2, 5, 15, 52][n - 1]  # the Bell numbers
+def _partitions(n, largest=None):
+    """Every partition of n, as a tuple of decreasing parts."""
+    if n == 0:
+        yield ()
+        return
+    for k in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield (k, *rest)
+
+
+def _tie_patterns(n):
+    """Tie patterns of n positions: every set partition for n <= 5 (adjacent
+    or not), and for n = 6, 7 every partition of n laid out in blocks of
+    increasing length, the reverse of the frame's order."""
+    if n <= 5:
+        return list(_set_partitions(list(range(n))))
+    starts = [list(accumulate(reversed(p), initial=0)) for p in _partitions(n)]
+    return [[list(range(a, b)) for a, b in zip(s, s[1:])] for s in starts]
+
+
+def _eccentricity(n_vertices, steps):
+    """The last distance _settled_levels settles from vertex 0, and the number of vertices settled."""
+    settled, d = 0, None
+    for d, level in graphs._settled_levels(n_vertices, steps, 0):
+        settled += len(level)
+    return d, settled
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_quotient_eccentricity_is_the_sn_eccentricity_on_every_tie_pattern(n):
+    # Each pattern's lam, relabelled by _quotient_search onto its quotient
+    # frame, has the eccentricity of e that the search over all of S_n, with
+    # the zero-weight closure, finds.  Block values are spaced to give
+    # distinct weights, then equal nonzero weights.
+    frame = graphs._cayley_frame(n)
+    patterns = _tie_patterns(n)
+    assert len(patterns) == [1, 2, 5, 15, 52, 11, 15][n - 1]  # Bell numbers, then partition numbers
     for blocks in patterns:
         for spacing in (lambda b: 3 ** b, lambda b: b):
             lam = [0] * n
             for b, block in enumerate(blocks):
                 for k in block:
                     lam[k] = spacing(b)
-            steps = [(column, abs(lam[i] - lam[j])) for column, (i, j) in zip(columns, swaps)]
-            zero = [column for column, w in steps if w == 0]
-            reps = graphs._minimal_coset_reps(len(perms), zero)
-            # One vertex per coset u W_lam, the least: increasing on each block.
-            cosets = {tuple(frozenset(p[k] for k in block) for block in blocks) for p in perms}
-            expected = {u for u, p in enumerate(perms)
-                        if all(p[i] < p[j] for block in blocks for i, j in zip(block, block[1:]))}
-            if zero:
-                assert reps == expected and len(reps) == len(cosets)
-            else:
-                assert reps is None and len(cosets) == len(perms)
-            for src in range(len(perms)):
-                assert graphs._step_dijkstra(len(perms), steps, src, reps) == \
-                    graphs._step_dijkstra(len(perms), steps, src)
+            n_vertices, steps, scale = graphs._quotient_search(n, vec(lam))
+            assert scale == 1
+            assert n_vertices == math.factorial(n) // math.prod(map(math.factorial, map(len, blocks)))
+            assert all(w > 0 for _column, w in steps)  # no zero-weight swap is left
+            full = graphs._step_dijkstra(math.factorial(n), graphs._swap_steps(frame, lam), 0)
+            assert _eccentricity(n_vertices, steps) == (max(full), n_vertices)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_quotient_frame_matches_sorting_each_block(n):
+    # Each column directly: the coset of r * (i j) is found by sorting each
+    # block of r * (i j), and cosets are numbered in the order of their
+    # increasing-on-each-block representatives.
+    perms = list(permutations(range(n)))
+    for blocks in _partitions(n):
+        if blocks[0] == 1:
+            continue
+        cuts = list(accumulate(blocks, initial=0))
+
+        def rep(p):
+            return tuple(x for a, b in zip(cuts, cuts[1:]) for x in sorted(p[a:b]))
+
+        reps = [p for p in perms if rep(p) == p]
+        coset = {p: c for c, p in enumerate(reps)}
+        block_of = [b for b, size in enumerate(blocks) for _ in range(size)]
+        swaps = tuple((i, j) for i, j in combinations(range(n), 2) if block_of[i] != block_of[j])
+        columns = tuple(tuple(coset[rep(p[:i] + (p[j],) + p[i + 1:j] + (p[i],) + p[j + 1:])] for p in reps)
+                        for i, j in swaps)
+        assert graphs._quotient_frame(n, blocks) == (swaps, columns)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_distinct_entries_search_the_sn_frame_itself(n):
+    # The partition (1, ..., 1) builds no frame: its steps hold the S_n
+    # frame's own columns.
+    lam = vec(_DISTINCT[:n] if n <= 5 else range(n))
+    n_vertices, steps, _scale = graphs._quotient_search(n, lam)
+    _swaps, columns = graphs._cayley_frame(n)
+    assert n_vertices == math.factorial(n)
+    assert len(steps) == len(columns) and all(c is s for c, (s, _w) in zip(columns, steps))
 
 
 def _floyd_warshall_oracle(n, lam):
