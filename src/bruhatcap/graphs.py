@@ -318,45 +318,34 @@ def d_min_all(graph: QuantumBruhatGraph, u: int) -> tuple[list[int], list[Degree
     """Shortest directed distances from u, and the common shortest-path degrees.
 
     The uniqueness of the shortest-path degree is a checked theorem: if two
-    shortest paths to any vertex disagree, ConsistencyError is raised.
+    shortest paths to any vertex disagree, ConsistencyError is raised.  One
+    breadth-first pass checks it: a vertex takes its degree from the edge it is
+    first reached by, and every later edge x -> y with dist[y] = dist[x] + 1
+    must carry x's degree to the same one.  That is the check of the sets of
+    all shortest-path degrees: by induction on the distance, while every
+    vertex nearer u has one degree, y's set is the degrees its shortest-path
+    edges carry, and it has one element exactly when they all agree.
     """
-    n, out = graph.n_vertices, graph.out  # out is read once: a cached attribute
+    n, out, zero = graph.n_vertices, graph.out, graph.zero  # out is a cached attribute
     dist = [-1] * n
     dist[u] = 0
+    degs: list[Degree] = [zero] * n
     order = [u]
-    head = 0
-    while head < len(order):
-        x = order[head]
-        head += 1
-        for y, _a, _d in out[x]:
+    for x in order:  # the queue grows while it is read
+        dy, base = dist[x] + 1, degs[x]
+        for y, _a, dd in out[x]:  # an up-edge's degree is the graph's zero itself
             if dist[y] < 0:
-                dist[y] = dist[x] + 1
+                dist[y] = dy
+                degs[y] = base if dd is zero else degree_add(base, dd)
                 order.append(y)
+            elif dist[y] == dy and degs[y] != (base if dd is zero else degree_add(base, dd)):
+                raise ConsistencyError(
+                    f"shortest paths {u} -> {y} carry distinct degrees {degs[y]} and {degree_add(base, dd)}; "
+                    "the shortest-path degree must be unique"
+                )
     if len(order) != n:
         raise ConsistencyError("quantum Bruhat graph is not strongly connected from u")
-    degs: list[set[Degree] | None] = [None] * n
-    degs[u] = {graph.zero}
-    for x in order:
-        dx = degs[x]
-        assert dx is not None
-        for y, _a, dd in out[x]:
-            if dist[y] == dist[x] + 1:
-                acc = degs[y]
-                if acc is None:
-                    acc = degs[y] = set()
-                for base in dx:
-                    acc.add(degree_add(base, dd))
-    final: list[Degree] = [graph.zero] * n
-    for x in order:
-        dx = degs[x]
-        assert dx is not None
-        if len(dx) != 1:
-            raise ConsistencyError(
-                f"shortest paths {u} -> {x} carry {len(dx)} distinct degrees {sorted(dx)}; "
-                "the shortest-path degree must be unique"
-            )
-        final[x] = next(iter(dx))
-    return dist, final
+    return dist, degs
 
 
 def d_min(graph: QuantumBruhatGraph, u: int, v: int) -> tuple[Degree, int]:

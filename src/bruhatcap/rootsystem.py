@@ -1,19 +1,25 @@
 """Simple root systems over an exact integer kernel.
 
 Each root is an integer coefficient vector over the simple roots.  The
-roots are generated by closing the simple roots under the simple
-reflections s_i(beta) = beta - <beta, coroot(alpha_i)> alpha_i, with every
-pairing read off the integer Cartan matrix (Humphreys, Reflection Groups and
-Coxeter Groups, sections 1 and 2.9).  From those integers come the coroot
-coefficients c_k^vee = c_k |alpha_k|^2 / |alpha|^2 and, on demand, each
-reflection as a permutation of root indices.  A weight is read once, as its
+positive roots are generated by closing the simple roots under the simple
+reflections s_i(beta) = beta - <beta, coroot(alpha_i)> alpha_i that keep them
+positive, with every pairing read off the integer Cartan matrix (Humphreys,
+Reflection Groups and Coxeter Groups, sections 1 and 2.9).  s_i permutes the
+positive roots other than alpha_i, so an image there with a negative
+coefficient is a root of mixed sign, and refused.  The negative roots are
+the negations.  The coroot coefficients c_k^vee = c_k |alpha_k|^2 / |alpha|^2
+are carried through the same closure, once per positive root: s_i keeps a
+root's norm and moves c_i^vee by <alpha_i, coroot(beta)>.  When all simple
+roots have one length every root has it, and the coroot coefficients are the
+root coefficients.  Each reflection is, on demand, a permutation of root
+indices.  A weight is read once, as its
 Dynkin labels <lam, coroot(alpha_k)> over one common denominator
 (RootSystem.scaled_labels); its pairing with any root is then an integer
 sum over the coroot coefficients.  The checks of a weight sit beside that
 reading (require_dominant, checked_weight, parabolic_positions), so a graph
 export checks one without the bounds module.  The build is integer too: the
-Gram and Cartan matrices, each root's ambient vector and norm, and the
-fundamental weights are integer sums over the simple roots scaled to integer
+Gram and Cartan matrices, each root's ambient vector, and the fundamental
+weights are integer sums over the simple roots scaled to integer
 rows over one denominator.  Fractions are made once per root coordinate, for
 input, output and the closed-form table; roots are indexed in lexicographic
 order.  The dual basis and the projection onto the root span read the same
@@ -35,7 +41,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, gcd, lcm
-from operator import mul, sub
+from operator import lt, mul, neg, sub
 from typing import Iterator
 
 from . import linalg
@@ -166,69 +172,77 @@ class RootSystem:
         self._label_denominator = scale = lcm(*(n // gcd(n, 2 * den * gcd(*r)) for n, r in zip(norms, rows)))
         self._label_rows = tuple(tuple(2 * den * scale * x // n for x in r) for n, r in zip(norms, rows))
 
-        # Close the simple roots under s_i(beta) = beta - <beta, coroot(alpha_i)> alpha_i.  found
-        # maps each root's coefficients to den times its ambient vector and to its pairings
-        # <beta, coroot(alpha_j)>; s_i moves them by p times rows[i] and Cartan column i.
+        # Close the simple roots under the s_i that keep them positive.  found maps a positive
+        # root's coefficients to den times its ambient vector, its pairings <beta, coroot(alpha_j)>,
+        # its coroot coefficients and its norm: s_i(beta) = beta - p alpha_i moves the first two by
+        # p times rows[i] and Cartan column i, coroot coefficient i by <alpha_i, coroot(beta)> =
+        # p |alpha_i|^2 / |beta|^2, and keeps the norm.  An image with a negative coefficient i is
+        # -beta when beta is a multiple of alpha_i, and otherwise a root of mixed sign.
         units = [tuple(int(j == k) for j in range(rank)) for k in range(rank)]
         columns = list(zip(*cartan))
-        found = {u: (r, col) for u, r, col in zip(units, rows, columns)}
+        one_length = len(set(norms)) == 1
+        found = {u: (r, col, u, n) for u, r, col, n in zip(units, rows, columns, norms)}
         queue = list(units)
-        while queue:
-            beta = queue.pop()
-            v, q = found[beta]
+        for beta in queue:  # breadth-first: the queue grows while it is read
+            v, q, co, nb = found[beta]
             for i, p in enumerate(q):
                 if p:
-                    image = beta[:i] + (beta[i] - p,) + beta[i + 1:]
+                    b = beta[i] - p
+                    if b < 0:
+                        if sum(beta) == beta[i]:
+                            continue
+                        image = tuple(Fraction(x, den) for x in map(sub, v, map(p.__mul__, rows[i])))
+                        raise ConsistencyError(f"{fam}{rank}: root with mixed-sign coefficients: {image}")
+                    image = beta[:i] + (b,) + beta[i + 1:]
                     if image not in found:
+                        if not one_length:
+                            dp, r = divmod(p * norms[i], nb)
+                            if r:
+                                raise ConsistencyError(
+                                    f"{fam}{rank}: non-integral coroot coefficients for root {image}")
                         found[image] = (tuple(map(sub, v, map(p.__mul__, rows[i]))),
-                                        tuple(map(sub, q, map(p.__mul__, columns[i]))))
+                                        tuple(map(sub, q, map(p.__mul__, columns[i]))),
+                                        image if one_length else co[:i] + (co[i] - dp,) + co[i + 1:], nb)
                         queue.append(image)
-        # Over one positive denominator, integer vectors sort as the rational ones.
-        ordered = sorted((v, c, q) for c, (v, q) in found.items())
-
-        # Signed integer coefficients of every coroot over the simple coroots:
-        # c_k^vee = c_k |alpha_k|^2 / |alpha|^2, by exact integer division.
-        cocoeffs = []
-        for v, cs, _q in ordered:
-            norm = sum(x * x for x in v)
-            co = [divmod(c * n, norm) for c, n in zip(cs, norms)]
-            if any(r for _q, r in co):
-                raise ConsistencyError(f"{fam}{rank}: non-integral coroot coefficients for root {cs}")
-            cocoeffs.append(tuple(q for q, _r in co))
-        self._cocoeffs: tuple[tuple[int, ...], ...] = tuple(cocoeffs)
-        # One Fraction per distinct coordinate value, shared by the roots.
-        fractions = {x: Fraction(x, den) for x in {x for v, _c, _q in ordered for x in v}}
-        self.roots: tuple[Vector, ...] = tuple(tuple(map(fractions.__getitem__, v)) for v, _c, _q in ordered)
-        # Signed integer coefficients of every root over the simple roots.
-        self._coeffs: tuple[tuple[int, ...], ...] = tuple(c for _v, c, _q in ordered)
-        # <root, coroot(alpha_i)> for every root and simple root i.
-        self._pairings: tuple[tuple[int, ...], ...] = tuple(q for _v, _c, q in ordered)
-        self._coeff_index: dict[tuple[int, ...], int] = {c: i for i, c in enumerate(self._coeffs)}
-        self.simple: tuple[int, ...] = tuple(self._coeff_index[u] for u in units)
-
-        coeffs = self._coeffs
-        self.is_positive: tuple[bool, ...] = tuple(all(c >= 0 for c in cs) for cs in coeffs)
-        for i, cs in enumerate(coeffs):
-            if not self.is_positive[i] and not all(c <= 0 for c in cs):
-                raise ConsistencyError(f"{fam}{rank}: root with mixed-sign coefficients: {self.roots[i]}")
-        self.positive: tuple[int, ...] = tuple(i for i in range(len(self.roots)) if self.is_positive[i])
         expected = positive_root_count(fam, rank)
-        if len(self.positive) != expected or len(self.roots) != 2 * expected:
-            raise ConsistencyError(
-                f"{fam}{rank}: generated {len(self.positive)} positive roots, expected {expected}"
-            )
+        if len(found) != expected:
+            raise ConsistencyError(f"{fam}{rank}: generated {len(found)} positive roots, expected {expected}")
 
-        self.neg_of: tuple[int, ...] = tuple(self._coeff_index[tuple(-c for c in cs)] for cs in coeffs)
+        # The negative roots by negation; entry e < n is a positive root, e + n its negative.
+        n = expected
+        vs, pairings, cocoeffs = map(list, zip(*[(v, q, co) for v, q, co, _nb in found.values()]))
+        coeffs = queue
+        for field in (vs, coeffs, pairings) if one_length else (vs, coeffs, pairings, cocoeffs):
+            field += [tuple(map(neg, x)) for x in field]
+        if one_length:
+            cocoeffs = coeffs
+        # Over one positive denominator, integer vectors sort as the rational ones.
+        order = sorted(range(2 * n), key=vs.__getitem__)
+        place = sorted(range(2 * n), key=order.__getitem__)  # entry -> root index
+        # One Fraction per distinct coordinate value, shared by the roots.
+        xs = {x for v in vs[:n] for x in v}
+        fractions = {x: Fraction(x, den) for x in xs | set(map(neg, xs))}
+        self.roots: tuple[Vector, ...] = tuple([tuple(map(fractions.__getitem__, vs[e])) for e in order])
+        # Signed integer coefficients of every root over the simple roots and of its coroot over
+        # the simple coroots, and <root, coroot(alpha_i)> for every simple root i.
+        self._coeffs: tuple[tuple[int, ...], ...] = tuple(map(coeffs.__getitem__, order))
+        self._cocoeffs: tuple[tuple[int, ...], ...] = tuple(map(cocoeffs.__getitem__, order))
+        self._pairings: tuple[tuple[int, ...], ...] = tuple(map(pairings.__getitem__, order))
+        self._coeff_index: dict[tuple[int, ...], int] = dict(zip(self._coeffs, range(2 * n)))
+        self.simple: tuple[int, ...] = tuple(place[:rank])
+        self.is_positive: tuple[bool, ...] = tuple(e < n for e in order)
+        self.positive: tuple[int, ...] = tuple(sorted(place[:n]))
+        self.neg_of: tuple[int, ...] = tuple(place[e - n] if e >= n else place[e + n] for e in order)
 
         # Highest root: unique dominance-maximal positive root.
-        best = max(self.positive, key=lambda i: sum(self._coeffs[i]))
-        top = sum(self._coeffs[best])
-        if sum(1 for i in self.positive if sum(self._coeffs[i]) == top) != 1:
+        heights = list(map(sum, coeffs[:n]))
+        top = max(heights)
+        if heights.count(top) != 1:
             raise ConsistencyError(f"{fam}{rank}: highest root is not unique")
-        for i in self.positive:
-            if any(a < b for a, b in zip(self._coeffs[best], self._coeffs[i])):
-                raise ConsistencyError(f"{fam}{rank}: highest root not dominance-maximal")
-        self.highest: int = best
+        best = coeffs[heights.index(top)]
+        if any(any(map(lt, best, c)) for c in coeffs[:n]):
+            raise ConsistencyError(f"{fam}{rank}: highest root not dominance-maximal")
+        self.highest: int = place[heights.index(top)]
 
         self._dual_basis: tuple[Vector, ...] | None = None
 

@@ -2,11 +2,14 @@
 
 Each element is encoded only by its key, the root indices of the images of
 the `rank` simple roots, which determine it.  The breadth-first enumeration
-derives the key of u * s_i from that of u, and keeps u * s_i for every
-element u and simple reflection s_i as the table right[i] (Casselman,
-Computation in Coxeter groups I, EJC 9, 2002); the table u -> u * s_alpha of
-any positive root follows in one pass over W.  No element keeps a root
-permutation: only the 2|R+| reflections do.  The graphs are views over these
+derives the key of u * s_i from that of u for the ascents only, the s_i with
+u(alpha_i) > 0, and keeps u * s_i for every element u and simple reflection
+s_i as the table right[i] (Casselman, Computation in Coxeter groups I, EJC 9,
+2002): s_i is an involution, so each ascent u -- u * s_i fills right[i] at
+both ends, and no descent is looked up.  The table u -> u * s_alpha of any
+positive root follows in one pass over W.  No element keeps a root
+permutation: only the |R+| reflections do, each conjugated from one of
+lower height.  The graphs are views over these
 tables: each reads a vertex's edges from them when it is needed, and none
 copies them into an edge list for an export.  The cosets of W/W_P are the
 orbits w W_P under the tables of S_P, taken in the breadth-first order, so
@@ -104,36 +107,46 @@ class WeylGroup:
     def __init__(self, rs: RootSystem, cap: int = DEFAULT_GROUP_CAP):
         _require_within_cap(rs, cap)
         self.rs = rs
-        half = {r: rs.reflection_perm(r) for r in rs.positive}  # s_{-alpha} = s_alpha
-        refl = self._refl = [half[r if rs.is_positive[r] else rs.neg_of[r]] for r in range(len(rs.roots))]
+        order, is_positive = rs.weyl_order, rs.is_positive
+        # s_alpha = s_g s_beta s_g for beta = s_g(alpha): each reflection's root permutation is
+        # two passes over a lower one's, in increasing height from the simple reflections.
+        refl = self._refl = {s: rs.reflection_perm(s) for s in rs.simple}
+        for r in sorted(rs.positive, key=lambda r: sum(rs.signed_coefficients(r))):
+            if r not in refl:
+                g, beta = self._lower(r)
+                sg = refl[rs.simple[g]]
+                refl[r] = tuple(map(sg.__getitem__, map(refl[beta].__getitem__, sg)))
         keys: list[Key] = [rs.simple]
         index: dict[Key, int] = {rs.simple: 0}
         lengths = [0]
         parents: list[tuple[int, int]] = [(-1, -1)]
-        right: list[list[int]] = [[] for _ in rs.simple]
+        right: list[list[int]] = [[0] * order for _ in rs.simple]
         # u s_g u^-1 is the reflection in u(alpha_g), so u * s_g sends alpha_k
         # to that reflection of u(alpha_k): the key of u * s_g is the entries
         # of that reflection at u's key, read by one itemgetter per element
         # (which returns a bare entry, not a tuple, for a single key).
-        # Breadth-first: the loop visits elements in the order they are
-        # appended, so right[g] fills in element order.
+        # Breadth-first, for the ascents g (u(alpha_g) > 0) only: s_g is an involution,
+        # so the edge u -- u * s_g fills right[g] at both ends.  The tables are sized
+        # by the order (at most the cap); an element past it is refused unwritten.
         for wi, key in enumerate(keys):
             at_key = itemgetter(*key) if len(key) > 1 else lambda perm, k=key[0]: (perm[k],)
             for g, row in enumerate(right):
-                child = at_key(refl[key[g]])
-                j = index.get(child)
-                if j is None:
-                    j = index[child] = len(keys)
-                    keys.append(child)
-                    lengths.append(lengths[wi] + 1)
-                    parents.append((wi, g))
-                    if len(keys) > cap:
-                        raise SizeLimitError(f"{rs.family}{rs.rank}: enumeration exceeded cap {cap:,}")
-                row.append(j)
-        if len(keys) != rs.weyl_order:
-            raise ConsistencyError(
-                f"{rs.family}{rs.rank}: enumerated {len(keys)} elements, expected {rs.weyl_order}"
-            )
+                r = key[g]
+                if is_positive[r]:
+                    child = at_key(refl[r])
+                    j = index.get(child)
+                    if j is None:
+                        j = index[child] = len(keys)
+                        if j >= order:
+                            raise ConsistencyError(
+                                f"{rs.family}{rs.rank}: enumerated over {order} elements, expected {order}")
+                        keys.append(child)
+                        lengths.append(lengths[wi] + 1)
+                        parents.append((wi, g))
+                    row[wi] = j
+                    row[j] = wi
+        if len(keys) != order:
+            raise ConsistencyError(f"{rs.family}{rs.rank}: enumerated {len(keys)} elements, expected {order}")
         self.keys = keys  # element index -> key
         self.lengths = lengths
         self.parents = parents
@@ -216,15 +229,19 @@ class WeylGroup:
         if root_idx in rs.simple:
             table = self.right[rs.simple.index(root_idx)]
         else:
-            height = sum(rs.signed_coefficients(root_idx))
-            g, beta = next(
-                (g, beta) for g, beta in enumerate(self._refl[s][root_idx] for s in rs.simple)
-                if sum(rs.signed_coefficients(beta)) < height
-            )
+            g, beta = self._lower(root_idx)
             ri, tb = self.right[g], self.reflection_table(beta)
             table = tuple(map(ri.__getitem__, map(tb.__getitem__, ri)))
         self._reflection_tables[root_idx] = table
         return table
+
+    def _lower(self, root_idx: int) -> tuple[int, int]:
+        """A simple position g and beta = s_g(alpha), positive and lower than alpha,
+        for a positive root alpha that is not simple."""
+        rs = self.rs
+        height = sum(rs.signed_coefficients(root_idx))
+        return next((g, beta) for g, beta in enumerate(self._refl[s][root_idx] for s in rs.simple)
+                    if sum(rs.signed_coefficients(beta)) < height)
 
     # -- geometry -------------------------------------------------------------
 

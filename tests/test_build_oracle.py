@@ -44,6 +44,15 @@ def test_refuses_mixed_sign_roots(monkeypatch):
         RootSystem("A", 2)
 
 
+def test_refuses_a_highest_root_that_is_not_unique(monkeypatch):
+    # D4 transcribed with the simple roots of G2 x G2 in R^6: 12 positive roots,
+    # as D4 has, but each G2 factor has its own highest root, of height 5
+    _tampered(monkeypatch, "D", 4, [[1, -2, 1, 0, 0, 0], [0, 1, -1, 0, 0, 0],
+                                    [0, 0, 0, 1, -2, 1], [0, 0, 0, 0, 1, -1]])
+    with pytest.raises(ConsistencyError, match="^D4: highest root is not unique$"):
+        RootSystem("D", 4)
+
+
 def test_refuses_wrong_root_count(monkeypatch):
     # D4 transcribed with the B4 last simple root e_4: 16 positive roots, not 12
     _tampered(monkeypatch, "D", 4, [[1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1], [0, 0, 0, 1]])

@@ -33,6 +33,7 @@ from bruhatcap import (
 from bruhatcap.weyl import WeylGroup
 from bruhatcap.graphs import d_min_all, random_walk_degree
 from bruhatcap.linalg import vec
+from reference_kernels import set_propagation_d_min_all
 from weyl_ops import compose, root_perms
 
 # -- Bruhat graph ---------------------------------------------------------------
@@ -439,6 +440,55 @@ def test_d_min_uniqueness_violation_detected():
     fake = SimpleNamespace(n_vertices=4, out=out, zero=(0, 0))
     with pytest.raises(ConsistencyError, match="distinct degrees"):
         d_min_all(fake, 0)
+
+
+@pytest.mark.parametrize("fam,rank", [("A", 3), ("B", 3), ("G", 2), ("F", 4)])
+def test_d_min_all_matches_set_propagation_from_every_source(fam, rank):
+    q = quantum_bruhat_graph(generate(build(fam, rank)))
+    for u in range(q.n_vertices):
+        assert d_min_all(q, u) == set_propagation_d_min_all(q, u)
+
+
+_ZERO = (0, 0)
+# The graph's own zero, as every up-edge of a quantum Bruhat graph carries it, an
+# equal tuple that is not that object, and three nonzero degrees.
+_DEGREES = st.sampled_from([_ZERO, tuple([0, 0]), (1, 0), (0, 1), (1, 1)])
+
+
+@st.composite
+def _degree_digraphs(draw):
+    """A small digraph with degrees on its edges, and a source.  With the cycle
+    through every vertex it is strongly connected; the random edges plant
+    shortcuts, and with them routes of one length whose degrees may differ."""
+    n = draw(st.integers(1, 7))
+    out = [[] for _ in range(n)]
+    if draw(st.booleans()):
+        for x in range(n):
+            out[x].append(((x + 1) % n, 0, draw(_DEGREES)))
+    vertex = st.integers(0, n - 1)
+    for x, y, dd in draw(st.lists(st.tuples(vertex, vertex, _DEGREES), max_size=14)):
+        out[x].append((y, 0, dd))
+    return SimpleNamespace(n_vertices=n, out=out, zero=_ZERO), draw(vertex)
+
+
+def _conflict_graph(second):
+    out = [[(1, 0, (1, 0)), (2, 0, second)], [(3, 0, _ZERO)], [(3, 0, _ZERO)], [(0, 0, _ZERO)]]
+    return SimpleNamespace(n_vertices=4, out=out, zero=_ZERO), 0
+
+
+@settings(max_examples=400, deadline=None)
+@given(_degree_digraphs())
+@example(_conflict_graph((0, 1)))  # two routes 0 -> 3 of length 2 with distinct degrees
+@example(_conflict_graph((1, 0)))  # the same routes, one degree
+def test_d_min_all_refuses_exactly_when_set_propagation_does(case):
+    graph, u = case
+    try:
+        expected = set_propagation_d_min_all(graph, u)
+    except ConsistencyError:
+        with pytest.raises(ConsistencyError):
+            d_min_all(graph, u)
+    else:
+        assert d_min_all(graph, u) == expected
 
 
 def test_random_walk_degrees_dominate_d_min(w_b3):

@@ -9,7 +9,8 @@ from bruhatcap import capacity
 from bruhatcap import weyl as weyl_module
 from bruhatcap.capacity import TABLE_TYPES
 from bruhatcap.linalg import neg, vec
-from bruhatcap.rootsystem import key_absolute_length
+from bruhatcap.rootsystem import RootSystem, key_absolute_length
+from reference_kernels import descent_lookup_enumeration
 from rootsystem_oracle import fraction_rank
 from weyl_ops import compose, inverse, inversion_count, root_perms
 
@@ -80,6 +81,24 @@ def test_cached_group_refused_under_smaller_cap(b2):
     with pytest.raises(SizeLimitError) as err:
         generate(b2, cap=4)
     assert "B2" in str(err.value)
+
+
+@pytest.mark.parametrize("fam,rank", [t for t in TABLE_TYPES if build(*t).weyl_order <= 51_840])
+def test_enumeration_matches_the_descent_lookup(fam, rank):
+    # The reference computes u * s_g for every g, descents included; the group
+    # computes it for ascents only and fills each table at both ends of an edge.
+    w = WeylGroup(build(fam, rank))
+    assert (w.keys, w.lengths, w.parents, w.right) == descent_lookup_enumeration(w.rs)
+
+
+@pytest.mark.parametrize("order", [0, 1, 23, 25, 48])
+def test_wrong_group_order_refused(order):
+    # |W(A3)| = 24; the tables are sized by the stated order, so one too small
+    # must end in the refusal, not in an IndexError.
+    rs = RootSystem("A", 3)
+    rs.weyl_order = order
+    with pytest.raises(ConsistencyError, match=rf"^A3: enumerated (over )?\d+ elements, expected {order}$"):
+        WeylGroup(rs)
 
 
 @pytest.mark.parametrize("fam,rank", ENUMERABLE)
