@@ -9,7 +9,7 @@ from bruhatcap import capacity
 from bruhatcap import weyl as weyl_module
 from bruhatcap.capacity import TABLE_TYPES
 from bruhatcap.linalg import neg, vec
-from bruhatcap.rootsystem import RootSystem, key_absolute_length
+from bruhatcap.rootsystem import RootSystem, key_absolute_length, weyl_group_order
 from reference_kernels import descent_lookup_enumeration
 from rootsystem_oracle import fraction_rank
 from weyl_ops import compose, inverse, inversion_count, root_perms
@@ -83,7 +83,7 @@ def test_cached_group_refused_under_smaller_cap(b2):
     assert "B2" in str(err.value)
 
 
-@pytest.mark.parametrize("fam,rank", [t for t in TABLE_TYPES if build(*t).weyl_order <= 51_840])
+@pytest.mark.parametrize("fam,rank", [t for t in TABLE_TYPES if weyl_group_order(*t) <= 51_840])
 def test_enumeration_matches_the_descent_lookup(fam, rank):
     # The reference computes u * s_g for every g, descents included; the group
     # computes it for ascents only and fills each table at both ends of an edge.
