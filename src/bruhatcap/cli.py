@@ -214,7 +214,7 @@ def cmd_roots(args) -> int:
 def cmd_graph(args) -> int:
     from . import graphs
 
-    lam = parse_lambda(args.lam) if args.lam else None
+    lam = parse_lambda(args.lam) if args.lam is not None else None
     if args.kind == "cayley":
         if args.n is None:
             raise ValidationError("graph cayley requires --n")
@@ -294,7 +294,7 @@ def _group_label(fam: str, rank: int) -> str:
 def cmd_table(args) -> int:
     from . import capacity
 
-    lam_fixed = parse_lambda(args.lam) if args.lam else None
+    lam_fixed = parse_lambda(args.lam) if args.lam is not None else None
     wanted = capacity.TABLE_TYPES
     if args.type:
         wanted = tuple((f, r) for f, r in wanted if f == args.type.upper())
@@ -336,7 +336,7 @@ def cmd_table(args) -> int:
 def cmd_verify(args) -> int:
     from . import checks
 
-    names = [n.strip() for n in args.only.split(",")] if args.only else None
+    names = [n.strip() for n in args.only.split(",")] if args.only is not None else None
     results = checks.run_checks(
         names=names, seed=args.seed, type_filter=args.type, rank_filter=args.rank
     )

@@ -17,18 +17,19 @@ below): json.dumps lays out all of it.  The edge
 lists `BruhatGraph.edges`, `QuantumBruhatGraph.out` and
 `WeightedCayleyGraph.edges` come from the same reader, built on first read
 for the searches that walk them (d_min_all, the random walks).  The Weyl
-group module is imported only to type the Bruhat graphs, so a Cayley graph
-loads none of it.
+group module is imported only to type the Bruhat graphs and, by
+_quotient_frame, for its coset pass, so `graph cayley` loads none of it.
 
 Cayley distances come from _settled_levels, which yields the settled levels
 (d, level) of a level-by-level search over a frame's columns and returns
 after the level that settles the last vertex.  cayley_distances reads the
 list _step_dijkstra makes of the levels of S_n, tied entries giving
-zero-weight swaps that close each level.  cayley_diameter reads only the
-last d of a search on S_n / W_lam, over one cached frame per n and tie
-pattern whose vertices are the cosets, after relabelling lam so that its
-tie blocks sit where the frame puts them; distinct entries search S_n
-(the proof is in _quotient_search).  A vertex argument (src, dst) must be
+zero-weight swaps whose images settle at the same d.  cayley_diameter reads
+only the last d of a search on S_n / W_lam, over one cached frame per n and
+tie pattern whose vertices are the cosets (weyl.cosets, the pass that
+WeylGroup.parabolic runs for W/W_P), after relabelling lam so that its tie
+blocks sit where the frame puts them; distinct entries search S_n (the
+proof is in _quotient_search).  A vertex argument (src, dst) must be
 an int in range(n_vertices); any other is refused with ValidationError.
 """
 
@@ -39,7 +40,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from heapq import heappop, heappush
-from operator import add, eq, ge, itemgetter, mul, not_
+from operator import add, ge, itemgetter, mul, not_
 from typing import TYPE_CHECKING, Iterator, Mapping
 
 from .errors import ConsistencyError, SizeLimitError, ValidationError
@@ -101,24 +102,24 @@ def _images(vertices, columns) -> Iterator[tuple[int, ...]]:
 
 def _settled_levels(n_vertices: int, steps, src: int) -> Iterator[tuple[int, set[int]]]:
     """The shortest distances from src in a step graph on range(n_vertices), as
-    the levels (d, level) in increasing d: level is the set of the vertices at
-    distance d.
+    levels (d, level) in nondecreasing d, strictly increasing when no step
+    weighs 0: level is a set of vertices at distance d.
 
     Each step (column, w) joins every vertex u to column[u] at the same
     nonnegative integer weight w.  Distances are settled one level at a time
     (Dial's order, with a heap of the pending distances, so that weights of
     any size cost no array as long as the largest): every vertex pending at
-    the least distance d is settled at once, the level is closed under the
-    zero-weight steps until that adds nothing, and each other step adds the
-    level's images to the vertices pending at d + w.  The per-edge work is
-    done by itemgetter, list.extend and set.intersection, not by a Python
-    loop.  The levels are disjoint, their union is the set of the vertices
-    reachable from src, and the search returns right after the level that
-    settles the last vertex of range(n_vertices), without relaxing it.
+    the least distance d is settled at once, and each step adds the level's
+    images to the vertices pending at d + w.  A zero-weight step files them at
+    d again, which the heap pops next, as a level of its own.  The per-edge
+    work is done by itemgetter, list.extend and set.intersection, not by a
+    Python loop, and each vertex's images are gathered once.  The levels are
+    disjoint, their union is the set of the vertices reachable from src, and
+    the search returns right after the level that settles the last vertex of
+    range(n_vertices), without relaxing it.
     """
-    zero = [column for column, w in steps if w == 0]
-    columns = [column for column, w in steps if w]
-    weights = [w for _column, w in steps if w]
+    columns = [column for column, _w in steps]
+    weights = [w for _column, w in steps]
     unsettled = set(range(n_vertices))
     pending: dict[int, list[int]] = {0: [src]}
     heap = [0]
@@ -128,11 +129,6 @@ def _settled_levels(n_vertices: int, steps, src: int) -> Iterator[tuple[int, set
         if not level:
             continue  # every vertex pending at d was settled more cheaply
         unsettled -= level
-        frontier = level
-        while zero and frontier:
-            frontier = unsettled.intersection(itertools.chain.from_iterable(_images(frontier, zero)))
-            unsettled -= frontier
-            level |= frontier
         yield d, level
         if not unsettled:
             return
@@ -169,14 +165,15 @@ def _upper_rows(columns) -> Iterator[tuple[int, list[tuple[int, int]]]]:
 # Bruhat graph on W/W_P
 
 
-def _coset_columns(parabolic: ParabolicData, roots) -> list[Table]:
-    """Per root alpha of roots, the column u -> the coset of rep(u) * s_alpha, over the cosets u."""
-    weyl = parabolic.weyl
-    coset_of, reps = parabolic.coset_of, parabolic.coset_reps
-    tables = [weyl.reflection_table(a) for a in roots]
-    if len(reps) == len(coset_of):  # S_P is empty: coset u is the element u
-        return tables
-    return [tuple(map(coset_of.__getitem__, map(t.__getitem__, reps))) for t in tables]
+def _coset_columns(columns, coset_of, reps) -> list[Table]:
+    """Per column c over the vertices, the column u -> the coset of c[reps[u]]
+    over the cosets u (the columns themselves when each vertex is a coset).  A
+    single coset comes with no column (S_P = S leaves no root of R+ - R+_P, one
+    block no swap between blocks), so itemgetter always returns a tuple."""
+    if len(reps) == len(coset_of):
+        return list(columns)
+    at_reps = itemgetter(*reps)
+    return [itemgetter(*at_reps(c))(coset_of) for c in columns]
 
 
 class BruhatGraph:
@@ -201,10 +198,11 @@ class BruhatGraph:
         """The one reader of the edges: (keys, rows), where keys[k] is (roots[k], its
         degree over S - S_P) and rows yields per coset u the edges u -- v, v > u, as
         sorted pairs (v, k).  Distinct roots joining the same cosets stay distinct edges."""
-        free = self.parabolic.free_simple
+        p = self.parabolic
         cocoeffs = map(self.weyl.rs.signed_cocoefficients, roots)
-        keys = [(a, tuple(co[k] for k in free)) for a, co in zip(roots, cocoeffs)]
-        return keys, _upper_rows(_coset_columns(self.parabolic, roots))
+        keys = [(a, tuple(co[k] for k in p.free_simple)) for a, co in zip(roots, cocoeffs)]
+        columns = _coset_columns(map(self.weyl.reflection_table, roots), p.coset_of, p.coset_reps)
+        return keys, _upper_rows(columns)
 
     @cached_property
     def edges(self) -> list[tuple[int, int, int, Degree]]:
@@ -406,26 +404,23 @@ def _quotient_frame(n: int, blocks: tuple[int, ...]) -> tuple:
     """The frame of S_n / W, W = S_b1 x ... x S_bk permuting each block of
     consecutive positions, blocks = (b1, ..., bk) having one bi > 1: the swaps
     (i j) between blocks and per swap its column, for each coset the index
-    of the coset of rep * (i j).  A coset's rep is its least vertex, the one
-    increasing on each block, and cosets are numbered in the order of their
-    reps, so the identity's coset is 0.  Built by C-level passes over the
-    columns of _cayley_frame(n): the map taking each vertex to the least of
-    itself and its images under the swaps inside a block (a step of selection
-    sort, at most n - 1 of which reach the rep) is composed with itself until
-    it settles.  Built once per (n, blocks): callers check n against their
-    cap first."""
+    of the coset of rep * (i j).  The cosets are weyl.cosets under the
+    columns of _cayley_frame(n) of the adjacent swaps inside a block, which
+    generate W: a vertex not increasing on a block has a lexicographically
+    lower image, so a coset's rep is its least vertex, the one increasing on
+    each block, and cosets are numbered in the order of their reps, the
+    identity's coset first.  Built once per (n, blocks): callers check n
+    against their cap first."""
+    from .weyl import cosets
+
     swaps, columns = _cayley_frame(n)
     block_of = [b for b, size in enumerate(blocks) for _ in range(size)]
     inside = [block_of[i] == block_of[j] for i, j in swaps]
-    vertices = range(len(columns[0]))
-    rep_of = list(map(min, vertices, *itertools.compress(columns, inside)))
-    while (rep_of_rep := list(itemgetter(*rep_of)(rep_of))) != rep_of:
-        rep_of = rep_of_rep
-    reps = list(itertools.compress(vertices, map(eq, rep_of, vertices)))
-    coset_of = list(map(dict(zip(reps, vertices)).__getitem__, rep_of))
-    outside, at_reps = list(map(not_, inside)), itemgetter(*reps)
+    adjacent = [b and j == i + 1 for b, (i, j) in zip(inside, swaps)]
+    outside = list(map(not_, inside))
+    coset_of, reps = cosets(len(columns[0]), list(itertools.compress(columns, adjacent)))
     return (tuple(itertools.compress(swaps, outside)),
-            tuple(itemgetter(*at_reps(c))(coset_of) for c in itertools.compress(columns, outside)))
+            tuple(_coset_columns(itertools.compress(columns, outside), coset_of, reps)))
 
 
 def _swap_steps(frame: tuple, ints) -> list:

@@ -9,21 +9,23 @@ s_i as the table right[i] (Casselman, Computation in Coxeter groups I, EJC 9,
 both ends, and no descent is looked up.  The table u -> u * s_alpha of any
 positive root follows in one pass over W.  No element keeps a root
 permutation: only the |R+| reflections do, each conjugated from one of
-lower height.  The graphs are views over these
-tables: each reads a vertex's edges from them when it is needed, and none
-copies them into an edge list for an export.  The cosets of W/W_P are the
-orbits w W_P under the tables of S_P, taken in the breadth-first order, so
-each opens at its minimal-length element.  Tables and cosets are built on
-first use and kept on the group; the word labels of all elements are read
-off the breadth-first tree in one pass.  How many bytes an enumeration and
-its tables take is estimated before any is built (enumeration_bytes), so a
-group over the memory budget is refused, like one over the element cap,
-before it allocates.
+lower height.  The graphs are views over these tables: each reads a
+vertex's edges from them when it is needed, and none copies them into an
+edge list for an export.  The cosets of W/W_P come from cosets(), the one
+coset pass, which graphs also runs for S_n / W_lambda: each element steps
+down the tables of S_P until it has no descent there, which in the
+breadth-first order ends at its coset's minimal-length element.  Tables and
+cosets are built on first use and kept on the group; the word labels of all
+elements are read off the breadth-first tree in one pass.  How many bytes an
+enumeration and its tables take is estimated before any is built
+(enumeration_bytes), so a group over the memory budget is refused, like one
+over the element cap, before it allocates.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
+from itertools import compress
+from operator import eq, itemgetter, not_
 from typing import NamedTuple
 
 from . import linalg
@@ -80,6 +82,31 @@ def _require_within_cap(rs: RootSystem, cap: int) -> None:
             f"Weyl group of {rs.family}{rs.rank} has order {rs.weyl_order:,}, "
             f"over the cap {cap:,}; raise the cap to force enumeration"
         )
+
+
+def cosets(n: int, generators) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The orbits of range(n) under the generators, each a table v -> t[v], as
+    (coset_of, reps): reps lists each orbit's least vertex in increasing order,
+    and coset_of[v] is the position in reps of v's orbit.
+
+    Each vertex steps to the least of itself and its images, and that map is
+    composed with itself until it stops changing, in C-level passes.  When every
+    vertex but an orbit's least has a lower image, as one with a descent in S_P
+    has in the breadth-first order of W (Bjorner-Brenti, Combinatorics of
+    Coxeter Groups, ch. 2), or one not increasing on a block in the
+    lexicographic order of S_n, the passes end at that least vertex, the
+    minimal-length representative.  Any other end is refused: ConsistencyError
+    unless every generator maps each vertex into its own coset."""
+    vertices = range(n)
+    if not generators:
+        return tuple(vertices), tuple(vertices)
+    rep_of = list(map(min, vertices, *generators))
+    while (rep_of_rep := list(map(rep_of.__getitem__, rep_of))) != rep_of:
+        rep_of = rep_of_rep
+    if any(list(map(rep_of.__getitem__, t)) != rep_of for t in generators):
+        raise ConsistencyError("coset data broken: a generator maps a vertex out of its coset")
+    reps = tuple(compress(vertices, map(eq, rep_of, vertices)))
+    return tuple(map(dict(zip(reps, vertices)).__getitem__, rep_of)), reps
 
 
 class ParabolicData(NamedTuple):
@@ -252,9 +279,9 @@ class WeylGroup:
     # -- parabolic quotients ----------------------------------------------------
 
     def parabolic(self, s_p: tuple[int, ...] | list[int]) -> ParabolicData:
-        """Coset data for W/W_P, where S_P is given by simple-root positions.
-
-        Built once per S_P and cached on the group."""
+        """Coset data for W/W_P, where S_P is given by simple-root positions:
+        the cosets of cosets() under the right tables of S_P, checked to number
+        |W| / |W_P|.  Built once per S_P and cached on the group."""
         rs = self.rs
         sp = tuple(sorted(set(s_p)))
         got = self._parabolics.get(sp)
@@ -270,34 +297,11 @@ class WeylGroup:
         )
         rp = set(rp_plus)
 
-        # Cosets are the orbits w W_P under right multiplication by S_P.  In
-        # BFS order lengths never decrease, so the element that opens a coset
-        # is its minimal-length representative; the identity opens W_P itself.
-        gens = [self.right[k] for k in sp]
-        coset_of = [-1] * len(self)
-        coset_reps: list[int] = []
-        for w in range(len(self)):
-            if coset_of[w] >= 0:
-                continue
-            cid = len(coset_reps)
-            coset_reps.append(w)
-            coset_of[w] = cid
-            orbit = [w]
-            for x in orbit:
-                for t in gens:
-                    y = t[x]
-                    if coset_of[y] < 0:
-                        coset_of[y] = cid
-                        orbit.append(y)
-                    elif coset_of[y] != cid:
-                        raise ConsistencyError(
-                            f"parabolic data broken: cosets {coset_of[y]} and {cid} overlap")
-            if cid == 0:
-                wp = orbit
-
-        if len(coset_reps) * len(wp) != len(self):
+        coset_of, reps = cosets(len(self), [self.right[k] for k in sp])
+        wp = frozenset(compress(range(len(self)), map(not_, coset_of)))  # the identity's coset
+        if len(reps) * len(wp) != len(self):
             raise ConsistencyError(
-                f"parabolic data broken: {len(coset_reps)} cosets x |W_P|={len(wp)} != |W|={len(self)}"
+                f"parabolic data broken: {len(reps)} cosets x |W_P|={len(wp)} != |W|={len(self)}"
             )
         got = self._parabolics[sp] = ParabolicData(
             weyl=self,
@@ -305,9 +309,9 @@ class WeylGroup:
             free_simple=free,
             rp_plus=rp_plus,
             free_roots=tuple(a for a in rs.positive if a not in rp),
-            wp_elements=frozenset(wp),
-            coset_of=tuple(coset_of),
-            coset_reps=tuple(coset_reps),
+            wp_elements=wp,
+            coset_of=coset_of,
+            coset_reps=reps,
         )
         return got
 

@@ -1,11 +1,13 @@
-"""Earlier, plainer forms of two construction kernels, kept as references.
+"""Earlier, plainer forms of three construction kernels, kept as references.
 
 `set_propagation_d_min_all` finds the distances from u by breadth-first
 search, then carries to every vertex the set of the degrees of all its
 shortest paths, and refuses a vertex whose set has more than one element.
 `descent_lookup_enumeration` enumerates a Weyl group breadth-first and
 computes u * s_g for every element u and every simple reflection s_g,
-descents included, looking each product up by its key.  The package's
+descents included, looking each product up by its key.  `orbit_cosets`
+numbers the cosets w W_P as the orbits under the right tables of S_P, each
+opened, in the breadth-first order, by its minimal-length element.  The package's
 kernels compute the same results with less work; the tests compare them.
 """
 
@@ -73,3 +75,32 @@ def descent_lookup_enumeration(rs):
                 parents.append((wi, g))
             row.append(j)
     return keys, lengths, parents, tuple(map(tuple, right))
+
+
+def orbit_cosets(weyl, s_p):
+    """(coset_of, coset_reps, wp_elements) of W/W_P, S_P given by simple positions,
+    or ConsistencyError if two orbits overlap or the cosets do not number |W| / |W_P|."""
+    gens = [weyl.right[k] for k in s_p]
+    coset_of = [-1] * len(weyl)
+    coset_reps = []
+    for w in range(len(weyl)):
+        if coset_of[w] >= 0:
+            continue
+        cid = len(coset_reps)
+        coset_reps.append(w)
+        coset_of[w] = cid
+        orbit = [w]
+        for x in orbit:
+            for t in gens:
+                y = t[x]
+                if coset_of[y] < 0:
+                    coset_of[y] = cid
+                    orbit.append(y)
+                elif coset_of[y] != cid:
+                    raise ConsistencyError(f"parabolic data broken: cosets {coset_of[y]} and {cid} overlap")
+        if cid == 0:
+            wp = orbit
+    if len(coset_reps) * len(wp) != len(weyl):
+        raise ConsistencyError(
+            f"parabolic data broken: {len(coset_reps)} cosets x |W_P|={len(wp)} != |W|={len(weyl)}")
+    return tuple(coset_of), tuple(coset_reps), frozenset(wp)

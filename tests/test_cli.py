@@ -53,6 +53,19 @@ def test_malformed_lambda_refused(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ("capacity", "-t", "A", "-r", "2"),
+    ("graph", "bruhat", "-t", "A", "-r", "2", "--format", "json"),
+    ("graph", "quantum", "-t", "A", "-r", "2", "--format", "json"),
+    ("graph", "cayley", "--n", "3"),
+    ("table", "-t", "A", "-r", "2"),
+], ids=lambda argv: " ".join(argv[:2]))
+def test_empty_lambda_refused(capsys, argv):
+    # an empty --lambda is a weight with one empty entry, not a missing one
+    code, out, err = run_cli(capsys, *argv, "--lambda", "")
+    assert (code, out, err) == (1, "", "error: empty entry in lambda ''\n")
+
+
+@pytest.mark.parametrize("argv", [
     ("roots", "--type", "A", "--rank", "100000"),
     ("roots", "--type", "D", "--rank", "56", "--format", "json"),
     ("capacity", "--type", "B", "--rank", "100000", "--lambda", "1,0"),
@@ -346,6 +359,14 @@ def test_verify_unknown_check(capsys):
     code, _, err = run_cli(capsys, "verify", "--only", "nonsense")
     assert code == 1
     assert "unknown check" in err
+
+
+def test_verify_empty_only_refused(capsys):
+    # an empty --only names the one check '', as --only sandwich, names it last
+    for only in ("", "sandwich,"):
+        code, out, err = run_cli(capsys, "verify", "--only", only)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: unknown check ''; available: ")
 
 
 @pytest.fixture

@@ -523,7 +523,7 @@ def _step_graphs(draw):
 @given(_step_graphs())
 @example((1, [], 0))  # no steps: the vertex count cannot be read off a column
 @example((3, [([1, 2, 2], 1)], 0))  # every level a single vertex
-@example((4, [([1, 0, 3, 2], 0), ([2, 3, 0, 1], 2)], 0))  # zero-weight closure
+@example((4, [([1, 0, 3, 2], 0), ([2, 3, 0, 1], 2)], 0))  # a zero-weight step
 def test_step_dijkstra_matches_heap_dijkstra(graph):
     n, steps, src = graph
     adj = [[(column[u], w) for column, w in steps] for u in range(n)]
@@ -549,20 +549,25 @@ class _LoggedColumn(list):
 @example((4, [([1, 0, 3, 2], 0), ([2, 3, 0, 1], 2)], 0))
 @example((4, [([1, 2, 3, 3], 0), ([0, 0, 0, 0], 1)], 0))  # a zero step that is no involution
 def test_settled_levels_partition_the_reachable_set(graph):
+    # d never decreases, and strictly increases when no step weighs 0: a
+    # zero-weight step settles its images as a later level at the same d
     n, steps, src = graph
     dist = graphs._dijkstra([[(column[u], w) for column, w in steps] for u in range(n)], src)
-    log = []
-    levels = graphs._settled_levels(n, [(_LoggedColumn(column, log), w) for column, w in steps], src)
+    logs = [[] for _ in steps]
+    levels = graphs._settled_levels(n, [(_LoggedColumn(column, log), w)
+                                        for (column, w), log in zip(steps, logs)], src)
+    strict = all(w for _column, w in steps)
     settled, last = set(), -1
     for d, level in levels:
-        assert d > last and level and settled.isdisjoint(level)
+        assert (d > last if strict else d >= last) and level and settled.isdisjoint(level)
         assert all(dist[u] == d for u in level)
         settled |= level
         last = d
         if len(settled) == n:  # the last vertex: the search returns without relaxing
-            log.clear()
-            assert next(levels, None) is None and log == []
+            reads = list(map(len, logs))
+            assert next(levels, None) is None and list(map(len, logs)) == reads
     assert settled == {u for u, d in enumerate(dist) if d is not None}
+    assert all(len(log) == len(set(log)) for log in logs)  # each vertex's images read once
 
 
 def test_cayley_n2():

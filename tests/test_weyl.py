@@ -10,7 +10,7 @@ from bruhatcap import weyl as weyl_module
 from bruhatcap.capacity import TABLE_TYPES
 from bruhatcap.linalg import neg, vec
 from bruhatcap.rootsystem import RootSystem, key_absolute_length, weyl_group_order
-from reference_kernels import descent_lookup_enumeration
+from reference_kernels import descent_lookup_enumeration, orbit_cosets
 from rootsystem_oracle import fraction_rank
 from weyl_ops import compose, inverse, inversion_count, root_perms
 
@@ -295,6 +295,57 @@ def test_parabolic_counts_multiply(w_b3):
     for sp in [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]:
         pd = w_b3.parabolic(sp)
         assert pd.n_cosets * len(pd.wp_elements) == len(w_b3)
+
+
+SMALL_TABLE_TYPES = [(f, r) for f, r in TABLE_TYPES if weyl_group_order(f, r) <= 5040]
+
+
+@pytest.mark.parametrize("fam,rank", SMALL_TABLE_TYPES + [("E", 6)])
+def test_parabolic_matches_the_orbit_cosets(fam, rank):
+    # every S_P of each table type with |W| <= 5040; four of E6, one of them
+    # the S_P (1, 4) of the weight with Dynkin labels (1,0,2,1,0,1)
+    w = WeylGroup(build(fam, rank)) if fam != "E" else generate(build(fam, rank))
+    if fam == "E":
+        subsets = [(1, 4), (0,), (0, 2, 3, 4), (1, 2, 3, 4, 5)]
+    else:
+        subsets = [sp for size in range(rank + 1) for sp in combinations(range(rank), size)]
+    for sp in subsets:
+        pd = w.parabolic(sp)
+        assert (pd.coset_of, pd.coset_reps, pd.wp_elements) == orbit_cosets(w, sp)
+
+
+@pytest.mark.parametrize("fam,rank", [("A", 3), ("B", 3), ("G", 2)])
+def test_parabolic_refuses_a_table_swapped_across_cosets(fam, rank):
+    # Swap two entries u, v of one S_P table: when u and v lie in distinct
+    # cosets the table no longer permutes each coset, and every such swap is
+    # refused; a swap inside one coset is refused or gives the true cosets.
+    w = WeylGroup(build(fam, rank))
+    right = w.right
+    for size in range(1, rank):
+        for sp in combinations(range(rank), size):
+            expected = w.parabolic(sp)
+            for k in sp:
+                for u, v in combinations(range(len(w)), 2):
+                    table = list(right[k])
+                    table[u], table[v] = table[v], table[u]
+                    w.right = right[:k] + (tuple(table),) + right[k + 1:]
+                    w._parabolics.clear()
+                    try:
+                        got = w.parabolic(sp)
+                    except ConsistencyError as err:
+                        assert "data broken" in str(err)
+                        got = None
+                    assert got is None if expected.coset_of[u] != expected.coset_of[v] else got in (None, expected)
+            w.right = right
+
+
+def test_cosets_refuse_an_end_that_is_no_orbit_minimum():
+    # 0 -- 2 and 1 -- 2 join one orbit, and 1 has no image below itself, so
+    # the pass ends at both 0 and 1: refused, as no coset numbering
+    with pytest.raises(ConsistencyError, match="coset data broken"):
+        weyl_module.cosets(3, [(2, 1, 0), (0, 2, 1)])
+    assert weyl_module.cosets(3, [(2, 1, 0)]) == ((0, 1, 0), (0, 1))
+    assert weyl_module.cosets(2, []) == ((0, 1), (0, 1))
 
 
 def _image(weyl, w, mu):
