@@ -17,20 +17,21 @@ below): json.dumps lays out all of it.  The edge
 lists `BruhatGraph.edges`, `QuantumBruhatGraph.out` and
 `WeightedCayleyGraph.edges` come from the same reader, built on first read
 for the searches that walk them (d_min_all, the random walks).  The Weyl
-group module is imported only to type the Bruhat graphs and, by
-_quotient_frame, for its coset pass, so `graph cayley` loads none of it.
+group module is imported only to type the Bruhat graphs and, for tied
+entries, by _cayley_frame for its coset pass, so `graph cayley` loads none.
 
-Cayley distances come from _settled_levels, which yields the settled levels
-(d, level) of a level-by-level search over a frame's columns and returns
-after the level that settles the last vertex.  cayley_distances reads the
-list _step_dijkstra makes of the levels of S_n, tied entries giving
-zero-weight swaps whose images settle at the same d.  cayley_diameter reads
-only the last d of a search on S_n / W_lam, over one cached frame per n and
-tie pattern whose vertices are the cosets (weyl.cosets, the pass that
-WeylGroup.parabolic runs for W/W_P), after relabelling lam so that its tie
-blocks sit where the frame puts them; distinct entries search S_n (the
-proof is in _quotient_search).  A vertex argument (src, dst) must be
-an int in range(n_vertices); any other is refused with ValidationError.
+Cayley distances come from _settled_levels, a level-by-level search over a
+frame's columns that yields the settled levels (d, level) and returns after
+the level that settles the last vertex.  _cayley_frame(n, blocks), cached,
+is S_n / W for W permuting each block of consecutive positions: S_n itself
+when every block has size 1, else its cosets (weyl.cosets, the pass that
+WeylGroup.parabolic runs for W/W_P); _cayley_levels weighs its swaps and
+searches it.  cayley_distances searches S_n, tied entries giving zero-weight
+swaps whose images settle at the same d; cayley_diameter searches
+S_n / W_lam, lam relabelled so that its tie blocks sit where the frame puts
+them.  A vertex argument (src, dst, u, v) of min_path_area,
+cayley_distances, d_min, d_min_all or random_walk_degree must be an int in
+range(n_vertices); any other is refused with ValidationError.
 """
 
 from __future__ import annotations
@@ -138,17 +139,6 @@ def _settled_levels(n_vertices: int, steps, src: int) -> Iterator[tuple[int, set
                 bucket = pending[d + w] = []
                 heappush(heap, d + w)
             bucket.extend(images)
-
-
-def _step_dijkstra(n_vertices: int, steps, src: int) -> list[int | None]:
-    """All shortest distances from src, read off _settled_levels (whose
-    docstring states the step graph).  None marks an unreachable vertex, as
-    in _dijkstra."""
-    dist: list[int | None] = [None] * n_vertices
-    for d, level in _settled_levels(n_vertices, steps, src):
-        for u in level:
-            dist[u] = d
-    return dist
 
 
 def _upper_rows(columns) -> Iterator[tuple[int, list[tuple[int, int]]]]:
@@ -324,7 +314,8 @@ def d_min_all(graph: QuantumBruhatGraph, u: int) -> tuple[list[int], list[Degree
     vertex nearer u has one degree, y's set is the degrees its shortest-path
     edges carry, and it has one element exactly when they all agree.
     """
-    n, out, zero = graph.n_vertices, graph.out, graph.zero  # out is a cached attribute
+    _require_vertex("u", u, graph.n_vertices)  # before out, a cached attribute, is built
+    n, out, zero = graph.n_vertices, graph.out, graph.zero
     dist = [-1] * n
     dist[u] = 0
     degs: list[Degree] = [zero] * n
@@ -348,12 +339,14 @@ def d_min_all(graph: QuantumBruhatGraph, u: int) -> tuple[list[int], list[Degree
 
 def d_min(graph: QuantumBruhatGraph, u: int, v: int) -> tuple[Degree, int]:
     """The common degree and length of all shortest directed paths u -> v."""
+    _require_vertex("v", v, graph.n_vertices)
     dist, degs = d_min_all(graph, u)
     return degs[v], dist[v]
 
 
 def random_walk_degree(graph: QuantumBruhatGraph, rng, u: int, steps: int) -> tuple[int, Degree]:
     """Follow `steps` random directed edges from u; return endpoint and path degree."""
+    _require_vertex("u", u, graph.n_vertices)
     x, out = u, graph.out
     total = graph.zero
     for _ in range(steps):
@@ -368,24 +361,44 @@ def random_walk_degree(graph: QuantumBruhatGraph, rng, u: int, steps: int) -> tu
 
 
 @lru_cache(maxsize=None)
-def _cayley_frame(n: int) -> tuple:
-    """The swaps i < j of positions, and per swap its column: for each vertex
-    u, the index of u * (i j), u with its entries at positions i and j
-    exchanged.  Vertices are the permutations of S_n in lexicographic order,
-    as itertools emits them (the identity first); the permutations themselves
-    are not kept, cayley_graph lists them again for export.
-    Built once per n: callers check n against their cap first."""
-    perms = list(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    # u * (i j) = u * (i i+1) * (i+1 j) * (i i+1): only the adjacent swaps are
-    # read off the permutations, each other column is composed from (i+1 j)'s.
-    column = {}
-    for i in reversed(range(n - 1)):
-        a = column[i, i + 1] = tuple(index[p[:i] + (p[i + 1], p[i]) + p[i + 2:]] for p in perms)
-        for j in range(i + 2, n):
-            column[i, j] = tuple(map(a.__getitem__, map(column[i + 1, j].__getitem__, a)))
+def _cayley_frame(n: int, blocks: tuple[int, ...]) -> tuple:
+    """The frame of S_n / W, W = S_b1 x ... x S_bk permuting each block of
+    consecutive positions, blocks = (b1, ..., bk): the vertex count, the swaps
+    (i j) of positions i < j in distinct blocks, and per swap its column, for
+    each vertex u the vertex of u * (i j).
+
+    With every block of size 1, W is trivial: the vertices are the
+    permutations of S_n in lexicographic order, as itertools emits them (the
+    identity first), and every swap has a column.  The permutations
+    themselves are not kept; cayley_graph lists them again for export.
+    Otherwise the vertices are the cosets, weyl.cosets under the S_n columns
+    of the adjacent swaps inside a block, which generate W: a vertex not
+    increasing on a block has a lexicographically lower image, so a coset's
+    rep is its least vertex, the one increasing on each block, and cosets are
+    numbered in the order of their reps, the identity's coset first.
+    Built once per (n, blocks): callers check n against their cap first."""
     swaps = tuple(itertools.combinations(range(n), 2))
-    return swaps, tuple(column[s] for s in swaps)
+    if max(blocks) == 1:
+        perms = list(itertools.permutations(range(n)))
+        index = {p: i for i, p in enumerate(perms)}
+        # u * (i j) = u * (i i+1) * (i+1 j) * (i i+1): only the adjacent swaps are
+        # read off the permutations, each other column is composed from (i+1 j)'s.
+        column = {}
+        for i in reversed(range(n - 1)):
+            a = column[i, i + 1] = tuple(index[p[:i] + (p[i + 1], p[i]) + p[i + 2:]] for p in perms)
+            for j in range(i + 2, n):
+                column[i, j] = tuple(map(a.__getitem__, map(column[i + 1, j].__getitem__, a)))
+        return len(perms), swaps, tuple(column[s] for s in swaps)
+    from .weyl import cosets
+
+    n_perms, _swaps, columns = _cayley_frame(n, (1,) * n)
+    block_of = [b for b, size in enumerate(blocks) for _ in range(size)]
+    inside = [block_of[i] == block_of[j] for i, j in swaps]
+    adjacent = [b and j == i + 1 for b, (i, j) in zip(inside, swaps)]
+    outside = list(map(not_, inside))
+    coset_of, reps = cosets(n_perms, list(itertools.compress(columns, adjacent)))
+    return (len(reps), tuple(itertools.compress(swaps, outside)),
+            tuple(_coset_columns(itertools.compress(columns, outside), coset_of, reps)))
 
 
 def _require_cayley_size(n: int, lam: Vector, cap: int) -> None:
@@ -399,57 +412,12 @@ def _require_cayley_size(n: int, lam: Vector, cap: int) -> None:
         raise ValidationError(f"lambda has {len(lam)} entries, expected {n}")
 
 
-@lru_cache(maxsize=None)
-def _quotient_frame(n: int, blocks: tuple[int, ...]) -> tuple:
-    """The frame of S_n / W, W = S_b1 x ... x S_bk permuting each block of
-    consecutive positions, blocks = (b1, ..., bk) having one bi > 1: the swaps
-    (i j) between blocks and per swap its column, for each coset the index
-    of the coset of rep * (i j).  The cosets are weyl.cosets under the
-    columns of _cayley_frame(n) of the adjacent swaps inside a block, which
-    generate W: a vertex not increasing on a block has a lexicographically
-    lower image, so a coset's rep is its least vertex, the one increasing on
-    each block, and cosets are numbered in the order of their reps, the
-    identity's coset first.  Built once per (n, blocks): callers check n
-    against their cap first."""
-    from .weyl import cosets
-
-    swaps, columns = _cayley_frame(n)
-    block_of = [b for b, size in enumerate(blocks) for _ in range(size)]
-    inside = [block_of[i] == block_of[j] for i, j in swaps]
-    adjacent = [b and j == i + 1 for b, (i, j) in zip(inside, swaps)]
-    outside = list(map(not_, inside))
-    coset_of, reps = cosets(len(columns[0]), list(itertools.compress(columns, adjacent)))
-    return (tuple(itertools.compress(swaps, outside)),
-            tuple(_coset_columns(itertools.compress(columns, outside), coset_of, reps)))
-
-
-def _swap_steps(frame: tuple, ints) -> list:
-    """The steps (column, |ints_i - ints_j|) of a frame's swaps (i j)."""
-    swaps, columns = frame
-    return [(column, abs(ints[i] - ints[j])) for column, (i, j) in zip(columns, swaps)]
-
-
-def _quotient_search(n: int, lam: Vector) -> tuple[int, list, int]:
-    """The vertex count and the steps of S_n / W_lam, lam scaled to integers,
-    and the scale: what _settled_levels searches for the eccentricity of e.
-
-    lam is relabelled, sorted with its tie blocks by decreasing length, to
-    lam' = lam o sigma for a permutation sigma of the positions.  Then
-    u -> sigma^-1 u sigma takes u t to (sigma^-1 u sigma)(sigma^-1 t sigma),
-    and sigma^-1 (i j) sigma = (sigma^-1(i) sigma^-1(j)) weighs |lam_i - lam_j|
-    under lam': an isomorphism of the weighted graphs that fixes e, so the
-    eccentricity of e does not change.  The zero-weight swaps of lam' join the
-    vertices of a coset u W_lam.  For u = r p with p in W_lam, u t =
-    r (p t p^-1) p, and the swap p t p^-1 weighs what t weighs, so each coset
-    that u reaches at d + w, r reaches at d + w: the coset graph, read from
-    the reps, keeps the distances of S_n.  Distinct entries search S_n."""
-    ints, scale = scaled(lam)
-    runs = [list(run) for _v, run in itertools.groupby(sorted(ints, reverse=True))]
-    runs.sort(key=len, reverse=True)
-    blocks = tuple(map(len, runs))
-    frame = _cayley_frame(n) if blocks[0] == 1 else _quotient_frame(n, blocks)
-    steps = _swap_steps(frame, list(itertools.chain.from_iterable(runs)))
-    return (len(frame[1][0]) if frame[1] else 1), steps, scale
+def _cayley_levels(n: int, blocks: tuple[int, ...], ints, src: int) -> tuple[int, Iterator]:
+    """The vertex count of _cayley_frame(n, blocks) and the settled levels from
+    src of its swaps (i j), each weighing |ints_i - ints_j|."""
+    n_vertices, swaps, columns = _cayley_frame(n, blocks)
+    steps = [(column, abs(ints[i] - ints[j])) for column, (i, j) in zip(columns, swaps)]
+    return n_vertices, _settled_levels(n_vertices, steps, src)
 
 
 _DISCONNECTED = "Cayley graph is disconnected; this cannot happen for valid input"
@@ -457,7 +425,7 @@ _DISCONNECTED = "Cayley graph is disconnected; this cannot happen for valid inpu
 
 class WeightedCayleyGraph:
     """The Cayley graph of S_n on all transpositions, a view over the columns of
-    _cayley_frame(n).  The edge list and the index are built on first read."""
+    _cayley_frame(n, (1,) * n).  The edge list and the index are built on first read."""
 
     def __init__(self, n: int, lam: Vector):
         self.n = n
@@ -476,7 +444,7 @@ class WeightedCayleyGraph:
         """The one reader of the edges: (keys, rows), keys[k] being (i, j, |lam_i - lam_j|)
         for the k-th swap of positions i < j, and rows yielding per vertex u the edges
         u -- v, v > u, as sorted pairs (v, k)."""
-        swaps, columns = _cayley_frame(self.n)
+        _n_vertices, swaps, columns = _cayley_frame(self.n, (1,) * self.n)
         lam = self.lam
         keys = [(i, j, abs(lam[i] - lam[j])) for i, j in swaps]
         return keys, _upper_rows(columns)
@@ -497,12 +465,18 @@ def cayley_graph(n: int, lam, cap: int = DEFAULT_CAYLEY_CAP) -> WeightedCayleyGr
 
 def cayley_distances(graph: WeightedCayleyGraph, src: int) -> list[Fraction]:
     """Single-source Dijkstra over the weighted Cayley graph; src is a vertex index."""
+    n = graph.n
     _require_vertex("src", src, len(graph.perms))
     ints, scale = scaled(graph.lam)
-    dist = _step_dijkstra(len(graph.perms), _swap_steps(_cayley_frame(graph.n), ints), src)
+    n_vertices, levels = _cayley_levels(n, (1,) * n, ints, src)
+    dist: list = [None] * n_vertices
+    for d, level in levels:
+        at = Fraction(d, scale)
+        for u in level:
+            dist[u] = at
     if None in dist:
         raise ConsistencyError(_DISCONNECTED)
-    return [Fraction(d, scale) for d in dist]
+    return dist
 
 
 def transposition_distance_formula(lam, perm: tuple[int, ...]) -> Fraction:
@@ -514,14 +488,31 @@ def transposition_distance_formula(lam, perm: tuple[int, ...]) -> Fraction:
 
 
 def cayley_diameter(n: int, lam, cap: int = DEFAULT_CAYLEY_CAP) -> Fraction:
-    """max_sigma d(e, sigma); equals the graph diameter by left-invariance."""
+    """max_sigma d(e, sigma); equals the graph diameter by left-invariance.
+
+    The search runs on S_n / W_lam.  lam's tie blocks are consecutive, and
+    lam is relabelled with them by decreasing length, to lam' = lam o sigma
+    for a permutation sigma of the positions, so that one frame serves each
+    partition of n.  Then u -> sigma^-1 u sigma takes u t to
+    (sigma^-1 u sigma)(sigma^-1 t sigma), and sigma^-1 (i j) sigma =
+    (sigma^-1(i) sigma^-1(j)) weighs |lam_i - lam_j| under lam': an
+    isomorphism of the weighted graphs that fixes e, so the eccentricity of
+    e does not change.  The zero-weight swaps of lam' join the vertices of a
+    coset u W_lam.  For u = r p with p in W_lam, u t = r (p t p^-1) p, and
+    the swap p t p^-1 weighs what t weighs, so each coset that u reaches at
+    d + w, r reaches at d + w: the coset graph, read from the reps, keeps
+    the distances of S_n.  Distinct entries give the blocks (1, ..., 1),
+    whose frame is S_n itself."""
     lam = vec(lam)
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
         raise ValidationError("lambda must be sorted in nonincreasing order")
     _require_cayley_size(n, lam, cap)
-    n_vertices, steps, scale = _quotient_search(n, lam)
+    ints, scale = scaled(lam)
+    runs = sorted((list(run) for _v, run in itertools.groupby(ints)), key=len, reverse=True)
+    blocks = tuple(map(len, runs))
+    n_vertices, levels = _cayley_levels(n, blocks, list(itertools.chain.from_iterable(runs)), 0)
     settled = 0
-    for d, level in _settled_levels(n_vertices, steps, 0):  # the identity's coset comes first
+    for d, level in levels:  # the identity's coset comes first
         settled += len(level)
     if settled < n_vertices:
         raise ConsistencyError(_DISCONNECTED)

@@ -134,7 +134,7 @@ def oracle_quantum_out(weyl):
 
 def oracle_cayley_edges(graph):
     """(u, v, i, j, |lam_i - lam_j|), u < v, vertex by vertex over the Cayley frame."""
-    swaps, columns = graphs._cayley_frame(graph.n)
+    _n_vertices, swaps, columns = graphs._cayley_frame(graph.n, (1,) * graph.n)
     lam = graph.lam
     return sorted((u, v, i, j, abs(lam[i] - lam[j]))
                   for u, row in enumerate(zip(*columns))

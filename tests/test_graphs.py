@@ -1,5 +1,4 @@
 import json
-import math
 import random
 from fractions import Fraction
 from itertools import accumulate, combinations, permutations
@@ -525,9 +524,14 @@ def _step_graphs(draw):
 @example((3, [([1, 2, 2], 1)], 0))  # every level a single vertex
 @example((4, [([1, 0, 3, 2], 0), ([2, 3, 0, 1], 2)], 0))  # a zero-weight step
 def test_step_dijkstra_matches_heap_dijkstra(graph):
+    # the distances read off the settled levels, None where no level reaches
     n, steps, src = graph
     adj = [[(column[u], w) for column, w in steps] for u in range(n)]
-    assert graphs._step_dijkstra(n, steps, src) == graphs._dijkstra(adj, src)
+    dist = [None] * n
+    for d, level in graphs._settled_levels(n, steps, src):
+        for u in level:
+            dist[u] = d
+    assert dist == graphs._dijkstra(adj, src)
 
 
 class _LoggedColumn(list):
@@ -585,11 +589,10 @@ def test_cayley_unsorted_rejected():
 
 
 def _refuse_every_frame_build(monkeypatch):
-    def unexpected(n, *blocks):
+    def unexpected(n, blocks):
         raise AssertionError(f"the S_{n} structure was built")
 
     monkeypatch.setattr(graphs, "_cayley_frame", unexpected)
-    monkeypatch.setattr(graphs, "_quotient_frame", unexpected)
 
 
 def test_cayley_cap(monkeypatch):
@@ -632,15 +635,15 @@ def test_cayley_frame_columns_match_swapping_positions(n):
     swaps = tuple(combinations(range(n), 2))
     columns = tuple(tuple(index[p[:i] + (p[j],) + p[i + 1:j] + (p[i],) + p[j + 1:]] for p in perms)
                     for i, j in swaps)
-    assert graphs._cayley_frame(n) == (swaps, columns)
+    assert graphs._cayley_frame(n, (1,) * n) == (len(perms), swaps, columns)
 
 
 def test_cayley_distances_disconnected(monkeypatch):
     g = cayley_graph(3, [2, 1, 0])
-    swaps, _columns = graphs._cayley_frame(3)
+    n_vertices, swaps, _columns = graphs._cayley_frame(3, (1, 1, 1))
     # Every swap fixes every vertex, so nothing but the source is reachable.
-    loops = tuple(range(len(g.perms)))
-    monkeypatch.setattr(graphs, "_cayley_frame", lambda n: (swaps, (loops,) * len(swaps)))
+    loops = tuple(range(n_vertices))
+    monkeypatch.setattr(graphs, "_cayley_frame", lambda n, blocks: (n_vertices, swaps, (loops,) * len(swaps)))
     with pytest.raises(ConsistencyError, match="disconnected"):
         cayley_distances(g, 0)
     with pytest.raises(ConsistencyError, match="disconnected"):
@@ -654,6 +657,18 @@ def test_cayley_distances_refuses_a_source_out_of_range(src):
     with pytest.raises(ValidationError, match=r"src must be a vertex index in range\(6\), got "):
         cayley_distances(g, src)
     assert cayley_distances(g, 5) == [2, 2, 2, 1, 1, 0]
+
+
+@pytest.mark.parametrize("vertex", [-1, 6, True, 0.0])
+def test_quantum_searches_refuse_a_vertex_out_of_range(w_a2, vertex):
+    # A2 has 6 elements; -1 and True used to answer for the vertices 5 and 1.
+    q = quantum_bruhat_graph(w_a2)
+    refused = r"must be a vertex index in range\(6\), got "
+    for search in (lambda: d_min(q, vertex, 0), lambda: d_min(q, 0, vertex), lambda: d_min_all(q, vertex),
+                   lambda: random_walk_degree(q, random.Random(0), vertex, 3)):
+        with pytest.raises(ValidationError, match=refused):
+            search()
+    assert d_min(q, 5, 5) == ((0, 0), 0) and random_walk_degree(q, random.Random(0), 5, 0) == (5, (0, 0))
 
 
 _DISTINCT = (Fraction(7, 2), Fraction(-4, 3), 1, Fraction(1, 2), Fraction(5, 3))
@@ -735,21 +750,12 @@ def _tie_patterns(n):
     return [[list(range(a, b)) for a, b in zip(s, s[1:])] for s in starts]
 
 
-def _eccentricity(n_vertices, steps):
-    """The last distance _settled_levels settles from vertex 0, and the number of vertices settled."""
-    settled, d = 0, None
-    for d, level in graphs._settled_levels(n_vertices, steps, 0):
-        settled += len(level)
-    return d, settled
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_quotient_eccentricity_is_the_sn_eccentricity_on_every_tie_pattern(n):
-    # Each pattern's lam, relabelled by _quotient_search onto its quotient
-    # frame, has the eccentricity of e that the search over all of S_n, with
-    # the zero-weight closure, finds.  Block values are spaced to give
-    # distinct weights, then equal nonzero weights.
-    frame = graphs._cayley_frame(n)
+    # Each pattern's lam, sorted, has the diameter (a search on its quotient
+    # frame, lam relabelled onto it) that the search over all of S_n, with
+    # zero-weight swaps, finds from e for lam as it stands.  Block values are
+    # spaced to give distinct weights, then equal nonzero weights.
     patterns = _tie_patterns(n)
     assert len(patterns) == [1, 2, 5, 15, 52, 11, 15][n - 1]  # Bell numbers, then partition numbers
     for blocks in patterns:
@@ -758,12 +764,8 @@ def test_quotient_eccentricity_is_the_sn_eccentricity_on_every_tie_pattern(n):
             for b, block in enumerate(blocks):
                 for k in block:
                     lam[k] = spacing(b)
-            n_vertices, steps, scale = graphs._quotient_search(n, vec(lam))
-            assert scale == 1
-            assert n_vertices == math.factorial(n) // math.prod(map(math.factorial, map(len, blocks)))
-            assert all(w > 0 for _column, w in steps)  # no zero-weight swap is left
-            full = graphs._step_dijkstra(math.factorial(n), graphs._swap_steps(frame, lam), 0)
-            assert _eccentricity(n_vertices, steps) == (max(full), n_vertices)
+            full = cayley_distances(cayley_graph(n, lam), 0)
+            assert cayley_diameter(n, sorted(lam, reverse=True)) == max(full)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
@@ -772,9 +774,7 @@ def test_quotient_frame_matches_sorting_each_block(n):
     # block of r * (i j), and cosets are numbered in the order of their
     # increasing-on-each-block representatives.
     perms = list(permutations(range(n)))
-    for blocks in _partitions(n):
-        if blocks[0] == 1:
-            continue
+    for blocks in _partitions(n):  # (1, ..., 1) is S_n itself: every permutation a coset
         cuts = list(accumulate(blocks, initial=0))
 
         def rep(p):
@@ -786,18 +786,23 @@ def test_quotient_frame_matches_sorting_each_block(n):
         swaps = tuple((i, j) for i, j in combinations(range(n), 2) if block_of[i] != block_of[j])
         columns = tuple(tuple(coset[rep(p[:i] + (p[j],) + p[i + 1:j] + (p[i],) + p[j + 1:])] for p in reps)
                         for i, j in swaps)
-        assert graphs._quotient_frame(n, blocks) == (swaps, columns)
+        assert graphs._cayley_frame(n, blocks) == (len(reps), swaps, columns)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
-def test_distinct_entries_search_the_sn_frame_itself(n):
-    # The partition (1, ..., 1) builds no frame: its steps hold the S_n
-    # frame's own columns.
-    lam = vec(_DISTINCT[:n] if n <= 5 else range(n))
-    n_vertices, steps, _scale = graphs._quotient_search(n, lam)
-    _swaps, columns = graphs._cayley_frame(n)
-    assert n_vertices == math.factorial(n)
-    assert len(steps) == len(columns) and all(c is s for c, (s, _w) in zip(columns, steps))
+def test_distinct_entries_search_the_sn_frame_itself(monkeypatch, n):
+    # The partition (1, ..., 1) builds no frame but S_n's own.
+    lam = sorted(_DISTINCT[:n] if n <= 5 else range(n), reverse=True)
+    built = []
+
+    def logged(n, blocks):
+        built.append((n, blocks))
+        return frame(n, blocks)
+
+    frame = graphs._cayley_frame
+    monkeypatch.setattr(graphs, "_cayley_frame", logged)
+    assert cayley_diameter(n, lam) == unitary_capacity(lam)
+    assert built == [(n, (1,) * n)]
 
 
 def _floyd_warshall_oracle(n, lam):
@@ -845,17 +850,20 @@ def test_cayley_distance_formula_strictly_decreasing():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(0, 6), min_size=4, max_size=4))
-def test_cayley_distance_at_most_formula_with_ties(values):
+@given(st.lists(st.sampled_from([Fraction(k, 3) for k in range(-4, 7)]), min_size=2, max_size=5))
+def test_cayley_distance_is_the_formula_with_ties(values):
+    # d(e, u) <= the formula along a path of swaps; >=, since one swap (i j)
+    # moves (1/2) sum_k |lam_k - lam_u(k)| by at most |lam_i - lam_j| (the
+    # triangle inequality).  Relabelling carries both sides to unsorted lam.
+    n = len(values)
+    rev = tuple(range(n, 0, -1))
+    for lam in (sorted(values, reverse=True), values):
+        g = cayley_graph(n, lam)
+        formula = [transposition_distance_formula(lam, p) for p in g.perms]
+        assert cayley_distances(g, g.identity_index) == formula
     lam = sorted(values, reverse=True)
-    g = cayley_graph(4, lam)
-    dist = cayley_distances(g, g.identity_index)
-    rev = tuple(range(4, 0, -1))
-    for idx, p in enumerate(g.perms):
-        assert dist[idx] <= transposition_distance_formula(lam, p)
-        # rearrangement bound
-        assert transposition_distance_formula(lam, p) <= \
-            transposition_distance_formula(lam, rev)
+    for p in g.perms:  # rearrangement bound
+        assert transposition_distance_formula(lam, p) <= transposition_distance_formula(lam, rev)
 
 
 def test_cayley_left_invariance():
