@@ -793,13 +793,12 @@ def test_quotient_frame_matches_sorting_each_block(n):
 def test_distinct_entries_search_the_sn_frame_itself(monkeypatch, n):
     # The partition (1, ..., 1) builds no frame but S_n's own.
     lam = sorted(_DISTINCT[:n] if n <= 5 else range(n), reverse=True)
-    built = []
+    frame, built = graphs._cayley_frame, []
 
     def logged(n, blocks):
         built.append((n, blocks))
         return frame(n, blocks)
 
-    frame = graphs._cayley_frame
     monkeypatch.setattr(graphs, "_cayley_frame", logged)
     assert cayley_diameter(n, lam) == unitary_capacity(lam)
     assert built == [(n, (1,) * n)]
