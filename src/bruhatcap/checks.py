@@ -61,34 +61,54 @@ def _weights(types, rng: random.Random, samples: int):
             yield rs, dec, capacity.random_dominant(rs, rng)
 
 
+def _partitions(n: int, largest: int | None = None):
+    """Every partition of n, as a tuple of nonincreasing parts."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part, *rest)
+
+
 def check_unitary_diameter(*, seed: int = 0, ns: range | tuple = range(2, DEFAULT_CAYLEY_CAP + 1),
                            samples: int = 100) -> CheckResult:
     """Weighted Cayley diameter equals (1/2) sum |lam_k - lam_{n-k+1}| exactly.
 
-    The detail counts the weights with a repeated entry: cayley_diameter
-    searches those on S_n / W_lam, over the cached frame of their tie
-    pattern whose vertices are the cosets, and the others on all of S_n."""
+    Per n, `samples` weights with entries in -20..20 are drawn, and then one
+    weight per tie pattern, a partition of n laid out in a random order of
+    its blocks, so that every frame is searched, rare patterns such as (n)
+    included.  The detail counts the weights with a repeated entry:
+    cayley_diameter searches those on W_lam \\ S_n / W_lam, over the cached
+    frame of their tie pattern whose vertices are the double cosets, and the
+    others on all of S_n."""
     from . import graphs
 
     t0 = time.perf_counter()
     rng = random.Random(seed)
-    tested = tied = 0
+    sampled = [sorted((rng.randint(-20, 20) for _ in range(n)), reverse=True)
+               for n in ns for _ in range(samples)]
+    patterns = []
     for n in ns:
-        for _ in range(samples):
-            lam = sorted((rng.randint(-20, 20) for _ in range(n)), reverse=True)
-            expected = capacity.unitary_capacity(lam)
-            got = graphs.cayley_diameter(n, lam)
-            if got != expected:
-                return _result(
-                    "unitary-diameter", t0, False,
-                    f"n={n} lambda={lam}: Dijkstra diameter {got} != formula {expected}",
-                )
-            tested += 1
-            tied += len(set(lam)) < n
+        for blocks in _partitions(n):
+            blocks = rng.sample(blocks, len(blocks))
+            values = sorted(rng.sample(range(-20, 21), len(blocks)), reverse=True)
+            patterns.append([v for v, size in zip(values, blocks) for _ in range(size)])
+    tied = 0
+    for lam in sampled + patterns:
+        expected = capacity.unitary_capacity(lam)
+        got = graphs.cayley_diameter(len(lam), lam)
+        if got != expected:
+            return _result(
+                "unitary-diameter", t0, False,
+                f"n={len(lam)} lambda={lam}: Dijkstra diameter {got} != formula {expected}",
+            )
+        tied += len(set(lam)) < len(lam)
+    tested = len(sampled) + len(patterns)
     return _result("unitary-diameter", t0, True,
-                   f"{tested} weights across n={list(ns)} match exactly: "
-                   f"{tested - tied} with distinct entries, searched on S_n, and "
-                   f"{tied} with a repeated entry, on S_n/W_lambda")
+                   f"{tested} weights across n={list(ns)} match exactly, {len(patterns)} of them one "
+                   f"per tie pattern: {tested - tied} with distinct entries, searched on S_n, and "
+                   f"{tied} with a repeated entry, on W_lambda\\S_n/W_lambda")
 
 
 def check_type_c_sharp(*, seed: int = 0, samples: int = 5,

@@ -23,13 +23,16 @@ entries, by _cayley_frame for its coset pass, so `graph cayley` loads none.
 Cayley distances come from _settled_levels, a level-by-level search over a
 frame's columns that yields the settled levels (d, level) and returns after
 the level that settles the last vertex.  _cayley_frame(n, blocks), cached,
-is S_n / W for W permuting each block of consecutive positions: S_n itself
-when every block has size 1, else its cosets (weyl.cosets, the pass that
-WeylGroup.parabolic runs for W/W_P); _cayley_levels weighs its swaps and
-searches it.  cayley_distances searches S_n, tied entries giving zero-weight
-swaps whose images settle at the same d; cayley_diameter searches
-S_n / W_lam, lam relabelled so that its tie blocks sit where the frame puts
-them.  A vertex argument (src, dst, u, v) of min_path_area,
+is W \\ S_n / W for W permuting each block of consecutive positions: S_n
+itself when every block has size 1, else its double cosets (weyl.cosets, the
+pass that WeylGroup.parabolic runs for W/W_P, under the swaps inside a block
+of positions and of values); _cayley_levels weighs its swaps and searches it.
+cayley_distances searches S_n, tied entries giving zero-weight swaps whose
+images settle at the same d; cayley_diameter searches W_lam \\ S_n / W_lam,
+lam relabelled so that its tie blocks sit where the frame puts them: W_lam
+acting on both sides is a group of automorphisms of the weighted graph that
+maps e's coset onto itself, so the distance from e is constant on each
+double coset (the proof is in cayley_diameter).  A vertex argument (src, dst, u, v) of min_path_area,
 cayley_distances, d_min, d_min_all or random_walk_degree must be an int in
 range(n_vertices); any other is refused with ValidationError.
 """
@@ -362,7 +365,7 @@ def random_walk_degree(graph: QuantumBruhatGraph, rng, u: int, steps: int) -> tu
 
 @lru_cache(maxsize=None)
 def _cayley_frame(n: int, blocks: tuple[int, ...]) -> tuple:
-    """The frame of S_n / W, W = S_b1 x ... x S_bk permuting each block of
+    """The frame of W \\ S_n / W, W = S_b1 x ... x S_bk permuting each block of
     consecutive positions, blocks = (b1, ..., bk): the vertex count, the swaps
     (i j) of positions i < j in distinct blocks, and per swap its column, for
     each vertex u the vertex of u * (i j).
@@ -371,12 +374,17 @@ def _cayley_frame(n: int, blocks: tuple[int, ...]) -> tuple:
     permutations of S_n in lexicographic order, as itertools emits them (the
     identity first), and every swap has a column.  The permutations
     themselves are not kept; cayley_graph lists them again for export.
-    Otherwise the vertices are the cosets, weyl.cosets under the S_n columns
-    of the adjacent swaps inside a block, which generate W: a vertex not
-    increasing on a block has a lexicographically lower image, so a coset's
-    rep is its least vertex, the one increasing on each block, and cosets are
-    numbered in the order of their reps, the identity's coset first.
-    Built once per (n, blocks): callers check n against their cap first."""
+    Otherwise the vertices are the double cosets W u W, weyl.cosets under the
+    S_n columns of the adjacent swaps inside a block, of positions (u -> u *
+    (a a+1), which generate the right action of W) and of values (u -> (a a+1)
+    * u, the left action; the blocks of values are those of positions).  A
+    vertex that is not increasing on a block, or that puts two values of a
+    block out of order, has a lexicographically lower image, so a double
+    coset's rep is its least vertex, the one with neither descent, which is
+    its minimal-length element (Bjorner-Brenti, Combinatorics of Coxeter
+    Groups, ch. 2), and the double cosets are numbered in the order of their
+    reps, the identity's first.  Built once per (n, blocks): callers check n
+    against their cap first."""
     swaps = tuple(itertools.combinations(range(n), 2))
     if max(blocks) == 1:
         perms = list(itertools.permutations(range(n)))
@@ -396,13 +404,30 @@ def _cayley_frame(n: int, blocks: tuple[int, ...]) -> tuple:
     inside = [block_of[i] == block_of[j] for i, j in swaps]
     adjacent = [b and j == i + 1 for b, (i, j) in zip(inside, swaps)]
     outside = list(map(not_, inside))
-    coset_of, reps = cosets(n_perms, list(itertools.compress(columns, adjacent)))
+    by_positions = list(itertools.compress(columns, adjacent))
+    # (a a+1) * u = (u^-1 * (a a+1))^-1: a value swap's column is its position
+    # swap's, read between two inversions.
+    inverse = _inverse_column(n)
+    at_inverses = itemgetter(*inverse)
+    by_values = [itemgetter(*at_inverses(column))(inverse) for column in by_positions]
+    coset_of, reps = cosets(n_perms, by_positions + by_values)
     return (len(reps), tuple(itertools.compress(swaps, outside)),
             tuple(_coset_columns(itertools.compress(columns, outside), coset_of, reps)))
 
 
+@lru_cache(maxsize=None)
+def _inverse_column(n: int) -> tuple[int, ...]:
+    """Per vertex u of the S_n frame, the vertex of u^-1."""
+    perms = list(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    positions = range(n)
+    return tuple(index[tuple(map(p.index, positions))] for p in perms)
+
+
 def _require_cayley_size(n: int, lam: Vector, cap: int) -> None:
     """The checks of n, lam and the cap, made before any frame is built."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValidationError(f"n must be an int, got {n!r}")
     require_nonnegative_cap("cap", cap)
     if n < 1:
         raise ValidationError("n must be positive")
@@ -480,8 +505,12 @@ def cayley_distances(graph: WeightedCayleyGraph, src: int) -> list[Fraction]:
 
 
 def transposition_distance_formula(lam, perm: tuple[int, ...]) -> Fraction:
-    """The closed-form candidate (1/2) sum_i |lam_i - lam_{perm(i)}|."""
+    """The closed-form candidate (1/2) sum_i |lam_i - lam_{perm(i)}|, perm a
+    permutation of 1..len(lam) in one-line notation; any other is refused."""
     lam = vec(lam)
+    if (not all(isinstance(k, int) and not isinstance(k, bool) for k in perm)
+            or sorted(perm) != list(range(1, len(lam) + 1))):
+        raise ValidationError(f"perm must be a permutation of 1..{len(lam)}, got {perm!r}")
     return Fraction(1, 2) * sum(
         (abs(lam[i] - lam[perm[i] - 1]) for i in range(len(perm))), Fraction(0)
     )
@@ -490,18 +519,28 @@ def transposition_distance_formula(lam, perm: tuple[int, ...]) -> Fraction:
 def cayley_diameter(n: int, lam, cap: int = DEFAULT_CAYLEY_CAP) -> Fraction:
     """max_sigma d(e, sigma); equals the graph diameter by left-invariance.
 
-    The search runs on S_n / W_lam.  lam's tie blocks are consecutive, and
-    lam is relabelled with them by decreasing length, to lam' = lam o sigma
-    for a permutation sigma of the positions, so that one frame serves each
-    partition of n.  Then u -> sigma^-1 u sigma takes u t to
-    (sigma^-1 u sigma)(sigma^-1 t sigma), and sigma^-1 (i j) sigma =
+    The search runs on W_lam \\ S_n / W_lam.  lam's tie blocks are
+    consecutive, and lam is relabelled with them by decreasing length, to
+    lam' = lam o sigma for a permutation sigma of the positions, so that one
+    frame serves each partition of n.  Then u -> sigma^-1 u sigma takes u t
+    to (sigma^-1 u sigma)(sigma^-1 t sigma), and sigma^-1 (i j) sigma =
     (sigma^-1(i) sigma^-1(j)) weighs |lam_i - lam_j| under lam': an
     isomorphism of the weighted graphs that fixes e, so the eccentricity of
-    e does not change.  The zero-weight swaps of lam' join the vertices of a
-    coset u W_lam.  For u = r p with p in W_lam, u t = r (p t p^-1) p, and
-    the swap p t p^-1 weighs what t weighs, so each coset that u reaches at
-    d + w, r reaches at d + w: the coset graph, read from the reps, keeps
-    the distances of S_n.  Distinct entries give the blocks (1, ..., 1),
+    e does not change.
+
+    The group W_lam x W_lam acts on S_n by u -> p u q^-1, and each (p, q) is
+    an automorphism of the weighted graph: it takes the edge u -- u t to
+    p u q^-1 -- (p u q^-1)(q t q^-1), and the swap q t q^-1 weighs what t
+    weighs, since q fixes lam'.  It maps the source W_lam, the vertices
+    that zero-weight swaps join to e, onto itself.  The orbit graph of an
+    automorphism group that fixes the source keeps the source's distances:
+    an automorphism g gives d(W_lam, g u) = d(g^-1 W_lam, u) = d(W_lam, u),
+    and every vertex of an orbit has, through g, the edges of its orbit's
+    rep r to the same orbits at the same weights, so a shortest path
+    projects onto the orbits and the orbit graph's paths lift, each at its
+    weight.  The orbits are the double cosets W_lam r W_lam, and r's edges
+    are its swaps (i j) between blocks: a swap inside a block weighs 0 and
+    stays in r's orbit.  Distinct entries give the blocks (1, ..., 1),
     whose frame is S_n itself."""
     lam = vec(lam)
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):

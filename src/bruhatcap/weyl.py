@@ -12,14 +12,14 @@ permutation: only the |R+| reflections do, each conjugated from one of
 lower height.  The graphs are views over these tables: each reads a
 vertex's edges from them when it is needed, and none copies them into an
 edge list for an export.  The cosets of W/W_P come from cosets(), the one
-coset pass, which graphs also runs for S_n / W_lambda: each element steps
-down the tables of S_P until it has no descent there, which in the
-breadth-first order ends at its coset's minimal-length element.  Tables and
-cosets are built on first use and kept on the group; the word labels of all
-elements are read off the breadth-first tree in one pass.  How many bytes an
-enumeration and its tables take is estimated before any is built
-(enumeration_bytes), so a group over the memory budget is refused, like one
-over the element cap, before it allocates.
+coset pass, which graphs also runs for the double cosets W_lambda \\ S_n /
+W_lambda: each element steps down the tables of S_P until it has no descent
+there, which in the breadth-first order ends at its coset's minimal-length
+element.  Tables and cosets are built on first use and kept on the group;
+the word labels of all elements are read off the breadth-first tree in one
+pass.  How many bytes an enumeration and its tables take is estimated
+before any is built (enumeration_bytes), so a group over the memory budget
+is refused, like one over the element cap, before it allocates.
 """
 
 from __future__ import annotations
@@ -93,10 +93,11 @@ def cosets(n: int, generators) -> tuple[tuple[int, ...], tuple[int, ...]]:
     composed with itself until it stops changing, in C-level passes.  When every
     vertex but an orbit's least has a lower image, as one with a descent in S_P
     has in the breadth-first order of W (Bjorner-Brenti, Combinatorics of
-    Coxeter Groups, ch. 2), or one not increasing on a block in the
-    lexicographic order of S_n, the passes end at that least vertex, the
-    minimal-length representative.  Any other end is refused: ConsistencyError
-    unless every generator maps each vertex into its own coset."""
+    Coxeter Groups, ch. 2), or one with a descent on a block of positions or
+    of values in the lexicographic order of S_n, the passes end at that least
+    vertex, the minimal-length representative.  Any other end is refused:
+    ConsistencyError unless every generator maps each vertex into its own
+    coset."""
     vertices = range(n)
     if not generators:
         return tuple(vertices), tuple(vertices)

@@ -491,19 +491,32 @@ def test_unitary_capacity_rejects_unsorted():
         unitary_capacity([1, 2, 3])
 
 
-def test_unitary_diameter_check_counts_weights_with_a_repeated_entry():
-    # The check draws its weights as below.  Its detail splits them by the
-    # space cayley_diameter searched: S_n, or S_n / W_lambda for a tied weight.
+def test_unitary_diameter_check_counts_weights_with_a_repeated_entry(monkeypatch):
+    # The check draws its sampled weights as below, and then one weight per
+    # partition of each n (3 + 15 here), each tied but (1, 1, 1) and
+    # (1, ..., 1), so that it searches every frame.  Its detail splits them
+    # by the space cayley_diameter searched: S_n, or the double cosets
+    # W_lambda \\ S_n / W_lambda for a tied weight.
     rng = random.Random(5)
     tied = 0
     for n in (3, 7):
         for _ in range(30):
             tied += len({rng.randint(-20, 20) for _ in range(n)}) < n
     assert 0 < tied < 60
+    frame, searched = graphs._cayley_frame, set()
+
+    def logged(n, blocks):
+        searched.add(blocks)
+        return frame(n, blocks)
+
+    monkeypatch.setattr(graphs, "_cayley_frame", logged)
     res = checks.check_unitary_diameter(seed=5, ns=(3, 7), samples=30)
     assert res.passed
-    assert res.detail == (f"60 weights across n=[3, 7] match exactly: {60 - tied} with distinct "
-                          f"entries, searched on S_n, and {tied} with a repeated entry, on S_n/W_lambda")
+    assert res.detail == (f"78 weights across n=[3, 7] match exactly, 18 of them one per tie pattern: "
+                          f"{62 - tied} with distinct entries, searched on S_n, and {tied + 16} with a "
+                          f"repeated entry, on W_lambda\\S_n/W_lambda")
+    assert searched == {*checks._partitions(3), *checks._partitions(7)}
+    assert len(searched) == 18
 
 
 # -- closed-form table ----------------------------------------------------------------

@@ -615,6 +615,15 @@ def test_cayley_negative_cap_refused_before_any_build(monkeypatch, entry):
             entry(len(lam), lam, cap=len(lam) - 1)
 
 
+@pytest.mark.parametrize("entry", [cayley_graph, cayley_diameter])
+@pytest.mark.parametrize("n,lam", [(2.0, [1, 0]), (True, [1]), (False, []), ("2", [1, 0]), (None, [1])])
+def test_cayley_size_that_is_no_int_refused_before_any_build(monkeypatch, entry, n, lam):
+    # 2.0 used to raise a bare TypeError from range, and True to answer as n = 1.
+    _refuse_every_frame_build(monkeypatch)
+    with pytest.raises(ValidationError, match=f"n must be an int, got {n!r}"):
+        entry(n, lam)
+
+
 def test_cayley_diameter_interleaved_sizes():
     # the cached S_n structure of one n never serves another
     for n, lam in [
@@ -768,25 +777,85 @@ def test_quotient_eccentricity_is_the_sn_eccentricity_on_every_tie_pattern(n):
             assert cayley_diameter(n, sorted(lam, reverse=True)) == max(full)
 
 
+def _swap_positions(p, i, j):
+    """The permutation p * (i j): p with its entries at positions i and j exchanged."""
+    q = list(p)
+    q[i], q[j] = q[j], q[i]
+    return tuple(q)
+
+
+def _swap_values(p, a, b):
+    """The permutation (a b) * p: p with its values a and b exchanged."""
+    return tuple(b if x == a else a if x == b else x for x in p)
+
+
+def _block_swaps(blocks):
+    """Every transposition (i j), i < j, of two members of one block of blocks."""
+    return [pair for block in blocks for pair in combinations(sorted(block), 2)]
+
+
+def _double_cosets(perms, blocks):
+    """The double cosets W p W of the permutations perms of range(n), W
+    permuting each block of blocks (as positions on the right, as values on
+    the left), as (reps, of): reps lists each double coset's least element,
+    in lexicographic order, and of[p] is the position in reps of p's double
+    coset.  Each orbit of W x W is closed under every swap inside a block,
+    from its first permutation in lexicographic order, its least."""
+    swaps = _block_swaps(blocks)
+    reps, of = [], {}
+    for p in sorted(perms):
+        if p in of:
+            continue
+        of[p] = len(reps)
+        orbit = [p]
+        for q in orbit:  # the orbit grows while it is read
+            for i, j in swaps:
+                for r in (_swap_positions(q, i, j), _swap_values(q, i, j)):
+                    if r not in of:
+                        of[r] = len(reps)
+                        orbit.append(r)
+        reps.append(p)
+    return reps, of
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_quotient_frame_matches_sorting_each_block(n):
-    # Each column directly: the coset of r * (i j) is found by sorting each
-    # block of r * (i j), and cosets are numbered in the order of their
-    # increasing-on-each-block representatives.
+    # Against the brute-force orbits of W_lam x W_lam, whose least elements
+    # are sorted on each block of positions and of values: the frame's
+    # vertices are the double cosets, numbered in the order of their least
+    # elements, and each column takes the double coset of r to that of
+    # r * (i j).
     perms = list(permutations(range(n)))
-    for blocks in _partitions(n):  # (1, ..., 1) is S_n itself: every permutation a coset
+    for blocks in _partitions(n):  # (1, ..., 1) is S_n itself: every permutation a vertex
         cuts = list(accumulate(blocks, initial=0))
-
-        def rep(p):
-            return tuple(x for a, b in zip(cuts, cuts[1:]) for x in sorted(p[a:b]))
-
-        reps = [p for p in perms if rep(p) == p]
-        coset = {p: c for c, p in enumerate(reps)}
+        reps, of = _double_cosets(perms, [range(a, b) for a, b in zip(cuts, cuts[1:])])
         block_of = [b for b, size in enumerate(blocks) for _ in range(size)]
         swaps = tuple((i, j) for i, j in combinations(range(n), 2) if block_of[i] != block_of[j])
-        columns = tuple(tuple(coset[rep(p[:i] + (p[j],) + p[i + 1:j] + (p[i],) + p[j + 1:])] for p in reps)
-                        for i, j in swaps)
+        columns = tuple(tuple(of[_swap_positions(r, i, j)] for r in reps) for i, j in swaps)
         assert graphs._cayley_frame(n, blocks) == (len(reps), swaps, columns)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_cayley_distance_is_constant_on_each_double_coset(n):
+    # The lemma under the double-coset frame: d(e, p u q) = d(e, u) for p, q
+    # in W_lam, on every tie pattern, blocks apart or not.  The swaps inside
+    # the blocks generate W_lam, so it is enough that each, as a swap of
+    # positions (u -> u * t) or of values (u -> t * u), keeps every distance.
+    g = cayley_graph(n, [0] * n)
+    pairs = list(combinations(range(1, n + 1), 2))
+    by_positions = {(a, b): [g.index[_swap_positions(p, a - 1, b - 1)] for p in g.perms] for a, b in pairs}
+    by_values = {(a, b): [g.index[_swap_values(p, a, b)] for p in g.perms] for a, b in pairs}
+    patterns = list(_set_partitions(list(range(1, n + 1))))
+    assert len(patterns) == [1, 2, 5, 15, 52, 203][n - 1]  # Bell numbers
+    for blocks in patterns:
+        lam = [0] * n
+        for b, block in enumerate(blocks):
+            for k in block:
+                lam[k - 1] = 3 ** b
+        dist = cayley_distances(cayley_graph(n, lam), 0)
+        for t in _block_swaps(blocks):
+            assert [dist[v] for v in by_positions[t]] == dist
+            assert [dist[v] for v in by_values[t]] == dist
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
@@ -846,6 +915,16 @@ def test_cayley_distance_formula_strictly_decreasing():
         dist = cayley_distances(g, g.identity_index)
         for idx, p in enumerate(g.perms):
             assert dist[idx] == transposition_distance_formula(lam, p)
+
+
+@pytest.mark.parametrize("perm", [(0, 1, 2), (1, 1, 1), (2, 1), (1, 2, 3, 4), (1, 2, 4), (True, 2, 3),
+                                  (1.0, 2, 3), ()])
+def test_transposition_distance_formula_refuses_a_perm_of_the_wrong_set(perm):
+    # With lam = (5, 3, 0), (0, 1, 2) used to read lam[-1] and answer 5,
+    # (1, 1, 1) answered 7/2 and (2, 1) answered 2.
+    with pytest.raises(ValidationError, match=r"perm must be a permutation of 1\.\.3, got "):
+        transposition_distance_formula((5, 3, 0), perm)
+    assert transposition_distance_formula((5, 3, 0), (3, 2, 1)) == 5
 
 
 @settings(max_examples=60, deadline=None)
