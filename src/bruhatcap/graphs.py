@@ -32,9 +32,11 @@ images settle at the same d; cayley_diameter searches W_lam \\ S_n / W_lam,
 lam relabelled so that its tie blocks sit where the frame puts them: W_lam
 acting on both sides is a group of automorphisms of the weighted graph that
 maps e's coset onto itself, so the distance from e is constant on each
-double coset (the proof is in cayley_diameter).  A vertex argument (src, dst, u, v) of min_path_area,
-cayley_distances, d_min, d_min_all or random_walk_degree must be an int in
-range(n_vertices); any other is refused with ValidationError.
+double coset (the proof is in cayley_diameter).  A vertex argument (src,
+dst, u, v) of min_path_area, cayley_distances, d_min, d_min_all or
+random_walk_degree must be an int in range(n_vertices), and the n of
+cayley_graph or cayley_diameter an int; any other is refused with
+ValidationError.
 """
 
 from __future__ import annotations

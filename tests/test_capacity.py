@@ -496,7 +496,7 @@ def test_unitary_diameter_check_counts_weights_with_a_repeated_entry(monkeypatch
     # partition of each n (3 + 15 here), each tied but (1, 1, 1) and
     # (1, ..., 1), so that it searches every frame.  Its detail splits them
     # by the space cayley_diameter searched: S_n, or the double cosets
-    # W_lambda \\ S_n / W_lambda for a tied weight.
+    # W_lambda\S_n/W_lambda for a tied weight.
     rng = random.Random(5)
     tied = 0
     for n in (3, 7):

@@ -29,6 +29,7 @@ from bruhatcap import (
     transposition_distance_formula,
     unitary_capacity,
 )
+from bruhatcap.checks import _partitions
 from bruhatcap.weyl import WeylGroup
 from bruhatcap.graphs import d_min_all, random_walk_degree
 from bruhatcap.linalg import vec
@@ -737,16 +738,6 @@ def _set_partitions(items):
         yield [[first], *blocks]
         for k in range(len(blocks)):
             yield [*blocks[:k], [first, *blocks[k]], *blocks[k + 1:]]
-
-
-def _partitions(n, largest=None):
-    """Every partition of n, as a tuple of decreasing parts."""
-    if n == 0:
-        yield ()
-        return
-    for k in range(min(n, largest or n), 0, -1):
-        for rest in _partitions(n - k, k):
-            yield (k, *rest)
 
 
 def _tie_patterns(n):
