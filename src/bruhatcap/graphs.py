@@ -36,12 +36,15 @@ double coset (the proof is in cayley_diameter).  A vertex argument (src,
 dst, u, v) of min_path_area, cayley_distances, d_min, d_min_all or
 random_walk_degree must be an int in range(n_vertices), and the n of
 cayley_graph or cayley_diameter an int; any other is refused with
-ValidationError.
+ValidationError.  An n over the Cayley cap, or whose search is estimated
+(cayley_bytes) to need more than limits.GROUP_MEMORY_BUDGET, is refused with
+SizeLimitError before any frame is built.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -50,7 +53,7 @@ from operator import add, ge, itemgetter, mul, not_
 from typing import TYPE_CHECKING, Iterator, Mapping
 
 from .errors import ConsistencyError, SizeLimitError, ValidationError
-from .limits import DEFAULT_CAYLEY_CAP, require_nonnegative_cap
+from .limits import DEFAULT_CAYLEY_CAP, GROUP_MEMORY_BUDGET, require_nonnegative_cap
 from .linalg import Vector, vec
 from .rootsystem import json_chunks, json_item, rational_str, require_dominant, scaled, vector_strs
 
@@ -69,12 +72,13 @@ def degree_add(c: Degree, d: Degree) -> Degree:
     return tuple(map(add, c, d))
 
 
-def _dijkstra(adj, src: int, dst: int | None = None):
-    """Shortest paths; adj[u] yields (v, w) for each edge u -- v, w a nonnegative integer.
+def _dijkstra(n_vertices: int, neighbours, src: int, dst: int | None = None):
+    """Shortest paths on range(n_vertices); neighbours(u) yields (v, w) for each
+    edge u -- v, w a nonnegative integer.
 
-    adj[u] is iterated at most once.  Returns the distance to dst or, with dst
-    None, all distances; None marks an unreachable vertex."""
-    dist: list[int | None] = [None] * len(adj)
+    neighbours(u) is called at most once per u.  Returns the distance to dst or,
+    with dst None, all distances; None marks an unreachable vertex."""
+    dist: list[int | None] = [None] * n_vertices
     dist[src] = 0
     heap = [(0, src)]
     while heap:
@@ -83,7 +87,7 @@ def _dijkstra(adj, src: int, dst: int | None = None):
             continue  # stale entry: u was reached more cheaply
         if u == dst:
             return d
-        for v, w in adj[u]:
+        for v, w in neighbours(u):
             nd = d + w
             old = dist[v]
             if old is None or nd < old:
@@ -212,24 +216,6 @@ def bruhat_graph(weyl: WeylGroup, parabolic: ParabolicData | None = None) -> Bru
     return BruhatGraph(parabolic if parabolic is not None else weyl.parabolic(()))
 
 
-class _TableNeighbours:
-    """The Bruhat graph on W/W_P as _dijkstra reads it: the neighbours of coset
-    u are the cosets of rep(u) * s_alpha, read from the reflection tables, each
-    with the integer area of alpha."""
-
-    def __init__(self, parabolic: ParabolicData, steps: list[tuple[Table, int]]):
-        self.coset_of = parabolic.coset_of
-        self.reps = parabolic.coset_reps
-        self.steps = steps
-
-    def __len__(self) -> int:
-        return len(self.reps)
-
-    def __getitem__(self, u: int) -> list[tuple[int, int]]:
-        rep, coset_of = self.reps[u], self.coset_of
-        return [(coset_of[t[rep]], w) for t, w in self.steps]
-
-
 def min_path_area(parabolic: ParabolicData, lam: Vector, src: int, dst: int) -> Fraction:
     """The exact minimal total area <lam, coroot(alpha)> of a path from coset
     src to coset dst in the Bruhat graph on W/W_P.
@@ -247,7 +233,13 @@ def min_path_area(parabolic: ParabolicData, lam: Vector, src: int, dst: int) -> 
     labels, scale = require_dominant(rs, lam, parabolic.s_p)
     steps = [(weyl.reflection_table(a), sum(map(mul, rs.signed_cocoefficients(a), labels)))
              for a in parabolic.free_roots]
-    d = _dijkstra(_TableNeighbours(parabolic, steps), src, dst)
+    coset_of, reps = parabolic.coset_of, parabolic.coset_reps
+
+    def neighbours(u: int) -> list[tuple[int, int]]:
+        rep = reps[u]
+        return [(coset_of[t[rep]], w) for t, w in steps]
+
+    d = _dijkstra(len(reps), neighbours, src, dst)
     if d is None:
         raise ConsistencyError("Bruhat graph is disconnected; this cannot happen for valid input")
     return Fraction(d, scale)
@@ -426,8 +418,23 @@ def _inverse_column(n: int) -> tuple[int, ...]:
     return tuple(index[tuple(map(p.index, positions))] for p in perms)
 
 
+def cayley_bytes(n: int) -> int:
+    """An estimate, from n alone, of the peak bytes of a Cayley search of S_n:
+    per permutation, 8 for its entry in each of the C(n, 2) swap columns of
+    _cayley_frame, and 416 for the rest (the permutation tuples, the index
+    dict and its ints, the search's levels).  Calibrated on the peak RSS over
+    the imported package of the largest reader, cayley_distances of
+    cayley_graph (2-vCPU machine, Python 3.11): 24.5 MB measured against 24.6
+    estimated at n = 8, and 242.6 MB against 243.6 at n = 9.  cayley_diameter
+    peaks at 201-203 MB at n = 9, tied entries or not.  n = 10 estimates
+    2,685 MB."""
+    return math.factorial(n) * (8 * (n * (n - 1) // 2) + 416)
+
+
 def _require_cayley_size(n: int, lam: Vector, cap: int) -> None:
-    """The checks of n, lam and the cap, made before any frame is built."""
+    """The checks of n, lam and the cap, made before any frame is built: an n
+    over the cap, or whose cayley_bytes are over limits.GROUP_MEMORY_BUDGET,
+    is refused with SizeLimitError."""
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValidationError(f"n must be an int, got {n!r}")
     require_nonnegative_cap("cap", cap)
@@ -435,6 +442,13 @@ def _require_cayley_size(n: int, lam: Vector, cap: int) -> None:
         raise ValidationError("n must be positive")
     if n > cap:
         raise SizeLimitError(f"n = {n} exceeds the Cayley cap {cap} ({n}! vertices)")
+    need = cayley_bytes(min(n, 20))  # 20! alone is over 2^61: no factorial of a large n
+    if need > GROUP_MEMORY_BUDGET:
+        raise SizeLimitError(
+            f"n = {n}: the Cayley search of S_{n} ({n}! vertices) would need "
+            f"{'about' if n <= 20 else 'more than'} {need >> 20:,} MB, over the memory budget of "
+            f"{GROUP_MEMORY_BUDGET >> 20:,} MB"
+        )
     if len(lam) != n:
         raise ValidationError(f"lambda has {len(lam)} entries, expected {n}")
 

@@ -24,6 +24,8 @@ DEFAULT_CAYLEY_CAP = 7
 # A Weyl group whose enumeration and |R+| reflection tables are estimated, before
 # any is built, to need more bytes than this is refused (weyl.enumeration_bytes).
 # E6 needs about 32 MB, A8 243 MB and B7 482 MB; E7 about 2.4 GB, so it is refused.
+# It bounds the Cayley cap the same way (graphs.cayley_bytes): a search of S_9
+# needs about 244 MB, of S_10 about 2.7 GB, so n >= 10 is refused at any cap.
 GROUP_MEMORY_BUDGET = 1 << 30
 
 

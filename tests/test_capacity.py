@@ -845,6 +845,49 @@ def test_decompositions_check_validates_after_another_check_filled_the_cache(mon
     assert counts["validated"] == len(TABLE_TYPES) == 24
 
 
+def _plant_in_upper_bound(monkeypatch, family):
+    upper_bound_ = capacity.upper_bound
+
+    def planted(rs, lam, dec):
+        if rs.family == family:
+            raise ConsistencyError(f"planted: {rs.family}{rs.rank} lambda={lam}")
+        return upper_bound_(rs, lam, dec)
+
+    monkeypatch.setattr(capacity, "upper_bound", planted)
+
+
+def test_an_internal_error_fails_its_check_and_the_later_checks_still_run(monkeypatch):
+    _plant_in_upper_bound(monkeypatch, "F")
+    results = checks.run_checks(names=["height-lemma", "sandwich", "decompositions"])
+    assert [(r.name, r.passed) for r in results] == [
+        ("height-lemma", True), ("sandwich", False), ("decompositions", True)]
+    assert results[1].detail.startswith("planted: F4 lambda=")
+    assert all(r.seconds >= 0 for r in results)
+
+
+def test_a_direct_call_of_a_check_returns_its_fail(monkeypatch):
+    # the triangle keeps the weight it adds to an error of the confirmation
+    _plant_in_upper_bound(monkeypatch, "G")
+    res = checks.check_triangle(samples=1, types=(("G", 2),))
+    assert isinstance(res, checks.CheckResult)
+    assert (res.name, res.passed) == ("triangle", False)
+    assert res.detail.startswith("G2 lambda=(") and ": planted: G2 lambda=" in res.detail
+
+
+def test_a_broken_decomposition_names_its_type_once(monkeypatch):
+    vectors = capacity._decomposition_vectors
+
+    def broken(family, rank):
+        got = vectors(family, rank)
+        return got[:1] * 2 + got[2:] if (family, rank) == ("E", 8) else got
+
+    monkeypatch.setattr(capacity, "_decomposition_vectors", broken)
+    res = checks.check_decompositions(types=(("A", 3), ("E", 8)))
+    assert not res.passed
+    assert res.detail.startswith("decomposition data for E8: roots ")
+    assert res.detail.count("E8") == 1
+
+
 # Planted faults, each run with no samples: only the check's certificate can catch them.
 
 @pytest.mark.parametrize("fam,rank,source,target,coord", [

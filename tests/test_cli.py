@@ -1,18 +1,23 @@
+import contextlib
 import csv
 import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from bruhatcap import capacity, checks, cli
+from bruhatcap import capacity, checks, cli, graphs
 from bruhatcap.cli import main, parse_lambda
-from bruhatcap.errors import ValidationError
-from bruhatcap.limits import MAX_RANK
+from bruhatcap.errors import ConsistencyError, ValidationError
+from bruhatcap.limits import MAX_DIGITS, MAX_RANK
+from bruhatcap.weyl import WeylGroup
 from bruhatcap.rootsystem import build, vector_strs
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -219,6 +224,26 @@ def test_graph_e7_refused_before_enumeration(capsys, monkeypatch, kind):
     assert "over the budget of 1,024 MB" in err
 
 
+def _refuse_every_cayley_build(monkeypatch):
+    def build(*args):
+        raise AssertionError("a Cayley frame or its permutations were built")
+
+    for name in ("_cayley_frame", "_inverse_column"):
+        monkeypatch.setattr(graphs, name, build)
+    monkeypatch.setattr(graphs.WeightedCayleyGraph, "__init__", build)
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_graph_cayley_over_the_memory_budget_refused_before_any_build(capsys, monkeypatch, n):
+    _refuse_every_cayley_build(monkeypatch)
+    lam = ",".join(map(str, range(n, 0, -1)))
+    code, out, err = run_cli(capsys, "graph", "cayley", "--n", str(n), "--cayley-cap", str(n),
+                             "--lambda", lam)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith(f"error: n = {n}: the Cayley search of S_{n} ")
+    assert err.endswith(" MB, over the memory budget of 1,024 MB\n")
+
+
 # The sha256 of the E6 quantum JSON as the edge-list exporter wrote it; the
 # per-vertex export must write the same bytes.
 E6_QUANTUM_JSON_SHA256 = "da06499672b8be0db337b420aee483e05d3086f24f57e4114dc1d767ef6bce7e"
@@ -367,6 +392,23 @@ def test_verify_empty_only_refused(capsys):
         code, out, err = run_cli(capsys, "verify", "--only", only)
         assert (code, out) == (1, "")
         assert err.startswith("error: unknown check ''; available: ")
+
+
+def test_verify_reports_an_internal_error_as_that_checks_fail(capsys, monkeypatch):
+    upper_bound = capacity.upper_bound
+
+    def planted(rs, lam, dec):
+        if (rs.family, rs.rank) == ("F", 4):
+            raise ConsistencyError("planted")
+        return upper_bound(rs, lam, dec)
+
+    monkeypatch.setattr(capacity, "upper_bound", planted)
+    code, out, err = run_cli(capsys, "verify", "--only", "height-lemma,sandwich,decompositions")
+    assert (code, err) == (2, "")
+    lines = out.splitlines()
+    assert [line.split(" (")[0] for line in lines] == [
+        "[PASS] height-lemma", "[FAIL] sandwich", "[PASS] decompositions", "2/3 checks passed"]
+    assert lines[1].endswith("s): planted")
 
 
 @pytest.fixture
@@ -528,3 +570,128 @@ def test_full_stdout_is_a_clean_error(argv):
                               stdout=full, stderr=subprocess.PIPE, timeout=60, check=False)
     assert proc.returncode == 1
     assert proc.stderr == b"error: cannot write <stdout>: No space left on device\n"
+
+
+# Inputs that must be refused, each with a pattern its error line matches.
+# Every --lambda is passed as --lambda=..., so that argparse never reads a
+# leading minus sign as an option.
+
+_RANKS = {"A": range(1, MAX_RANK + 1), "B": range(2, MAX_RANK + 1), "C": range(2, MAX_RANK + 1),
+          "D": range(3, MAX_RANK + 1), "E": (6, 7, 8), "F": (4,), "G": (2,)}
+_NO_FAMILY = st.text("HIJKLMNOPQRSTUVWXYZhz", min_size=1, max_size=3)
+_MISSING = "<missing directory>"
+
+
+@st.composite
+def _malformed_lambdas(draw):
+    good = draw(st.lists(st.integers(-9, 9).map(str), max_size=3))
+    bad = draw(st.one_of(
+        st.sampled_from(["", " ", "1/0", "2/-3", "nan", "inf", "0x1", "1.2.3", "--1"]),
+        st.text("xyz!?#()[]", min_size=1, max_size=5),
+        st.integers(MAX_DIGITS + 1, 3 * MAX_DIGITS).map(lambda k: "9" * k),
+        st.integers(MAX_DIGITS + 1, 10**9).map(lambda k: f"1e{k}"),
+    ))
+    at = draw(st.integers(0, len(good)))
+    command = draw(st.sampled_from([("capacity", "-t", "A", "-r", "2"),
+                                    ("graph", "quantum", "-t", "A", "-r", "2"),
+                                    ("graph", "cayley", "--n", "3"), ("table", "-t", "A", "-r", "2")]))
+    return (*command, "--lambda=" + ",".join(good[:at] + [bad] + good[at:])), "lambda|rational"
+
+
+@st.composite
+def _unknown_types(draw):
+    if draw(st.booleans()):
+        fam, rank = draw(_NO_FAMILY), draw(st.integers(1, 8))
+    else:
+        fam = draw(st.sampled_from(sorted(_RANKS)))
+        rank = draw(st.integers(-10**6, 10**6).filter(lambda r: r not in _RANKS[fam]))
+    command = draw(st.sampled_from([("roots",), ("capacity", "--lambda=1,0"), ("graph", "quantum"),
+                                    ("graph", "bruhat"), ("table",), ("verify",)]))
+    return ((*command, "--type", fam, f"--rank={rank}"),
+            "family|rank|no table rows match|no types match")
+
+
+@st.composite
+def _non_dominant_weights(draw):
+    fam, rank = draw(st.sampled_from("ABCD")), draw(st.integers(3, 6))
+    lam = draw(st.lists(st.integers(-20, 20), min_size=rank + (fam == "A"),
+                        max_size=rank + (fam == "A")))
+    lam[1] = lam[0] + draw(st.integers(1, 20))  # <lam, alpha_1> < 0
+    command = draw(st.sampled_from([("capacity",), ("graph", "bruhat"), ("graph", "quantum"),
+                                    ("table",)]))
+    return (*command, "-t", fam, "-r", str(rank), "--lambda=" + ",".join(map(str, lam))), "not dominant"
+
+
+@st.composite
+def _unknown_checks(draw):
+    names = draw(st.lists(st.sampled_from(cli.CHECK_NAMES), max_size=2))
+    bad = draw(st.text("abcdefghijklmnopqrstuvwxyz-", max_size=12).filter(
+        lambda name: name not in cli.CHECK_NAMES))
+    names.insert(draw(st.integers(0, len(names))), bad)
+    return ("verify", "--only=" + ",".join(names)), "unknown check"
+
+
+@st.composite
+def _unmatched_verify_filters(draw):
+    only = draw(st.one_of(st.just(()), st.sampled_from(cli.CHECK_NAMES).map(lambda n: ("--only", n))))
+    if draw(st.booleans()):
+        narrow = ("--type", draw(_NO_FAMILY))
+    else:  # no check runs over a rank above 8
+        narrow = (f"--rank={draw(st.integers(-10**6, 0) | st.integers(9, 10**6))}",)
+    return ("verify", *only, *narrow), "no types match"
+
+
+@st.composite
+def _negative_caps(draw):
+    cap = f"=-{draw(st.integers(1, 10**6))}"
+    return draw(st.sampled_from([
+        ("graph", "cayley", "--n", "3", "--lambda=3,2,1", "--cayley-cap" + cap),
+        ("capacity", "-t", "A", "-r", "2", "--lambda=2,1,0", "--confirm-cap" + cap),
+        ("capacity", "-t", "A", "-r", "2", "--lambda=2,1,0", "--group-cap" + cap),
+        ("graph", "quantum", "-t", "A", "-r", "2", "--group-cap" + cap),
+    ])), "must be nonnegative"
+
+
+@st.composite
+def _outputs_into_a_missing_directory(draw):
+    command = draw(st.sampled_from([("roots", "-t", "G", "-r", "2"),
+                                    ("roots", "-t", "B", "-r", "3", "--format", "json"),
+                                    ("roots", "-t", "E", "-r", "8", "--format", "csv"),
+                                    ("table",), ("table", "-t", "F", "-r", "4")]))
+    name = draw(st.text("abxyz019._-", min_size=1, max_size=8).filter(lambda s: s not in (".", "..")))
+    return (*command, "--output", f"{_MISSING}/{name}"), "cannot write"
+
+
+@st.composite
+def _cayley_sizes_over_the_budget(draw):
+    n = draw(st.integers(10, 10**6))
+    lam = ",".join(map(str, range(n, 0, -1))) if n <= 40 else "0"
+    cap = draw(st.integers(n, 10**7))
+    return ("graph", "cayley", "--n", str(n), "--cayley-cap", str(cap), f"--lambda={lam}"), "memory budget"
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.one_of(_malformed_lambdas(), _unknown_types(), _non_dominant_weights(),
+                      _unknown_checks(), _unmatched_verify_filters(), _negative_caps(),
+                      _outputs_into_a_missing_directory(), _cayley_sizes_over_the_budget()))
+def test_every_refused_input_is_one_error_line(tmp_path, case):
+    # No Weyl group, Cayley frame or list of permutations may be built on the way
+    # to a refusal.
+    argv, pattern = case
+    argv = [arg.replace(_MISSING, str(tmp_path / "missing")) for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        def build(*args, **kwargs):
+            raise AssertionError(f"built a group or frame for {argv}")
+
+        mp.setattr(WeylGroup, "__init__", build)
+        mp.setattr(graphs, "_cayley_frame", build)
+        mp.setattr(graphs.WeightedCayleyGraph, "__init__", build)
+        mp.delenv("BC_GROUP_CAP", raising=False)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    err = err.getvalue()
+    assert (code, out.getvalue()) == (1, ""), (argv, err)
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+    assert re.search(pattern, err), (argv, err)

@@ -532,7 +532,7 @@ def test_step_dijkstra_matches_heap_dijkstra(graph):
     for d, level in graphs._settled_levels(n, steps, src):
         for u in level:
             dist[u] = d
-    assert dist == graphs._dijkstra(adj, src)
+    assert dist == graphs._dijkstra(len(adj), adj.__getitem__, src)
 
 
 class _LoggedColumn(list):
@@ -557,7 +557,8 @@ def test_settled_levels_partition_the_reachable_set(graph):
     # d never decreases, and strictly increases when no step weighs 0: a
     # zero-weight step settles its images as a later level at the same d
     n, steps, src = graph
-    dist = graphs._dijkstra([[(column[u], w) for column, w in steps] for u in range(n)], src)
+    adj = [[(column[u], w) for column, w in steps] for u in range(n)]
+    dist = graphs._dijkstra(len(adj), adj.__getitem__, src)
     logs = [[] for _ in steps]
     levels = graphs._settled_levels(n, [(_LoggedColumn(column, log), w)
                                         for (column, w), log in zip(steps, logs)], src)
@@ -604,6 +605,42 @@ def test_cayley_cap(monkeypatch):
             cayley_diameter(8, lam)
         with pytest.raises(SizeLimitError):
             cayley_graph(8, lam)
+
+
+def _refuse_every_permutation_build(monkeypatch):
+    _refuse_every_frame_build(monkeypatch)
+
+    def unexpected(*args):
+        raise AssertionError("permutations were built")
+
+    monkeypatch.setattr(graphs, "_inverse_column", unexpected)
+    monkeypatch.setattr(graphs.WeightedCayleyGraph, "__init__", unexpected)
+
+
+@pytest.mark.parametrize("entry", [cayley_graph, cayley_diameter])
+@pytest.mark.parametrize("n,mb", [(10, "2,685"), (12, "431,230")])
+def test_cayley_size_over_the_memory_budget_refused_at_an_equal_cap(monkeypatch, entry, n, mb):
+    _refuse_every_permutation_build(monkeypatch)
+    for lam in (list(range(n, 0, -1)), [n, n] + list(range(n - 2, 0, -1))):
+        with pytest.raises(SizeLimitError, match=rf"^n = {n}: the Cayley search of S_{n} "
+                           rf"\({n}! vertices\) would need about {mb} MB, over the memory "
+                           r"budget of 1,024 MB$"):
+            entry(n, lam, cap=n)
+
+
+def test_cayley_size_far_over_the_budget_is_refused_without_its_factorial(monkeypatch):
+    _refuse_every_permutation_build(monkeypatch)
+    with pytest.raises(SizeLimitError, match=r"^n = 100000: .* would need more than [\d,]+ MB"):
+        cayley_diameter(100_000, [0], cap=100_000)
+
+
+def test_cayley_bytes_leave_n_up_to_9_within_the_budget():
+    from bruhatcap.limits import GROUP_MEMORY_BUDGET
+
+    assert graphs.cayley_bytes(9) <= GROUP_MEMORY_BUDGET < graphs.cayley_bytes(10)
+    lam = [8, 8, 6, 5, 4, 3, 3, 3]
+    assert cayley_diameter(8, lam, cap=8) == unitary_capacity(lam)
+    assert len(cayley_graph(8, lam, cap=8).perms) == 40320
 
 
 @pytest.mark.parametrize("entry", [cayley_graph, cayley_diameter])
