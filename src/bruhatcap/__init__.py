@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 _MODULES = {
     "capacity": (
         "CapacityBounds", "W0Decomposition", "closed_form_table", "coweight_oscillation_bound",
-        "dominance_violations", "dominant_from_pairings", "hz_bounds", "is_regular",
+        "dominant_from_pairings", "hz_bounds", "is_regular",
         "lower_bound", "random_dominant", "random_positive_coweight",
         "unitary_capacity", "upper_bound", "w0_decomposition",
     ),

@@ -53,11 +53,6 @@ TABLE_TYPES: tuple[tuple[str, int], ...] = (
 # Dominant weights
 
 
-def dominance_violations(rs: RootSystem, lam: Vector) -> list[int]:
-    """Positions of simple roots alpha with <lam, coroot(alpha)> < 0."""
-    return [k for k, label in enumerate(rs.scaled_labels(lam)[0]) if label < 0]
-
-
 def is_regular(rs: RootSystem, lam: Vector) -> bool:
     return all(label > 0 for label in rs.scaled_labels(lam)[0])
 
@@ -72,16 +67,17 @@ def dominant_from_pairings(rs: RootSystem, coeffs) -> Vector:
     return rs.weight(labels, scale)
 
 
-def random_dominant(rs: RootSystem, rng: random.Random, *, regular: bool = False,
-                    max_coeff: int = 9) -> Vector:
+def random_dominant(rs: RootSystem, rng: random.Random, *, regular: bool = False) -> Vector:
+    """A random dominant weight with Dynkin labels in 0..9 (1..9 if regular)."""
     low = 1 if regular else 0
-    return dominant_from_pairings(rs, [rng.randint(low, max_coeff) for _ in range(rs.rank)])
+    return dominant_from_pairings(rs, [rng.randint(low, 9) for _ in range(rs.rank)])
 
 
-def random_positive_coweight(rs: RootSystem, rng: random.Random, *, max_coeff: int = 9) -> Vector:
-    """A random vector in the interior of the positive coweight cone."""
+def random_positive_coweight(rs: RootSystem, rng: random.Random) -> Vector:
+    """A random vector in the interior of the positive coweight cone, with
+    coordinates in 1..9 over the dual basis."""
     tau = rs.dual_basis()
-    coeffs = [rng.randint(1, max_coeff) for _ in tau]
+    coeffs = [rng.randint(1, 9) for _ in tau]
     return tuple(sum(map(mul, coeffs, col)) for col in zip(*tau))
 
 
@@ -269,7 +265,7 @@ def lower_bound(rs: RootSystem, lam: Vector, dec: W0Decomposition) -> tuple[Frac
 
 
 def coweight_oscillation_bound(rs: RootSystem, lam: Vector, xi: Vector,
-                               dec: W0Decomposition | None = None) -> Fraction:
+                               dec: W0Decomposition) -> Fraction:
     """osc(phi^xi) / m_xi^+ for a coweight xi in the closed positive cone.
 
     xi must pair nonnegatively with every simple root and positively with
@@ -283,8 +279,6 @@ def coweight_oscillation_bound(rs: RootSystem, lam: Vector, xi: Vector,
     oscillation sum all read that one pass.
     """
     xi = vec(xi)
-    if dec is None:
-        dec = w0_decomposition(rs)
     pairings, scale = _scaled_pairings(rs, lam, dec.root_indices)
     xi_pairs = {i: linalg.dot(xi, rs.roots[i]) for i in rs.positive}
     if any(xi_pairs[s] < 0 for s in rs.simple):
@@ -370,9 +364,9 @@ def closed_form_table(rs: RootSystem, lam: Vector) -> tuple[Fraction, Fraction]:
 def table_row(rs: RootSystem, lam: Vector,
               dec: W0Decomposition) -> tuple[Vector, Fraction, Fraction, Fraction, Fraction]:
     """(lam, closed-form lower, first-principles lower, closed-form upper,
-    first-principles upper); a G2 weight is projected onto the root plane first."""
-    if rs.family == "G":
-        lam = rs.project_to_root_span(lam)
+    first-principles upper); lam is read by checked_weight, so a G2 weight is
+    projected onto the root plane first."""
+    lam = checked_weight(rs, lam)
     closed_lower, closed_upper = closed_form_table(rs, lam)
     lower, _witness = lower_bound(rs, lam, dec)
     return lam, closed_lower, lower, closed_upper, upper_bound(rs, lam, dec)

@@ -9,12 +9,12 @@ graph modules are imported only by the three checks that run them
 (unitary-diameter, postnikov, triangle).
 
 postnikov, type-c-sharp and coweight prove their statement for every input
-of their types with a certificate (each check's docstring gives the proof),
-and keep a small seeded sample that exercises the bound code on random
-weights.  So their sample sizes (`walk_samples` of postnikov, `samples` of
-type-c-sharp and coweight) default below the acceptance requirements; the
-acceptance suite passes its stated sizes explicitly.  The other sampled
-checks default to the acceptance sizes.
+of their types with a certificate (each check's docstring gives the proof).
+type-c-sharp and coweight keep a small seeded sample that exercises the bound
+code on random weights, so their `samples` default below the acceptance
+requirements; the acceptance suite passes its stated sizes explicitly, and
+runs postnikov's sampled random walks itself.  The other sampled checks
+default to the acceptance sizes.
 
 Every parameter of a check is keyword-only, and its signature is the one
 place that states the check's inputs: run_checks passes the seed to a check
@@ -210,8 +210,7 @@ def check_decompositions(*, types: tuple = TABLE_TYPES) -> str:
 
 
 @_check("postnikov")
-def check_postnikov(*, seed: int = 0, walk_samples: int = 100,
-                    types: tuple = (("A", 3), ("B", 3), ("G", 2))) -> str:
+def check_postnikov(*, types: tuple = (("A", 3), ("B", 3), ("G", 2))) -> str:
     """Shortest-path degree uniqueness over all ordered pairs, and a certificate
     that every path u -> v has a degree at least d_min(u, v) componentwise.
 
@@ -219,16 +218,14 @@ def check_postnikov(*, seed: int = 0, walk_samples: int = 100,
     d_min(u, v) <= deg(u -> x) + d_min(x, v) for every edge u -> x and every v:
     by induction on the length of a path, its degree dominates d_min.  Each
     source's d_min row is one flat tuple, so an edge is checked against all v
-    at once.  Sampled random walks exercise the same bound."""
+    at once."""
     from . import graphs
     from .weyl import generate
 
-    rng = random.Random(seed)
     pair_count = 0
     edge_count = 0
     for fam, rank in types:
-        rs = build(fam, rank)
-        weyl = generate(rs)
+        weyl = generate(build(fam, rank))
         q = graphs.quantum_bruhat_graph(weyl)
         n = len(weyl)
         dmins: list[list[graphs.Degree]] = []
@@ -251,16 +248,8 @@ def check_postnikov(*, seed: int = 0, walk_samples: int = 100,
                     raise _Failed(f"{fam}{rank}: edge {u}->{x} of degree {dd}: d_min({u},{v}) = "
                                   f"{dmins[u][v]} not <= {dd} + d_min({x},{v}) = {dmins[x][v]}")
                 edge_count += 1
-        max_steps = len(rs.positive) + 4
-        for _ in range(walk_samples):
-            u = rng.randrange(n)
-            steps = rng.randint(1, max_steps)
-            v, walked = graphs.random_walk_degree(q, rng, u, steps)
-            if not graphs.degree_leq(dmins[u][v], walked):
-                raise _Failed(f"{fam}{rank}: walk {u}->{v} degree {walked} "
-                              f"not >= d_min {dmins[u][v]}")
     return (f"{pair_count} ordered pairs unique; {edge_count} edges certify that every "
-            f"path dominates d_min; {len(types) * walk_samples} sampled walks dominated")
+            "path dominates d_min")
 
 
 @_check("triangle")

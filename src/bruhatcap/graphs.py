@@ -16,7 +16,7 @@ rootsystem.json_chunks, which `roots --format json` shares (see Exports
 below): json.dumps lays out all of it.  The edge
 lists `BruhatGraph.edges`, `QuantumBruhatGraph.out` and
 `WeightedCayleyGraph.edges` come from the same reader, built on first read
-for the searches that walk them (d_min_all, the random walks).  The Weyl
+for the searches and tests that walk them (d_min_all).  The Weyl
 group module is imported only to type the Bruhat graphs and, for tied
 entries, by _cayley_frame for its coset pass, so `graph cayley` loads none.
 
@@ -33,8 +33,8 @@ lam relabelled so that its tie blocks sit where the frame puts them: W_lam
 acting on both sides is a group of automorphisms of the weighted graph that
 maps e's coset onto itself, so the distance from e is constant on each
 double coset (the proof is in cayley_diameter).  A vertex argument (src,
-dst, u, v) of min_path_area, cayley_distances, d_min, d_min_all or
-random_walk_degree must be an int in range(n_vertices), and the n of
+dst, u, v) of min_path_area, cayley_distances, d_min or d_min_all must be
+an int in range(n_vertices), and the n of
 cayley_graph or cayley_diameter an int; any other is refused with
 ValidationError.  An n over the Cayley cap, or whose search is estimated
 (cayley_bytes) to need more than limits.GROUP_MEMORY_BUDGET, is refused with
@@ -50,7 +50,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from heapq import heappop, heappush
 from operator import add, ge, itemgetter, mul, not_
-from typing import TYPE_CHECKING, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import ConsistencyError, SizeLimitError, ValidationError
 from .limits import DEFAULT_CAYLEY_CAP, GROUP_MEMORY_BUDGET, require_nonnegative_cap
@@ -341,18 +341,6 @@ def d_min(graph: QuantumBruhatGraph, u: int, v: int) -> tuple[Degree, int]:
     return degs[v], dist[v]
 
 
-def random_walk_degree(graph: QuantumBruhatGraph, rng, u: int, steps: int) -> tuple[int, Degree]:
-    """Follow `steps` random directed edges from u; return endpoint and path degree."""
-    _require_vertex("u", u, graph.n_vertices)
-    x, out = u, graph.out
-    total = graph.zero
-    for _ in range(steps):
-        v, _a, dd = rng.choice(out[x])
-        total = degree_add(total, dd)
-        x = v
-    return x, total
-
-
 # ---------------------------------------------------------------------------
 # Weighted Cayley graph of S_n
 
@@ -367,7 +355,7 @@ def _cayley_frame(n: int, blocks: tuple[int, ...]) -> tuple:
     With every block of size 1, W is trivial: the vertices are the
     permutations of S_n in lexicographic order, as itertools emits them (the
     identity first), and every swap has a column.  The permutations
-    themselves are not kept; cayley_graph lists them again for export.
+    themselves are not kept; WeightedCayleyGraph.perms lists them again for export.
     Otherwise the vertices are the double cosets W u W, weyl.cosets under the
     S_n columns of the adjacent swaps inside a block, of positions (u -> u *
     (a a+1), which generate the right action of W) and of values (u -> (a a+1)
@@ -421,13 +409,13 @@ def _inverse_column(n: int) -> tuple[int, ...]:
 def cayley_bytes(n: int) -> int:
     """An estimate, from n alone, of the peak bytes of a Cayley search of S_n:
     per permutation, 8 for its entry in each of the C(n, 2) swap columns of
-    _cayley_frame, and 416 for the rest (the permutation tuples, the index
-    dict and its ints, the search's levels).  Calibrated on the peak RSS over
-    the imported package of the largest reader, cayley_distances of
-    cayley_graph (2-vCPU machine, Python 3.11): 24.5 MB measured against 24.6
-    estimated at n = 8, and 242.6 MB against 243.6 at n = 9.  cayley_diameter
-    peaks at 201-203 MB at n = 9, tied entries or not.  n = 10 estimates
-    2,685 MB."""
+    _cayley_frame, and 416 for the rest (the permutation tuples and their
+    index while the frame is built, the search's levels, the export's
+    tuples).  Peak RSS over the imported package (2-vCPU machine, Python
+    3.11) of the largest reader, cayley_distances of cayley_graph: 20.1 MB
+    against 24.6 estimated at n = 8, and 209.8 MB against 243.6 at n = 9.
+    At n = 9 cayley_diameter peaks at 196-207 MB, with the heap's layout,
+    and the JSON export at 202.1 MB.  n = 10 estimates 2,685 MB."""
     return math.factorial(n) * (8 * (n * (n - 1) // 2) + 416)
 
 
@@ -466,20 +454,17 @@ _DISCONNECTED = "Cayley graph is disconnected; this cannot happen for valid inpu
 
 class WeightedCayleyGraph:
     """The Cayley graph of S_n on all transpositions, a view over the columns of
-    _cayley_frame(n, (1,) * n).  The edge list and the index are built on first read."""
+    _cayley_frame(n, (1,) * n); vertex 0 is the identity.  The edge list and the
+    permutations, which only the export and the tests read, are built on first read."""
 
     def __init__(self, n: int, lam: Vector):
         self.n = n
         self.lam = lam
-        self.perms: tuple[tuple[int, ...], ...] = tuple(itertools.permutations(range(1, n + 1)))
-
-    @property
-    def identity_index(self) -> int:
-        return 0  # the frame's vertex order opens with the identity
 
     @cached_property
-    def index(self) -> Mapping[tuple[int, ...], int]:
-        return {p: i for i, p in enumerate(self.perms)}
+    def perms(self) -> tuple[tuple[int, ...], ...]:
+        """The vertices as permutations of 1..n in one-line notation, in the frame's order."""
+        return tuple(itertools.permutations(range(1, self.n + 1)))
 
     def _edge_rows(self):
         """The one reader of the edges: (keys, rows), keys[k] being (i, j, |lam_i - lam_j|)
@@ -507,7 +492,7 @@ def cayley_graph(n: int, lam, cap: int = DEFAULT_CAYLEY_CAP) -> WeightedCayleyGr
 def cayley_distances(graph: WeightedCayleyGraph, src: int) -> list[Fraction]:
     """Single-source Dijkstra over the weighted Cayley graph; src is a vertex index."""
     n = graph.n
-    _require_vertex("src", src, len(graph.perms))
+    _require_vertex("src", src, math.factorial(n))
     ints, scale = scaled(graph.lam)
     n_vertices, levels = _cayley_levels(n, (1,) * n, ints, src)
     dist: list = [None] * n_vertices

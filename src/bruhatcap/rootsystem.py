@@ -286,7 +286,10 @@ class RootSystem:
         return tuple(Fraction(sum(co[k] * x for k, x in col), den) for col in self._coroot_columns)
 
     def pairing(self, t: Vector, i: int) -> Fraction:
-        """<t, coroot of root i> = 2(t, alpha)/(alpha, alpha)."""
+        """<t, coroot of root i> = 2(t, alpha)/(alpha, alpha).
+
+        No module of the package calls it: it stays because perfbench's tracer
+        counts its calls by name (rootsystem.pairing.calls)."""
         alpha = self.roots[i]
         if len(t) != self.ambient_dim:
             raise ValidationError(f"vector has dimension {len(t)}, ambient is {self.ambient_dim}")
@@ -306,11 +309,6 @@ class RootSystem:
         scale *= self._label_denominator
         common = gcd(scale, *raw)
         return tuple(r // common for r in raw), scale // common
-
-    def reflect(self, i: int, t: Vector) -> Vector:
-        """Reflection of t in the hyperplane orthogonal to root i."""
-        c = self.pairing(t, i)
-        return tuple(ti - c * ai for ti, ai in zip(t, self.roots[i]))
 
     def reflected(self, i: int, j: int) -> int:
         """The index of s(beta_j) = beta_j - <beta_j, coroot(alpha_i)> alpha_i, the

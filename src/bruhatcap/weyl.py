@@ -25,13 +25,13 @@ is refused, like one over the element cap, before it allocates.
 from __future__ import annotations
 
 from itertools import compress
-from operator import eq, itemgetter, not_
+from operator import eq, itemgetter
 from typing import NamedTuple
 
 from . import linalg
 from .errors import ConsistencyError, SizeLimitError, ValidationError
 from .limits import DEFAULT_GROUP_CAP, GROUP_MEMORY_BUDGET, require_nonnegative_cap
-from .rootsystem import RootSystem, key_absolute_length
+from .rootsystem import RootSystem
 
 Key = tuple[int, ...]  # root indices of the images of the simple roots
 Table = tuple[int, ...]  # entry u is the index of u * s for one reflection s
@@ -118,9 +118,7 @@ class ParabolicData(NamedTuple):
     weyl: "WeylGroup"
     s_p: tuple[int, ...]            # positions into the simple-root list
     free_simple: tuple[int, ...]    # complementary positions, in order
-    rp_plus: tuple[int, ...]        # positive root indices lying in Z*S_P
     free_roots: tuple[int, ...]     # R+ - R+_P, in root order: the Bruhat graph's roots
-    wp_elements: frozenset[int]
     coset_of: tuple[int, ...]       # element index -> coset index
     coset_reps: tuple[int, ...]     # coset index -> minimal-length element
 
@@ -179,7 +177,6 @@ class WeylGroup:
         self.lengths = lengths
         self.parents = parents
         self.identity_index = 0
-        self.simple_elements = tuple(row[0] for row in right)
         self.right: tuple[Table, ...] = tuple(map(tuple, right))
 
         top = max(lengths)
@@ -237,10 +234,6 @@ class WeylGroup:
             labels.append(f"{labels[parent]} s{g + 1}" if parent else f"s{g + 1}")
         return labels
 
-    def reflection(self, root_idx: int) -> int:
-        """Element index of the reflection s_alpha for a positive root index."""
-        return self.reflection_table(root_idx)[self.identity_index]
-
     def reflection_table(self, root_idx: int) -> Table:
         """The table u -> u * s_alpha over all elements u, for a positive root alpha.
 
@@ -271,12 +264,6 @@ class WeylGroup:
         return next((g, beta) for g, beta in enumerate(self._refl[s][root_idx] for s in rs.simple)
                     if sum(rs.signed_coefficients(beta)) < height)
 
-    # -- geometry -------------------------------------------------------------
-
-    def absolute_length(self, i: int) -> int:
-        """Minimal number of arbitrary reflections expressing element i."""
-        return key_absolute_length(self.rs, self.keys[i])
-
     # -- parabolic quotients ----------------------------------------------------
 
     def parabolic(self, s_p: tuple[int, ...] | list[int]) -> ParabolicData:
@@ -292,25 +279,18 @@ class WeylGroup:
             raise ValidationError(f"S_P positions {sp} out of range for rank {rs.rank}")
         free = tuple(k for k in range(rs.rank) if k not in sp)
 
-        rp_plus = tuple(
-            i for i in rs.positive
-            if all(c == 0 for k, c in enumerate(rs.signed_coefficients(i)) if k in free)
-        )
-        rp = set(rp_plus)
-
         coset_of, reps = cosets(len(self), [self.right[k] for k in sp])
-        wp = frozenset(compress(range(len(self)), map(not_, coset_of)))  # the identity's coset
-        if len(reps) * len(wp) != len(self):
+        wp = coset_of.count(0)  # |W_P|, the size of the identity's coset
+        if len(reps) * wp != len(self):
             raise ConsistencyError(
-                f"parabolic data broken: {len(reps)} cosets x |W_P|={len(wp)} != |W|={len(self)}"
+                f"parabolic data broken: {len(reps)} cosets x |W_P|={wp} != |W|={len(self)}"
             )
         got = self._parabolics[sp] = ParabolicData(
             weyl=self,
             s_p=sp,
             free_simple=free,
-            rp_plus=rp_plus,
-            free_roots=tuple(a for a in rs.positive if a not in rp),
-            wp_elements=wp,
+            free_roots=tuple(a for a in rs.positive  # those with support off S_P
+                             if any(map(rs.signed_coefficients(a).__getitem__, free))),
             coset_of=coset_of,
             coset_reps=reps,
         )

@@ -1,4 +1,5 @@
-"""Earlier, plainer forms of three construction kernels, kept as references.
+"""Earlier, plainer forms of three construction kernels, kept as references,
+and the random walks that sample Postnikov's bound.
 
 `set_propagation_d_min_all` finds the distances from u by breadth-first
 search, then carries to every vertex the set of the degrees of all its
@@ -9,6 +10,9 @@ descents included, looking each product up by its key.  `orbit_cosets`
 numbers the cosets w W_P as the orbits under the right tables of S_P, each
 opened, in the breadth-first order, by its minimal-length element.  The package's
 kernels compute the same results with less work; the tests compare them.
+`random_walk_degree` follows random quantum Bruhat edges: the degree of every
+path dominates d_min, which `verify postnikov` proves by an edge certificate
+and the tests sample again.
 """
 
 from operator import itemgetter
@@ -78,7 +82,7 @@ def descent_lookup_enumeration(rs):
 
 
 def orbit_cosets(weyl, s_p):
-    """(coset_of, coset_reps, wp_elements) of W/W_P, S_P given by simple positions,
+    """(coset_of, coset_reps) of W/W_P, S_P given by simple positions,
     or ConsistencyError if two orbits overlap or the cosets do not number |W| / |W_P|."""
     gens = [weyl.right[k] for k in s_p]
     coset_of = [-1] * len(weyl)
@@ -103,4 +107,15 @@ def orbit_cosets(weyl, s_p):
     if len(coset_reps) * len(wp) != len(weyl):
         raise ConsistencyError(
             f"parabolic data broken: {len(coset_reps)} cosets x |W_P|={len(wp)} != |W|={len(weyl)}")
-    return tuple(coset_of), tuple(coset_reps), frozenset(wp)
+    return tuple(coset_of), tuple(coset_reps)
+
+
+def random_walk_degree(graph, rng, u: int, steps: int):
+    """Follow `steps` random directed edges of a quantum Bruhat graph from u;
+    return the endpoint and the path's degree."""
+    x, out = u, graph.out
+    total = graph.zero
+    for _ in range(steps):
+        x, _a, dd = rng.choice(out[x])
+        total = degree_add(total, dd)
+    return x, total

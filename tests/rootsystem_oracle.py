@@ -6,7 +6,9 @@ vector as a Fraction combination of the simple roots, and each fundamental
 weight and dual-basis vector from its own exact solve of one unit column.
 `fraction_build` returns every field that RootSystem computes, so a test can
 compare the two value for value and type for type.  `fraction_rank` is the
-Fraction row reduction that absolute lengths were once computed by.
+Fraction row reduction that absolute lengths were once computed by, and
+`reflect` the ambient Fraction reflection that the package's integer root
+permutations are checked against.
 """
 
 from fractions import Fraction
@@ -136,3 +138,11 @@ def fraction_rank(matrix) -> int:
         if rk == len(rows):
             break
     return rk
+
+
+def reflect(rs, i: int, t):
+    """The reflection of t in the hyperplane orthogonal to root i of rs:
+    t - <t, coroot(alpha)> alpha, by Fraction dot products in ambient coordinates."""
+    alpha = rs.roots[i]
+    c = 2 * dot(t, alpha) / dot(alpha, alpha)
+    return tuple(ti - c * ai for ti, ai in zip(t, alpha))

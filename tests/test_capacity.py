@@ -16,7 +16,6 @@ from bruhatcap import (
     cayley_diameter,
     closed_form_table,
     coweight_oscillation_bound,
-    dominance_violations,
     dominant_from_pairings,
     generate,
     hz_bounds,
@@ -34,7 +33,8 @@ from bruhatcap.checks import TABLE_TYPES
 from bruhatcap.graphs import d_min
 from bruhatcap.linalg import dot, solve_columns, vec
 from bruhatcap.rootsystem import RootSystem
-from weyl_ops import product_images, root_perms
+from rootsystem_oracle import reflect
+from weyl_ops import product_images, reflection, root_perms
 
 RNG_SEED = 20260809
 
@@ -44,13 +44,13 @@ RNG_SEED = 20260809
 
 def test_dominance_and_regularity(b3):
     lam = dominant_from_pairings(b3, [1, 0, 2])
-    assert dominance_violations(b3, lam) == []
+    assert require_dominant(b3, lam) == ((1, 0, 2), 1)
     assert not is_regular(b3, lam)
     assert parabolic_positions(b3, lam) == (1,)
     reg = dominant_from_pairings(b3, [1, 1, 1])
     assert is_regular(b3, reg)
-    bad = vec([0, 1, 0])
-    assert dominance_violations(b3, bad) == [0]
+    with pytest.raises(ValidationError, match=r"<lambda, coroot\(alpha_1\)> < 0"):
+        require_dominant(b3, vec([0, 1, 0]))
 
 
 def test_dominant_from_pairings_round_trip(g2):
@@ -177,7 +177,7 @@ def test_height_lemma_equality_on_decomposition_roots(fam, rank):
     rs = build(fam, rank)
     dec = w0_decomposition(rs)
     for a, h in zip(dec.root_indices, dec.coroot_heights):
-        refl = [rs.find(rs.reflect(a, r)) for r in rs.roots]
+        refl = [rs.find(reflect(rs, a, r)) for r in rs.roots]
         length = sum(1 for b in rs.positive if not rs.is_positive[refl[b]])
         assert length == 2 * h - 1
 
@@ -575,7 +575,7 @@ def test_e_type_rows_are_invariant_under_complement_shift():
         for _ in range(10):
             lam = random_dominant(rs, rng)
             shifted = tuple(a + 3 * b for a, b in zip(lam, shift))
-            assert dominance_violations(rs, shifted) == []
+            require_dominant(rs, shifted)
             assert closed_form_table(rs, lam) == closed_form_table(rs, shifted)
 
 
@@ -794,7 +794,7 @@ def _tamper_end(w):
     # The last step lands on s_1 instead of e, and s_1 is given length 0, so
     # every step still has the length drop of a quantum edge.
     path, roots = _walk(w)
-    wrong = w.simple_elements[0]
+    wrong = reflection(w, w.rs.simple[0])
     table = list(w.reflection_table(roots[-1]))
     table[path[-2]] = wrong
     w._reflection_tables[roots[-1]] = tuple(table)
@@ -908,9 +908,9 @@ def test_postnikov_certificate_catches_a_raised_d_min(monkeypatch, fam, rank, so
         return dist, degs
 
     types = ((fam, rank),)
-    assert checks.check_postnikov(walk_samples=0, types=types).passed
+    assert checks.check_postnikov(types=types).passed
     monkeypatch.setattr(graphs, "d_min_all", raised)
-    res = checks.check_postnikov(walk_samples=0, types=types)
+    res = checks.check_postnikov(types=types)
     assert not res.passed
     assert res.detail.startswith(f"{fam}{rank}: ")
     assert f"d_min({source},{target}) = " in res.detail

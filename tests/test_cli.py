@@ -366,6 +366,18 @@ def test_table_single_row_with_lambda(capsys):
     assert rows[0]["upper_closed_form"] == "20"
 
 
+@pytest.mark.parametrize("fam,rank,lam,needs", [
+    ("A", 2, "1,2", 3), ("A", 2, "3,2,1,0", 3), ("G", 2, "1,2", 3), ("G", 2, "5,3,1,0", 3),
+    ("F", 4, "8,3,2", 4),
+])
+@pytest.mark.parametrize("command", ["table", "capacity"])
+def test_a_weight_of_the_wrong_length_is_refused_alike(capsys, command, fam, rank, lam, needs):
+    # table used to answer "vector has dimension 2, ambient is 3" for A2.
+    code, out, err = run_cli(capsys, command, "-t", fam, "-r", str(rank), "--lambda", lam)
+    assert (code, out) == (1, "")
+    assert err == f"error: lambda has {lam.count(',') + 1} coordinates; {fam}{rank} needs {needs}\n"
+
+
 def test_verify_single_check(capsys):
     code, out, _ = run_cli(capsys, "verify", "--only", "decompositions")
     assert code == 0

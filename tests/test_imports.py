@@ -6,6 +6,7 @@ imported everything.  The help texts in tests/golden/help/ were recorded
 before the imports became lazy, at 80 columns.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -119,3 +120,54 @@ def test_help_is_unchanged(command):
     argv = ("-m", "bruhatcap.cli") + ((command,) if command else ()) + ("--help",)
     out = _python(*argv, COLUMNS="80").stdout
     assert out == (HELP / f"help_{command or 'main'}.txt").read_text(encoding="utf-8")
+
+
+_REMOVED = {
+    "capacity": ("dominance_violations",),
+    "graphs": ("random_walk_degree",),
+}
+_REMOVED_ATTRIBUTES = [
+    ("rootsystem", "RootSystem", "reflect"),
+    ("weyl", "WeylGroup", "reflection"),
+    ("weyl", "WeylGroup", "absolute_length"),
+    ("weyl", "ParabolicData", "rp_plus"),
+    ("weyl", "ParabolicData", "wp_elements"),
+    ("graphs", "WeightedCayleyGraph", "index"),
+    ("graphs", "WeightedCayleyGraph", "identity_index"),
+]
+
+
+def test_the_names_only_the_tests_used_are_gone():
+    # They live on as oracles in tests/: reference_kernels, rootsystem_oracle, weyl_ops.
+    for module, names in _REMOVED.items():
+        for name in names:
+            assert name not in bruhatcap.__all__
+            assert not hasattr(import_module(f"bruhatcap.{module}"), name)
+    for module, cls, name in _REMOVED_ATTRIBUTES:
+        assert not hasattr(getattr(import_module(f"bruhatcap.{module}"), cls), name)
+    w = bruhatcap.generate(bruhatcap.build("A", 2))
+    assert not hasattr(w, "simple_elements")
+    assert w.parabolic((0,))._fields == (
+        "weyl", "s_p", "free_simple", "free_roots", "coset_of", "coset_reps")
+
+
+def _imported_roots(tree):
+    """The top-level name of every module an ast imports, anywhere in it; a
+    relative import is the package itself."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield "bruhatcap" if node.level else node.module.partition(".")[0]
+
+
+def test_the_package_imports_only_the_standard_library():
+    # The runtime stays stdlib-only; the tests' oracles may use networkx and sympy.
+    # Function-local and TYPE_CHECKING imports are read too.
+    seen = set()
+    for path in sorted((SRC / "bruhatcap").glob("*.py")):
+        roots = set(_imported_roots(ast.parse(path.read_text(encoding="utf-8"))))
+        outside = roots - set(sys.stdlib_module_names) - {"bruhatcap"}
+        assert not outside, f"{path.name} imports {sorted(outside)}"
+        seen |= roots
+    assert {"bruhatcap", "fractions", "json"} <= seen  # function-local json included

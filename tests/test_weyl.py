@@ -11,8 +11,8 @@ from bruhatcap.capacity import TABLE_TYPES
 from bruhatcap.linalg import neg, vec
 from bruhatcap.rootsystem import RootSystem, key_absolute_length, weyl_group_order
 from reference_kernels import descent_lookup_enumeration, orbit_cosets
-from rootsystem_oracle import fraction_rank
-from weyl_ops import compose, inverse, inversion_count, root_perms
+from rootsystem_oracle import fraction_rank, reflect
+from weyl_ops import compose, inverse, inversion_count, reflection, root_perms, simple_elements
 
 ENUMERABLE = (
     [("A", r) for r in range(1, 5)]
@@ -154,7 +154,7 @@ def test_a1_longest_is_the_reflection():
     rs = build("A", 1)
     w = generate(rs)
     assert len(w) == 2
-    assert w.longest_index == w.reflection(rs.positive[0])
+    assert w.longest_index == reflection(w, rs.positive[0])
 
 
 def test_compose_inverse_identity(w_b2):
@@ -176,7 +176,7 @@ def test_words_are_reduced(w_b3):
         assert len(word) == w_b3.lengths[i]
         acc = w_b3.identity_index
         for g in word:
-            acc = compose(w_b3, acc, w_b3.simple_elements[g])
+            acc = compose(w_b3, acc, simple_elements(w_b3)[g])
         assert acc == i
 
 
@@ -184,7 +184,7 @@ def test_words_are_reduced(w_b3):
 def test_deletion_property(fam, rank):
     w = generate(build(fam, rank))
     for i in range(len(w)):
-        for g in w.simple_elements:
+        for g in simple_elements(w):
             j = compose(w, i, g)
             assert abs(w.lengths[j] - w.lengths[i]) == 1
 
@@ -194,7 +194,7 @@ def test_deletion_property(fam, rank):
 
 def _absolute_length_bfs(weyl):
     """Independent oracle: BFS over the generating set of ALL reflections."""
-    gens = [weyl.reflection(a) for a in weyl.rs.positive]
+    gens = [reflection(weyl, a) for a in weyl.rs.positive]
     dist = {weyl.identity_index: 0}
     queue = deque([weyl.identity_index])
     while queue:
@@ -211,16 +211,17 @@ def _absolute_length_bfs(weyl):
 def test_absolute_length_against_reflection_bfs(fam, rank):
     w = generate(build(fam, rank))
     oracle = _absolute_length_bfs(w)
-    for i in range(len(w)):
-        assert w.absolute_length(i) == oracle[i]
+    for i, key in enumerate(w.keys):
+        assert key_absolute_length(w.rs, key) == oracle[i]
 
 
 def test_absolute_length_basics(w_b3):
-    assert w_b3.absolute_length(w_b3.identity_index) == 0
-    for a in w_b3.rs.positive:
-        assert w_b3.absolute_length(w_b3.reflection(a)) == 1
-    for i in range(len(w_b3)):
-        assert w_b3.absolute_length(i) <= w_b3.lengths[i]
+    rs, keys = w_b3.rs, w_b3.keys
+    assert key_absolute_length(rs, keys[w_b3.identity_index]) == 0
+    for a in rs.positive:
+        assert key_absolute_length(rs, keys[reflection(w_b3, a)]) == 1
+    for key, length in zip(keys, w_b3.lengths):
+        assert key_absolute_length(rs, key) <= length
 
 
 @pytest.mark.parametrize("fam,rank,lt", [
@@ -228,7 +229,7 @@ def test_absolute_length_basics(w_b3):
 ])
 def test_absolute_length_of_w0(fam, rank, lt):
     w = generate(build(fam, rank))
-    assert w.absolute_length(w.longest_index) == lt
+    assert key_absolute_length(w.rs, w.keys[w.longest_index]) == lt
 
 
 def _fraction_absolute_length(rs, key):
@@ -262,14 +263,14 @@ def test_parabolic_trivial(w_a2):
     pd = w_a2.parabolic(())
     assert pd.n_cosets == len(w_a2)
     assert pd.coset_reps == tuple(range(len(w_a2)))
-    assert pd.rp_plus == ()
+    assert pd.free_roots == w_a2.rs.positive
 
 
 def test_parabolic_a3_grassmannian(w_a3):
     pd = w_a3.parabolic((0, 2))
     assert pd.n_cosets == 6
-    assert len(pd.wp_elements) == 4
-    assert set(pd.rp_plus) == {
+    assert pd.coset_of.count(0) == 4  # |W_P|
+    assert set(w_a3.rs.positive) - set(pd.free_roots) == {
         w_a3.rs.find(vec([1, -1, 0, 0])),
         w_a3.rs.find(vec([0, 0, 1, -1])),
     }
@@ -278,7 +279,7 @@ def test_parabolic_a3_grassmannian(w_a3):
 def test_parabolic_a2(w_a2):
     pd = w_a2.parabolic((0,))
     assert pd.n_cosets == 3
-    assert len(pd.wp_elements) == 2
+    assert pd.coset_of.count(0) == 2  # |W_P|
 
 
 def test_parabolic_reps_are_unique_minima(w_b2):
@@ -294,7 +295,7 @@ def test_parabolic_reps_are_unique_minima(w_b2):
 def test_parabolic_counts_multiply(w_b3):
     for sp in [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]:
         pd = w_b3.parabolic(sp)
-        assert pd.n_cosets * len(pd.wp_elements) == len(w_b3)
+        assert all(pd.coset_of.count(c) * pd.n_cosets == len(w_b3) for c in range(pd.n_cosets))
 
 
 SMALL_TABLE_TYPES = [(f, r) for f, r in TABLE_TYPES if weyl_group_order(f, r) <= 5040]
@@ -311,7 +312,7 @@ def test_parabolic_matches_the_orbit_cosets(fam, rank):
         subsets = [sp for size in range(rank + 1) for sp in combinations(range(rank), size)]
     for sp in subsets:
         pd = w.parabolic(sp)
-        assert (pd.coset_of, pd.coset_reps, pd.wp_elements) == orbit_cosets(w, sp)
+        assert (pd.coset_of, pd.coset_reps) == orbit_cosets(w, sp)
 
 
 @pytest.mark.parametrize("fam,rank", [("A", 3), ("B", 3), ("G", 2)])
@@ -339,6 +340,25 @@ def test_parabolic_refuses_a_table_swapped_across_cosets(fam, rank):
             w.right = right
 
 
+@pytest.mark.parametrize("fam,rank,sp,cosets_wp", [
+    ("A", 2, (0,), "3 cosets x |W_P|=1 != |W|=6"),
+    ("B", 3, (0, 2), "12 cosets x |W_P|=3 != |W|=48"),
+])
+def test_parabolic_refuses_an_identity_coset_of_the_wrong_size(monkeypatch, fam, rank, sp, cosets_wp):
+    # A planted fault in the coset pass: one element of the identity's coset
+    # is filed under coset 1, so the count |cosets| x |W_P| = |W| fails.
+    cosets = weyl_module.cosets
+
+    def shrunk(n, generators):
+        coset_of, reps = cosets(n, generators)
+        moved = coset_of.index(0, 1)  # a member of the identity's coset other than e
+        return coset_of[:moved] + (1,) + coset_of[moved + 1:], reps
+
+    monkeypatch.setattr(weyl_module, "cosets", shrunk)
+    with pytest.raises(ConsistencyError, match=r"parabolic data broken: " + cosets_wp.replace("|", r"\|")):
+        WeylGroup(build(fam, rank)).parabolic(sp)
+
+
 def test_cosets_refuse_an_end_that_is_no_orbit_minimum():
     # 0 -- 2 and 1 -- 2 join one orbit, and 1 has no image below itself, so
     # the pass ends at both 0 and 1: refused, as no coset numbering
@@ -352,7 +372,7 @@ def _image(weyl, w, mu):
     """w(mu) in ambient coordinates, reflecting along a reduced word of w."""
     rs = weyl.rs
     for g in reversed(weyl.word(w)):
-        mu = rs.reflect(rs.simple[g], mu)
+        mu = reflect(rs, rs.simple[g], mu)
     return mu
 
 
@@ -395,7 +415,7 @@ def test_right_multiplication_matches_root_permutations(fam, rank):
     w = generate(rs)
     perms = root_perms(w)
     for a in rs.positive:
-        s = w.reflection(a)
+        s = reflection(w, a)
         refl = rs.reflection_perm(a)
         table = w.reflection_table(a)
         assert len(table) == len(w)
@@ -404,7 +424,7 @@ def test_right_multiplication_matches_root_permutations(fam, rank):
             assert table[u] == compose(w, u, s)
     for g, row in enumerate(w.right):
         assert row == w.reflection_table(rs.simple[g])
-        assert list(row) == [compose(w, u, w.simple_elements[g]) for u in range(len(w))]
+        assert list(row) == [compose(w, u, simple_elements(w)[g]) for u in range(len(w))]
 
 
 @pytest.mark.parametrize("fam,rank", [

@@ -37,6 +37,17 @@ def compose(weyl, i: int, j: int) -> int:
     return key_index(weyl)[tuple(pi[pj[s]] for s in weyl.rs.simple)]
 
 
+def reflection(weyl, a: int) -> int:
+    """Index of the reflection s_alpha in root a, looked up by its images of the simple roots."""
+    perm = weyl.rs.reflection_perm(a)
+    return key_index(weyl)[tuple(perm[s] for s in weyl.rs.simple)]
+
+
+def simple_elements(weyl) -> list[int]:
+    """Index of each simple reflection s_i, in the order of the simple roots."""
+    return [reflection(weyl, s) for s in weyl.rs.simple]
+
+
 def inverse(weyl, i: int) -> int:
     p = root_perms(weyl)[i]
     return key_index(weyl)[tuple(map(p.index, weyl.rs.simple))]
