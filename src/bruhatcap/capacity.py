@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import linalg
 from .errors import ConsistencyError, ValidationError
-from .limits import DEFAULT_CONFIRM_CAP, DEFAULT_GROUP_CAP, require_nonnegative_cap
+from .limits import DEFAULT_CONFIRM_CAP, DEFAULT_GROUP_CAP, read_count
 from .linalg import Vector, vec
 from .rootsystem import (RootSystem, build, checked_weight, key_absolute_length, parabolic_positions,
                          rational_str, require_dominant, scaled, vector_strs)
@@ -456,8 +456,8 @@ def hz_bounds(family: str, rank: int, lam, *, confirm_cap: int = DEFAULT_CONFIRM
 
     Everything weight-free is built once per type and kept: the root system,
     the decomposition, the group, its reflection tables and its cosets."""
-    require_nonnegative_cap("confirm_cap", confirm_cap)
-    require_nonnegative_cap("group_cap", group_cap)
+    read_count("confirm_cap", confirm_cap)
+    read_count("group_cap", group_cap)
     rs = build(family, rank)
     lam_input = vec(lam)
     lam_used = checked_weight(rs, lam_input)

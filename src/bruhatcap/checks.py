@@ -341,13 +341,16 @@ def check_coweight(*, seed: int = 0, samples: int = 5, types: tuple = TABLE_TYPE
 
 def run_checks(names=None, seed: int = 0, type_filter: str | None = None,
                rank_filter: int | None = None) -> list[CheckResult]:
-    """Run the named checks (all by default) with optional type/rank filters.
+    """Run the named checks, each once in the order first named (all when names
+    is None, none when it is empty), with optional type/rank filters.
 
     The filters narrow the default `types` of each check's signature.  A check left with no
     type is skipped, unless `names` names it: then the filter is an error, and
     so it is when no check that takes types keeps one, or when the filter
     matches no type of any check.  Every error is raised before a check runs."""
-    for name in names or ():
+    named = names is not None
+    names = dict.fromkeys(names if named else ALL_CHECKS)  # each once, in order
+    for name in names:
         if name not in ALL_CHECKS:
             raise BruhatCapError(f"unknown check {name!r}; available: {', '.join(ALL_CHECKS)}")
     filtering = bool(type_filter) or rank_filter is not None
@@ -358,7 +361,7 @@ def run_checks(names=None, seed: int = 0, type_filter: str | None = None,
                      and (rank_filter is None or r == rank_filter))
 
     calls, unmatched = [], []
-    for name in names or ALL_CHECKS:
+    for name in names:
         fn = ALL_CHECKS[name]
         defaults = fn.__wrapped__.__kwdefaults__
         kwargs = {"seed": seed} if "seed" in defaults else {}
@@ -369,7 +372,7 @@ def run_checks(names=None, seed: int = 0, type_filter: str | None = None,
                 continue
         calls.append((fn, kwargs))
     no_match = f"no types match filter {type_filter}/{rank_filter}"
-    if unmatched and (names or not any("types" in kw for _fn, kw in calls)):
+    if unmatched and (named or not any("types" in kw for _fn, kw in calls)):
         raise BruhatCapError(f"check {unmatched[0]!r}: {no_match}")
     if filtering and not any(map(narrowed, ALL_CHECKS.values())):
         raise BruhatCapError(no_match)

@@ -5,16 +5,15 @@ emitted exactly ('p/q' or integer string); there is no floating-point
 formatting anywhere.  Graph exports and `roots --format json` are written
 chunk by chunk as they are rendered, joined into blocks of at least
 BLOCK_SIZE characters, so that a large export is a few large writes and
-holds at most one block.  BC_GROUP_CAP overrides the default group cap; a
-negative cap, from it or from a flag, is refused before any command runs.
+holds at most one block.  BC_GROUP_CAP overrides the default group cap;
+it and the cap flags are read as counts (limits) before any command runs.
 
 A command imports only the modules it runs: `roots` reads the root system
 alone, `table` and `capacity` add the bounds, the graph modules load only
 where a group is enumerated or a graph built, and the checks only for
 `verify`.  `graph cayley` loads no Weyl group module and `graph bruhat` or
 `graph quantum` no bounds module; json and csv load only for the formats
-that write them.  A Weyl group over limits.GROUP_MEMORY_BUDGET (E7, E8) is
-refused before it is enumerated.
+that write them.
 
 `console_main` is the `bruhatcap` console script and `python -m
 bruhatcap.cli`: it runs `main` and ends the process without interpreter
@@ -34,7 +33,7 @@ from typing import Iterable, Iterator, NoReturn
 
 from .errors import BruhatCapError, ValidationError
 from .limits import (DEFAULT_CAYLEY_CAP, DEFAULT_CONFIRM_CAP, DEFAULT_GROUP_CAP, MAX_DIGITS,
-                     require_nonnegative_cap)
+                     read_count)
 from .rootsystem import (build, checked_weight, json_chunks, json_item, parabolic_positions,
                          parse_rational, rational_str, spelled_digits, vector_strs)
 
@@ -53,20 +52,18 @@ def _env_group_cap() -> int:
     if raw is None:
         return DEFAULT_GROUP_CAP
     try:
-        cap = int(raw)
+        raw = int(raw)
     except ValueError:
-        raise ValidationError(f"BC_GROUP_CAP must be an integer, got {raw!r}") from None
-    if cap < 0:
-        raise ValidationError(f"BC_GROUP_CAP must be nonnegative, got {raw!r}")
-    return cap
+        pass  # read_count refuses the text, by name
+    return read_count("BC_GROUP_CAP", raw)
 
 
-def _require_nonnegative_caps(args) -> None:
-    """ValidationError for a negative --confirm-cap, --group-cap or --cayley-cap; 0 is valid."""
+def _read_caps(args) -> None:
+    """--confirm-cap, --group-cap and --cayley-cap read as counts (limits.read_count)."""
     for name in ("confirm_cap", "group_cap", "cayley_cap"):
         cap = getattr(args, name, None)
         if cap is not None:
-            require_nonnegative_cap(f"--{name.replace('_', '-')}", cap)
+            read_count(f"--{name.replace('_', '-')}", cap)
 
 
 def parse_lambda(raw: str) -> tuple[Fraction, ...]:
@@ -417,7 +414,7 @@ def main(argv=None) -> int:
     try:
         # build_parser reads BC_GROUP_CAP, which can be malformed or negative
         args = build_parser().parse_args(argv)
-        _require_nonnegative_caps(args)
+        _read_caps(args)
         return args.func(args)
     except BruhatCapError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -32,13 +32,9 @@ images settle at the same d; cayley_diameter searches W_lam \\ S_n / W_lam,
 lam relabelled so that its tie blocks sit where the frame puts them: W_lam
 acting on both sides is a group of automorphisms of the weighted graph that
 maps e's coset onto itself, so the distance from e is constant on each
-double coset (the proof is in cayley_diameter).  A vertex argument (src,
-dst, u, v) of min_path_area, cayley_distances, d_min or d_min_all must be
-an int in range(n_vertices), and the n of
-cayley_graph or cayley_diameter an int; any other is refused with
-ValidationError.  An n over the Cayley cap, or whose search is estimated
-(cayley_bytes) to need more than limits.GROUP_MEMORY_BUDGET, is refused with
-SizeLimitError before any frame is built.
+double coset (the proof is in cayley_diameter).  Vertex arguments, n and
+the Cayley cap are read and refused through limits, as README's guarantees
+state, before any frame is built.
 """
 
 from __future__ import annotations
@@ -52,8 +48,8 @@ from heapq import heappop, heappush
 from operator import add, ge, itemgetter, mul, not_
 from typing import TYPE_CHECKING, Iterator
 
-from .errors import ConsistencyError, SizeLimitError, ValidationError
-from .limits import DEFAULT_CAYLEY_CAP, GROUP_MEMORY_BUDGET, require_nonnegative_cap
+from .errors import ConsistencyError, ValidationError
+from .limits import DEFAULT_CAYLEY_CAP, read_count, require_size
 from .linalg import Vector, vec
 from .rootsystem import json_chunks, json_item, rational_str, require_dominant, scaled, vector_strs
 
@@ -94,12 +90,6 @@ def _dijkstra(n_vertices: int, neighbours, src: int, dst: int | None = None):
                 dist[v] = nd
                 heappush(heap, (nd, v))
     return dist if dst is None else None
-
-
-def _require_vertex(name: str, v, n_vertices: int) -> None:
-    """ValidationError unless v is an int (not a bool) in range(n_vertices)."""
-    if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n_vertices:
-        raise ValidationError(f"{name} must be a vertex index in range({n_vertices}), got {v!r}")
 
 
 def _images(vertices, columns) -> Iterator[tuple[int, ...]]:
@@ -226,8 +216,8 @@ def min_path_area(parabolic: ParabolicData, lam: Vector, src: int, dst: int) -> 
     only when lam pairs to zero with S_P; any other or non-dominant lam is refused,
     and so is a src or dst that is not a coset index.
     """
-    _require_vertex("src", src, parabolic.n_cosets)
-    _require_vertex("dst", dst, parabolic.n_cosets)
+    read_count("src", src, 0, parabolic.n_cosets)
+    read_count("dst", dst, 0, parabolic.n_cosets)
     weyl = parabolic.weyl
     rs = weyl.rs
     labels, scale = require_dominant(rs, lam, parabolic.s_p)
@@ -311,7 +301,7 @@ def d_min_all(graph: QuantumBruhatGraph, u: int) -> tuple[list[int], list[Degree
     vertex nearer u has one degree, y's set is the degrees its shortest-path
     edges carry, and it has one element exactly when they all agree.
     """
-    _require_vertex("u", u, graph.n_vertices)  # before out, a cached attribute, is built
+    read_count("u", u, 0, graph.n_vertices)  # before out, a cached attribute, is built
     n, out, zero = graph.n_vertices, graph.out, graph.zero
     dist = [-1] * n
     dist[u] = 0
@@ -336,7 +326,7 @@ def d_min_all(graph: QuantumBruhatGraph, u: int) -> tuple[list[int], list[Degree
 
 def d_min(graph: QuantumBruhatGraph, u: int, v: int) -> tuple[Degree, int]:
     """The common degree and length of all shortest directed paths u -> v."""
-    _require_vertex("v", v, graph.n_vertices)
+    read_count("v", v, 0, graph.n_vertices)
     dist, degs = d_min_all(graph, u)
     return degs[v], dist[v]
 
@@ -420,23 +410,13 @@ def cayley_bytes(n: int) -> int:
 
 
 def _require_cayley_size(n: int, lam: Vector, cap: int) -> None:
-    """The checks of n, lam and the cap, made before any frame is built: an n
-    over the cap, or whose cayley_bytes are over limits.GROUP_MEMORY_BUDGET,
-    is refused with SizeLimitError."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValidationError(f"n must be an int, got {n!r}")
-    require_nonnegative_cap("cap", cap)
-    if n < 1:
-        raise ValidationError("n must be positive")
-    if n > cap:
-        raise SizeLimitError(f"n = {n} exceeds the Cayley cap {cap} ({n}! vertices)")
-    need = cayley_bytes(min(n, 20))  # 20! alone is over 2^61: no factorial of a large n
-    if need > GROUP_MEMORY_BUDGET:
-        raise SizeLimitError(
-            f"n = {n}: the Cayley search of S_{n} ({n}! vertices) would need "
-            f"{'about' if n <= 20 else 'more than'} {need >> 20:,} MB, over the memory budget of "
-            f"{GROUP_MEMORY_BUDGET >> 20:,} MB"
-        )
+    """The checks of n, lam and the cap (limits.read_count, limits.require_size),
+    made before any frame is built."""
+    n = read_count("n", n, 1)
+    # 20! alone is over 2^61, and no factorial of a larger n is taken.
+    require_size(f"n = {n}: the Cayley search of S_{n} ({n}! vertices)" if n <= 20 else
+                 f"n = {n}: the Cayley search of S_{n} needs more than that of S_20, which",
+                 n, cap, cayley_bytes(min(n, 20)))
     if len(lam) != n:
         raise ValidationError(f"lambda has {len(lam)} entries, expected {n}")
 
@@ -492,7 +472,7 @@ def cayley_graph(n: int, lam, cap: int = DEFAULT_CAYLEY_CAP) -> WeightedCayleyGr
 def cayley_distances(graph: WeightedCayleyGraph, src: int) -> list[Fraction]:
     """Single-source Dijkstra over the weighted Cayley graph; src is a vertex index."""
     n = graph.n
-    _require_vertex("src", src, math.factorial(n))
+    read_count("src", src, 0, math.factorial(n))
     ints, scale = scaled(graph.lam)
     n_vertices, levels = _cayley_levels(n, (1,) * n, ints, src)
     dist: list = [None] * n_vertices

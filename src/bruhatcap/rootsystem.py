@@ -46,7 +46,7 @@ from typing import Iterator
 
 from . import linalg
 from .errors import ConsistencyError, SizeLimitError, ValidationError
-from .limits import MAX_DIGITS, MAX_RANK
+from .limits import MAX_DIGITS, MAX_RANK, read_count
 from .linalg import Vector, vec
 
 HALF = Fraction(1, 2)
@@ -63,45 +63,48 @@ def _chain(dim: int, count: int) -> list[Vector]:
     return [vec([0] * i + [1, -1] + [0] * (dim - i - 2)) for i in range(count)]
 
 
-def simple_root_vectors(family: str, rank: int) -> list[Vector]:
-    """Simple roots of the chosen type in the standard realization."""
+def _read_type(family: str, rank) -> tuple[str, int]:
+    """The family's letter and the rank, read as a count (limits.read_count),
+    refused over MAX_RANK, and refused where the family has no such rank."""
     fam = family.upper()
+    rank = read_count("rank", rank, 1)
     if rank > MAX_RANK:
         raise SizeLimitError(f"rank {rank} is over the limit {MAX_RANK}")
+    if len(fam) != 1 or fam not in "ABCDEFG":
+        raise ValidationError(f"unknown family {family!r}; expected one of A, B, C, D, E, F, G")
+    least = {"B": 2, "C": 2, "D": 3}.get(fam, 1)
+    if rank < least:
+        raise ValidationError(f"type {fam} requires rank >= {least}")
+    only = {"E": (6, 7, 8), "F": (4,), "G": (2,)}.get(fam, (rank,))
+    if rank not in only:
+        raise ValidationError(f"type {fam} exists only for {'ranks' if len(only) > 1 else 'rank'} "
+                              f"{', '.join(map(str, only))}")
+    return fam, rank
+
+
+def simple_root_vectors(family: str, rank: int) -> list[Vector]:
+    """Simple roots of the chosen type in the standard realization."""
+    fam, rank = _read_type(family, rank)
     if fam == "A":
-        if rank < 1:
-            raise ValidationError("type A requires rank >= 1")
         return _chain(rank + 1, rank)
     if fam in ("B", "C"):
-        if rank < 2:
-            raise ValidationError(f"type {fam} requires rank >= 2")
         return _chain(rank, rank - 1) + [vec([0] * (rank - 1) + [1 if fam == "B" else 2])]
     if fam == "D":
-        if rank < 3:
-            raise ValidationError("type D requires rank >= 3")
         return _chain(rank, rank - 1) + [vec([0] * (rank - 2) + [1, 1])]
     if fam == "E":
-        if rank not in (6, 7, 8):
-            raise ValidationError("type E exists only for ranks 6, 7, 8")
         return _E8_SIMPLE[:rank]
     if fam == "F":
-        if rank != 4:
-            raise ValidationError("type F exists only for rank 4")
         return [
             vec([0, 1, -1, 0]),
             vec([0, 0, 1, -1]),
             vec([0, 0, 0, 1]),
             (HALF, -HALF, -HALF, -HALF),
         ]
-    if fam == "G":
-        if rank != 2:
-            raise ValidationError("type G exists only for rank 2")
-        return [vec([1, -2, 1]), vec([0, 1, -1])]
-    raise ValidationError(f"unknown family {family!r}; expected one of A, B, C, D, E, F, G")
+    return [vec([1, -2, 1]), vec([0, 1, -1])]
 
 
 def positive_root_count(family: str, rank: int) -> int:
-    fam = family.upper()
+    fam, rank = _read_type(family, rank)
     if fam == "A":
         return rank * (rank + 1) // 2
     if fam in ("B", "C"):
@@ -110,15 +113,11 @@ def positive_root_count(family: str, rank: int) -> int:
         return rank * (rank - 1)
     if fam == "E":
         return {6: 36, 7: 63, 8: 120}[rank]
-    if fam == "F":
-        return 24
-    if fam == "G":
-        return 6
-    raise ValidationError(f"unknown family {family!r}")
+    return 24 if fam == "F" else 6
 
 
 def weyl_group_order(family: str, rank: int) -> int:
-    fam = family.upper()
+    fam, rank = _read_type(family, rank)
     if fam == "A":
         return factorial(rank + 1)
     if fam in ("B", "C"):
@@ -127,11 +126,7 @@ def weyl_group_order(family: str, rank: int) -> int:
         return (2 ** (rank - 1)) * factorial(rank)
     if fam == "E":
         return {6: 51_840, 7: 2_903_040, 8: 696_729_600}[rank]
-    if fam == "F":
-        return 1152
-    if fam == "G":
-        return 12
-    raise ValidationError(f"unknown family {family!r}")
+    return 1152 if fam == "F" else 12
 
 
 def scaled(values) -> tuple[tuple[int, ...], int]:
@@ -447,9 +442,10 @@ def key_absolute_length(rs: RootSystem, key: tuple[int, ...]) -> int:
     return linalg.integer_rank([[cols[j][k] - (j == k) for j in range(rs.rank)] for k in range(rs.rank)])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def build(family: str, rank: int) -> RootSystem:
-    """Build (and cache) the root system of the given simple type."""
+    """Build (and cache) the root system of the given simple type.  The cache is
+    typed, so a rank of True or 2.0 is read, and refused, not served A1's or A2's."""
     return RootSystem(family, rank)
 
 

@@ -681,6 +681,9 @@ def test_hz_bounds_negative_cap_refused_before_any_build(monkeypatch, cap):
         patched.setattr(capacity, "build", unexpected)
         with pytest.raises(ValidationError, match=f"{cap} must be nonnegative, got -3"):
             hz_bounds("A", 2, [2, 1, 0], **{cap: -3})
+        for value in (True, 2.0, "2", None):  # True and 2.0 used to pass, "2" and None TypeError
+            with pytest.raises(ValidationError, match=f"^{cap} must be an int, got {value!r}$"):
+                hz_bounds("A", 2, [2, 1, 0], **{cap: value})
     # a cap of 0 is valid: it skips the confirmation, or refuses |W| = 6 by size
     if cap == "confirm_cap":
         assert hz_bounds("A", 2, [2, 1, 0], confirm_cap=0).checks["dmin_consistent"] is None
@@ -858,7 +861,10 @@ def _plant_in_upper_bound(monkeypatch, family):
 
 def test_an_internal_error_fails_its_check_and_the_later_checks_still_run(monkeypatch):
     _plant_in_upper_bound(monkeypatch, "F")
-    results = checks.run_checks(names=["height-lemma", "sandwich", "decompositions"])
+    # each named check runs once, in the order first named, and no name runs none
+    assert checks.run_checks(names=[]) == []
+    results = checks.run_checks(names=["height-lemma", "sandwich", "decompositions", "sandwich",
+                                       "height-lemma"])
     assert [(r.name, r.passed) for r in results] == [
         ("height-lemma", True), ("sandwich", False), ("decompositions", True)]
     assert results[1].detail.startswith("planted: F4 lambda=")

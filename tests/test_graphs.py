@@ -305,15 +305,22 @@ def test_min_path_area_rejects_weight_nonzero_on_s_p(w_a3):
     assert min_path_area(pd, vec([2, 2, 0, 0]), 0, pd.n_cosets - 1) == 4
 
 
-@pytest.mark.parametrize("src,dst", [(-1, 0), (8, 0), (0, -1), (0, 8), (True, 0), (0, 1.0)])
-def test_min_path_area_refuses_a_coset_index_out_of_range(w_b2, src, dst):
+@pytest.mark.parametrize("src,dst", [(-1, 0), (8, 0), (0, -1), (0, 8), (True, 0), (0, 1.0),
+                                     (2.0, 0), (0, "2"), (None, 0), (0, True)])
+def test_min_path_area_refuses_a_coset_index_out_of_range(monkeypatch, w_b2, src, dst):
     # B2 has 8 cosets of the empty S_P.  A negative index used to be read from
     # the end (src = -1 gave 4, the area from coset 7), and 8 raised IndexError.
     pd = w_b2.parabolic(())
     lam = vec([2, 1])
-    with pytest.raises(ValidationError, match=r"must be a vertex index in range\(8\), got "):
-        min_path_area(pd, lam, src, dst)
+    with monkeypatch.context() as patched:
+        patched.setattr(w_b2, "reflection_table", _unexpected_table)
+        with pytest.raises(ValidationError, match=r"^(src|dst) must be (an int|in range\(0, 8\)), got "):
+            min_path_area(pd, lam, src, dst)
     assert min_path_area(pd, lam, 0, 7) == min_path_area(pd, lam, 7, 0) == 4
+
+
+def _unexpected_table(*args):
+    raise AssertionError("a reflection table was built")
 
 
 def test_min_path_area_disconnected_graph(monkeypatch):
@@ -629,7 +636,8 @@ def test_cayley_size_over_the_memory_budget_refused_at_an_equal_cap(monkeypatch,
 
 def test_cayley_size_far_over_the_budget_is_refused_without_its_factorial(monkeypatch):
     _refuse_every_permutation_build(monkeypatch)
-    with pytest.raises(SizeLimitError, match=r"^n = 100000: .* would need more than [\d,]+ MB"):
+    with pytest.raises(SizeLimitError, match=r"^n = 100000: the Cayley search of S_100000 needs more "
+                                             r"than that of S_20, which would need about [\d,]+ MB"):
         cayley_diameter(100_000, [0], cap=100_000)
 
 
@@ -648,16 +656,20 @@ def test_cayley_negative_cap_refused_before_any_build(monkeypatch, entry):
     for lam in ([0], [0, 0]):  # the S_1 frame, and the quotient frame of S_2 by one tie
         with pytest.raises(ValidationError, match="cap must be nonnegative, got -1"):
             entry(len(lam), lam, cap=-1)
+        for cap in (True, 2.0, "2", None):  # True and 2.0 used to pass as caps, "2" and None TypeError
+            with pytest.raises(ValidationError, match=f"^cap must be an int, got {cap!r}$"):
+                entry(len(lam), lam, cap=cap)
         with pytest.raises(SizeLimitError):  # a cap below n is valid, and refuses by size
             entry(len(lam), lam, cap=len(lam) - 1)
 
 
 @pytest.mark.parametrize("entry", [cayley_graph, cayley_diameter])
-@pytest.mark.parametrize("n,lam", [(2.0, [1, 0]), (True, [1]), (False, []), ("2", [1, 0]), (None, [1])])
+@pytest.mark.parametrize("n,lam", [(2.0, [1, 0]), (True, [1]), (False, []), ("2", [1, 0]), (None, [1]),
+                                  (0, []), (-1, [])])
 def test_cayley_size_that_is_no_int_refused_before_any_build(monkeypatch, entry, n, lam):
     # 2.0 used to raise a bare TypeError from range, and True to answer as n = 1.
     _refuse_every_frame_build(monkeypatch)
-    with pytest.raises(ValidationError, match=f"n must be an int, got {n!r}"):
+    with pytest.raises(ValidationError, match=f"^n must be (an int|at least 1), got {n!r}$"):
         entry(n, lam)
 
 
@@ -696,23 +708,26 @@ def test_cayley_distances_disconnected(monkeypatch):
         cayley_diameter(3, [2, 1, 0])
 
 
-@pytest.mark.parametrize("src", [-1, 6, True, 0.0])
-def test_cayley_distances_refuses_a_source_out_of_range(src):
+@pytest.mark.parametrize("src", [-1, 6, True, 0.0, 2.0, "2", None])
+def test_cayley_distances_refuses_a_source_out_of_range(monkeypatch, src):
     # S_3 has 6 vertices; 6 used to raise the false "disconnected" error.
     g = cayley_graph(3, [2, 1, 0])
-    with pytest.raises(ValidationError, match=r"src must be a vertex index in range\(6\), got "):
-        cayley_distances(g, src)
+    with monkeypatch.context() as patched:
+        _refuse_every_frame_build(patched)
+        with pytest.raises(ValidationError, match=rf"^src must be (an int|in range\(0, 6\)), got {src!r}$"):
+            cayley_distances(g, src)
     assert cayley_distances(g, 5) == [2, 2, 2, 1, 1, 0]
 
 
-@pytest.mark.parametrize("vertex", [-1, 6, True, 0.0])
+@pytest.mark.parametrize("vertex", [-1, 6, True, 0.0, 2.0, "2", None])
 def test_quantum_searches_refuse_a_vertex_out_of_range(w_a2, vertex):
     # A2 has 6 elements; -1 and True used to answer for the vertices 5 and 1.
     q = quantum_bruhat_graph(w_a2)
-    refused = r"must be a vertex index in range\(6\), got "
+    refused = rf"^[uv] must be (an int|in range\(0, 6\)), got {vertex!r}$"
     for search in (lambda: d_min(q, vertex, 0), lambda: d_min(q, 0, vertex), lambda: d_min_all(q, vertex)):
         with pytest.raises(ValidationError, match=refused):
             search()
+    assert "out" not in vars(q)  # the edge lists were not built
     assert d_min(q, 5, 5) == ((0, 0), 0)
 
 

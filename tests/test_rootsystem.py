@@ -8,7 +8,8 @@ import pytest
 from bruhatcap import SizeLimitError, ValidationError, build, positive_root_count
 from bruhatcap.checks import TABLE_TYPES
 from bruhatcap.linalg import dot, neg, solve_columns, vec
-from bruhatcap.rootsystem import MAX_RANK, RootSystem, parse_rational, rational_str
+from bruhatcap.rootsystem import (MAX_RANK, RootSystem, parse_rational, rational_str,
+                                  simple_root_vectors, weyl_group_order)
 from rootsystem_oracle import reflect
 
 ALL_TYPES = (
@@ -193,10 +194,15 @@ def test_negative_root_rejected(a2):
 
 
 @pytest.mark.parametrize("fam,rank", [("A", 0), ("B", 1), ("C", 1), ("D", 2),
-                                      ("E", 5), ("E", 9), ("F", 3), ("G", 3), ("H", 2)])
+                                      ("E", 5), ("E", 9), ("F", 3), ("G", 3), ("H", 2),
+                                      ("A", True), ("B", 2.0), ("A", "2"), ("A", None), ("E", 6.0)])
 def test_invalid_types_rejected(fam, rank):
-    with pytest.raises(ValidationError):
-        build(fam, rank)
+    # build("A", True) used to return a root system named ATrue, and 2.0 raised
+    # TypeError; the two counts answered for A0 and True, or raised KeyError at E9.
+    build("A", 1), build("B", 2), build("E", 6)  # cached: an equal rank must not be served them
+    for entry in (build, RootSystem, simple_root_vectors, positive_root_count, weyl_group_order):
+        with pytest.raises(ValidationError):
+            entry(fam, rank)
 
 
 def test_fundamental_weights(b3):

@@ -47,6 +47,9 @@ def test_negative_cap_refused_before_enumeration(monkeypatch, entry):
     monkeypatch.setattr(rs, "reflection_perm", unexpected)
     with pytest.raises(ValidationError, match="cap must be nonnegative, got -1"):
         entry(rs, cap=-1)
+    for cap in (True, 2.0, "2", None):  # True and 2.0 used to pass as caps, "2" and None TypeError
+        with pytest.raises(ValidationError, match=f"^cap must be an int, got {cap!r}$"):
+            entry(rs, cap=cap)
     with pytest.raises(SizeLimitError):  # a cap of 0 is valid, and refuses |W| = 6 by size
         entry(rs, cap=0)
 
@@ -59,8 +62,8 @@ def test_group_over_memory_budget_refused_before_enumeration(monkeypatch, entry)
     rs = build("E", 7)
     monkeypatch.setattr(rs, "reflection_perm", unexpected)
     # The budget holds whatever the caller's cap: raising the cap cannot force E7.
-    with pytest.raises(SizeLimitError, match=r"E7: the Weyl group \(2,903,040 elements\) and its "
-                                             r"63 reflection tables would need about 2,480 MB"):
+    with pytest.raises(SizeLimitError, match=r"^E7: the Weyl group \(2,903,040 elements\) would need "
+                                             r"about 3,361 MB, over the memory budget of 1,024 MB$"):
         entry(rs, cap=10**9)
 
 
@@ -68,12 +71,27 @@ def test_memory_estimate_counts_every_reflection_table():
     from bruhatcap.limits import GROUP_MEMORY_BUDGET
 
     e6, e7 = build("E", 6), build("E", 7)
-    assert weyl_module.enumeration_bytes(e6) == 51_840 * (56 + 8 * 6 + 96 + 72 + 16 * 6 + 8 * 36)
+    assert weyl_module.enumeration_bytes(e6) == 51_840 * (56 + 8 * 6 + 96 + 72 + 16 * 6 + 8 * 36 + 192 + 2 * 36)
     assert weyl_module.enumeration_bytes(e6) < GROUP_MEMORY_BUDGET < weyl_module.enumeration_bytes(e7)
     for fam, rank in [("A", 8), ("B", 7), ("C", 7), ("D", 7)]:
         assert weyl_module.enumeration_bytes(build(fam, rank)) < GROUP_MEMORY_BUDGET
+    # Over the measured peak RSS of `graph bruhat --format json`: A8 308 MB, B7 603 MB.
+    assert weyl_module.enumeration_bytes(build("A", 8)) > 308 << 20
+    assert weyl_module.enumeration_bytes(build("B", 7)) > 603 << 20
     # Every group over the default cap is over the budget too.
     assert weyl_module.enumeration_bytes(build("B", 8)) > GROUP_MEMORY_BUDGET
+
+
+@pytest.mark.parametrize("position", [-1, 3, True, 2.0, "2", None])
+def test_parabolic_refuses_a_position_that_is_no_simple_root(monkeypatch, w_a3, position):
+    # True used to be read as position 1, and 2.0 indexed the right tables with a float.
+    def unexpected(*args):
+        raise AssertionError("cosets were built")
+
+    monkeypatch.setattr(weyl_module, "cosets", unexpected)
+    with pytest.raises(ValidationError, match=rf"^S_P position must be (an int|in range\(0, 3\)), "
+                                              rf"got {position!r}$"):
+        w_a3.parabolic((0, position))
 
 
 def test_cached_group_refused_under_smaller_cap(b2):
