@@ -224,7 +224,7 @@ def _simple_images(rs: RootSystem, indices) -> tuple[int, ...]:
 def _scaled_pairings(rs: RootSystem, lam: Vector, indices) -> tuple[list[int], int]:
     """<lam, coroot(alpha_i)> for each root index i, as integers over one scale; and the scale.
     ValidationError unless lam is dominant."""
-    labels, scale = require_dominant(rs, vec(lam))
+    labels, scale = require_dominant(rs, vec(lam, "lambda"))
     return [sum(map(mul, rs.signed_cocoefficients(i), labels)) for i in indices], scale
 
 
@@ -278,7 +278,7 @@ def coweight_oscillation_bound(rs: RootSystem, lam: Vector, xi: Vector,
     positive, so the cone check, m = (xi, theta), the maximum and the
     oscillation sum all read that one pass.
     """
-    xi = vec(xi)
+    xi = vec(xi, "xi")
     pairings, scale = _scaled_pairings(rs, lam, dec.root_indices)
     xi_pairs = {i: linalg.dot(xi, rs.roots[i]) for i in rs.positive}
     if any(xi_pairs[s] < 0 for s in rs.simple):
@@ -294,7 +294,7 @@ def coweight_oscillation_bound(rs: RootSystem, lam: Vector, xi: Vector,
 
 def unitary_capacity(lam) -> Fraction:
     """(1/2) sum_k |lam_k - lam_{n-k+1}| for a nonincreasing weight vector."""
-    lam = vec(lam)
+    lam = vec(lam, "lambda")
     n = len(lam)
     if any(lam[i] < lam[i + 1] for i in range(n - 1)):
         raise ValidationError("lambda must be sorted in nonincreasing order")
@@ -313,7 +313,7 @@ def closed_form_table(rs: RootSystem, lam: Vector) -> tuple[Fraction, Fraction]:
     written in a form invariant under shifts along (1,1,1), so projecting
     onto the root plane does not change it.
     """
-    lam = vec(lam)
+    lam = vec(lam, "lambda")
     require_dominant(rs, lam)
     fam, n = rs.family, rs.rank
     if fam == "A":
@@ -459,7 +459,7 @@ def hz_bounds(family: str, rank: int, lam, *, confirm_cap: int = DEFAULT_CONFIRM
     read_count("confirm_cap", confirm_cap)
     read_count("group_cap", group_cap)
     rs = build(family, rank)
-    lam_input = vec(lam)
+    lam_input = vec(lam, "lambda")
     lam_used = checked_weight(rs, lam_input)
 
     dec = w0_decomposition(rs)

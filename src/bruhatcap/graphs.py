@@ -32,7 +32,9 @@ images settle at the same d; cayley_diameter searches W_lam \\ S_n / W_lam,
 lam relabelled so that its tie blocks sit where the frame puts them: W_lam
 acting on both sides is a group of automorphisms of the weighted graph that
 maps e's coset onto itself, so the distance from e is constant on each
-double coset (the proof is in cayley_diameter).  Vertex arguments, n and
+double coset (the proof is in cayley_diameter).  min_path_area searches
+W_P \\ W / W_P the same way (WeylGroup.double_cosets; the proof is in
+min_path_area), with the heap _dijkstra.  Vertex arguments, n and
 the Cayley cap are read and refused through limits, as README's guarantees
 state, before any frame is built.
 """
@@ -210,26 +212,45 @@ def min_path_area(parabolic: ParabolicData, lam: Vector, src: int, dst: int) -> 
     """The exact minimal total area <lam, coroot(alpha)> of a path from coset
     src to coset dst in the Bruhat graph on W/W_P.
 
-    The edges are not materialised: Dijkstra steps from coset u to the coset
-    of rep(u) * s_alpha for each alpha in R+ - R+_P, read from the group's
+    The edges are not materialised: Dijkstra steps from a vertex to the coset
+    of rep * s_alpha for each alpha in R+ - R+_P, read from the group's
     reflection tables.  That area is the same from every element of the coset
-    only when lam pairs to zero with S_P; any other or non-dominant lam is refused,
-    and so is a src or dst that is not a coset index.
-    """
+    only when lam pairs to zero with S_P; any other or non-dominant lam is
+    refused, and so is a src or dst that is not a coset index.
+
+    The search runs on the double cosets W_P \\ W / W_P (WeylGroup.double_cosets).
+    Left multiplication by any w in W is an automorphism of the weighted graph:
+    it takes the edge u W_P -- u s_alpha W_P to w u W_P -- (w u) s_alpha W_P,
+    by the same root at the same area.  So the distance from src to dst is
+    the distance from e W_P to x W_P, x = rep(src)^-1 rep(dst): for rep(src)
+    = s_g1 ... s_gk, x = s_gk ... s_g1 rep(dst), one left factor at a time
+    (WeylGroup.left_multiply), none for src = e W_P.  W_P
+    fixes e W_P, so the distance from e W_P is constant on each orbit of W_P,
+    a double coset W_P x W_P, and every coset of an orbit has, through W_P,
+    the edges of the orbit's least coset to the same orbits at the same areas
+    (W_P permutes R+ - R+_P and fixes lam).  So a shortest path projects onto
+    the orbits, and each path of orbits lifts at its area: the search from e
+    W_P's double coset to x's steps from each double coset's minimal-length
+    element.  With S_P empty the double cosets are the elements of W."""
     read_count("src", src, 0, parabolic.n_cosets)
     read_count("dst", dst, 0, parabolic.n_cosets)
+    lam = vec(lam, "lambda")
     weyl = parabolic.weyl
     rs = weyl.rs
     labels, scale = require_dominant(rs, lam, parabolic.s_p)
     steps = [(weyl.reflection_table(a), sum(map(mul, rs.signed_cocoefficients(a), labels)))
              for a in parabolic.free_roots]
-    coset_of, reps = parabolic.coset_of, parabolic.coset_reps
+    reps = parabolic.coset_reps
+    x = reps[dst]
+    for g in weyl.word(reps[src]):
+        x = weyl.left_multiply(g, x)
+    double_of, double_reps = weyl.double_cosets(parabolic)
 
     def neighbours(u: int) -> list[tuple[int, int]]:
-        rep = reps[u]
-        return [(coset_of[t[rep]], w) for t, w in steps]
+        rep = double_reps[u]
+        return [(double_of[t[rep]], w) for t, w in steps]
 
-    d = _dijkstra(len(reps), neighbours, src, dst)
+    d = _dijkstra(len(double_reps), neighbours, double_of[weyl.identity_index], double_of[x])
     if d is None:
         raise ConsistencyError("Bruhat graph is disconnected; this cannot happen for valid input")
     return Fraction(d, scale)
@@ -464,7 +485,7 @@ class WeightedCayleyGraph:
 
 def cayley_graph(n: int, lam, cap: int = DEFAULT_CAYLEY_CAP) -> WeightedCayleyGraph:
     """The Cayley graph of S_n on all transpositions, weighted by |lam_i - lam_j|."""
-    lam = vec(lam)
+    lam = vec(lam, "lambda")
     _require_cayley_size(n, lam, cap)
     return WeightedCayleyGraph(n, lam)
 
@@ -488,7 +509,7 @@ def cayley_distances(graph: WeightedCayleyGraph, src: int) -> list[Fraction]:
 def transposition_distance_formula(lam, perm: tuple[int, ...]) -> Fraction:
     """The closed-form candidate (1/2) sum_i |lam_i - lam_{perm(i)}|, perm a
     permutation of 1..len(lam) in one-line notation; any other is refused."""
-    lam = vec(lam)
+    lam = vec(lam, "lambda")
     if (not all(isinstance(k, int) and not isinstance(k, bool) for k in perm)
             or sorted(perm) != list(range(1, len(lam) + 1))):
         raise ValidationError(f"perm must be a permutation of 1..{len(lam)}, got {perm!r}")
@@ -523,7 +544,7 @@ def cayley_diameter(n: int, lam, cap: int = DEFAULT_CAYLEY_CAP) -> Fraction:
     are its swaps (i j) between blocks: a swap inside a block weighs 0 and
     stays in r's orbit.  Distinct entries give the blocks (1, ..., 1),
     whose frame is S_n itself."""
-    lam = vec(lam)
+    lam = vec(lam, "lambda")
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
         raise ValidationError("lambda must be sorted in nonincreasing order")
     _require_cayley_size(n, lam, cap)

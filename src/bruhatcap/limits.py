@@ -1,5 +1,6 @@
-"""Size limits and default caps, and the one reader of a count and the one
-size refusal, in a module that imports only the errors.
+"""Size limits and default caps, the one reader of a count, the reader of
+an iterable argument and the one size refusal, in a module that imports
+only the errors.
 
 The command line reads these defaults while it builds its parser, before
 it knows which command runs, so they live apart from the modules that
@@ -41,6 +42,14 @@ def read_count(name: str, value, start: int = 0, stop: int | None = None) -> int
                   else "nonnegative" if start == 0 else f"at least {start}")
         raise ValidationError(f"{name} must be {within}, got {value}")
     return value
+
+
+def read_items(name: str, value):
+    """iter(value); a ValidationError that names it if value is not iterable."""
+    try:
+        return iter(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be iterable, got {value!r}") from None
 
 
 def require_size(what: str, count: int, cap, need: int) -> None:

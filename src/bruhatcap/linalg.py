@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import ConsistencyError
+from .limits import read_items
 
 Vector = tuple[Fraction, ...]
 
@@ -23,9 +24,10 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def vec(values: Iterable) -> Vector:
-    """Coerce an iterable of rational-like values to an exact vector."""
-    return tuple(Fraction(v) for v in values)
+def vec(values: Iterable, name: str = "vector") -> Vector:
+    """Coerce an iterable of rational-like values to an exact vector; a value
+    that is not iterable is a ValidationError naming it (limits.read_items)."""
+    return tuple(map(Fraction, read_items(name, values)))
 
 
 def dot(x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:

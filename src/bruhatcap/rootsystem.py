@@ -64,8 +64,11 @@ def _chain(dim: int, count: int) -> list[Vector]:
 
 
 def _read_type(family: str, rank) -> tuple[str, int]:
-    """The family's letter and the rank, read as a count (limits.read_count),
-    refused over MAX_RANK, and refused where the family has no such rank."""
+    """The family's letter, which must be a str, and the rank, read as a count
+    (limits.read_count), refused over MAX_RANK, and refused where the family
+    has no such rank."""
+    if not isinstance(family, str):
+        raise ValidationError(f"family must be a str, got {family!r}")
     fam = family.upper()
     rank = read_count("rank", rank, 1)
     if rank > MAX_RANK:
@@ -144,7 +147,7 @@ class RootSystem:
     """
 
     def __init__(self, family: str, rank: int):
-        fam = family.upper()
+        fam, rank = _read_type(family, rank)
         simples = simple_root_vectors(fam, rank)
         self.family = fam
         self.rank = rank
@@ -414,7 +417,7 @@ def require_dominant(rs: RootSystem, lam: Vector, s_p=()) -> tuple[tuple[int, ..
 
 def checked_weight(rs: RootSystem, lam) -> Vector:
     """lam as an exact dominant weight of rs; a G2 weight is projected onto the root plane."""
-    lam = vec(lam)
+    lam = vec(lam, "lambda")
     if len(lam) != rs.ambient_dim:
         raise ValidationError(
             f"lambda has {len(lam)} coordinates; {rs.family}{rs.rank} needs {rs.ambient_dim}"
@@ -442,10 +445,15 @@ def key_absolute_length(rs: RootSystem, key: tuple[int, ...]) -> int:
     return linalg.integer_rank([[cols[j][k] - (j == k) for j in range(rs.rank)] for k in range(rs.rank)])
 
 
-@lru_cache(maxsize=None, typed=True)
 def build(family: str, rank: int) -> RootSystem:
-    """Build (and cache) the root system of the given simple type.  The cache is
-    typed, so a rank of True or 2.0 is read, and refused, not served A1's or A2's."""
+    """Build (and cache) the root system of the given simple type.  The type is
+    read (_read_type) before the cache is consulted, so a rank of True or 2.0
+    is refused, not served A1's or A2's, and so is a family that is no str."""
+    return _built(*_read_type(family, rank))
+
+
+@lru_cache(maxsize=None)
+def _built(family: str, rank: int) -> RootSystem:
     return RootSystem(family, rank)
 
 

@@ -15,7 +15,11 @@ edge list for an export.  The cosets of W/W_P come from cosets(), the one
 coset pass, which graphs also runs for the double cosets W_lambda \\ S_n /
 W_lambda: each element steps down the tables of S_P until it has no descent
 there, which in the breadth-first order ends at its coset's minimal-length
-element.  Tables and cosets are built on first use and kept on the group;
+element.  The double cosets W_P \\ W / W_P, which min_path_area searches,
+come from the same pass over the cosets under the left action of S_P's
+simple reflections; s_k * rep is read by walking rep's reduced word from s_k
+through the right tables, so no left table over W is kept.  Tables, cosets
+and double cosets are built on first use and kept on the group;
 the word labels of all elements are read off the breadth-first tree in one
 pass.  The cap and the memory budget (enumeration_bytes) are checked
 through limits, as README's guarantees state, before anything is built.
@@ -24,12 +28,12 @@ through limits, as README's guarantees state, before anything is built.
 from __future__ import annotations
 
 from itertools import compress
-from operator import eq, itemgetter
+from operator import eq, itemgetter, ne, sub
 from typing import NamedTuple
 
 from . import linalg
 from .errors import ConsistencyError
-from .limits import DEFAULT_GROUP_CAP, read_count, require_size
+from .limits import DEFAULT_GROUP_CAP, read_count, read_items, require_size
 from .rootsystem import RootSystem
 
 Key = tuple[int, ...]  # root indices of the images of the simple roots
@@ -185,6 +189,7 @@ class WeylGroup:
 
         self._reflection_tables: dict[int, Table] = {}
         self._parabolics: dict[tuple[int, ...], ParabolicData] = {}
+        self._double_cosets: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
     # -- construction helpers ------------------------------------------------
 
@@ -214,6 +219,15 @@ class WeylGroup:
             out.append(g)
             i = parent
         return tuple(reversed(out))
+
+    def left_multiply(self, k: int, u: int) -> int:
+        """The element s_k * u: u's reduced word walked from s_k through the
+        right tables (_left_products does this for every coset rep at once)."""
+        right = self.right
+        v = right[k][self.identity_index]
+        for g in self.word(u):
+            v = right[g][v]
+        return v
 
     def word_label(self, i: int) -> str:
         w = self.word(i)
@@ -264,7 +278,7 @@ class WeylGroup:
         the cosets of cosets() under the right tables of S_P, checked to number
         |W| / |W_P|.  Built once per S_P and cached on the group."""
         rs = self.rs
-        sp = tuple(sorted({read_count("S_P position", k, 0, rs.rank) for k in s_p}))
+        sp = tuple(sorted({read_count("S_P position", k, 0, rs.rank) for k in read_items("S_P", s_p)}))
         got = self._parabolics.get(sp)
         if got is not None:
             return got
@@ -286,6 +300,80 @@ class WeylGroup:
             coset_reps=reps,
         )
         return got
+
+    def double_cosets(self, parabolic: ParabolicData) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """W_P \\ W / W_P as (double_of, double_reps): double_of maps each element
+        to its double coset, and double_reps each double coset to its
+        minimal-length element, the double cosets numbered in the order of
+        those.  They are cosets() of the cosets under the left action of S_P's
+        simple reflections, coset c -> the coset of s_k * rep(c) (_left_products).
+        An element with no descent in S_P on either side is the minimal-length
+        element of its double coset (Billey-Konvalinka-Petersen-Slofstra-Tenner,
+        Parabolic double cosets in Coxeter groups, EJC 25 (2018)).  So the rep of any other coset of a double coset, which
+        has no right descent in S_P, has a left one s_k, and s_k * rep(c) lies
+        in a coset of a shorter rep, a lower one: the pass ends at the coset of
+        that minimal-length element.  S_P empty gives the cosets themselves, the
+        elements of W, with no pass.
+
+        Each column is checked, in C-level passes, against what s_k must do
+        (Deodhar's lemma, Invent. Math. 39 (1977)): it is an involution;
+        s_k * rep(c) is one longer or shorter than rep(c); and it is the rep of
+        its coset exactly when it leaves c's coset.  ConsistencyError naming the
+        type and S_P otherwise.  Built once per S_P and cached on the group."""
+        sp = parabolic.s_p
+        got = self._double_cosets.get(sp)
+        if got is not None:
+            return got
+        coset_of, reps, lengths = parabolic.coset_of, parabolic.coset_reps, self.lengths
+        if not sp:  # W_P is trivial: each coset, an element, is its own double coset
+            got = self._double_cosets[sp] = (coset_of, reps)
+            return got
+        cosets_in_order = range(len(reps))
+        rep_lengths = list(map(lengths.__getitem__, reps))
+        columns = []
+        for products in self._left_products(parabolic):
+            column = tuple(map(coset_of.__getitem__, products))
+            if (list(map(column.__getitem__, column)) != list(cosets_in_order)
+                    or not set(map(sub, map(lengths.__getitem__, products), rep_lengths)) <= {-1, 1}
+                    or list(map(eq, products, map(reps.__getitem__, column)))
+                    != list(map(ne, column, cosets_in_order))):
+                rs = self.rs
+                raise ConsistencyError(f"{rs.family}{rs.rank}: the left action of S_P "
+                                       f"{tuple(k + 1 for k in sp)} on W/W_P is broken")
+            columns.append(column)
+        double_of, double_reps = cosets(len(reps), columns)
+        got = self._double_cosets[sp] = (itemgetter(*coset_of)(double_of),  # |W| > 1 keys
+                                         tuple(map(reps.__getitem__, double_reps)))
+        return got
+
+    def _left_products(self, parabolic: ParabolicData) -> list[tuple[int, ...]]:
+        """Per k in S_P, the element s_k * rep(c) for each coset c.  It is rep(c)'s
+        reduced word from the breadth-first tree walked from s_k through the right
+        tables, each prefix of a rep walked once: the reps' prefixes are found
+        first, and each is its parent times one simple reflection.  A walk's map,
+        over those prefixes only, is dropped once its products are read."""
+        reps, parents, right = parabolic.coset_reps, self.parents, self.right
+        order = self._prefixes(reps)
+        steps = list(map(parents.__getitem__, order))
+        products = []
+        for k in parabolic.s_p:
+            left = {self.identity_index: right[k][self.identity_index]}
+            for u, (parent, g) in zip(order, steps):
+                left[u] = right[g][left[parent]]
+            products.append(tuple(map(left.__getitem__, reps)))
+        return products
+
+    def _prefixes(self, elements) -> list[int]:
+        """Every element other than e on the breadth-first tree's path from e to
+        one of elements, in increasing order, so a parent precedes its children."""
+        parent_of, parents = itemgetter(0), self.parents
+        prefixes = new = set(elements)
+        while new:
+            new = set(map(parent_of, map(parents.__getitem__, new))).difference(prefixes)
+            new.discard(-1)
+            prefixes |= new
+        prefixes.discard(self.identity_index)
+        return sorted(prefixes)
 
 
 _GROUP_CACHE: dict[tuple[str, int], WeylGroup] = {}

@@ -8,17 +8,26 @@ shortest paths, and refuses a vertex whose set has more than one element.
 computes u * s_g for every element u and every simple reflection s_g,
 descents included, looking each product up by its key.  `orbit_cosets`
 numbers the cosets w W_P as the orbits under the right tables of S_P, each
-opened, in the breadth-first order, by its minimal-length element.  The package's
-kernels compute the same results with less work; the tests compare them.
+opened, in the breadth-first order, by its minimal-length element.
+`two_sided_orbits` numbers the double cosets W_P u W_P as the orbits of
+W_P x W_P, each step composed from whole root permutations
+(`weyl_ops.compose`).  `coset_min_path_area` is the Dijkstra on W/W_P itself,
+a vertex per coset, that `graphs.min_path_area` ran before it searched the
+double cosets.  The package's kernels compute the same results with less
+work; the tests compare them.
 `random_walk_degree` follows random quantum Bruhat edges: the degree of every
 path dominates d_min, which `verify postnikov` proves by an edge certificate
 and the tests sample again.
 """
 
-from operator import itemgetter
+from fractions import Fraction
+from functools import cache
+from operator import itemgetter, mul
 
 from bruhatcap import ConsistencyError
-from bruhatcap.graphs import degree_add
+from bruhatcap.graphs import _dijkstra, degree_add
+from bruhatcap.rootsystem import require_dominant
+from weyl_ops import compose, simple_elements
 
 
 def set_propagation_d_min_all(graph, u):
@@ -108,6 +117,56 @@ def orbit_cosets(weyl, s_p):
         raise ConsistencyError(
             f"parabolic data broken: {len(coset_reps)} cosets x |W_P|={len(wp)} != |W|={len(weyl)}")
     return tuple(coset_of), tuple(coset_reps)
+
+
+@cache
+def _times_simple(weyl, k: int, left: bool) -> tuple[int, ...]:
+    """Per element u, the index of s_k * u (left) or u * s_k, by composition."""
+    s = simple_elements(weyl)[k]
+    return tuple(compose(weyl, s, u) if left else compose(weyl, u, s) for u in range(len(weyl)))
+
+
+def two_sided_orbits(weyl, s_p):
+    """(double_of, double_reps) of W_P \\ W / W_P: the orbits of u -> p u q^-1,
+    p and q in W_P, each numbered by its least element, which in the
+    breadth-first order is its minimal-length element."""
+    steps = [_times_simple(weyl, k, left) for k in s_p for left in (True, False)]
+    double_of = [-1] * len(weyl)
+    double_reps = []
+    for w in range(len(weyl)):
+        if double_of[w] >= 0:
+            continue
+        double_of[w] = len(double_reps)
+        orbit = [w]
+        for x in orbit:
+            for step in steps:
+                y = step[x]
+                if double_of[y] < 0:
+                    double_of[y] = double_of[w]
+                    orbit.append(y)
+        double_reps.append(w)
+    return tuple(double_of), tuple(double_reps)
+
+
+def coset_min_path_area(parabolic, lam, src, dst):
+    """The least area of a path from coset src to coset dst by Dijkstra on
+    W/W_P, stepping from coset u to the coset of rep(u) * s_alpha for each
+    alpha in R+ - R+_P."""
+    weyl = parabolic.weyl
+    rs = weyl.rs
+    labels, scale = require_dominant(rs, lam, parabolic.s_p)
+    steps = [(weyl.reflection_table(a), sum(map(mul, rs.signed_cocoefficients(a), labels)))
+             for a in parabolic.free_roots]
+    coset_of, reps = parabolic.coset_of, parabolic.coset_reps
+
+    def neighbours(u):
+        rep = reps[u]
+        return [(coset_of[t[rep]], w) for t, w in steps]
+
+    d = _dijkstra(len(reps), neighbours, src, dst)
+    if d is None:
+        raise ConsistencyError("Bruhat graph is disconnected")
+    return Fraction(d, scale)
 
 
 def random_walk_degree(graph, rng, u: int, steps: int):

@@ -977,3 +977,28 @@ def test_hz_bounds_sandwich_random(fam, rank):
         b = hz_bounds(fam, rank, lam)
         assert 0 <= b.lower <= b.upper
         assert 3 * b.lower >= 2 * b.upper
+
+
+def _a2_parabolic(s_p):
+    return generate(build("A", 2)).parabolic(s_p)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: build(2, 2), "family must be a str, got 2"),
+    (lambda: build(None, 2), "family must be a str, got None"),
+    (lambda: RootSystem(["A"], 2), "family must be a str, got ['A']"),
+    (lambda: _a2_parabolic(None), "S_P must be iterable, got None"),
+    (lambda: _a2_parabolic(3), "S_P must be iterable, got 3"),
+    (lambda: graphs.cayley_graph(3, None), "lambda must be iterable, got None"),
+    (lambda: graphs.cayley_diameter(3, None), "lambda must be iterable, got None"),
+    (lambda: hz_bounds("A", 2, None), "lambda must be iterable, got None"),
+    (lambda: graphs.min_path_area(_a2_parabolic(()), None, 0, 1), "lambda must be iterable, got None"),
+    (lambda: coweight_oscillation_bound(build("A", 2), (2, 1, 0), 5, w0_decomposition(build("A", 2))),
+     "xi must be iterable, got 5"),
+], ids=["build-int", "build-None", "RootSystem-list", "parabolic-None", "parabolic-int", "cayley_graph",
+        "cayley_diameter", "hz_bounds", "min_path_area", "coweight-xi"])
+def test_an_argument_of_the_wrong_kind_is_refused_by_name(call, message):
+    # Each raised AttributeError or TypeError from inside the package before.
+    with pytest.raises(ValidationError) as refused:
+        call()
+    assert str(refused.value) == message

@@ -33,7 +33,7 @@ from bruhatcap.checks import _partitions
 from bruhatcap.weyl import WeylGroup
 from bruhatcap.graphs import d_min_all
 from bruhatcap.linalg import vec
-from reference_kernels import random_walk_degree, set_propagation_d_min_all
+from reference_kernels import coset_min_path_area, random_walk_degree, set_propagation_d_min_all
 from weyl_ops import compose, reflection, root_perms
 
 # -- Bruhat graph ---------------------------------------------------------------
@@ -321,6 +321,57 @@ def test_min_path_area_refuses_a_coset_index_out_of_range(monkeypatch, w_b2, src
 
 def _unexpected_table(*args):
     raise AssertionError("a reflection table was built")
+
+
+@pytest.mark.parametrize("src,dst", [(-1, 0), (0, 4), (None, 0), (0, 2.0)])
+def test_min_path_area_reads_its_vertices_before_any_frame(monkeypatch, src, dst):
+    # A3 has 4 cosets of S_P (0, 1): no reflection table, product or double
+    # coset frame is built for a vertex that is refused.
+    w = WeylGroup(build("A", 3))
+    pd = w.parabolic((0, 1))
+    for name in ("reflection_table", "left_multiply", "double_cosets", "_left_products"):
+        monkeypatch.setattr(w, name, _unexpected_table)
+    with pytest.raises(ValidationError, match=r"^(src|dst) must be (an int|in range\(0, 4\)), got "):
+        min_path_area(pd, vec([1, 1, 1, 0]), src, dst)
+
+
+CONFIRM_TYPES = [("A", 4), ("D", 4), ("B", 4), ("C", 4), ("A", 5), ("F", 4)]
+
+
+@pytest.mark.parametrize("fam,rank", CONFIRM_TYPES)
+def test_min_path_area_matches_the_coset_search_on_singular_weights(fam, rank):
+    # 600 seeded singular weights per type of the confirm benchmark, from e
+    # to w0 as capacity confirms them: each has 1 to rank - 1 zero labels.
+    rs = build(fam, rank)
+    w = generate(rs)
+    rng = random.Random(f"{fam}{rank}")
+    for _ in range(600):
+        labels = [rng.randint(1, 9) for _ in range(rank)]
+        for k in rng.sample(range(rank), rng.randint(1, rank - 1)):
+            labels[k] = 0
+        lam = dominant_from_pairings(rs, labels)
+        pd = w.parabolic(parabolic_positions(rs, lam))
+        src, dst = pd.coset_of[w.identity_index], pd.coset_of[w.longest_index]
+        assert min_path_area(pd, lam, src, dst) == coset_min_path_area(pd, lam, src, dst)
+
+
+@pytest.mark.parametrize("fam,rank", [("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C", 3), ("D", 4), ("G", 2)])
+def test_min_path_area_matches_the_coset_search_on_coset_pairs(fam, rank):
+    # Every proper S_P: every (src, dst) where there are at most 60 cosets,
+    # 400 seeded pairs otherwise.  A src other than e W_P is moved there by
+    # x = rep(src)^-1 rep(dst), one left factor at a time.
+    rs = build(fam, rank)
+    w = generate(rs)
+    rng = random.Random(f"{fam}{rank} pairs")
+    for size in range(rank):
+        for s_p in combinations(range(rank), size):
+            lam = dominant_from_pairings(rs, _labels_for(rank, s_p))
+            pd = w.parabolic(s_p)
+            n = pd.n_cosets
+            pairs = ([(u, v) for u in range(n) for v in range(n)] if n <= 60 else
+                     [(rng.randrange(n), rng.randrange(n)) for _ in range(400)])
+            for src, dst in pairs:
+                assert min_path_area(pd, lam, src, dst) == coset_min_path_area(pd, lam, src, dst)
 
 
 def test_min_path_area_disconnected_graph(monkeypatch):

@@ -5,12 +5,12 @@ from itertools import combinations
 import pytest
 
 from bruhatcap import ConsistencyError, SizeLimitError, ValidationError, WeylGroup, build, generate
-from bruhatcap import capacity
+from bruhatcap import capacity, graphs
 from bruhatcap import weyl as weyl_module
 from bruhatcap.capacity import TABLE_TYPES
 from bruhatcap.linalg import neg, vec
 from bruhatcap.rootsystem import RootSystem, key_absolute_length, weyl_group_order
-from reference_kernels import descent_lookup_enumeration, orbit_cosets
+from reference_kernels import descent_lookup_enumeration, orbit_cosets, two_sided_orbits
 from rootsystem_oracle import fraction_rank, reflect
 from weyl_ops import compose, inverse, inversion_count, reflection, root_perms, simple_elements
 
@@ -331,6 +331,43 @@ def test_parabolic_matches_the_orbit_cosets(fam, rank):
     for sp in subsets:
         pd = w.parabolic(sp)
         assert (pd.coset_of, pd.coset_reps) == orbit_cosets(w, sp)
+
+
+@pytest.mark.parametrize("fam,rank", SMALL_TABLE_TYPES + [("E", 6)])
+def test_double_cosets_match_the_two_sided_orbits(fam, rank):
+    # every proper S_P of each table type with |W| <= 5040, and four of E6,
+    # (1, 4) with 12,960 cosets and 3,612 double cosets among them
+    w = generate(build(fam, rank))
+    if fam == "E":
+        subsets = [(1, 4), (0,), (0, 2, 3, 4), (1, 2, 3, 4, 5)]
+    else:
+        subsets = [sp for size in range(rank) for sp in combinations(range(rank), size)]
+    for sp in subsets:
+        assert w.double_cosets(w.parabolic(sp)) == two_sided_orbits(w, sp)
+    if fam == "E":
+        assert len(w.double_cosets(w.parabolic((1, 4)))[1]) == 3612
+
+
+@pytest.mark.parametrize("fam,rank,sp", [("B", 3, (0, 2)), ("G", 2, (1,)), ("A", 3, (1,))])
+def test_double_cosets_refuse_every_swapped_left_product(monkeypatch, fam, rank, sp):
+    # A planted fault in the left action: two entries u, v of one s_k * rep(c)
+    # column are swapped.  Every such swap is refused by name, before a search
+    # could read the frame.
+    w = WeylGroup(build(fam, rank))
+    pd = w.parabolic(sp)
+    true_products = WeylGroup._left_products(w, pd)
+    lam = capacity.dominant_from_pairings(w.rs, [0 if k in sp else 2 for k in range(rank)])
+    positions = ", ".join(str(k + 1) for k in sp) + ("," if len(sp) == 1 else "")
+    for k in range(len(sp)):
+        for u, v in combinations(range(pd.n_cosets), 2):
+            column = list(true_products[k])
+            column[u], column[v] = column[v], column[u]
+            planted = true_products[:k] + [tuple(column)] + true_products[k + 1:]
+            monkeypatch.setattr(w, "_left_products", lambda parabolic, planted=planted: planted)
+            w._double_cosets.clear()
+            with pytest.raises(ConsistencyError, match=rf"^{fam}{rank}: the left action of S_P "
+                                                       rf"\({positions}\) on W/W_P is broken$"):
+                graphs.min_path_area(pd, lam, 0, pd.n_cosets - 1)
 
 
 @pytest.mark.parametrize("fam,rank", [("A", 3), ("B", 3), ("G", 2)])
