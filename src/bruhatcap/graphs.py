@@ -33,8 +33,9 @@ lam relabelled so that its tie blocks sit where the frame puts them: W_lam
 acting on both sides is a group of automorphisms of the weighted graph that
 maps e's coset onto itself, so the distance from e is constant on each
 double coset (the proof is in cayley_diameter).  min_path_area searches
-W_P \\ W / W_P the same way (WeylGroup.double_cosets; the proof is in
-min_path_area), with the heap _dijkstra.  Vertex arguments, n and
+W_P \\ W / W_P, the same pass over S_P's tables on both sides
+(WeylGroup.double_cosets, over the right tables and left_table; the proof is
+in min_path_area), with the heap _dijkstra.  Vertex arguments, n and
 the Cayley cap are read and refused through limits, as README's guarantees
 state, before any frame is built.
 """
@@ -222,9 +223,9 @@ def min_path_area(parabolic: ParabolicData, lam: Vector, src: int, dst: int) -> 
     Left multiplication by any w in W is an automorphism of the weighted graph:
     it takes the edge u W_P -- u s_alpha W_P to w u W_P -- (w u) s_alpha W_P,
     by the same root at the same area.  So the distance from src to dst is
-    the distance from e W_P to x W_P, x = rep(src)^-1 rep(dst): for rep(src)
-    = s_g1 ... s_gk, x = s_gk ... s_g1 rep(dst), one left factor at a time
-    (WeylGroup.left_multiply), none for src = e W_P.  W_P
+    the distance from e W_P to x W_P, x = rep(src)^-1 rep(dst), walked from e
+    through the right tables: rep(src)'s reduced word reversed, then
+    rep(dst)'s, and no walk for src = e W_P (x = rep(dst)).  W_P
     fixes e W_P, so the distance from e W_P is constant on each orbit of W_P,
     a double coset W_P x W_P, and every coset of an orbit has, through W_P,
     the edges of the orbit's least coset to the same orbits at the same areas
@@ -242,8 +243,10 @@ def min_path_area(parabolic: ParabolicData, lam: Vector, src: int, dst: int) -> 
              for a in parabolic.free_roots]
     reps = parabolic.coset_reps
     x = reps[dst]
-    for g in weyl.word(reps[src]):
-        x = weyl.left_multiply(g, x)
+    if src:  # coset 0 is e W_P
+        x = weyl.identity_index
+        for g in (*reversed(weyl.word(reps[src])), *weyl.word(reps[dst])):
+            x = weyl.right[g][x]
     double_of, double_reps = weyl.double_cosets(parabolic)
 
     def neighbours(u: int) -> list[tuple[int, int]]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, ValidationError
 from .limits import read_items
 
 Vector = tuple[Fraction, ...]
@@ -25,9 +25,16 @@ ONE = Fraction(1)
 
 
 def vec(values: Iterable, name: str = "vector") -> Vector:
-    """Coerce an iterable of rational-like values to an exact vector; a value
-    that is not iterable is a ValidationError naming it (limits.read_items)."""
-    return tuple(map(Fraction, read_items(name, values)))
+    """Coerce an iterable of rational-like values to an exact vector.  A value
+    that is not iterable (limits.read_items), a str or bytes, which would be
+    read as its characters, and an entry that Fraction cannot read are each a
+    ValidationError naming it; an entry such as "1/2" is read."""
+    if isinstance(values, (str, bytes)):
+        raise ValidationError(f"{name} must be an iterable of rationals, got {values!r}")
+    try:
+        return tuple(map(Fraction, read_items(name, values)))
+    except (TypeError, ValueError, ArithmeticError):
+        raise ValidationError(f"{name} must be an iterable of rationals, got {values!r}") from None
 
 
 def dot(x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:

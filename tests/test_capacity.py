@@ -995,10 +995,22 @@ def _a2_parabolic(s_p):
     (lambda: graphs.min_path_area(_a2_parabolic(()), None, 0, 1), "lambda must be iterable, got None"),
     (lambda: coweight_oscillation_bound(build("A", 2), (2, 1, 0), 5, w0_decomposition(build("A", 2))),
      "xi must be iterable, got 5"),
+    (lambda: hz_bounds("A", 2, "321"), "lambda must be an iterable of rationals, got '321'"),
+    (lambda: hz_bounds("A", 2, b"321"), "lambda must be an iterable of rationals, got b'321'"),
+    (lambda: graphs.cayley_diameter(2, "75"), "lambda must be an iterable of rationals, got '75'"),
+    (lambda: hz_bounds("A", 2, "3,2,1"), "lambda must be an iterable of rationals, got '3,2,1'"),
+    (lambda: hz_bounds("A", 2, [None, 1, 0]), "lambda must be an iterable of rationals, got [None, 1, 0]"),
 ], ids=["build-int", "build-None", "RootSystem-list", "parabolic-None", "parabolic-int", "cayley_graph",
-        "cayley_diameter", "hz_bounds", "min_path_area", "coweight-xi"])
+        "cayley_diameter", "hz_bounds", "min_path_area", "coweight-xi", "hz_bounds-str", "hz_bounds-bytes",
+        "cayley_diameter-str", "hz_bounds-commas", "hz_bounds-None-entry"])
 def test_an_argument_of_the_wrong_kind_is_refused_by_name(call, message):
-    # Each raised AttributeError or TypeError from inside the package before.
+    # Each raised AttributeError or TypeError from inside the package, raised
+    # ValueError, or answered for the characters of a str or bytes, before.
     with pytest.raises(ValidationError) as refused:
         call()
     assert str(refused.value) == message
+
+
+def test_entries_that_fraction_reads_are_accepted():
+    assert vec(["1/2", 3, Fraction(2, 3), "-4"], "lambda") == (Fraction(1, 2), 3, Fraction(2, 3), -4)
+    assert hz_bounds("A", 2, ["3/2", "1/2", 0]).upper == hz_bounds("A", 2, [Fraction(3, 2), Fraction(1, 2), 0]).upper

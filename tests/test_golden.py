@@ -27,6 +27,9 @@ def _cases() -> dict[str, tuple[str, ...]]:
         cases[f"roots_{fam}{rank}.json"] = ("roots", *t, "--format", "json")
         cases[f"capacity_{fam}{rank}.json"] = (
             "capacity", *t, "--lambda", DEFAULT_LAMBDA, "--format", "json")
+    # A singular weight, S_P = {1, 4}: the double-coset search of min_path_area.
+    cases["capacity_F4_lambda_11h_5h_5h_1h.json"] = (
+        "capacity", "-t", "F", "-r", "4", "--lambda", "11/2,5/2,5/2,1/2", "--format", "json")
     cases["table.csv"] = ("table",)
     cases["table_G2_lambda_3h_1t_0.csv"] = ("table", "-t", "G", "-r", "2", "--lambda", "3/2,1/3,0")
     for fam, rank in (("A", 2), ("B", 3), ("G", 2)):

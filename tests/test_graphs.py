@@ -325,11 +325,11 @@ def _unexpected_table(*args):
 
 @pytest.mark.parametrize("src,dst", [(-1, 0), (0, 4), (None, 0), (0, 2.0)])
 def test_min_path_area_reads_its_vertices_before_any_frame(monkeypatch, src, dst):
-    # A3 has 4 cosets of S_P (0, 1): no reflection table, product or double
-    # coset frame is built for a vertex that is refused.
+    # A3 has 4 cosets of S_P (0, 1): no reflection table, left table or
+    # double coset frame is built for a vertex that is refused.
     w = WeylGroup(build("A", 3))
     pd = w.parabolic((0, 1))
-    for name in ("reflection_table", "left_multiply", "double_cosets", "_left_products"):
+    for name in ("reflection_table", "left_table", "double_cosets"):
         monkeypatch.setattr(w, name, _unexpected_table)
     with pytest.raises(ValidationError, match=r"^(src|dst) must be (an int|in range\(0, 4\)), got "):
         min_path_area(pd, vec([1, 1, 1, 0]), src, dst)

@@ -12,7 +12,7 @@ from bruhatcap.linalg import neg, vec
 from bruhatcap.rootsystem import RootSystem, key_absolute_length, weyl_group_order
 from reference_kernels import descent_lookup_enumeration, orbit_cosets, two_sided_orbits
 from rootsystem_oracle import fraction_rank, reflect
-from weyl_ops import compose, inverse, inversion_count, reflection, root_perms, simple_elements
+from weyl_ops import compose, inverse, inversion_count, key_index, reflection, root_perms, simple_elements
 
 ENUMERABLE = (
     [("A", r) for r in range(1, 5)]
@@ -348,25 +348,35 @@ def test_double_cosets_match_the_two_sided_orbits(fam, rank):
         assert len(w.double_cosets(w.parabolic((1, 4)))[1]) == 3612
 
 
+@pytest.mark.parametrize("fam,rank", SMALL_TABLE_TYPES)
+def test_left_table_is_left_multiplication_on_the_keys(fam, rank):
+    # s_k * u sends alpha_j to s_k(u(alpha_j)): its key is the reflection in
+    # alpha_k applied to u's key, looked up among the keys of the enumeration.
+    w = generate(build(fam, rank))
+    index = key_index(w)
+    for k, simple in enumerate(w.rs.simple):
+        perm = w.rs.reflection_perm(simple)
+        assert w.left_table(k) == tuple(index[tuple(map(perm.__getitem__, key))] for key in w.keys)
+
+
 @pytest.mark.parametrize("fam,rank,sp", [("B", 3, (0, 2)), ("G", 2, (1,)), ("A", 3, (1,))])
 def test_double_cosets_refuse_every_swapped_left_product(monkeypatch, fam, rank, sp):
-    # A planted fault in the left action: two entries u, v of one s_k * rep(c)
-    # column are swapped.  Every such swap is refused by name, before a search
-    # could read the frame.
+    # A planted fault in the left action: two entries u, v of one table
+    # u -> s_k * u are swapped as it is built.  Every such swap is refused by
+    # name, before a search could read the frame.
     w = WeylGroup(build(fam, rank))
     pd = w.parabolic(sp)
-    true_products = WeylGroup._left_products(w, pd)
     lam = capacity.dominant_from_pairings(w.rs, [0 if k in sp else 2 for k in range(rank)])
-    positions = ", ".join(str(k + 1) for k in sp) + ("," if len(sp) == 1 else "")
-    for k in range(len(sp)):
-        for u, v in combinations(range(pd.n_cosets), 2):
-            column = list(true_products[k])
-            column[u], column[v] = column[v], column[u]
-            planted = true_products[:k] + [tuple(column)] + true_products[k + 1:]
-            monkeypatch.setattr(w, "_left_products", lambda parabolic, planted=planted: planted)
+    for k in sp:
+        true_table = WeylGroup._left_pass(w, k)
+        for u, v in combinations(range(len(w)), 2):
+            table = list(true_table)
+            table[u], table[v] = table[v], table[u]
+            monkeypatch.setattr(w, "_left_pass", lambda j, k=k, planted=tuple(table):
+                                planted if j == k else WeylGroup._left_pass(w, j))
+            w._left_tables.clear()
             w._double_cosets.clear()
-            with pytest.raises(ConsistencyError, match=rf"^{fam}{rank}: the left action of S_P "
-                                                       rf"\({positions}\) on W/W_P is broken$"):
+            with pytest.raises(ConsistencyError, match=rf"^{fam}{rank}: the left table of s{k + 1} is broken$"):
                 graphs.min_path_area(pd, lam, 0, pd.n_cosets - 1)
 
 
