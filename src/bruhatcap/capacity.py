@@ -15,7 +15,7 @@ coordinates, as the independent oracle.
 
 For an enumerated group, w0_degree reads d_min(w0, e) off a quantum-edge walk
 from w0 to e (`verify triangle`, `verify postnikov` and the tests keep the graph
-search), and confirm_upper runs one Dijkstra per weight from e to w0 on W/W_P.
+search), and confirm_upper finds the least path area e to w0 over W_P\\W/W_P.
 """
 
 from __future__ import annotations
@@ -53,15 +53,16 @@ TABLE_TYPES: tuple[tuple[str, int], ...] = (
 # Dominant weights
 
 
-def is_regular(rs: RootSystem, lam: Vector) -> bool:
-    return all(label > 0 for label in rs.scaled_labels(lam)[0])
+def is_regular(rs: RootSystem, lam) -> bool:
+    return all(label > 0 for label in rs.scaled_labels(vec(lam, "lambda"))[0])
 
 
 def dominant_from_pairings(rs: RootSystem, coeffs) -> Vector:
     """The weight in the root span with <lam, coroot(alpha_k)> = coeffs[k]."""
+    coeffs = vec(coeffs, "chamber coordinates")
     if len(coeffs) != rs.rank:
         raise ValidationError(f"expected {rs.rank} chamber coordinates")
-    labels, scale = scaled([Fraction(c) for c in coeffs])
+    labels, scale = scaled(coeffs)
     if any(c < 0 for c in labels):
         raise ValidationError("chamber coordinates must be nonnegative")
     return rs.weight(labels, scale)
@@ -279,6 +280,8 @@ def coweight_oscillation_bound(rs: RootSystem, lam: Vector, xi: Vector,
     oscillation sum all read that one pass.
     """
     xi = vec(xi, "xi")
+    if len(xi) != rs.ambient_dim:
+        raise ValidationError(f"xi has {len(xi)} coordinates; {rs.family}{rs.rank} needs {rs.ambient_dim}")
     pairings, scale = _scaled_pairings(rs, lam, dec.root_indices)
     xi_pairs = {i: linalg.dot(xi, rs.roots[i]) for i in rs.positive}
     if any(xi_pairs[s] < 0 for s in rs.simple):
@@ -452,7 +455,7 @@ def hz_bounds(family: str, rank: int, lam, *, confirm_cap: int = DEFAULT_CONFIRM
     """Full pipeline: root system, decomposition, bounds and, for groups
     small enough to enumerate, graph confirmations of the upper bound: for a
     regular weight, d_min(w0, e) = sum of the decomposition coroots by a
-    quantum-edge walk (w0_degree), and one Dijkstra on W/W_P (confirm_upper).
+    quantum-edge walk (w0_degree), and the least path area e to w0 over W_P\\W/W_P (confirm_upper).
 
     Everything weight-free is built once per type and kept: the root system,
     the decomposition, the group, its reflection tables and its cosets."""

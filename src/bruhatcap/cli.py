@@ -7,6 +7,8 @@ chunk by chunk as they are rendered, joined into blocks of at least
 BLOCK_SIZE characters, so that a large export is a few large writes and
 holds at most one block.  BC_GROUP_CAP overrides the default group cap;
 it and the cap flags are read as counts (limits) before any command runs.
+`--lambda` is split at its commas and read by linalg.vec, as every library
+weight is: an empty entry is an unreadable literal.
 
 A command imports only the modules it runs: `roots` reads the root system
 alone, `table` and `capacity` add the bounds, the graph modules load only
@@ -28,14 +30,13 @@ import atexit
 import errno
 import os
 import sys
-from fractions import Fraction
 from typing import Iterable, Iterator, NoReturn
 
 from .errors import BruhatCapError, ValidationError
-from .limits import (DEFAULT_CAYLEY_CAP, DEFAULT_CONFIRM_CAP, DEFAULT_GROUP_CAP, MAX_DIGITS,
-                     read_count)
+from .limits import DEFAULT_CAYLEY_CAP, DEFAULT_CONFIRM_CAP, DEFAULT_GROUP_CAP, read_count
+from .linalg import Vector, vec
 from .rootsystem import (build, checked_weight, json_chunks, json_item, parabolic_positions,
-                         parse_rational, rational_str, spelled_digits, vector_strs)
+                         rational_str, vector_strs)
 
 # The names of checks.ALL_CHECKS, for the help text of `verify`.
 CHECK_NAMES = ("unitary-diameter", "type-c-sharp", "table", "height-lemma", "decompositions",
@@ -66,17 +67,7 @@ def _read_caps(args) -> None:
             read_count(f"--{name.replace('_', '-')}", cap)
 
 
-def parse_lambda(raw: str) -> tuple[Fraction, ...]:
-    """Comma-separated rationals: '3,2,1' or '3/2,-1,0', at most MAX_DIGITS digits in all."""
-    parts = raw.split(",")
-    if not all(p.strip() for p in parts):
-        raise ValidationError(f"empty entry in lambda {raw[:40]!r}")
-    if sum(map(spelled_digits, parts)) > MAX_DIGITS:
-        raise ValidationError(f"lambda spells more than {MAX_DIGITS} digits")
-    return tuple(parse_rational(p) for p in parts)
-
-
-def default_table_lambda(rs) -> tuple[Fraction, ...]:
+def default_table_lambda(rs) -> Vector:
     """Documented default sample: lambda = sum_i (rank+1-i) * omega_i, a
     regular dominant weight."""
     from .capacity import dominant_from_pairings
@@ -211,7 +202,7 @@ def cmd_roots(args) -> int:
 def cmd_graph(args) -> int:
     from . import graphs
 
-    lam = parse_lambda(args.lam) if args.lam is not None else None
+    lam = vec(args.lam.split(","), "lambda") if args.lam is not None else None
     if args.kind == "cayley":
         if args.n is None:
             raise ValidationError("graph cayley requires --n")
@@ -241,7 +232,7 @@ def cmd_graph(args) -> int:
 def cmd_capacity(args) -> int:
     from . import capacity
 
-    lam = parse_lambda(args.lam)
+    lam = vec(args.lam.split(","), "lambda")
     bounds = capacity.hz_bounds(
         args.type, args.rank, lam,
         confirm_cap=args.confirm_cap, group_cap=args.group_cap,
@@ -291,7 +282,7 @@ def _group_label(fam: str, rank: int) -> str:
 def cmd_table(args) -> int:
     from . import capacity
 
-    lam_fixed = parse_lambda(args.lam) if args.lam is not None else None
+    lam_fixed = vec(args.lam.split(","), "lambda") if args.lam is not None else None
     wanted = capacity.TABLE_TYPES
     if args.type:
         wanted = tuple((f, r) for f, r in wanted if f == args.type.upper())

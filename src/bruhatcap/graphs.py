@@ -52,7 +52,7 @@ from operator import add, ge, itemgetter, mul, not_
 from typing import TYPE_CHECKING, Iterator
 
 from .errors import ConsistencyError, ValidationError
-from .limits import DEFAULT_CAYLEY_CAP, read_count, require_size
+from .limits import DEFAULT_CAYLEY_CAP, read_count, read_items, require_size
 from .linalg import Vector, vec
 from .rootsystem import json_chunks, json_item, rational_str, require_dominant, scaled, vector_strs
 
@@ -513,6 +513,7 @@ def transposition_distance_formula(lam, perm: tuple[int, ...]) -> Fraction:
     """The closed-form candidate (1/2) sum_i |lam_i - lam_{perm(i)}|, perm a
     permutation of 1..len(lam) in one-line notation; any other is refused."""
     lam = vec(lam, "lambda")
+    perm = tuple(read_items("perm", perm))
     if (not all(isinstance(k, int) and not isinstance(k, bool) for k in perm)
             or sorted(perm) != list(range(1, len(lam) + 1))):
         raise ValidationError(f"perm must be a permutation of 1..{len(lam)}, got {perm!r}")
@@ -650,7 +651,7 @@ def _weyl_chunks(graph, fmt: str, lam: Vector | None) -> Iterator[str]:
         head = {"kind": "quantum", "directed": True}
     head.update(family=rs.family, rank=rs.rank)
     if lam is not None:
-        dynkin, scale = require_dominant(rs, lam, s_p)
+        dynkin, scale = require_dominant(rs, vec(lam, "lambda"), s_p)
         free_labels = [dynkin[k] for k in free]
     # The edges leaving a vertex sort by v, then by the root's coordinate
     # strings; (u, v, root) never repeats.  So the reader takes the roots in

@@ -1,10 +1,11 @@
 """Small exact linear algebra over fractions.Fraction, for ambient vectors.
 
 The root kernel works in integer simple-root coordinates (see rootsystem);
-what is left here serves the ambient side: vectors and dot products, the
-integer inverse of the Cartan matrix behind the fundamental weights, the
-dual basis and the projection onto the root span, and the integer rank
-behind absolute lengths.  solve_columns, an exact Gauss solve, is no longer
+what is left here serves the ambient side: vec, the one reader of a rational
+argument, alike for `--lambda` and every weight a library function takes;
+dot products; the integer inverse of the Cartan matrix behind the
+fundamental weights, the dual basis and the projection onto the root span;
+and the integer rank behind absolute lengths.  solve_columns, an exact Gauss solve, is no longer
 called by the package; the tests keep it as their reference projection.
 Everything is dense and exact; no floating point is used anywhere in the
 package.
@@ -16,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import ConsistencyError, ValidationError
-from .limits import read_items
+from .limits import MAX_DIGITS, read_items
 
 Vector = tuple[Fraction, ...]
 
@@ -24,17 +25,40 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def spelled_digits(literal: str) -> int:
+    """The digits a rational literal spells, an exponent counted by its value."""
+    mantissa, _e, exponent = literal.lower().partition("e")
+    power = exponent.lstrip("+-").replace("_", "").lstrip("0")
+    digits = sum(c.isdecimal() for c in mantissa)
+    if power.isdecimal():
+        digits += int(power) if len(power) <= len(str(MAX_DIGITS)) else MAX_DIGITS + 1
+    return digits
+
+
 def vec(values: Iterable, name: str = "vector") -> Vector:
-    """Coerce an iterable of rational-like values to an exact vector.  A value
-    that is not iterable (limits.read_items), a str or bytes, which would be
-    read as its characters, and an entry that Fraction cannot read are each a
-    ValidationError naming it; an entry such as "1/2" is read."""
+    """The one reader of a rational argument, values as an exact vector: values is
+    iterable (limits.read_items) and no str or bytes; a str entry is a literal such
+    as ' -1/2' or '25e-1', and those of one vector spell at most MAX_DIGITS digits
+    in all (spelled_digits, counted before each is built); a float or bool entry is
+    refused; a Fraction is kept, any other entry read by Fraction.  A number is not
+    digit-counted: the budget guards text, where a few characters spell a huge one.
+    Each refusal is one ValidationError naming the argument."""
     if isinstance(values, (str, bytes)):
         raise ValidationError(f"{name} must be an iterable of rationals, got {values!r}")
-    try:
-        return tuple(map(Fraction, read_items(name, values)))
-    except (TypeError, ValueError, ArithmeticError):
-        raise ValidationError(f"{name} must be an iterable of rationals, got {values!r}") from None
+    out, digits = [], 0
+    for x in read_items(name, values):
+        if isinstance(x, str):
+            digits += spelled_digits(x)
+            if digits > MAX_DIGITS:
+                raise ValidationError(f"{name} spells more than {MAX_DIGITS} digits")
+        elif isinstance(x, (float, bool)):
+            raise ValidationError(f"{name} must hold exact rationals, got the {type(x).__name__} {x!r}")
+        try:
+            out.append(x if isinstance(x, Fraction) else Fraction(x))
+        except (TypeError, ValueError, ArithmeticError):
+            raise ValidationError(f"cannot parse rational {x!r} in {name}" if isinstance(x, str) else
+                                  f"{name} must be an iterable of rationals, got {values!r}") from None
+    return tuple(out)
 
 
 def dot(x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:

@@ -46,7 +46,7 @@ from typing import Iterator
 
 from . import linalg
 from .errors import ConsistencyError, SizeLimitError, ValidationError
-from .limits import MAX_DIGITS, MAX_RANK, read_count
+from .limits import MAX_RANK, read_count
 from .linalg import Vector, vec
 
 HALF = Fraction(1, 2)
@@ -428,9 +428,9 @@ def checked_weight(rs: RootSystem, lam) -> Vector:
     return lam
 
 
-def parabolic_positions(rs: RootSystem, lam: Vector) -> tuple[int, ...]:
+def parabolic_positions(rs: RootSystem, lam) -> tuple[int, ...]:
     """S_P for the orbit through lam: simple roots pairing to zero (the stabilizer)."""
-    return tuple(k for k, label in enumerate(rs.scaled_labels(lam)[0]) if label == 0)
+    return tuple(k for k, label in enumerate(rs.scaled_labels(vec(lam, "lambda"))[0]) if label == 0)
 
 
 def key_absolute_length(rs: RootSystem, key: tuple[int, ...]) -> int:
@@ -509,24 +509,3 @@ def json_chunks(payload: dict, lists: dict) -> Iterator[str]:
                 sep = ",\n"
         yield ("[]" if sep == "[\n" else "\n  ]") + tail
     yield "\n"
-
-
-def spelled_digits(literal: str) -> int:
-    """The digits a rational literal spells, an exponent counted by its value."""
-    mantissa, _e, exponent = literal.lower().partition("e")
-    power = exponent.lstrip("+-").replace("_", "").lstrip("0")
-    digits = sum(c.isdecimal() for c in mantissa)
-    if power.isdecimal():
-        digits += int(power) if len(power) <= len(str(MAX_DIGITS)) else MAX_DIGITS + 1
-    return digits
-
-
-def parse_rational(s: str) -> Fraction:
-    """A rational literal ('3', '-1/2', '25e-1'); one spelling more than
-    MAX_DIGITS digits is refused before the number is built."""
-    if spelled_digits(s) > MAX_DIGITS:
-        raise ValidationError(f"rational literal spells more than {MAX_DIGITS} digits: {s[:40]!r}")
-    try:
-        return Fraction(s.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"cannot parse rational {s!r}: {exc}") from None

@@ -101,7 +101,9 @@ def cosets(n: int, generators) -> tuple[tuple[int, ...], tuple[int, ...]]:
     rep_of = list(map(min, vertices, *generators))
     while (rep_of_rep := list(map(rep_of.__getitem__, rep_of))) != rep_of:
         rep_of = rep_of_rep
-    if any(list(map(rep_of.__getitem__, t)) != rep_of for t in generators):
+    rep_of = tuple(rep_of)  # rep_of o t, one itemgetter read (a bare entry for one key)
+    composed = (lambda t: itemgetter(*t)(rep_of)) if n > 1 else lambda t: (rep_of[t[0]],)
+    if any(composed(t) != rep_of for t in generators):
         raise ConsistencyError("coset data broken: a generator maps a vertex out of its coset")
     reps = tuple(compress(vertices, map(eq, rep_of, vertices)))
     return tuple(map(dict(zip(reps, vertices)).__getitem__, rep_of)), reps

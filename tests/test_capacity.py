@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -1000,17 +1001,40 @@ def _a2_parabolic(s_p):
     (lambda: graphs.cayley_diameter(2, "75"), "lambda must be an iterable of rationals, got '75'"),
     (lambda: hz_bounds("A", 2, "3,2,1"), "lambda must be an iterable of rationals, got '3,2,1'"),
     (lambda: hz_bounds("A", 2, [None, 1, 0]), "lambda must be an iterable of rationals, got [None, 1, 0]"),
+    (lambda: hz_bounds("A", 2, [0.1, 0, -0.1]), "lambda must hold exact rationals, got the float 0.1"),
+    (lambda: hz_bounds("A", 2, [True, False, 0]), "lambda must hold exact rationals, got the bool True"),
+    (lambda: hz_bounds("A", 2, ["1e10000000", 0, 0]), "lambda spells more than 1000 digits"),
+    (lambda: hz_bounds("A", 2, ["9" * 1001, 0, 0]), "lambda spells more than 1000 digits"),
+    (lambda: cayley_diameter(2, ["1e1000000", 0]), "lambda spells more than 1000 digits"),
+    (lambda: dominant_from_pairings(build("A", 2), "12"),
+     "chamber coordinates must be an iterable of rationals, got '12'"),
+    (lambda: dominant_from_pairings(build("A", 2), None), "chamber coordinates must be iterable, got None"),
+    (lambda: graphs.export(graphs.bruhat_graph(generate(build("A", 2))), "json", lam=[2.0, 1.0, 0.0]),
+     "lambda must hold exact rationals, got the float 2.0"),
+    (lambda: is_regular(build("A", 2), [2, 1, 0.0]), "lambda must hold exact rationals, got the float 0.0"),
+    (lambda: parabolic_positions(build("A", 2), [2, 1, 0.0]),
+     "lambda must hold exact rationals, got the float 0.0"),
+    (lambda: coweight_oscillation_bound(build("B", 2), (2, 1), [1, 0, 0], w0_decomposition(build("B", 2))),
+     "xi has 3 coordinates; B2 needs 2"),
+    (lambda: graphs.transposition_distance_formula([2, 1], None), "perm must be iterable, got None"),
 ], ids=["build-int", "build-None", "RootSystem-list", "parabolic-None", "parabolic-int", "cayley_graph",
         "cayley_diameter", "hz_bounds", "min_path_area", "coweight-xi", "hz_bounds-str", "hz_bounds-bytes",
-        "cayley_diameter-str", "hz_bounds-commas", "hz_bounds-None-entry"])
+        "cayley_diameter-str", "hz_bounds-commas", "hz_bounds-None-entry", "hz_bounds-float", "hz_bounds-bool",
+        "hz_bounds-huge-exponent", "hz_bounds-1001-digits", "cayley_diameter-huge-exponent",
+        "dominant_from_pairings-str", "dominant_from_pairings-None", "export-float", "is_regular-float",
+        "parabolic_positions-float", "coweight-xi-dimension", "transposition_distance_formula-perm-None"])
 def test_an_argument_of_the_wrong_kind_is_refused_by_name(call, message):
     # Each raised AttributeError or TypeError from inside the package, raised
-    # ValueError, or answered for the characters of a str or bytes, before.
+    # ValueError, answered for the characters of a str or bytes or for a
+    # float's binary value, or built a number of millions of digits, before.
     with pytest.raises(ValidationError) as refused:
         call()
     assert str(refused.value) == message
 
 
 def test_entries_that_fraction_reads_are_accepted():
-    assert vec(["1/2", 3, Fraction(2, 3), "-4"], "lambda") == (Fraction(1, 2), 3, Fraction(2, 3), -4)
+    third = Fraction(2, 3)
+    read = vec(["1/2", 3, third, "-4", Decimal("0.5"), " 3 "], "lambda")
+    assert read == (Fraction(1, 2), 3, third, -4, Fraction(1, 2), 3)
+    assert read[2] is third  # a Fraction is kept, not copied
     assert hz_bounds("A", 2, ["3/2", "1/2", 0]).upper == hz_bounds("A", 2, [Fraction(3, 2), Fraction(1, 2), 0]).upper

@@ -14,9 +14,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bruhatcap import capacity, checks, cli, graphs
-from bruhatcap.cli import main, parse_lambda
+from bruhatcap.cli import main
 from bruhatcap.errors import ConsistencyError, ValidationError
 from bruhatcap.limits import MAX_DIGITS, MAX_RANK
+from bruhatcap.linalg import vec
 from bruhatcap.weyl import WeylGroup
 from bruhatcap.rootsystem import build, vector_strs
 
@@ -30,17 +31,16 @@ def run_cli(capsys, *argv):
 
 
 def test_parse_lambda():
+    # the commands read --lambda as vec(text.split(","), "lambda")
     from fractions import Fraction
-    assert parse_lambda("3,2,1") == (3, 2, 1)
-    assert parse_lambda("3/2,-1,0") == (Fraction(3, 2), -1, 0)
-    with pytest.raises(ValidationError):
-        parse_lambda(",")
-    for raw in ("3,,1,0", "3,1,", ",3,1", "3, ,1"):
-        with pytest.raises(ValidationError, match="empty entry"):
-            parse_lambda(raw)
+    assert vec("3,2,1".split(","), "lambda") == (3, 2, 1)
+    assert vec("3/2,-1,0".split(","), "lambda") == (Fraction(3, 2), -1, 0)
+    for raw in (",", "3,,1,0", "3,1,", ",3,1", "3, ,1"):
+        with pytest.raises(ValidationError, match=r"^cannot parse rational '\s*' in lambda$"):
+            vec(raw.split(","), "lambda")
     digits = ",".join(["1" * 300] * 4)  # 1200 digits, each literal under the limit
-    with pytest.raises(ValidationError, match="more than 1000 digits"):
-        parse_lambda(digits)
+    with pytest.raises(ValidationError, match="^lambda spells more than 1000 digits$"):
+        vec(digits.split(","), "lambda")
 
 
 @pytest.mark.parametrize("argv", [
@@ -67,7 +67,7 @@ def test_malformed_lambda_refused(capsys, argv):
 def test_empty_lambda_refused(capsys, argv):
     # an empty --lambda is a weight with one empty entry, not a missing one
     code, out, err = run_cli(capsys, *argv, "--lambda", "")
-    assert (code, out, err) == (1, "", "error: empty entry in lambda ''\n")
+    assert (code, out, err) == (1, "", "error: cannot parse rational '' in lambda\n")
 
 
 @pytest.mark.parametrize("argv", [
