@@ -17,21 +17,20 @@ __version__ = "0.1.0"
 
 _MODULES = {
     "capacity": (
-        "CapacityBounds", "W0Decomposition", "closed_form_table", "coweight_oscillation_bound",
-        "dominant_from_pairings", "hz_bounds", "is_regular",
-        "lower_bound", "random_dominant", "random_positive_coweight",
+        "closed_form_table", "coweight_oscillation_bound", "dominant_from_pairings", "hz_bounds",
+        "is_regular", "lower_bound", "random_dominant", "random_positive_coweight",
         "unitary_capacity", "upper_bound", "w0_decomposition",
     ),
     "errors": ("BruhatCapError", "ConsistencyError", "SizeLimitError", "ValidationError"),
     "graphs": (
         "BruhatGraph", "QuantumBruhatGraph", "WeightedCayleyGraph", "bruhat_graph",
-        "cayley_diameter", "cayley_distances", "cayley_graph", "d_min", "degree_leq", "export",
-        "export_chunks", "min_path_area", "quantum_bruhat_graph", "transposition_distance_formula",
+        "cayley_diameter", "cayley_distances", "cayley_graph", "d_min", "export",
+        "export_chunks", "min_path_area", "quantum_bruhat_graph",
     ),
     "limits": ("DEFAULT_GROUP_CAP",),
     "rootsystem": ("RootSystem", "build", "parabolic_positions", "positive_root_count",
                    "weyl_group_order"),
-    "weyl": ("ParabolicData", "WeylGroup", "generate"),
+    "weyl": ("WeylGroup", "generate"),
 }
 _MODULE_OF = {name: module for module, names in _MODULES.items() for name in names}
 

@@ -28,8 +28,8 @@ from . import linalg
 from .errors import ConsistencyError, ValidationError
 from .limits import DEFAULT_CONFIRM_CAP, DEFAULT_GROUP_CAP, read_count
 from .linalg import Vector, vec
-from .rootsystem import (RootSystem, build, checked_weight, key_absolute_length, parabolic_positions,
-                         rational_str, require_dominant, scaled, vector_strs)
+from .rootsystem import (RootSystem, _dominant, build, checked_weight, key_absolute_length, rational_str,
+                         require_dominant, scaled, vector_strs)
 
 if TYPE_CHECKING:
     import random
@@ -54,7 +54,7 @@ TABLE_TYPES: tuple[tuple[str, int], ...] = (
 
 
 def is_regular(rs: RootSystem, lam) -> bool:
-    return all(label > 0 for label in rs.scaled_labels(vec(lam, "lambda"))[0])
+    return all(label > 0 for label in rs.scaled_labels(lam)[0])
 
 
 def dominant_from_pairings(rs: RootSystem, coeffs) -> Vector:
@@ -65,7 +65,7 @@ def dominant_from_pairings(rs: RootSystem, coeffs) -> Vector:
     labels, scale = scaled(coeffs)
     if any(c < 0 for c in labels):
         raise ValidationError("chamber coordinates must be nonnegative")
-    return rs.weight(labels, scale)
+    return rs._weight(labels, scale)
 
 
 def random_dominant(rs: RootSystem, rng: random.Random, *, regular: bool = False) -> Vector:
@@ -179,7 +179,7 @@ def _validated_decomposition(rs: RootSystem) -> W0Decomposition:
     # Two roots are orthogonal exactly when the reflection in one fixes the other.
     for i in range(len(vectors)):
         for j in range(i + 1, len(vectors)):
-            if rs.reflected(indices[i], indices[j]) != indices[j]:
+            if rs._reflected(indices[i], indices[j]) != indices[j]:
                 raise ConsistencyError(
                     f"decomposition data for {rs.family}{rs.rank}: "
                     f"roots {vectors[i]} and {vectors[j]} are not orthogonal"
@@ -199,7 +199,7 @@ def _validated_decomposition(rs: RootSystem) -> W0Decomposition:
             f"but the absolute length of w0 is {fixed_codim}"
         )
 
-    heights = tuple(rs.coroot_height(i) for i in indices)
+    heights = tuple(sum(rs._cocoeffs[i]) for i in indices)
     if sum(2 * h - 1 for h in heights) != len(rs.positive):
         raise ConsistencyError(
             f"decomposition data for {rs.family}{rs.rank}: "
@@ -214,7 +214,7 @@ def _simple_images(rs: RootSystem, indices) -> tuple[int, ...]:
     s_{i_1} s_{i_2} ... s_{i_m} of the reflections in the roots of index i_k."""
     images = rs.simple
     for i in reversed(indices):
-        images = tuple(rs.reflected(i, j) for j in images)
+        images = tuple(rs._reflected(i, j) for j in images)
     return images
 
 
@@ -222,30 +222,28 @@ def _simple_images(rs: RootSystem, indices) -> tuple[int, ...]:
 # Bounds
 
 
-def _scaled_pairings(rs: RootSystem, lam: Vector, indices) -> tuple[list[int], int]:
-    """<lam, coroot(alpha_i)> for each root index i, as integers over one scale; and the scale.
-    ValidationError unless lam is dominant."""
-    labels, scale = require_dominant(rs, vec(lam, "lambda"))
-    return [sum(map(mul, rs.signed_cocoefficients(i), labels)) for i in indices], scale
+def _pairings(rs: RootSystem, labels: tuple[int, ...], indices) -> list[int]:
+    """<lam, coroot(alpha_i)> times lam's scale for each root index i, from lam's scaled labels."""
+    return [sum(map(mul, rs._cocoeffs[i], labels)) for i in indices]
 
 
 def upper_bound(rs: RootSystem, lam: Vector, dec: W0Decomposition) -> Fraction:
     """sum_k <lam, coroot(alpha_k)> over the decomposition roots."""
-    pairings, scale = _scaled_pairings(rs, lam, dec.root_indices)
-    return Fraction(sum(pairings), scale)
+    labels, scale = require_dominant(rs, lam)
+    return Fraction(sum(_pairings(rs, labels, dec.root_indices)), scale)
 
 
-def lower_candidates(rs: RootSystem, lam: Vector,
+def lower_candidates(rs: RootSystem, labels, scale: int,
                      dec: W0Decomposition) -> tuple[list[int], list[int]]:
-    """The candidates of lower_bound, one per simple root alpha_j: candidate j is
-    sums[j] / dens[j] = sum_k (n_{alpha_k,alpha_j}/n_{rho,alpha_j}) <lam, coroot(alpha_k)>,
-    with integer numerators and positive integer denominators.  Each is linear in
-    the Dynkin labels of lam."""
-    pairings, scale = _scaled_pairings(rs, lam, dec.root_indices)
-    n_rho = rs.root_coefficients(rs.highest)
+    """The candidates of lower_bound for the weight lam of the given scaled labels,
+    one per simple root alpha_j: candidate j is sums[j] / dens[j] =
+    sum_k (n_{alpha_k,alpha_j}/n_{rho,alpha_j}) <lam, coroot(alpha_k)>, with integer
+    numerators and positive integer denominators.  Each is linear in the labels."""
+    pairings = _pairings(rs, labels, dec.root_indices)
+    n_rho = rs._coeffs[rs.highest]
     if any(c < 1 for c in n_rho):
         raise ConsistencyError("highest root must have full support over the simple roots")
-    coeffs = [rs.root_coefficients(i) for i in dec.root_indices]
+    coeffs = [rs._coeffs[i] for i in dec.root_indices]
     sums = [sum(c[j] * p for c, p in zip(coeffs, pairings)) for j in range(rs.rank)]
     return sums, [n * scale for n in n_rho]
 
@@ -256,7 +254,11 @@ def lower_bound(rs: RootSystem, lam: Vector, dec: W0Decomposition) -> tuple[Frac
 
     Returns the value and the position of the maximizing simple root.
     """
-    sums, dens = lower_candidates(rs, lam, dec)
+    return _lower(rs, *require_dominant(rs, lam), dec)
+
+
+def _lower(rs: RootSystem, labels, scale: int, dec: W0Decomposition) -> tuple[Fraction, int]:
+    sums, dens = lower_candidates(rs, labels, scale, dec)
     # Compare the candidate fractions by cross-multiplying.
     witness = 0
     for j in range(1, rs.rank):
@@ -279,10 +281,9 @@ def coweight_oscillation_bound(rs: RootSystem, lam: Vector, xi: Vector,
     positive, so the cone check, m = (xi, theta), the maximum and the
     oscillation sum all read that one pass.
     """
-    xi = vec(xi, "xi")
-    if len(xi) != rs.ambient_dim:
-        raise ValidationError(f"xi has {len(xi)} coordinates; {rs.family}{rs.rank} needs {rs.ambient_dim}")
-    pairings, scale = _scaled_pairings(rs, lam, dec.root_indices)
+    xi = rs._vector(xi, "xi")
+    labels, scale = require_dominant(rs, lam)
+    pairings = _pairings(rs, labels, dec.root_indices)
     xi_pairs = {i: linalg.dot(xi, rs.roots[i]) for i in rs.positive}
     if any(xi_pairs[s] < 0 for s in rs.simple):
         raise ValidationError("xi must pair nonnegatively with every simple root")
@@ -316,8 +317,8 @@ def closed_form_table(rs: RootSystem, lam: Vector) -> tuple[Fraction, Fraction]:
     written in a form invariant under shifts along (1,1,1), so projecting
     onto the root plane does not change it.
     """
-    lam = vec(lam, "lambda")
-    require_dominant(rs, lam)
+    lam = rs._vector(lam, "lambda")
+    _dominant(rs, rs._scaled_labels(lam))
     fam, n = rs.family, rs.rank
     if fam == "A":
         exact = unitary_capacity(lam)
@@ -369,7 +370,7 @@ def table_row(rs: RootSystem, lam: Vector,
     """(lam, closed-form lower, first-principles lower, closed-form upper,
     first-principles upper); lam is read by checked_weight, so a G2 weight is
     projected onto the root plane first."""
-    lam = checked_weight(rs, lam)
+    lam = checked_weight(rs, lam)[0]
     closed_lower, closed_upper = closed_form_table(rs, lam)
     lower, _witness = lower_bound(rs, lam, dec)
     return lam, closed_lower, lower, closed_upper, upper_bound(rs, lam, dec)
@@ -387,26 +388,25 @@ def w0_degree(weyl: WeylGroup) -> tuple[int, ...]:
     dec = w0_decomposition(rs)
     u, lengths = weyl.longest_index, weyl.lengths
     for a, height in zip(dec.root_indices, dec.coroot_heights):
-        v = weyl.reflection_table(a)[u]
+        v = weyl._reflection_table(a)[u]
         if lengths[u] - lengths[v] != 2 * height - 1:
             raise ConsistencyError(f"{rs.family}{rs.rank}: the step by s_alpha, alpha = "
                                    f"({','.join(vector_strs(rs.roots[a]))}), is not a quantum edge")
         u = v
     if u != weyl.identity_index:
         raise ConsistencyError(f"{rs.family}{rs.rank}: the w0 walk ends at {weyl.word_label(u)}")
-    return tuple(map(sum, zip(*map(rs.coroot_coefficients, dec.root_indices))))
+    return tuple(map(sum, zip(*map(rs._cocoeffs.__getitem__, dec.root_indices))))
 
 
-def confirm_upper(weyl: WeylGroup, lam: Vector, upper: Fraction) -> Fraction:
-    """The minimal Bruhat-graph path area from e to w0 on W/W_P, S_P the
+def confirm_upper(weyl: WeylGroup, lam: Vector, s_p, upper: Fraction) -> Fraction:
+    """The minimal Bruhat-graph path area from e to w0 on W/W_P, S_P = s_p the
     stabilizer of lam; for a regular lam, ConsistencyError unless it is `upper`."""
     from .graphs import min_path_area
 
-    s_p = parabolic_positions(weyl.rs, lam)
     pd = weyl.parabolic(s_p)
     area = min_path_area(pd, lam, pd.coset_of[weyl.identity_index],
                          pd.coset_of[weyl.longest_index])
-    if not s_p and area != upper:
+    if not pd.s_p and area != upper:
         raise ConsistencyError(f"upper-bound triangle failed for regular lambda: "
                                f"decomposition {upper}, Dijkstra {area}")
     return area
@@ -457,17 +457,18 @@ def hz_bounds(family: str, rank: int, lam, *, confirm_cap: int = DEFAULT_CONFIRM
     regular weight, d_min(w0, e) = sum of the decomposition coroots by a
     quantum-edge walk (w0_degree), and the least path area e to w0 over W_P\\W/W_P (confirm_upper).
 
-    Everything weight-free is built once per type and kept: the root system,
-    the decomposition, the group, its reflection tables and its cosets."""
+    The weight's labels are read once (checked_weight), for the private forms of
+    the bounds.  Everything weight-free is built once per type and kept: the root
+    system, the decomposition, the group, its reflection tables and its cosets."""
     read_count("confirm_cap", confirm_cap)
     read_count("group_cap", group_cap)
     rs = build(family, rank)
     lam_input = vec(lam, "lambda")
-    lam_used = checked_weight(rs, lam_input)
+    lam_used, labels, scale = checked_weight(rs, lam_input)
 
     dec = w0_decomposition(rs)
-    upper = upper_bound(rs, lam_used, dec)
-    lower, witness = lower_bound(rs, lam_used, dec)
+    upper = Fraction(sum(_pairings(rs, labels, dec.root_indices)), scale)
+    lower, witness = _lower(rs, labels, scale, dec)
     exact = unitary_capacity(lam_used) if rs.family == "A" else None
 
     if not (0 <= lower <= upper):
@@ -477,7 +478,7 @@ def hz_bounds(family: str, rank: int, lam, *, confirm_cap: int = DEFAULT_CONFIRM
     if exact is not None and (exact != upper or exact != lower):
         raise ConsistencyError("type A bounds must be sharp and equal the unitary value")
 
-    regular = is_regular(rs, lam_used)
+    regular = all(labels)
     checks = {
         "sharp": lower == upper,
         "ratio_ok": 3 * lower >= 2 * upper,
@@ -491,7 +492,7 @@ def hz_bounds(family: str, rank: int, lam, *, confirm_cap: int = DEFAULT_CONFIRM
         weyl = generate(rs, cap=group_cap)
         if regular:
             d_deg = w0_degree(weyl)
-        area = confirm_upper(weyl, lam_used, upper)
+        area = confirm_upper(weyl, lam_used, tuple(k for k, label in enumerate(labels) if not label), upper)
         # For degenerate orbits the minimal parabolic path area may drop
         # below the regular-orbit upper bound; report, do not hide.
         checks["dmin_consistent"] = area == upper

@@ -279,7 +279,7 @@ def check_triangle(*, seed: int = 0, samples: int = 3,
         for _ in range(samples):
             lam = capacity.random_dominant(rs, rng, regular=True)
             try:
-                capacity.confirm_upper(weyl, lam, capacity.upper_bound(rs, lam, dec))
+                capacity.confirm_upper(weyl, lam, (), capacity.upper_bound(rs, lam, dec))
             except ConsistencyError as exc:
                 raise _Failed(f"{fam}{rank} lambda={lam}: {exc}") from None
     return (f"d_min(w0, e) by walk and by search agree on {len(types)} types; "
@@ -315,7 +315,7 @@ def check_coweight(*, seed: int = 0, samples: int = 5, types: tuple = TABLE_TYPE
         rs = build(fam, rank)
         dec = capacity.w0_decomposition(rs)
         for i, lam in enumerate(rs.fundamental_weights(), 1):
-            sums, dens = capacity.lower_candidates(rs, lam, dec)
+            sums, dens = capacity.lower_candidates(rs, *capacity.require_dominant(rs, lam), dec)
             for j, (xi, num, den) in enumerate(zip(rs.dual_basis(), sums, dens), 1):
                 vertex = capacity.coweight_oscillation_bound(rs, lam, xi, dec)
                 if vertex != Fraction(num, den):

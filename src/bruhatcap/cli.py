@@ -218,7 +218,7 @@ def cmd_graph(args) -> int:
     rs = build(args.type, args.rank)
     s_p = ()
     if lam is not None:  # decorates edges with areas and, for bruhat, induces S_P
-        lam = checked_weight(rs, lam)
+        lam = checked_weight(rs, lam)[0]
         s_p = parabolic_positions(rs, lam)
     weyl = generate(rs, cap=args.group_cap)
     if args.kind == "quantum":

@@ -52,7 +52,7 @@ from operator import add, ge, itemgetter, mul, not_
 from typing import TYPE_CHECKING, Iterator
 
 from .errors import ConsistencyError, ValidationError
-from .limits import DEFAULT_CAYLEY_CAP, read_count, read_items, require_size
+from .limits import DEFAULT_CAYLEY_CAP, read_count, require_size
 from .linalg import Vector, vec
 from .rootsystem import json_chunks, json_item, rational_str, require_dominant, scaled, vector_strs
 
@@ -191,9 +191,9 @@ class BruhatGraph:
         degree over S - S_P) and rows yields per coset u the edges u -- v, v > u, as
         sorted pairs (v, k).  Distinct roots joining the same cosets stay distinct edges."""
         p = self.parabolic
-        cocoeffs = map(self.weyl.rs.signed_cocoefficients, roots)
+        cocoeffs = map(self.weyl.rs._cocoeffs.__getitem__, roots)
         keys = [(a, tuple(co[k] for k in p.free_simple)) for a, co in zip(roots, cocoeffs)]
-        columns = _coset_columns(map(self.weyl.reflection_table, roots), p.coset_of, p.coset_reps)
+        columns = _coset_columns(map(self.weyl._reflection_table, roots), p.coset_of, p.coset_reps)
         return keys, _upper_rows(columns)
 
     @cached_property
@@ -235,17 +235,16 @@ def min_path_area(parabolic: ParabolicData, lam: Vector, src: int, dst: int) -> 
     element.  With S_P empty the double cosets are the elements of W."""
     read_count("src", src, 0, parabolic.n_cosets)
     read_count("dst", dst, 0, parabolic.n_cosets)
-    lam = vec(lam, "lambda")
     weyl = parabolic.weyl
     rs = weyl.rs
     labels, scale = require_dominant(rs, lam, parabolic.s_p)
-    steps = [(weyl.reflection_table(a), sum(map(mul, rs.signed_cocoefficients(a), labels)))
+    steps = [(weyl._reflection_table(a), sum(map(mul, rs._cocoeffs[a], labels)))
              for a in parabolic.free_roots]
     reps = parabolic.coset_reps
     x = reps[dst]
     if src:  # coset 0 is e W_P
         x = weyl.identity_index
-        for g in (*reversed(weyl.word(reps[src])), *weyl.word(reps[dst])):
+        for g in (*reversed(weyl._word(reps[src])), *weyl._word(reps[dst])):
             x = weyl.right[g][x]
     double_of, double_reps = weyl.double_cosets(parabolic)
 
@@ -285,9 +284,9 @@ class QuantumBruhatGraph:
         its down-edge."""
         weyl = self.weyl
         rs, lengths = weyl.rs, weyl.lengths
-        keys = [key for a in roots for key in ((a, self.zero), (a, rs.coroot_coefficients(a)))]
-        tables = [weyl.reflection_table(a) for a in roots]
-        steps = list(zip(range(0, 2 * len(roots), 2), [1 - 2 * rs.coroot_height(a) for a in roots]))
+        keys = [key for a in roots for key in ((a, self.zero), (a, rs._cocoeffs[a]))]
+        tables = [weyl._reflection_table(a) for a in roots]
+        steps = list(zip(range(0, 2 * len(roots), 2), [1 - 2 * sum(rs._cocoeffs[a]) for a in roots]))
 
         def rows():
             for u, (row, lu) in enumerate(zip(zip(*tables), lengths)):
@@ -458,12 +457,14 @@ _DISCONNECTED = "Cayley graph is disconnected; this cannot happen for valid inpu
 
 class WeightedCayleyGraph:
     """The Cayley graph of S_n on all transpositions, a view over the columns of
-    _cayley_frame(n, (1,) * n); vertex 0 is the identity.  The edge list and the
-    permutations, which only the export and the tests read, are built on first read."""
+    _cayley_frame(n, (1,) * n); vertex 0 is the identity, n and lam read as cayley_graph
+    reads them.  The edge list and the permutations, read only by the export and the
+    tests, are built on first read."""
 
-    def __init__(self, n: int, lam: Vector):
+    def __init__(self, n: int, lam, cap: int = DEFAULT_CAYLEY_CAP):
+        self.lam = vec(lam, "lambda")
+        _require_cayley_size(n, self.lam, cap)
         self.n = n
-        self.lam = lam
 
     @cached_property
     def perms(self) -> tuple[tuple[int, ...], ...]:
@@ -489,8 +490,8 @@ class WeightedCayleyGraph:
 def cayley_graph(n: int, lam, cap: int = DEFAULT_CAYLEY_CAP) -> WeightedCayleyGraph:
     """The Cayley graph of S_n on all transpositions, weighted by |lam_i - lam_j|."""
     lam = vec(lam, "lambda")
-    _require_cayley_size(n, lam, cap)
-    return WeightedCayleyGraph(n, lam)
+    _require_cayley_size(n, lam, cap)  # refused before any graph object is made
+    return WeightedCayleyGraph(n, lam, cap)
 
 
 def cayley_distances(graph: WeightedCayleyGraph, src: int) -> list[Fraction]:
@@ -507,19 +508,6 @@ def cayley_distances(graph: WeightedCayleyGraph, src: int) -> list[Fraction]:
     if None in dist:
         raise ConsistencyError(_DISCONNECTED)
     return dist
-
-
-def transposition_distance_formula(lam, perm: tuple[int, ...]) -> Fraction:
-    """The closed-form candidate (1/2) sum_i |lam_i - lam_{perm(i)}|, perm a
-    permutation of 1..len(lam) in one-line notation; any other is refused."""
-    lam = vec(lam, "lambda")
-    perm = tuple(read_items("perm", perm))
-    if (not all(isinstance(k, int) and not isinstance(k, bool) for k in perm)
-            or sorted(perm) != list(range(1, len(lam) + 1))):
-        raise ValidationError(f"perm must be a permutation of 1..{len(lam)}, got {perm!r}")
-    return Fraction(1, 2) * sum(
-        (abs(lam[i] - lam[perm[i] - 1]) for i in range(len(perm))), Fraction(0)
-    )
 
 
 def cayley_diameter(n: int, lam, cap: int = DEFAULT_CAYLEY_CAP) -> Fraction:
@@ -651,7 +639,7 @@ def _weyl_chunks(graph, fmt: str, lam: Vector | None) -> Iterator[str]:
         head = {"kind": "quantum", "directed": True}
     head.update(family=rs.family, rank=rs.rank)
     if lam is not None:
-        dynkin, scale = require_dominant(rs, vec(lam, "lambda"), s_p)
+        dynkin, scale = require_dominant(rs, lam, s_p)
         free_labels = [dynkin[k] for k in free]
     # The edges leaving a vertex sort by v, then by the root's coordinate
     # strings; (u, v, root) never repeats.  So the reader takes the roots in
@@ -670,8 +658,10 @@ def _weyl_chunks(graph, fmt: str, lam: Vector | None) -> Iterator[str]:
             fields["area"] = rational_str(Fraction(sum(map(mul, deg, free_labels)), scale))
         edge_fields.append(fields)
 
-    # Every element is a vertex unless S_P is nonempty; then only the representatives are.
-    labels = weyl.word_labels() if len(reps) == len(weyl) else list(map(weyl.word_label, reps))
+    # Every element is a vertex unless S_P is nonempty; then only the representatives are,
+    # labelled from the one pass over all elements (at E6 faster than a walk per rep).
+    labels = weyl.word_labels()
+    labels = labels if len(reps) == len(labels) else list(map(labels.__getitem__, reps))
     return _text_chunks(fmt, head, labels, lengths, rows, edge_fields)
 
 
@@ -695,6 +685,8 @@ def export_chunks(graph, fmt: str, lam: Vector | None = None) -> Iterator[str]:
     if fmt not in ("json", "dot"):
         raise ValidationError(f"unknown export format {fmt!r}; expected 'json' or 'dot'")
     if isinstance(graph, WeightedCayleyGraph):
+        if lam is not None:
+            raise ValidationError("a Cayley graph is exported with its own lambda; lam must be None")
         return _cayley_chunks(graph, fmt)
     return _weyl_chunks(graph, fmt, lam)
 

@@ -13,6 +13,7 @@ package.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -39,14 +40,16 @@ def vec(values: Iterable, name: str = "vector") -> Vector:
     """The one reader of a rational argument, values as an exact vector: values is
     iterable (limits.read_items) and no str or bytes; a str entry is a literal such
     as ' -1/2' or '25e-1', and those of one vector spell at most MAX_DIGITS digits
-    in all (spelled_digits, counted before each is built); a float or bool entry is
-    refused; a Fraction is kept, any other entry read by Fraction.  A number is not
-    digit-counted: the budget guards text, where a few characters spell a huge one.
+    in all (spelled_digits, counted before each is built); a Decimal entry is read
+    through its text, str(x), so its exponent counts as a literal's does; a float or
+    bool entry is refused; a Fraction is kept, any other entry read by Fraction.
     Each refusal is one ValidationError naming the argument."""
     if isinstance(values, (str, bytes)):
         raise ValidationError(f"{name} must be an iterable of rationals, got {values!r}")
     out, digits = [], 0
     for x in read_items(name, values):
+        if isinstance(x, Decimal):
+            x = str(x)
         if isinstance(x, str):
             digits += spelled_digits(x)
             if digits > MAX_DIGITS:

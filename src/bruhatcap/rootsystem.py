@@ -12,15 +12,16 @@ are carried through the same closure, once per positive root: s_i keeps a
 root's norm and moves c_i^vee by <alpha_i, coroot(beta)>.  When all simple
 roots have one length every root has it, and the coroot coefficients are the
 root coefficients.  Each reflection is, on demand, a permutation of root
-indices.  A weight is read once, as its
-Dynkin labels <lam, coroot(alpha_k)> over one common denominator
-(RootSystem.scaled_labels); its pairing with any root is then an integer
-sum over the coroot coefficients.  The checks of a weight sit beside that
-reading (require_dominant, checked_weight, parabolic_positions), so a graph
-export checks one without the bounds module.  The build is integer too: the
-Gram and Cartan matrices, each root's ambient vector, and the fundamental
-weights are integer sums over the simple roots scaled to integer
-rows over one denominator.  Fractions are made once per root coordinate, for
+indices.  A weight is read once, as its Dynkin labels <lam, coroot(alpha_k)>
+over one common denominator (RootSystem.scaled_labels); its pairing with any
+root is then an integer sum over the coroot coefficients.  The checks of a
+weight sit beside that reading (require_dominant, checked_weight,
+parabolic_positions), so a graph export checks one without the bounds module.
+A public method reads an index by limits.read_count, a vector by linalg.vec
+and one dimension check (_index, _vector); the package reads the private
+tuples and forms.  The build is integer too: the Gram and Cartan matrices,
+each root's ambient vector, and the fundamental weights are integer sums over
+the simple roots scaled to integer rows over one denominator.  Fractions are made once per root coordinate, for
 input, output and the closed-form table; roots are indexed in lexicographic
 order.  The dual basis and the projection onto the root span read the same
 rows.
@@ -258,11 +259,11 @@ class RootSystem:
             return None
         return [x.numerator * (den // x.denominator) for x in v]
 
-    def find(self, v: Vector) -> int | None:
-        """The index of the root v, or None if v is not a root, in integers: v's
-        row over the simple roots' denominator names by its pairings with the
-        simple coroots the one candidate root, whose row must then equal it."""
-        row = self._row(v)
+    def find(self, v) -> int | None:
+        """The index of the root v (read by linalg.vec), or None if v is not a root, in
+        integers: v's row over the simple roots' denominator names by its pairings
+        with the simple coroots the one candidate root, whose row must then equal it."""
+        row = self._row(vec(v, "v"))
         if row is None:
             return None
         scale = self._den * self._label_denominator
@@ -277,10 +278,25 @@ class RootSystem:
         """Per ambient coordinate, the nonzero entries (k, x) of the simple coroot rows."""
         return tuple(tuple((k, x) for k, x in enumerate(col) if x) for col in zip(*self._label_rows))
 
+    def _index(self, name: str, i, positive: bool = False) -> int:
+        """i read as a root index (limits.read_count), of a positive root when positive is set."""
+        i = read_count(name, i, 0, len(self.roots))
+        if positive and not self.is_positive[i]:
+            raise ValidationError(f"{name} must be the index of a positive root, got {i}")
+        return i
+
+    def _vector(self, t, name: str) -> Vector:
+        """t read by linalg.vec, refused unless it has ambient_dim coordinates."""
+        t = vec(t, name)
+        if len(t) != self.ambient_dim:
+            raise ValidationError(
+                f"{name} has {len(t)} coordinates; {self.family}{self.rank} needs {self.ambient_dim}")
+        return t
+
     def coroot(self, i: int) -> Vector:
         """The coroot 2*alpha/(alpha,alpha) of root i, summed in integers as
         sum_k c_k^vee coroot(alpha_k) over the simple coroot rows."""
-        co, den = self._cocoeffs[i], self._label_denominator
+        co, den = self._cocoeffs[self._index("i", i)], self._label_denominator
         return tuple(Fraction(sum(co[k] * x for k, x in col), den) for col in self._coroot_columns)
 
     def pairing(self, t: Vector, i: int) -> Fraction:
@@ -288,27 +304,26 @@ class RootSystem:
 
         No module of the package calls it: it stays because perfbench's tracer
         counts its calls by name (rootsystem.pairing.calls)."""
-        alpha = self.roots[i]
-        if len(t) != self.ambient_dim:
-            raise ValidationError(f"vector has dimension {len(t)}, ambient is {self.ambient_dim}")
-        return Fraction(2) * linalg.dot(t, alpha) / linalg.dot(alpha, alpha)
+        alpha = self.roots[self._index("i", i)]
+        return Fraction(2) * linalg.dot(self._vector(t, "t"), alpha) / linalg.dot(alpha, alpha)
 
-    def scaled_labels(self, t: Vector) -> tuple[tuple[int, ...], int]:
-        """The Dynkin labels <t, coroot(alpha_k)> as integers over their least
+    def scaled_labels(self, lam) -> tuple[tuple[int, ...], int]:
+        """The Dynkin labels <lam, coroot(alpha_k)> as integers over their least
         common denominator, and that denominator.
 
-        This is how a weight is read: the pairing of t with a root of coroot
+        This is how a weight is read: the pairing of lam with a root of coroot
         coefficients c is sum(map(mul, c, labels)) / scale.
         """
-        if len(t) != self.ambient_dim:
-            raise ValidationError(f"vector has dimension {len(t)}, ambient is {self.ambient_dim}")
+        return self._scaled_labels(self._vector(lam, "lambda"))
+
+    def _scaled_labels(self, t: Vector) -> tuple[tuple[int, ...], int]:
         ints, scale = scaled(t)
         raw = [sum(map(mul, ints, row)) for row in self._label_rows]
         scale *= self._label_denominator
         common = gcd(scale, *raw)
         return tuple(r // common for r in raw), scale // common
 
-    def reflected(self, i: int, j: int) -> int:
+    def _reflected(self, i: int, j: int) -> int:
         """The index of s(beta_j) = beta_j - <beta_j, coroot(alpha_i)> alpha_i, the
         reflection of root j in root i, computed in integer simple-root coordinates."""
         p = sum(map(mul, self._cocoeffs[i], self._pairings[j]))
@@ -318,33 +333,20 @@ class RootSystem:
 
     def reflection_perm(self, i: int) -> tuple[int, ...]:
         """The reflection in root i as a permutation of root indices."""
-        return tuple(self.reflected(i, j) for j in range(len(self.roots)))
-
-    def _require_positive(self, i: int) -> None:
-        if not self.is_positive[i]:
-            raise ValidationError(f"root {self.roots[i]} is not positive")
+        i = self._index("i", i)
+        return tuple(self._reflected(i, j) for j in range(len(self.roots)))
 
     def root_coefficients(self, i: int) -> tuple[int, ...]:
         """Nonnegative integers expressing positive root i over the simple roots."""
-        self._require_positive(i)
-        return self._coeffs[i]
+        return self._coeffs[self._index("i", i, positive=True)]
 
     def coroot_coefficients(self, i: int) -> tuple[int, ...]:
         """Nonnegative integers expressing the coroot of positive root i over simple coroots."""
-        self._require_positive(i)
-        return self._cocoeffs[i]
+        return self._cocoeffs[self._index("i", i, positive=True)]
 
     def coroot_height(self, i: int) -> int:
         """Sum of the simple-coroot coefficients of the coroot of positive root i."""
-        self._require_positive(i)
-        return sum(self._cocoeffs[i])
-
-    def signed_coefficients(self, i: int) -> tuple[int, ...]:
-        """Like root_coefficients, but defined (with signs) for every root."""
-        return self._coeffs[i]
-
-    def signed_cocoefficients(self, i: int) -> tuple[int, ...]:
-        return self._cocoeffs[i]
+        return sum(self.coroot_coefficients(i))
 
     @property
     def rho(self) -> Vector:
@@ -353,42 +355,38 @@ class RootSystem:
 
     # -- derived bases ------------------------------------------------------
 
-    def cartan_matrix(self) -> list[list[int]]:
-        """C[i][j] = <alpha_j, coroot of alpha_i>; always integral."""
-        return [list(row) for row in self._cartan]
-
     @cached_property
-    def fundamental_rows(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+    def _fundamental_rows(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """The fundamental weights sum_k C^-1[k][j] alpha_k as integer rows over one
         denominator, and that denominator, from one integer inversion of C."""
         inverse, det = linalg.inverse(self._cartan)
         columns = list(zip(*self._rows))
         return tuple(tuple(sum(map(mul, x, d)) for d in columns) for x in zip(*inverse)), det * self._den
 
-    def weight(self, labels, scale: int) -> Vector:
+    def _weight(self, labels, scale: int) -> Vector:
         """The vector of the root span with Dynkin labels <w, coroot(alpha_k)> = labels[k] / scale:
         sum_k labels[k] w_k over the fundamental rows."""
-        rows, den = self.fundamental_rows
+        rows, den = self._fundamental_rows
         return tuple(Fraction(sum(map(mul, labels, col)), den * scale) for col in zip(*rows))
 
     def fundamental_weights(self) -> tuple[Vector, ...]:
         """Vectors w_j in the root span with <w_j, coroot of alpha_i> = delta_ij."""
-        rows, den = self.fundamental_rows
+        rows, den = self._fundamental_rows
         return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
 
     def dual_basis(self) -> tuple[Vector, ...]:
         """Vectors tau_j = 2 w_j / |alpha_j|^2 in the root span, so (tau_j, alpha_i) = delta_ij;
         |alpha_j|^2 is the integer _norms[j] over _den^2."""
         if self._dual_basis is None:
-            rows, den = self.fundamental_rows
+            rows, den = self._fundamental_rows
             self._dual_basis = tuple(tuple(Fraction(2 * self._den ** 2 * x, den * n) for x in row)
                                      for row, n in zip(rows, self._norms))
         return self._dual_basis
 
-    def project_to_root_span(self, t: Vector) -> Vector:
+    def project_to_root_span(self, t) -> Vector:
         """Orthogonal projection of t onto the span of the roots: the vector of the
         span with the Dynkin labels of t."""
-        return self.weight(*self.scaled_labels(t))
+        return self._weight(*self._scaled_labels(self._vector(t, "t")))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RootSystem({self.family}{self.rank}, |R+|={len(self.positive)})"
@@ -398,10 +396,15 @@ class RootSystem:
 # Reading a weight
 
 
-def require_dominant(rs: RootSystem, lam: Vector, s_p=()) -> tuple[tuple[int, ...], int]:
-    """rs.scaled_labels(lam); ValidationError if a label on S_P is nonzero (an edge
-    area on W/W_P would depend on the coset representative) or a label is negative."""
-    labels, scale = rs.scaled_labels(lam)
+def require_dominant(rs: RootSystem, lam, s_p=()) -> tuple[tuple[int, ...], int]:
+    """rs.scaled_labels(lam), lam read as that reads it, if dominant (_dominant)."""
+    return _dominant(rs, rs.scaled_labels(lam), s_p)
+
+
+def _dominant(rs: RootSystem, read: tuple[tuple[int, ...], int], s_p=()) -> tuple[tuple[int, ...], int]:
+    """read, a weight's scaled labels; ValidationError if a label on S_P is nonzero (an
+    edge area on W/W_P would depend on the coset representative) or a label is negative."""
+    labels, _scale = read
     if any(labels[k] for k in s_p):
         raise ValidationError("lambda must pair to zero with every simple root of S_P "
                               f"{tuple(k + 1 for k in s_p)}: edge areas on W/W_P are not well defined")
@@ -412,25 +415,20 @@ def require_dominant(rs: RootSystem, lam: Vector, s_p=()) -> tuple[tuple[int, ..
                 f"lambda is not dominant for {rs.family}{rs.rank}: "
                 f"<lambda, coroot(alpha_{k + 1})> < 0 for alpha_{k + 1} = ({','.join(vector_strs(alpha))})"
             )
-    return labels, scale
+    return read
 
 
-def checked_weight(rs: RootSystem, lam) -> Vector:
-    """lam as an exact dominant weight of rs; a G2 weight is projected onto the root plane."""
-    lam = vec(lam, "lambda")
-    if len(lam) != rs.ambient_dim:
-        raise ValidationError(
-            f"lambda has {len(lam)} coordinates; {rs.family}{rs.rank} needs {rs.ambient_dim}"
-        )
-    if rs.family == "G":
-        lam = rs.project_to_root_span(lam)
-    require_dominant(rs, lam)
-    return lam
+def checked_weight(rs: RootSystem, lam) -> tuple[Vector, tuple[int, ...], int]:
+    """lam as an exact dominant weight of rs, read once (RootSystem._vector), with its
+    scaled labels; a G2 weight is projected onto the root plane, which keeps them."""
+    lam = rs._vector(lam, "lambda")
+    labels, scale = _dominant(rs, rs._scaled_labels(lam))
+    return (rs._weight(labels, scale) if rs.family == "G" else lam), labels, scale
 
 
 def parabolic_positions(rs: RootSystem, lam) -> tuple[int, ...]:
     """S_P for the orbit through lam: simple roots pairing to zero (the stabilizer)."""
-    return tuple(k for k, label in enumerate(rs.scaled_labels(vec(lam, "lambda"))[0]) if label == 0)
+    return tuple(k for k, label in enumerate(rs.scaled_labels(lam)[0]) if label == 0)
 
 
 def key_absolute_length(rs: RootSystem, key: tuple[int, ...]) -> int:
@@ -441,7 +439,7 @@ def key_absolute_length(rs: RootSystem, key: tuple[int, ...]) -> int:
     the rank of the integer matrix M - I, where the columns of M are the
     simple-root coefficients of the images of the simple roots.
     """
-    cols = [rs.signed_coefficients(k) for k in key]
+    cols = [rs._coeffs[k] for k in key]
     return linalg.integer_rank([[cols[j][k] - (j == k) for j in range(rs.rank)] for k in range(rs.rank)])
 
 

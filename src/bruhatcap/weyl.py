@@ -22,7 +22,8 @@ parents, certified against the right tables when it is built.  Tables, cosets
 and double cosets are built on first use and kept on the group; the word
 labels of all elements are read off the breadth-first tree in one pass.  The
 cap and the memory budget (enumeration_bytes) are checked through limits, as
-README's guarantees state, before anything is built.
+README's guarantees state, before anything is built, and so is each index a
+public method takes; the package calls the unchecked _word and _reflection_table.
 """
 
 from __future__ import annotations
@@ -136,7 +137,7 @@ class WeylGroup:
         # s_alpha = s_g s_beta s_g for beta = s_g(alpha): each reflection's root permutation is
         # two passes over a lower one's, in increasing height from the simple reflections.
         refl = self._refl = {s: rs.reflection_perm(s) for s in rs.simple}
-        for r in sorted(rs.positive, key=lambda r: sum(rs.signed_coefficients(r))):
+        for r in sorted(rs.positive, key=lambda r: sum(rs._coeffs[r])):
             if r not in refl:
                 g, beta = self._lower(r)
                 sg = refl[rs.simple[g]]
@@ -216,6 +217,9 @@ class WeylGroup:
 
     def word(self, i: int) -> tuple[int, ...]:
         """A reduced word for element i (simple-root positions, from the BFS tree)."""
+        return self._word(read_count("i", i, 0, len(self)))
+
+    def _word(self, i: int) -> tuple[int, ...]:
         out: list[int] = []
         while i != 0:
             parent, g = self.parents[i]
@@ -243,16 +247,18 @@ class WeylGroup:
         and u s_alpha = ((u s_i) s_beta) s_i: one pass over W per root.
         Cached on the group.
         """
+        return self._reflection_table(self.rs._index("root_idx", root_idx, positive=True))
+
+    def _reflection_table(self, root_idx: int) -> Table:
         table = self._reflection_tables.get(root_idx)
         if table is not None:
             return table
         rs = self.rs
-        rs._require_positive(root_idx)
         if root_idx in rs.simple:
             table = self.right[rs.simple.index(root_idx)]
         else:
             g, beta = self._lower(root_idx)
-            ri, tb = self.right[g], self.reflection_table(beta)
+            ri, tb = self.right[g], self._reflection_table(beta)
             table = tuple(map(ri.__getitem__, map(tb.__getitem__, ri)))
         self._reflection_tables[root_idx] = table
         return table
@@ -261,9 +267,9 @@ class WeylGroup:
         """A simple position g and beta = s_g(alpha), positive and lower than alpha,
         for a positive root alpha that is not simple."""
         rs = self.rs
-        height = sum(rs.signed_coefficients(root_idx))
+        height = sum(rs._coeffs[root_idx])
         return next((g, beta) for g, beta in enumerate(self._refl[s][root_idx] for s in rs.simple)
-                    if sum(rs.signed_coefficients(beta)) < height)
+                    if sum(rs._coeffs[beta]) < height)
 
     # -- parabolic quotients ----------------------------------------------------
 
@@ -289,7 +295,7 @@ class WeylGroup:
             s_p=sp,
             free_simple=free,
             free_roots=tuple(a for a in rs.positive  # those with support off S_P
-                             if any(map(rs.signed_coefficients(a).__getitem__, free))),
+                             if any(map(rs._coeffs[a].__getitem__, free))),
             coset_of=coset_of,
             coset_reps=reps,
         )

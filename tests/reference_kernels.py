@@ -155,7 +155,7 @@ def coset_min_path_area(parabolic, lam, src, dst):
     weyl = parabolic.weyl
     rs = weyl.rs
     labels, scale = require_dominant(rs, lam, parabolic.s_p)
-    steps = [(weyl.reflection_table(a), sum(map(mul, rs.signed_cocoefficients(a), labels)))
+    steps = [(weyl.reflection_table(a), sum(map(mul, rs.coroot_coefficients(a), labels)))
              for a in parabolic.free_roots]
     coset_of, reps = parabolic.coset_of, parabolic.coset_reps
 

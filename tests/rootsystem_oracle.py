@@ -8,13 +8,17 @@ weight and dual-basis vector from its own exact solve of one unit column.
 compare the two value for value and type for type.  `fraction_rank` is the
 Fraction row reduction that absolute lengths were once computed by, and
 `reflect` the ambient Fraction reflection that the package's integer root
-permutations are checked against.
+permutations are checked against.  `cartan_matrix` reads a RootSystem's
+Cartan matrix for comparison with sympy's, and `transposition_distance_formula`
+is the closed form that the Cayley distances are checked against; only the
+tests called either, so both left the package.
 """
 
 from fractions import Fraction
 from math import lcm
 
-from bruhatcap import rootsystem
+from bruhatcap import ValidationError, rootsystem
+from bruhatcap.limits import read_items
 from bruhatcap.linalg import dot, solve_columns, vec
 
 
@@ -146,3 +150,21 @@ def reflect(rs, i: int, t):
     alpha = rs.roots[i]
     c = 2 * dot(t, alpha) / dot(alpha, alpha)
     return tuple(ti - c * ai for ti, ai in zip(t, alpha))
+
+
+def cartan_matrix(rs) -> list[list[int]]:
+    """C[i][j] = <alpha_j, coroot of alpha_i> of a RootSystem; always integral."""
+    return [list(row) for row in rs._cartan]
+
+
+def transposition_distance_formula(lam, perm: tuple[int, ...]) -> Fraction:
+    """The closed-form candidate (1/2) sum_i |lam_i - lam_{perm(i)}|, perm a
+    permutation of 1..len(lam) in one-line notation; any other is refused."""
+    lam = vec(lam, "lambda")
+    perm = tuple(read_items("perm", perm))
+    if (not all(isinstance(k, int) and not isinstance(k, bool) for k in perm)
+            or sorted(perm) != list(range(1, len(lam) + 1))):
+        raise ValidationError(f"perm must be a permutation of 1..{len(lam)}, got {perm!r}")
+    return Fraction(1, 2) * sum(
+        (abs(lam[i] - lam[perm[i] - 1]) for i in range(len(perm))), Fraction(0)
+    )

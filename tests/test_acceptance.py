@@ -9,7 +9,8 @@ import time
 
 import pytest
 
-from bruhatcap import build, checks, degree_leq, generate, quantum_bruhat_graph
+from bruhatcap import build, checks, generate, quantum_bruhat_graph
+from bruhatcap.graphs import degree_leq
 from bruhatcap.graphs import d_min_all
 from reference_kernels import random_walk_degree
 

@@ -34,7 +34,7 @@ from bruhatcap.checks import TABLE_TYPES
 from bruhatcap.graphs import d_min
 from bruhatcap.linalg import dot, solve_columns, vec
 from bruhatcap.rootsystem import RootSystem
-from rootsystem_oracle import reflect
+from rootsystem_oracle import reflect, transposition_distance_formula
 from weyl_ops import product_images, reflection, root_perms
 
 RNG_SEED = 20260809
@@ -326,7 +326,8 @@ def _separate_dots_coweight_bound(rs, lam, xi, dec):
     """The oscillation bound with one dot product per check and per summand,
     rank + 1 + |R+| + |dec| of them: the oracle of the single pass over R+."""
     xi = vec(xi)
-    pairings, scale = capacity._scaled_pairings(rs, lam, dec.root_indices)
+    labels, scale = require_dominant(rs, lam)
+    pairings = capacity._pairings(rs, labels, dec.root_indices)
     if any(dot(xi, rs.roots[s]) < 0 for s in rs.simple):
         raise ValidationError("xi must pair nonnegatively with every simple root")
     m = dot(xi, rs.rho)
@@ -751,14 +752,14 @@ def test_confirm_upper_raises_on_wrong_upper(b3):
     w = generate(b3)
     lam = dominant_from_pairings(b3, [1, 2, 3])
     upper = upper_bound(b3, lam, w0_decomposition(b3))
-    assert confirm_upper(w, lam, upper) == upper
+    assert confirm_upper(w, lam, (), upper) == upper
     with pytest.raises(ConsistencyError, match="triangle"):
-        confirm_upper(w, lam, upper + 1)
-    assert confirm_upper(w, lam, upper) == upper
+        confirm_upper(w, lam, (), upper + 1)
+    assert confirm_upper(w, lam, (), upper) == upper
     # A singular weight's area is returned, not checked against upper.
     singular = dominant_from_pairings(b3, [0, 2, 3])
-    area = confirm_upper(w, singular, upper_bound(b3, singular, w0_decomposition(b3)))
-    assert confirm_upper(w, singular, area + 1) == area
+    area = confirm_upper(w, singular, (0,), upper_bound(b3, singular, w0_decomposition(b3)))
+    assert confirm_upper(w, singular, (0,), area + 1) == area
 
 
 CONFIRM_CAP_TYPES = [t for t in TABLE_TYPES if build(*t).weyl_order <= capacity.DEFAULT_CONFIRM_CAP]
@@ -1016,17 +1017,27 @@ def _a2_parabolic(s_p):
      "lambda must hold exact rationals, got the float 0.0"),
     (lambda: coweight_oscillation_bound(build("B", 2), (2, 1), [1, 0, 0], w0_decomposition(build("B", 2))),
      "xi has 3 coordinates; B2 needs 2"),
-    (lambda: graphs.transposition_distance_formula([2, 1], None), "perm must be iterable, got None"),
+    (lambda: transposition_distance_formula([2, 1], None), "perm must be iterable, got None"),
+    (lambda: hz_bounds("A", 2, [Decimal("1e100000"), 0, 0]), "lambda spells more than 1000 digits"),
+    (lambda: build("A", 2).scaled_labels((0.5, 0, 0)), "lambda must hold exact rationals, got the float 0.5"),
+    (lambda: build("A", 2).coroot(-1), "i must be in range(0, 6), got -1"),
+    (lambda: build("A", 2).root_coefficients(0), "i must be the index of a positive root, got 0"),
+    (lambda: generate(build("A", 2)).word(True), "i must be an int, got True"),
+    (lambda: generate(build("A", 2)).reflection_table(6), "root_idx must be in range(0, 6), got 6"),
+    (lambda: build("A", 2).pairing((1, 0), 3), "t has 2 coordinates; A2 needs 3"),
 ], ids=["build-int", "build-None", "RootSystem-list", "parabolic-None", "parabolic-int", "cayley_graph",
         "cayley_diameter", "hz_bounds", "min_path_area", "coweight-xi", "hz_bounds-str", "hz_bounds-bytes",
         "cayley_diameter-str", "hz_bounds-commas", "hz_bounds-None-entry", "hz_bounds-float", "hz_bounds-bool",
         "hz_bounds-huge-exponent", "hz_bounds-1001-digits", "cayley_diameter-huge-exponent",
         "dominant_from_pairings-str", "dominant_from_pairings-None", "export-float", "is_regular-float",
-        "parabolic_positions-float", "coweight-xi-dimension", "transposition_distance_formula-perm-None"])
+        "parabolic_positions-float", "coweight-xi-dimension", "transposition_distance_formula-perm-None",
+        "hz_bounds-Decimal-huge-exponent", "scaled_labels-float", "coroot-negative", "root_coefficients-negative-root",
+        "word-bool", "reflection_table-out-of-range", "pairing-dimension"])
 def test_an_argument_of_the_wrong_kind_is_refused_by_name(call, message):
-    # Each raised AttributeError or TypeError from inside the package, raised
-    # ValueError, answered for the characters of a str or bytes or for a
-    # float's binary value, or built a number of millions of digits, before.
+    # Each raised AttributeError, IndexError or TypeError from inside the package,
+    # raised ValueError, answered for the characters of a str or bytes, for a
+    # float's binary value or for another root or element (-1, True), or built a
+    # number of millions of digits, before.
     with pytest.raises(ValidationError) as refused:
         call()
     assert str(refused.value) == message

@@ -100,9 +100,9 @@ def oracle_bruhat_edges(weyl, pd):
     rs = weyl.rs
     edges = []
     for a in rs.positive:
-        if not any(rs.signed_coefficients(a)[k] for k in pd.free_simple):
+        if not any(rs.root_coefficients(a)[k] for k in pd.free_simple):
             continue  # a root of R+_P
-        cocoeff = rs.signed_cocoefficients(a)
+        cocoeff = rs.coroot_coefficients(a)
         degree = tuple(cocoeff[k] for k in pd.free_simple)
         table = weyl.reflection_table(a)
         for cu, rep in enumerate(pd.coset_reps):
@@ -142,7 +142,7 @@ def oracle_cayley_edges(graph):
 
 def _oracle_payload(graph, lam):
     if hasattr(graph, "parabolic"):
-        co = graph.weyl.rs.signed_cocoefficients
+        co = graph.weyl.rs.coroot_coefficients
         edges = ((u, v, a, deg, co(a)) for u, v, a, deg in oracle_bruhat_edges(graph.weyl, graph.parabolic))
         return _oracle_weyl_payload(graph.weyl, graph.parabolic.coset_reps, edges, lam,
                                     kind="bruhat", s_p=list(graph.parabolic.s_p), directed=False)
@@ -250,7 +250,7 @@ def test_export_chunks_checks_arguments_before_streaming():
         export_chunks(bruhat_graph(w), "xml")
     with pytest.raises(ValidationError, match="cannot export"):
         export_chunks(w, "json")
-    with pytest.raises(ValidationError, match="dimension"):
+    with pytest.raises(ValidationError, match="lambda has 2 coordinates; A2 needs 3"):
         export_chunks(quantum_bruhat_graph(w), "json", lam=(Fraction(1), Fraction(0)))
 
 

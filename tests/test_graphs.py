@@ -18,7 +18,6 @@ from bruhatcap import (
     cayley_distances,
     cayley_graph,
     d_min,
-    degree_leq,
     dominant_from_pairings,
     export,
     generate,
@@ -26,14 +25,14 @@ from bruhatcap import (
     min_path_area,
     parabolic_positions,
     quantum_bruhat_graph,
-    transposition_distance_formula,
     unitary_capacity,
 )
 from bruhatcap.checks import _partitions
 from bruhatcap.weyl import WeylGroup
-from bruhatcap.graphs import d_min_all
+from bruhatcap.graphs import d_min_all, degree_leq
 from bruhatcap.linalg import vec
 from reference_kernels import coset_min_path_area, random_walk_degree, set_propagation_d_min_all
+from rootsystem_oracle import transposition_distance_formula
 from weyl_ops import compose, reflection, root_perms
 
 # -- Bruhat graph ---------------------------------------------------------------
@@ -76,11 +75,11 @@ def _composed_bruhat_edges(weyl, pd, product):
     edges = []
     for cu, rep in enumerate(pd.coset_reps):
         for a in rs.positive:
-            if not any(rs.signed_coefficients(a)[k] for k in pd.free_simple):
+            if not any(rs.root_coefficients(a)[k] for k in pd.free_simple):
                 continue  # a root of R+_P
             cv = pd.coset_of[product[rep, a]]
             if cv > cu:
-                cocoeff = rs.signed_cocoefficients(a)
+                cocoeff = rs.coroot_coefficients(a)
                 edges.append((cu, cv, a, tuple(cocoeff[k] for k in pd.free_simple)))
     edges.sort()
     return edges
@@ -313,7 +312,7 @@ def test_min_path_area_refuses_a_coset_index_out_of_range(monkeypatch, w_b2, src
     pd = w_b2.parabolic(())
     lam = vec([2, 1])
     with monkeypatch.context() as patched:
-        patched.setattr(w_b2, "reflection_table", _unexpected_table)
+        patched.setattr(w_b2, "_reflection_table", _unexpected_table)
         with pytest.raises(ValidationError, match=r"^(src|dst) must be (an int|in range\(0, 8\)), got "):
             min_path_area(pd, lam, src, dst)
     assert min_path_area(pd, lam, 0, 7) == min_path_area(pd, lam, 7, 0) == 4
@@ -380,7 +379,7 @@ def test_min_path_area_disconnected_graph(monkeypatch):
     rs = build("A", 2)
     w = WeylGroup(rs)
     identity = tuple(range(len(w)))
-    monkeypatch.setattr(w, "reflection_table", lambda a: identity)
+    monkeypatch.setattr(w, "_reflection_table", lambda a: identity)
     for s_p in ((), (0,)):
         pd = w.parabolic(s_p)
         lam = vec([2, 2, 0]) if s_p else vec([2, 1, 0])

@@ -122,8 +122,9 @@ def test_help_is_unchanged(command):
     assert out == (HELP / f"help_{command or 'main'}.txt").read_text(encoding="utf-8")
 
 
-# Names only the tests called; those still needed live on in tests/ as
-# reference_kernels, rootsystem_oracle and weyl_ops.
+# Names only the tests called, whose forms still needed live on in tests/ as
+# reference_kernels, rootsystem_oracle and weyl_ops, and public names that only
+# the package called, now private.
 _REMOVED = [
     ("capacity", None, "dominance_violations"),
     ("graphs", None, "random_walk_degree"),
@@ -134,6 +135,13 @@ _REMOVED = [
     ("weyl", "ParabolicData", "wp_elements"),
     ("graphs", "WeightedCayleyGraph", "index"),
     ("graphs", "WeightedCayleyGraph", "identity_index"),
+    ("graphs", None, "transposition_distance_formula"),
+    ("rootsystem", "RootSystem", "cartan_matrix"),
+    ("rootsystem", "RootSystem", "signed_coefficients"),
+    ("rootsystem", "RootSystem", "signed_cocoefficients"),
+    ("rootsystem", "RootSystem", "reflected"),
+    ("rootsystem", "RootSystem", "fundamental_rows"),
+    ("rootsystem", "RootSystem", "weight"),
 ]
 
 

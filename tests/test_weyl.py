@@ -251,7 +251,7 @@ def test_absolute_length_of_w0(fam, rank, lt):
 
 
 def _fraction_absolute_length(rs, key):
-    cols = [rs.signed_coefficients(k) for k in key]
+    cols = [rs._coeffs[k] for k in key]
     return fraction_rank([[Fraction(cols[j][k] - (j == k)) for j in range(rs.rank)]
                           for k in range(rs.rank)])
 
