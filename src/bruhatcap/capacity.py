@@ -28,8 +28,8 @@ from . import linalg
 from .errors import ConsistencyError, ValidationError
 from .limits import DEFAULT_CONFIRM_CAP, DEFAULT_GROUP_CAP, read_count
 from .linalg import Vector, vec
-from .rootsystem import (RootSystem, _dominant, build, checked_weight, key_absolute_length, rational_str,
-                         require_dominant, scaled, vector_strs)
+from .rootsystem import (RootSystem, _dominant, build, checked_weight, key_absolute_length, parabolic_positions,
+                         rational_str, require_dominant, scaled, vector_strs)
 
 if TYPE_CHECKING:
     import random
@@ -229,7 +229,10 @@ def _pairings(rs: RootSystem, labels: tuple[int, ...], indices) -> list[int]:
 
 def upper_bound(rs: RootSystem, lam: Vector, dec: W0Decomposition) -> Fraction:
     """sum_k <lam, coroot(alpha_k)> over the decomposition roots."""
-    labels, scale = require_dominant(rs, lam)
+    return _upper(rs, *require_dominant(rs, lam), dec)
+
+
+def _upper(rs: RootSystem, labels, scale: int, dec: W0Decomposition) -> Fraction:
     return Fraction(sum(_pairings(rs, labels, dec.root_indices)), scale)
 
 
@@ -398,15 +401,16 @@ def w0_degree(weyl: WeylGroup) -> tuple[int, ...]:
     return tuple(map(sum, zip(*map(rs._cocoeffs.__getitem__, dec.root_indices))))
 
 
-def confirm_upper(weyl: WeylGroup, lam: Vector, s_p, upper: Fraction) -> Fraction:
-    """The minimal Bruhat-graph path area from e to w0 on W/W_P, S_P = s_p the
+def confirm_upper(weyl: WeylGroup, lam: Vector, upper: Fraction) -> Fraction:
+    """The minimal Bruhat-graph path area from e to w0 on W/W_P, S_P the
     stabilizer of lam; for a regular lam, ConsistencyError unless it is `upper`."""
     from .graphs import min_path_area
 
+    s_p = parabolic_positions(weyl.rs, lam)
     pd = weyl.parabolic(s_p)
     area = min_path_area(pd, lam, pd.coset_of[weyl.identity_index],
                          pd.coset_of[weyl.longest_index])
-    if not pd.s_p and area != upper:
+    if not s_p and area != upper:
         raise ConsistencyError(f"upper-bound triangle failed for regular lambda: "
                                f"decomposition {upper}, Dijkstra {area}")
     return area
@@ -467,7 +471,7 @@ def hz_bounds(family: str, rank: int, lam, *, confirm_cap: int = DEFAULT_CONFIRM
     lam_used, labels, scale = checked_weight(rs, lam_input)
 
     dec = w0_decomposition(rs)
-    upper = Fraction(sum(_pairings(rs, labels, dec.root_indices)), scale)
+    upper = _upper(rs, labels, scale, dec)
     lower, witness = _lower(rs, labels, scale, dec)
     exact = unitary_capacity(lam_used) if rs.family == "A" else None
 
@@ -492,7 +496,7 @@ def hz_bounds(family: str, rank: int, lam, *, confirm_cap: int = DEFAULT_CONFIRM
         weyl = generate(rs, cap=group_cap)
         if regular:
             d_deg = w0_degree(weyl)
-        area = confirm_upper(weyl, lam_used, tuple(k for k, label in enumerate(labels) if not label), upper)
+        area = confirm_upper(weyl, lam_used, upper)
         # For degenerate orbits the minimal parabolic path area may drop
         # below the regular-orbit upper bound; report, do not hide.
         checks["dmin_consistent"] = area == upper

@@ -279,7 +279,7 @@ def check_triangle(*, seed: int = 0, samples: int = 3,
         for _ in range(samples):
             lam = capacity.random_dominant(rs, rng, regular=True)
             try:
-                capacity.confirm_upper(weyl, lam, (), capacity.upper_bound(rs, lam, dec))
+                capacity.confirm_upper(weyl, lam, capacity.upper_bound(rs, lam, dec))
             except ConsistencyError as exc:
                 raise _Failed(f"{fam}{rank} lambda={lam}: {exc}") from None
     return (f"d_min(w0, e) by walk and by search agree on {len(types)} types; "

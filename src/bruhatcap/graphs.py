@@ -457,9 +457,8 @@ _DISCONNECTED = "Cayley graph is disconnected; this cannot happen for valid inpu
 
 class WeightedCayleyGraph:
     """The Cayley graph of S_n on all transpositions, a view over the columns of
-    _cayley_frame(n, (1,) * n); vertex 0 is the identity, n and lam read as cayley_graph
-    reads them.  The edge list and the permutations, read only by the export and the
-    tests, are built on first read."""
+    _cayley_frame(n, (1,) * n); vertex 0 is the identity.  n, lam and the cap are refused
+    before anything is built; the edges and the permutations are built on first read."""
 
     def __init__(self, n: int, lam, cap: int = DEFAULT_CAYLEY_CAP):
         self.lam = vec(lam, "lambda")
@@ -489,8 +488,6 @@ class WeightedCayleyGraph:
 
 def cayley_graph(n: int, lam, cap: int = DEFAULT_CAYLEY_CAP) -> WeightedCayleyGraph:
     """The Cayley graph of S_n on all transpositions, weighted by |lam_i - lam_j|."""
-    lam = vec(lam, "lambda")
-    _require_cayley_size(n, lam, cap)  # refused before any graph object is made
     return WeightedCayleyGraph(n, lam, cap)
 
 
@@ -658,10 +655,8 @@ def _weyl_chunks(graph, fmt: str, lam: Vector | None) -> Iterator[str]:
             fields["area"] = rational_str(Fraction(sum(map(mul, deg, free_labels)), scale))
         edge_fields.append(fields)
 
-    # Every element is a vertex unless S_P is nonempty; then only the representatives are,
-    # labelled from the one pass over all elements (at E6 faster than a walk per rep).
-    labels = weyl.word_labels()
-    labels = labels if len(reps) == len(labels) else list(map(labels.__getitem__, reps))
+    # Every element is a vertex unless S_P is nonempty; then only the representatives are.
+    labels = weyl.word_labels() if len(reps) == len(weyl) else list(map(weyl._word_label, reps))
     return _text_chunks(fmt, head, labels, lengths, rows, edge_fields)
 
 

@@ -228,8 +228,10 @@ class WeylGroup:
         return tuple(reversed(out))
 
     def word_label(self, i: int) -> str:
-        w = self.word(i)
-        return "e" if not w else " ".join(f"s{g + 1}" for g in w)
+        return self._word_label(read_count("i", i, 0, len(self)))
+
+    def _word_label(self, i: int) -> str:
+        return " ".join(f"s{g + 1}" for g in self._word(i)) or "e"
 
     def word_labels(self) -> list[str]:
         """word_label(i) for every element i, in one pass over the BFS tree: a

@@ -752,14 +752,14 @@ def test_confirm_upper_raises_on_wrong_upper(b3):
     w = generate(b3)
     lam = dominant_from_pairings(b3, [1, 2, 3])
     upper = upper_bound(b3, lam, w0_decomposition(b3))
-    assert confirm_upper(w, lam, (), upper) == upper
+    assert confirm_upper(w, lam, upper) == upper
     with pytest.raises(ConsistencyError, match="triangle"):
-        confirm_upper(w, lam, (), upper + 1)
-    assert confirm_upper(w, lam, (), upper) == upper
+        confirm_upper(w, lam, upper + 1)
+    assert confirm_upper(w, lam, upper) == upper
     # A singular weight's area is returned, not checked against upper.
     singular = dominant_from_pairings(b3, [0, 2, 3])
-    area = confirm_upper(w, singular, (0,), upper_bound(b3, singular, w0_decomposition(b3)))
-    assert confirm_upper(w, singular, (0,), area + 1) == area
+    area = confirm_upper(w, singular, upper_bound(b3, singular, w0_decomposition(b3)))
+    assert confirm_upper(w, singular, area + 1) == area
 
 
 CONFIRM_CAP_TYPES = [t for t in TABLE_TYPES if build(*t).weyl_order <= capacity.DEFAULT_CONFIRM_CAP]
@@ -1025,6 +1025,8 @@ def _a2_parabolic(s_p):
     (lambda: generate(build("A", 2)).word(True), "i must be an int, got True"),
     (lambda: generate(build("A", 2)).reflection_table(6), "root_idx must be in range(0, 6), got 6"),
     (lambda: build("A", 2).pairing((1, 0), 3), "t has 2 coordinates; A2 needs 3"),
+    (lambda: graphs.export_chunks(graphs.cayley_graph(3, (2, 1, 0)), "json", lam=(2, 1, 0)),
+     "a Cayley graph is exported with its own lambda; lam must be None"),
 ], ids=["build-int", "build-None", "RootSystem-list", "parabolic-None", "parabolic-int", "cayley_graph",
         "cayley_diameter", "hz_bounds", "min_path_area", "coweight-xi", "hz_bounds-str", "hz_bounds-bytes",
         "cayley_diameter-str", "hz_bounds-commas", "hz_bounds-None-entry", "hz_bounds-float", "hz_bounds-bool",
@@ -1032,7 +1034,7 @@ def _a2_parabolic(s_p):
         "dominant_from_pairings-str", "dominant_from_pairings-None", "export-float", "is_regular-float",
         "parabolic_positions-float", "coweight-xi-dimension", "transposition_distance_formula-perm-None",
         "hz_bounds-Decimal-huge-exponent", "scaled_labels-float", "coroot-negative", "root_coefficients-negative-root",
-        "word-bool", "reflection_table-out-of-range", "pairing-dimension"])
+        "word-bool", "reflection_table-out-of-range", "pairing-dimension", "export_chunks-cayley-lam"])
 def test_an_argument_of_the_wrong_kind_is_refused_by_name(call, message):
     # Each raised AttributeError, IndexError or TypeError from inside the package,
     # raised ValueError, answered for the characters of a str or bytes, for a

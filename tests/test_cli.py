@@ -230,7 +230,8 @@ def _refuse_every_cayley_build(monkeypatch):
 
     for name in ("_cayley_frame", "_inverse_column"):
         monkeypatch.setattr(graphs, name, build)
-    monkeypatch.setattr(graphs.WeightedCayleyGraph, "__init__", build)
+    for name in ("perms", "edges"):
+        monkeypatch.setattr(graphs.WeightedCayleyGraph, name, property(build))
 
 
 @pytest.mark.parametrize("n", [10, 12])
@@ -702,7 +703,8 @@ def test_every_refused_input_is_one_error_line(tmp_path, case):
 
         mp.setattr(WeylGroup, "__init__", build)
         mp.setattr(graphs, "_cayley_frame", build)
-        mp.setattr(graphs.WeightedCayleyGraph, "__init__", build)
+        for name in ("perms", "edges"):
+            mp.setattr(graphs.WeightedCayleyGraph, name, property(build))
         mp.delenv("BC_GROUP_CAP", raising=False)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)

@@ -670,7 +670,8 @@ def _refuse_every_permutation_build(monkeypatch):
         raise AssertionError("permutations were built")
 
     monkeypatch.setattr(graphs, "_inverse_column", unexpected)
-    monkeypatch.setattr(graphs.WeightedCayleyGraph, "__init__", unexpected)
+    for name in ("perms", "edges"):
+        monkeypatch.setattr(graphs.WeightedCayleyGraph, name, property(unexpected))
 
 
 @pytest.mark.parametrize("entry", [cayley_graph, cayley_diameter])
