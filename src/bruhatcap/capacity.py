@@ -28,7 +28,7 @@ from . import linalg
 from .errors import ConsistencyError, ValidationError
 from .limits import DEFAULT_CONFIRM_CAP, DEFAULT_GROUP_CAP, read_count
 from .linalg import Vector, vec
-from .rootsystem import (RootSystem, _dominant, build, checked_weight, key_absolute_length, parabolic_positions,
+from .rootsystem import (RootSystem, _dominant, build, checked_weight, parabolic_positions,
                          rational_str, require_dominant, scaled, vector_strs)
 
 if TYPE_CHECKING:
@@ -149,14 +149,19 @@ def w0_decomposition(rs: RootSystem) -> W0Decomposition:
     """The per-type decomposition of w0 into orthogonal reflections, validated
     once per type and cached (root indexing is canonical).
 
-    Five independent checks guard the transcribed data: the entries are
-    positive roots, pairwise orthogonal, their reflections compose to w0
-    (every positive root is sent to a negative one), the count equals the
-    absolute length of w0 (fixed-space codimension), and the coroot heights
-    satisfy sum(2*ht - 1) = |R+|.  The product is followed on the simple
-    roots alone, reflection by reflection in integer simple-root coordinates,
-    so no Weyl group enumeration is needed (E8 included): an element is
-    linear, so it is w0 exactly when it sends every simple root negative.
+    Four checks guard the transcribed data: the entries are positive roots,
+    pairwise orthogonal, their reflections compose to w0 (every positive root
+    is sent to a negative one), and the coroot heights satisfy
+    sum(2*ht - 1) = |R+|.  The count is then the absolute length of w0: m
+    pairwise orthogonal roots are linearly independent, so the product of
+    their reflections is -1 on their span and the identity on its orthogonal
+    complement, and its fixed space has codimension m in the root span; that
+    codimension is the absolute length (Carter, Conjugacy classes in the Weyl
+    group, Compositio Math. 25 (1972)), and the product is w0.  The product
+    is followed on the simple roots alone, reflection by reflection in integer
+    simple-root coordinates, so no Weyl group enumeration is needed (E8
+    included): an element is linear, so it is w0 exactly when it sends every
+    simple root negative.
     """
     key = (rs.family, rs.rank)
     got = _DECOMPOSITIONS.get(key)
@@ -185,18 +190,10 @@ def _validated_decomposition(rs: RootSystem) -> W0Decomposition:
                     f"roots {vectors[i]} and {vectors[j]} are not orthogonal"
                 )
 
-    images = _simple_images(rs, indices)
-    if any(rs.is_positive[j] for j in images):
+    if any(rs.is_positive[j] for j in _simple_images(rs, indices)):
         raise ConsistencyError(
             f"decomposition data for {rs.family}{rs.rank}: product is not w0 "
             f"(does not map all positive roots to negative roots)"
-        )
-
-    fixed_codim = key_absolute_length(rs, images)
-    if fixed_codim != len(vectors):
-        raise ConsistencyError(
-            f"decomposition data for {rs.family}{rs.rank}: {len(vectors)} reflections "
-            f"but the absolute length of w0 is {fixed_codim}"
         )
 
     heights = tuple(sum(rs._cocoeffs[i]) for i in indices)

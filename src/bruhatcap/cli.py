@@ -5,8 +5,8 @@ emitted exactly ('p/q' or integer string); there is no floating-point
 formatting anywhere.  Graph exports and `roots --format json` are written
 chunk by chunk as they are rendered, joined into blocks of at least
 BLOCK_SIZE characters, so that a large export is a few large writes and
-holds at most one block.  BC_GROUP_CAP overrides the default group cap;
-it and the cap flags are read as counts (limits) before any command runs.
+holds at most one block.  The cap flags are read as counts (limits)
+before any command runs.
 `--lambda` is split at its commas and read by linalg.vec, as every library
 weight is: an empty entry is an unreadable literal.
 
@@ -46,17 +46,6 @@ CHECK_NAMES = ("unitary-diameter", "type-c-sharp", "table", "height-lemma", "dec
 # chunk is about 1 KB, and with unbuffered stdout (PYTHONUNBUFFERED) each
 # would be a write of its own that wakes the reader.
 BLOCK_SIZE = 1 << 16
-
-
-def _env_group_cap() -> int:
-    raw = os.environ.get("BC_GROUP_CAP")
-    if raw is None:
-        return DEFAULT_GROUP_CAP
-    try:
-        raw = int(raw)
-    except ValueError:
-        pass  # read_count refuses the text, by name
-    return read_count("BC_GROUP_CAP", raw)
 
 
 def _read_caps(args) -> None:
@@ -362,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_graph.add_argument("--lambda", dest="lam", default=None,
                          help="comma-separated rationals; for bruhat, induces S_P and areas")
     p_graph.add_argument("--format", choices=["dot", "json"], default="dot")
-    p_graph.add_argument("--group-cap", type=int, default=_env_group_cap())
+    p_graph.add_argument("--group-cap", type=int, default=DEFAULT_GROUP_CAP)
     p_graph.add_argument("--cayley-cap", type=int, default=DEFAULT_CAYLEY_CAP)
     p_graph.add_argument("--output", "-o", default=None)
     p_graph.set_defaults(func=cmd_graph)
@@ -373,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cap.add_argument("--format", choices=["text", "json"], default="text")
     p_cap.add_argument("--confirm-cap", type=int, default=DEFAULT_CONFIRM_CAP,
                        help="enumerate W and run graph confirmations when |W| is at most this")
-    p_cap.add_argument("--group-cap", type=int, default=_env_group_cap())
+    p_cap.add_argument("--group-cap", type=int, default=DEFAULT_GROUP_CAP)
     p_cap.add_argument("--output", "-o", default=None)
     p_cap.set_defaults(func=cmd_capacity)
 
@@ -403,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        # build_parser reads BC_GROUP_CAP, which can be malformed or negative
         args = build_parser().parse_args(argv)
         _read_caps(args)
         return args.func(args)

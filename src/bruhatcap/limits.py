@@ -16,8 +16,8 @@ MAX_RANK = 55
 # Parsed input stays printable: str() of an int refuses more than 4300 digits.
 MAX_DIGITS = 1000
 # Weyl groups are enumerated up to this order, a limit a caller lowers
-# (`--group-cap`, `BC_GROUP_CAP`).  Every group over it is also over the memory
-# budget below, which is checked first.
+# (`--group-cap`).  Every group over it is also over the memory budget below,
+# which is checked first.
 DEFAULT_GROUP_CAP = 10_000_000
 # `capacity` enumerates W and confirms the upper bound on the graphs up to this order.
 DEFAULT_CONFIRM_CAP = 25_000

@@ -4,9 +4,9 @@ The root kernel works in integer simple-root coordinates (see rootsystem);
 what is left here serves the ambient side: vec, the one reader of a rational
 argument, alike for `--lambda` and every weight a library function takes;
 dot products; the integer inverse of the Cartan matrix behind the
-fundamental weights, the dual basis and the projection onto the root span;
-and the integer rank behind absolute lengths.  solve_columns, an exact Gauss solve, is no longer
-called by the package; the tests keep it as their reference projection.
+fundamental weights, the dual basis and the projection onto the root span.
+solve_columns, an exact Gauss solve, is no longer called by the package; the
+tests keep it as their reference projection.
 Everything is dense and exact; no floating point is used anywhere in the
 package.
 """
@@ -130,22 +130,3 @@ def inverse(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
         last = d
     return [row[n:] for row in rows], last
 
-
-def integer_rank(matrix: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix by fraction-free row echelon reduction, whose
-    divisions are exact (Bareiss, as in inverse)."""
-    rows = [list(r) for r in matrix]
-    rk, last = 0, 1
-    for col in range(len(rows[0]) if rows else 0):
-        pivot = next((i for i in range(rk, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rk], rows[pivot] = rows[pivot], rows[rk]
-        prow, d = rows[rk], rows[rk][col]
-        rows[rk + 1:] = [[(d * a - row[col] * b) // last for a, b in zip(row, prow)]
-                         for row in rows[rk + 1:]]
-        last = d
-        rk += 1
-        if rk == len(rows):
-            break
-    return rk

@@ -431,18 +431,6 @@ def parabolic_positions(rs: RootSystem, lam) -> tuple[int, ...]:
     return tuple(k for k, label in enumerate(rs.scaled_labels(lam)[0]) if label == 0)
 
 
-def key_absolute_length(rs: RootSystem, key: tuple[int, ...]) -> int:
-    """Minimal number of reflections whose product sends the simple roots to
-    the roots of index key.
-
-    Computed as the codimension of the fixed subspace inside the root span:
-    the rank of the integer matrix M - I, where the columns of M are the
-    simple-root coefficients of the images of the simple roots.
-    """
-    cols = [rs._coeffs[k] for k in key]
-    return linalg.integer_rank([[cols[j][k] - (j == k) for j in range(rs.rank)] for k in range(rs.rank)])
-
-
 def build(family: str, rank: int) -> RootSystem:
     """Build (and cache) the root system of the given simple type.  The type is
     read (_read_type) before the cache is consulted, so a rank of True or 2.0

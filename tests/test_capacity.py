@@ -142,6 +142,52 @@ def test_tampered_decomposition_is_refused(monkeypatch, fam, rank, vectors, matc
     assert capacity._DECOMPOSITIONS == {}
 
 
+def _is_w0_decomposition(rs, vectors) -> bool:
+    """Independent of the validator: positive roots, pairwise orthogonal by dot,
+    whose whole root permutations compose to an element sending every simple root
+    negative, with sum(2 ht - 1) = |R+| over the coroot heights 2 (rho, a) / (a, a)."""
+    if not all(v in rs.roots and rs.is_positive[rs.roots.index(v)] for v in vectors):
+        return False
+    if any(dot(u, v) != 0 for k, u in enumerate(vectors) for v in vectors[k + 1:]):
+        return False
+    if any(rs.is_positive[j] for j in product_images(rs, [rs.roots.index(v) for v in vectors])):
+        return False
+    rho = tuple(sum(col) / 2 for col in zip(*(rs.roots[a] for a in rs.positive)))
+    return sum(4 * dot(rho, v) / dot(v, v) - 1 for v in vectors) == len(rs.positive)
+
+
+def test_mutated_decompositions_are_refused_exactly_when_the_oracle_refuses(monkeypatch):
+    # Each case drops, duplicates or replaces one root of a transcribed
+    # decomposition; a replacement can be another valid decomposition (D4).
+    rng = random.Random(RNG_SEED + 37)
+    transcribed = capacity._decomposition_vectors
+    verdicts = Counter()
+    for fam, rank in TABLE_TYPES:
+        rs = build(fam, rank)
+        vectors = transcribed(fam, rank)
+        positive = [rs.roots[a] for a in rs.positive]
+        for _ in range(60):
+            mutated = list(vectors)
+            k = rng.randrange(len(mutated))
+            how = rng.choice(("drop", "duplicate", "replace"))
+            if how == "drop":
+                del mutated[k]
+            elif how == "duplicate":
+                mutated.insert(rng.randrange(len(mutated) + 1), mutated[k])
+            else:
+                mutated[k] = rng.choice(positive)
+            monkeypatch.setattr(capacity, "_decomposition_vectors", lambda family, r: mutated)
+            valid = _is_w0_decomposition(rs, mutated)
+            try:
+                got = capacity._validated_decomposition(rs)
+            except ConsistencyError:
+                assert not valid, (fam, rank, how, mutated)
+            else:
+                assert valid and got.vectors == tuple(mutated), (fam, rank, how, mutated)
+            verdicts[valid] += 1
+    assert verdicts[True] and verdicts[False], verdicts
+
+
 @pytest.mark.parametrize("fam,rank", sorted(
     set(TABLE_TYPES) | {(f, r) for f in "BCD" for r in range(2 if f != "D" else 3, 21)}))
 def test_simple_images_match_the_permutation_product(fam, rank):

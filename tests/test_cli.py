@@ -258,57 +258,50 @@ def test_graph_e6_quantum_still_exports(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == E6_QUANTUM_JSON_SHA256
 
 
-def test_graph_cap_override(capsys, monkeypatch):
-    monkeypatch.setenv("BC_GROUP_CAP", "10")
-    code, _, err = run_cli(capsys, "graph", "bruhat", "-t", "B", "-r", "3")
+def test_graph_cap_override(capsys):
+    code, _, err = run_cli(capsys, "graph", "bruhat", "-t", "B", "-r", "3", "--group-cap", "10")
     assert code == 1
     assert "48" in err
 
 
-def test_malformed_group_cap_env(capsys, monkeypatch):
-    monkeypatch.setenv("BC_GROUP_CAP", "abc")
-    code, out, err = run_cli(capsys, "roots", "-t", "A", "-r", "2")
-    assert code == 1
-    assert out == ""
-    assert err == "error: BC_GROUP_CAP must be an int, got 'abc'\n"
+@pytest.mark.parametrize("value", ["10", "abc"])
+def test_the_group_cap_is_set_by_its_flag_alone(capsys, monkeypatch, value):
+    # No environment variable sets a cap: the outputs are those of the defaults.
+    commands = (("capacity", "-t", "A", "-r", "3", "--lambda", "3,2,1,0", "--format", "json"),
+                ("graph", "bruhat", "-t", "A", "-r", "3"))
+    monkeypatch.delenv("BC_GROUP_CAP", raising=False)
+    unset = [run_cli(capsys, *argv) for argv in commands]
+    assert [code for code, _, _ in unset] == [0, 0]
+    monkeypatch.setenv("BC_GROUP_CAP", value)
+    assert [run_cli(capsys, *argv) for argv in commands] == unset
 
 
 E8_LAMBDA = "1/2,13/2,23/2,31/2,37/2,41/2,43/2,219/2"
 
 
-@pytest.mark.parametrize("env,argv,message", [
-    (None, ("capacity", "-t", "E", "-r", "8", "--lambda", E8_LAMBDA,
-            "--group-cap", "-5", "--confirm-cap", "-3"), "--confirm-cap must be nonnegative, got -3"),
-    (None, ("capacity", "-t", "A", "-r", "2", "--lambda", "2,1,0", "--group-cap", "-1"),
+@pytest.mark.parametrize("argv,message", [
+    (("capacity", "-t", "E", "-r", "8", "--lambda", E8_LAMBDA,
+      "--group-cap", "-5", "--confirm-cap", "-3"), "--confirm-cap must be nonnegative, got -3"),
+    (("capacity", "-t", "A", "-r", "2", "--lambda", "2,1,0", "--group-cap", "-1"),
      "--group-cap must be nonnegative, got -1"),
-    (None, ("graph", "bruhat", "-t", "A", "-r", "2", "--group-cap", "-2"),
+    (("graph", "bruhat", "-t", "A", "-r", "2", "--group-cap", "-2"),
      "--group-cap must be nonnegative, got -2"),
-    (None, ("graph", "cayley", "--n", "1", "--lambda", "0", "--cayley-cap", "-1"),
+    (("graph", "cayley", "--n", "1", "--lambda", "0", "--cayley-cap", "-1"),
      "--cayley-cap must be nonnegative, got -1"),
-    ("-7", ("capacity", "-t", "A", "-r", "2", "--lambda", "2,1,0", "--confirm-cap", "0"),
-     "BC_GROUP_CAP must be nonnegative, got -7"),
-    ("-7", ("roots", "-t", "A", "-r", "2"), "BC_GROUP_CAP must be nonnegative, got -7"),
-    ("True", ("roots", "-t", "A", "-r", "2"), "BC_GROUP_CAP must be an int, got 'True'"),
-    ("2.0", ("roots", "-t", "A", "-r", "2"), "BC_GROUP_CAP must be an int, got '2.0'"),
 ])
-def test_negative_cap_refused_before_any_build(capsys, monkeypatch, env, argv, message):
+def test_negative_cap_refused_before_any_build(capsys, monkeypatch, argv, message):
     def refuse(*args):
         raise AssertionError("a root system was built")
 
     monkeypatch.setattr(cli, "build", refuse)
     monkeypatch.setattr(capacity, "build", refuse)
-    if env is None:
-        monkeypatch.delenv("BC_GROUP_CAP", raising=False)
-    else:
-        monkeypatch.setenv("BC_GROUP_CAP", env)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
-def test_zero_caps_turn_the_confirmation_off(capsys, monkeypatch):
-    monkeypatch.setenv("BC_GROUP_CAP", "0")
+def test_zero_caps_turn_the_confirmation_off(capsys):
     code, out, _ = run_cli(capsys, "capacity", "-t", "A", "-r", "2", "--lambda", "2,1,0",
-                           "--confirm-cap", "0", "--format", "json")
+                           "--confirm-cap", "0", "--group-cap", "0", "--format", "json")
     assert code == 0
     assert json.loads(out)["checks"]["dmin_consistent"] is None
 
@@ -705,7 +698,6 @@ def test_every_refused_input_is_one_error_line(tmp_path, case):
         mp.setattr(graphs, "_cayley_frame", build)
         for name in ("perms", "edges"):
             mp.setattr(graphs.WeightedCayleyGraph, name, property(build))
-        mp.delenv("BC_GROUP_CAP", raising=False)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
     err = err.getvalue()

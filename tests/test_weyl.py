@@ -1,3 +1,4 @@
+import random
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
@@ -8,8 +9,8 @@ from bruhatcap import ConsistencyError, SizeLimitError, ValidationError, WeylGro
 from bruhatcap import capacity, graphs
 from bruhatcap import weyl as weyl_module
 from bruhatcap.capacity import TABLE_TYPES
-from bruhatcap.linalg import neg, vec
-from bruhatcap.rootsystem import RootSystem, key_absolute_length, weyl_group_order
+from bruhatcap.linalg import dot, neg, vec
+from bruhatcap.rootsystem import RootSystem, weyl_group_order
 from reference_kernels import descent_lookup_enumeration, orbit_cosets, two_sided_orbits
 from rootsystem_oracle import fraction_rank, reflect
 from weyl_ops import compose, inverse, inversion_count, key_index, reflection, root_perms, simple_elements
@@ -210,6 +211,15 @@ def test_deletion_property(fam, rank):
 # -- absolute length ---------------------------------------------------------
 
 
+def _fraction_absolute_length(rs, key):
+    """The codimension of the fixed space, in the root span, of the element that
+    sends the simple roots to the roots of index key: the rank of M - I, where
+    the columns of M are the simple-root coefficients of those images."""
+    cols = [rs._coeffs[k] for k in key]
+    return fraction_rank([[Fraction(cols[j][k] - (j == k)) for j in range(rs.rank)]
+                          for k in range(rs.rank)])
+
+
 def _absolute_length_bfs(weyl):
     """Independent oracle: BFS over the generating set of ALL reflections."""
     gens = [reflection(weyl, a) for a in weyl.rs.positive]
@@ -227,19 +237,11 @@ def _absolute_length_bfs(weyl):
 
 @pytest.mark.parametrize("fam,rank", [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("G", 2)])
 def test_absolute_length_against_reflection_bfs(fam, rank):
+    # The fixed-space codimension is the least number of reflections (Carter).
     w = generate(build(fam, rank))
     oracle = _absolute_length_bfs(w)
     for i, key in enumerate(w.keys):
-        assert key_absolute_length(w.rs, key) == oracle[i]
-
-
-def test_absolute_length_basics(w_b3):
-    rs, keys = w_b3.rs, w_b3.keys
-    assert key_absolute_length(rs, keys[w_b3.identity_index]) == 0
-    for a in rs.positive:
-        assert key_absolute_length(rs, keys[reflection(w_b3, a)]) == 1
-    for key, length in zip(keys, w_b3.lengths):
-        assert key_absolute_length(rs, key) <= length
+        assert _fraction_absolute_length(w.rs, key) == oracle[i]
 
 
 @pytest.mark.parametrize("fam,rank,lt", [
@@ -247,31 +249,30 @@ def test_absolute_length_basics(w_b3):
 ])
 def test_absolute_length_of_w0(fam, rank, lt):
     w = generate(build(fam, rank))
-    assert key_absolute_length(w.rs, w.keys[w.longest_index]) == lt
-
-
-def _fraction_absolute_length(rs, key):
-    cols = [rs._coeffs[k] for k in key]
-    return fraction_rank([[Fraction(cols[j][k] - (j == k)) for j in range(rs.rank)]
-                          for k in range(rs.rank)])
-
-
-@pytest.mark.parametrize("fam,rank", [
-    ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("B", 2), ("B", 3), ("B", 4),
-    ("C", 3), ("D", 4), ("F", 4), ("G", 2),
-])
-def test_integer_absolute_length_matches_fraction_rank(fam, rank):
-    w = generate(build(fam, rank))
-    assert [key_absolute_length(w.rs, key) for key in w.keys] == [
-        _fraction_absolute_length(w.rs, key) for key in w.keys]
+    assert _fraction_absolute_length(w.rs, w.keys[w.longest_index]) == lt
 
 
 @pytest.mark.parametrize("fam,rank", TABLE_TYPES)
 def test_integer_absolute_length_of_the_w0_key(fam, rank):
     rs = build(fam, rank)
     key = capacity._simple_images(rs, capacity.w0_decomposition(rs).root_indices)
-    assert key_absolute_length(rs, key) == _fraction_absolute_length(rs, key) == len(
-        capacity.w0_decomposition(rs))
+    assert _fraction_absolute_length(rs, key) == len(capacity.w0_decomposition(rs))
+
+
+@pytest.mark.parametrize("fam,rank", TABLE_TYPES)
+def test_orthogonal_reflections_have_their_count_as_absolute_length(fam, rank):
+    # The lemma that makes the count of a validated w0 decomposition its
+    # absolute length: m pairwise orthogonal roots are independent, so the
+    # product of their reflections fixes a space of codimension m.
+    rs = build(fam, rank)
+    rng = random.Random(f"{fam}{rank}")
+    for _ in range(10):
+        chosen = []
+        for a in rng.sample(rs.positive, len(rs.positive)):
+            if all(dot(rs.roots[a], rs.roots[b]) == 0 for b in chosen):
+                chosen.append(a)
+                key = capacity._simple_images(rs, chosen)
+                assert _fraction_absolute_length(rs, key) == len(chosen)
 
 
 # -- parabolic quotients -------------------------------------------------------
