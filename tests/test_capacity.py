@@ -133,6 +133,9 @@ def test_w0_decomposition_a1_trivial():
     # B3's w0 is the product of three orthogonal reflections; two fix a root
     pytest.param("B", 3, [vec([1, -1, 0]), vec([1, 1, 0])], "product is not w0",
                  id="root-dropped"),
+    # B2's w0 = -1 is also s_{e1} s_{e2}, but the short roots have coroot heights 3 and 1
+    pytest.param("B", 2, [vec([1, 0]), vec([0, 1])], r"sum\(2 ht - 1\) = 6 != \|R\+\| = 4",
+                 id="heights-too-large"),
 ])
 def test_tampered_decomposition_is_refused(monkeypatch, fam, rank, vectors, match):
     monkeypatch.setattr(capacity, "_DECOMPOSITIONS", {})
